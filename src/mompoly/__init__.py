@@ -7,6 +7,7 @@ x-rays and diffeomorphism types.
 """
 
 from .classify import (
+    Analysis,
     ClassificationReport,
     DelzantFamily,
     HalfReflMinus,
@@ -20,6 +21,7 @@ from .classify import (
     WallEdgeFamily,
     WallEdgeMinus,
     WallEdgePlus,
+    analyze,
     check_momentum_polytope,
     classify_triangle,
     classify_wall_rays,

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .classify import check_momentum_polytope, classify_triangle
+from .classify import analyze, classify_triangle
 from .difftype import diffeo_type
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint, cross
-from .polygon import Polygon, convex_hull
+from .polygon import convex_hull
 
 _CHUNK = 256
 
@@ -112,17 +112,16 @@ class ItemResult:
 
 
 def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
-    polygon = Polygon(tuple(convex_hull(vertices).vertices))
-    report = check_momentum_polytope(polygon)
-    if not report.valid:
+    analysis = analyze(convex_hull(vertices))
+    if not analysis.report.valid:
         return ItemResult(vertices, False, None, None, None)
-    kaehler, _ = is_kaehlerizable(polygon)
+    kaehler, _ = is_kaehlerizable(analysis)
     family_tag = None
     diff = None
-    if len(polygon) == 3:
-        fam = classify_triangle(polygon)
+    if len(analysis.polygon) == 3:
+        fam = classify_triangle(analysis)
         family_tag = fam.tag
-        diff = diffeo_type(fam, polygon).value
+        diff = diffeo_type(fam, analysis).value
     return ItemResult(vertices, True, family_tag, kaehler, diff)
 
 
@@ -197,16 +196,15 @@ def run_census(
     def work(chunk: list) -> list[ItemResult]:
         return [classify_item(vs) for vs in chunk]
 
-    if threads <= 1:
-        result_chunks: Iterable[list[ItemResult]] = map(work, _chunks(candidates, _CHUNK))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        result_chunks = pool.map(work, _chunks(candidates, _CHUNK))
-    for chunk in result_chunks:
-        for item in chunk:
-            summary.add(item)
-            if on_item is not None:
-                on_item(item)
-    if threads > 1:
-        pool.shutdown()
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        for chunk in (pool.map if pool else map)(work, _chunks(candidates, _CHUNK)):
+            for item in chunk:
+                summary.add(item)
+                if on_item is not None:
+                    on_item(item)
+    finally:
+        if pool is not None:
+            # If on_item raised, drop the queued chunks; the running ones finish.
+            pool.shutdown(cancel_futures=True)
     return summary

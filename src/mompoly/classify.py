@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
@@ -32,6 +33,8 @@ _ONE = Weight(1, 1)
 # ---------------------------------------------------------------------------
 # Wall vertex cone patterns
 # ---------------------------------------------------------------------------
+# Each pattern also carries `fixpoints`: how many T-fixpoints map to a wall
+# vertex of that type (the vertex is its own reflection).
 
 @dataclass(frozen=True)
 class WallEdgePlus:
@@ -40,6 +43,7 @@ class WallEdgePlus:
     k: int
 
     name = "wall_edge_plus"
+    fixpoints = 1
 
     def rays(self) -> frozenset:
         return frozenset({_ONE, Weight(self.k + 1, self.k)})
@@ -52,6 +56,7 @@ class WallEdgeMinus:
     k: int
 
     name = "wall_edge_minus"
+    fixpoints = 1
 
     def rays(self) -> frozenset:
         return frozenset({-_ONE, Weight(self.k + 1, self.k)})
@@ -64,6 +69,7 @@ class HalfReflPlus:
     j: int
 
     name = "half_refl_plus"
+    fixpoints = 2
 
     def rays(self) -> frozenset:
         return frozenset({ALPHA, Weight(self.j + 1, -self.j)})
@@ -76,6 +82,7 @@ class HalfReflMinus:
     j: int
 
     name = "half_refl_minus"
+    fixpoints = 2
 
     def rays(self) -> frozenset:
         return frozenset({ALPHA, Weight(self.j, -self.j - 1)})
@@ -88,6 +95,7 @@ class Reflection:
     j: int
 
     name = "reflection"
+    fixpoints = 0
 
     def rays(self) -> frozenset:
         return frozenset({Weight(self.j + 1, -self.j), Weight(self.j, -self.j - 1)})
@@ -192,6 +200,9 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 # Triangle families
 # ---------------------------------------------------------------------------
+# Each family also carries `mod3`: whether the mod-3 Chern residue decides
+# its diffeomorphism type (see difftype), and `wall_types()`, the cone
+# patterns at its wall vertices.
 
 @dataclass(frozen=True)
 class DelzantFamily:
@@ -207,9 +218,13 @@ class DelzantFamily:
     b2: int
 
     tag = "delzant"
+    mod3 = True
 
     def deltas(self) -> tuple[Weight, Weight]:
         return Weight(self.b1, -self.a1), Weight(self.b2, -self.a2)
+
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        return ()
 
     def triangle(self) -> Polygon:
         base = RationalPoint(self.s, self.s - self.r)
@@ -220,83 +235,77 @@ class DelzantFamily:
 
 
 @dataclass(frozen=True)
-class WallEdgeFamily:
-    """s(eps1+eps2) + t*conv(0, l(eps1+eps2), k(eps1+eps2)+eps1), l in {+1,-1}."""
+class _WallFamily:
+    """A family whose triangles have the wall vertex s(eps1+eps2) with cone
+    pattern `pattern()`: s(eps1+eps2) + t*conv(0, r1, r2) for its rays r1, r2."""
 
     s: Fraction
     t: Fraction
+
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        return (self.pattern(),)
+
+    def triangle(self) -> Polygon:
+        base = RationalPoint(self.s, self.s)
+        return convex_hull(
+            [base] + [base + r.to_point().scale(self.t) for r in self.pattern().rays()]
+        )
+
+
+@dataclass(frozen=True)
+class WallEdgeFamily(_WallFamily):
+    """s(eps1+eps2) + t*conv(0, l(eps1+eps2), k(eps1+eps2)+eps1), l in {+1,-1}."""
+
     k: int
     l: int
 
     tag = "wall_edge"
+    mod3 = False
 
-    def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s)
-        w2 = base + _ONE.to_point().scale(self.l * self.t)
-        apex = base + Weight(self.k + 1, self.k).to_point().scale(self.t)
-        return convex_hull([base, w2, apex])
+    def pattern(self) -> WallVertexType:
+        return WallEdgePlus(self.k) if self.l == 1 else WallEdgeMinus(self.k)
+
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        if self.l == 1:
+            return (WallEdgePlus(self.k), WallEdgeMinus(self.k - 1))
+        return (WallEdgeMinus(self.k), WallEdgePlus(self.k + 1))
 
 
 @dataclass(frozen=True)
-class HalfReflPlusFamily:
+class HalfReflPlusFamily(_WallFamily):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha+eps1)."""
 
-    s: Fraction
-    t: Fraction
     j: int
 
     tag = "half_refl_plus"
+    mod3 = True
 
-    def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s)
-        return convex_hull(
-            [
-                base,
-                base + ALPHA.to_point().scale(self.t),
-                base + Weight(self.j + 1, -self.j).to_point().scale(self.t),
-            ]
-        )
+    def pattern(self) -> WallVertexType:
+        return HalfReflPlus(self.j)
 
 
 @dataclass(frozen=True)
-class HalfReflMinusFamily:
+class HalfReflMinusFamily(_WallFamily):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha-eps2)."""
 
-    s: Fraction
-    t: Fraction
     j: int
 
     tag = "half_refl_minus"
+    mod3 = True
 
-    def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s)
-        return convex_hull(
-            [
-                base,
-                base + ALPHA.to_point().scale(self.t),
-                base + Weight(self.j, -self.j - 1).to_point().scale(self.t),
-            ]
-        )
+    def pattern(self) -> WallVertexType:
+        return HalfReflMinus(self.j)
 
 
 @dataclass(frozen=True)
-class ReflectionFamily:
+class ReflectionFamily(_WallFamily):
     """s(eps1+eps2) + t*conv(0, eps1, -eps2)."""
 
-    s: Fraction
-    t: Fraction
-
     tag = "reflection"
+    mod3 = False
 
-    def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s)
-        return convex_hull(
-            [
-                base,
-                base + Weight(1, 0).to_point().scale(self.t),
-                base + Weight(0, -1).to_point().scale(self.t),
-            ]
-        )
+    def pattern(self) -> WallVertexType:
+        return Reflection(0)
 
 
 TriangleFamily = Union[
@@ -305,14 +314,101 @@ TriangleFamily = Union[
 
 
 def _ray_scale(edge_vec: RationalPoint, ray: Weight) -> Fraction:
-    """The positive t with edge_vec = t * ray."""
-    t = Fraction(edge_vec.x, ray.a) if ray.a else Fraction(edge_vec.y, ray.b)
-    if edge_vec != ray.to_point().scale(t) or t <= 0:
-        raise AssertionError(f"{edge_vec} is not a positive multiple of {ray}")
-    return t
+    """The t with edge_vec = t * ray, for the primitive ray along edge_vec."""
+    return Fraction(edge_vec.x, ray.a) if ray.a else Fraction(edge_vec.y, ray.b)
 
 
-def classify_triangle(polygon: Polygon) -> TriangleFamily:
+# ---------------------------------------------------------------------------
+# One analysis per polygon
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """A polygon with its validity report.  The facts derived from them are
+    computed on first use and kept as long as the Analysis is."""
+
+    polygon: Polygon
+    report: ClassificationReport
+
+    @cached_property
+    def wall_types(self) -> dict[RationalPoint, WallVertexType]:
+        """Cone pattern of each wall vertex that matches one."""
+        return dict(self.report.wall_vertex_types())
+
+    @cached_property
+    def family(self) -> TriangleFamily:
+        """The triangle family; see classify_triangle."""
+        polygon = self.polygon
+        if len(polygon) != 3:
+            raise GeometryError("triangle classification needs exactly 3 vertices")
+        require_valid(self)
+        wall = polygon.wall_vertices()
+
+        if len(wall) == 0:
+            # Base vertex: minimal coroot pairing, ties broken lexicographically.
+            base = min(polygon.vertices, key=lambda v: (coroot_pairing(v), v))
+            others = [v for v in polygon.vertices if v != base]
+            rays = [primitive_ray(v - base) for v in others]
+            t = _ray_scale(others[0] - base, rays[0])
+            if cross(rays[0], rays[1]) < 0:
+                rays.reverse()
+            d1, d2 = rays
+            fam = DelzantFamily(
+                r=coroot_pairing(base),
+                s=base.x,
+                t=t,
+                a1=-d1.b,
+                b1=d1.a,
+                a2=-d2.b,
+                b2=d2.a,
+            )
+        else:
+            # Base: the lowest wall vertex, so that a wall edge always points
+            # in the +(eps1+eps2) direction (l = +1).
+            w = min(wall)
+            wt = self.wall_types[w]
+            other = next(u for u in polygon.vertices if u != w)
+            t = _ray_scale(other - w, primitive_ray(other - w))
+            if isinstance(wt, WallEdgePlus):
+                fam = WallEdgeFamily(s=w.x, t=t, k=wt.k, l=1)
+            elif isinstance(wt, Reflection):
+                fam = ReflectionFamily(s=w.x, t=t)
+            elif isinstance(wt, HalfReflPlus):
+                fam = HalfReflPlusFamily(s=w.x, t=t, j=wt.j)
+            else:
+                fam = HalfReflMinusFamily(s=w.x, t=t, j=wt.j)
+
+        # The parameters must rebuild the triangle: this checks the edge scales
+        # and that the edges at the base follow its wall pattern.
+        if set(fam.triangle().vertices) != set(polygon.vertices):
+            raise AssertionError(f"{fam} does not rebuild the triangle {polygon.vertices}")
+        return fam
+
+
+PolygonLike = Union[Polygon, Analysis]
+
+
+def analyze(polygon: PolygonLike) -> Analysis:
+    """Check the polygon once and return its Analysis, which the package's
+    queries accept in place of the polygon.  An Analysis is returned as is.
+    Raises ChamberError for polygons leaving the chamber."""
+    if isinstance(polygon, Analysis):
+        return polygon
+    return Analysis(polygon, check_momentum_polytope(polygon))
+
+
+def require_valid(polygon: PolygonLike) -> Analysis:
+    """The Analysis of a polygon that must be a valid momentum polytope."""
+    analysis = analyze(polygon)
+    if not analysis.report.valid:
+        raise InvalidPolytopeError(
+            "not a momentum polytope: "
+            + "; ".join(msg for _, msg in analysis.report.failures)
+        )
+    return analysis
+
+
+def classify_triangle(polygon: PolygonLike) -> TriangleFamily:
     """Recognize a valid momentum-polytope triangle as one of the five
     families, with a deterministic choice of parameters.
 
@@ -320,78 +416,7 @@ def classify_triangle(polygon: Polygon) -> TriangleFamily:
     the wall give the Delzant family, 2 the wall-edge family, 1 one of
     the remaining three according to the wall pattern.
     """
-    report = check_momentum_polytope(polygon)
-    if len(polygon) != 3:
-        raise GeometryError("triangle classification needs exactly 3 vertices")
-    if not report.valid:
-        raise InvalidPolytopeError(
-            "not a momentum polytope: " + "; ".join(msg for _, msg in report.failures)
-        )
-    wall = polygon.wall_vertices()
-
-    if len(wall) == 0:
-        # Base vertex: minimal coroot pairing, ties broken lexicographically.
-        base = min(polygon.vertices, key=lambda v: (coroot_pairing(v), v))
-        others = [v for v in polygon.vertices if v != base]
-        rays = [primitive_ray(v - base) for v in others]
-        scales = [_ray_scale(others[i] - base, rays[i]) for i in range(2)]
-        if scales[0] != scales[1]:
-            raise AssertionError("edge scales disagree on a valid Delzant triangle")
-        if cross(rays[0], rays[1]) < 0:
-            rays.reverse()
-        d1, d2 = rays
-        return DelzantFamily(
-            r=coroot_pairing(base),
-            s=base.x,
-            t=scales[0],
-            a1=-d1.b,
-            b1=d1.a,
-            a2=-d2.b,
-            b2=d2.a,
-        )
-
-    if len(wall) == 2:
-        # Canonical base: the wall vertex further down the wall, so that the
-        # wall edge always points in the +(eps1+eps2) direction (l = +1).
-        base = min(wall)
-        other_wall = max(wall)
-        (apex,) = [v for v in polygon.vertices if coroot_pairing(v) > 0]
-        rho = primitive_ray(apex - base)
-        if rho.a - rho.b != 1:
-            raise AssertionError("apex ray of a valid wall-edge triangle must have pairing 1")
-        t = coroot_pairing(apex - base)
-        if other_wall - base != _ONE.to_point().scale(t):
-            raise AssertionError("wall edge length disagrees with the apex scale")
-        return WallEdgeFamily(s=base.x, t=t, k=rho.b, l=1)
-
-    # Exactly one wall vertex.
-    (w,) = wall
-    wt = dict(report.wall_vertex_types())[w]
-    others = [v for v in polygon.vertices if v != w]
-    if isinstance(wt, Reflection):
-        if wt.j != 0:
-            raise AssertionError("valid reflection-type triangles always have j = 0")
-        ray_map = {Weight(1, 0): None, Weight(0, -1): None}
-    elif isinstance(wt, HalfReflPlus):
-        ray_map = {ALPHA: None, Weight(wt.j + 1, -wt.j): None}
-    else:
-        ray_map = {ALPHA: None, Weight(wt.j, -wt.j - 1): None}
-
-    for v in others:
-        rho = primitive_ray(v - w)
-        if rho not in ray_map:
-            raise AssertionError(f"edge ray {rho} does not match the wall pattern {wt}")
-        ray_map[rho] = _ray_scale(v - w, rho)
-    scales = list(ray_map.values())
-    if scales[0] != scales[1]:
-        raise AssertionError("edge scales disagree on a valid one-wall-vertex triangle")
-    t = scales[0]
-
-    if isinstance(wt, Reflection):
-        return ReflectionFamily(s=w.x, t=t)
-    if isinstance(wt, HalfReflPlus):
-        return HalfReflPlusFamily(s=w.x, t=t, j=wt.j)
-    return HalfReflMinusFamily(s=w.x, t=t, j=wt.j)
+    return analyze(polygon).family
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +457,6 @@ def local_model_label(wt: WallVertexType) -> str:
     return f"GL(2)/{{diag(z^{wt.j}, z^{wt.j + 1})}}"
 
 
-def wall_vertex_types_of_family(fam: TriangleFamily) -> tuple[WallVertexType, ...]:
-    if isinstance(fam, DelzantFamily):
-        return ()
-    if isinstance(fam, WallEdgeFamily):
-        if fam.l == 1:
-            return (WallEdgePlus(fam.k), WallEdgeMinus(fam.k - 1))
-        return (WallEdgeMinus(fam.k), WallEdgePlus(fam.k + 1))
-    if isinstance(fam, HalfReflPlusFamily):
-        return (HalfReflPlus(fam.j),)
-    if isinstance(fam, HalfReflMinusFamily):
-        return (HalfReflMinus(fam.j),)
-    return (Reflection(0),)
-
-
 def manifold_model(fam: TriangleFamily) -> ManifoldModel:
     """Total space, complex-variety label and local models for a triangle family."""
     if isinstance(fam, DelzantFamily):
@@ -481,5 +492,5 @@ def manifold_model(fam: TriangleFamily) -> ManifoldModel:
         total = TotalSpace("oriented_grassmannian", ())
         label = "SO(5,C)/P"
 
-    locals_ = tuple((wt, local_model_label(wt)) for wt in wall_vertex_types_of_family(fam))
+    locals_ = tuple((wt, local_model_label(wt)) for wt in fam.wall_types())
     return ManifoldModel(fam, total, label, locals_)

@@ -3,8 +3,8 @@
 Verbs: classify (full report for one polytope), enumerate (grid census),
 plot (SVG drawing), selftest (built-in invariant suites).  Exit codes:
 0 = completed (the report may still say valid: false), 2 = input error
-(unparseable document or polytope outside the chamber), 1 = internal
-invariant violation.
+(unparseable document, polytope outside the chamber or otherwise
+ill-posed, unreadable file), 1 = internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from .census import run_census
-from .errors import ChamberError, GeometryError
+from .errors import GeometryError
 from .polygon import convex_hull
 from .report import (
     DocumentError,
@@ -144,15 +144,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (DocumentError, ChamberError, OSError) as exc:
+    except (DocumentError, GeometryError, OSError) as exc:
+        # GeometryError covers the chamber, empty hulls and overlay preconditions.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, ValueError) as exc:
-        # Ill-posed geometric input (empty hulls, bad overlay preconditions).
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except (AssertionError, ValueError) as exc:
+        # Any other ValueError is a fault of the engine, not of its input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,17 +11,15 @@ from __future__ import annotations
 import enum
 
 from .classify import (
-    DelzantFamily,
-    HalfReflMinusFamily,
-    HalfReflPlusFamily,
+    PolygonLike,
     ReflectionFamily,
     TriangleFamily,
     WallEdgeFamily,
+    analyze,
     classify_triangle,
 )
 from .errors import GeometryError, UnsupportedPolytopeError
 from .lattice import RationalPoint
-from .polygon import Polygon
 
 
 class DiffType(enum.Enum):
@@ -29,9 +27,6 @@ class DiffType(enum.Enum):
     ORIENTED_GRASSMANNIAN = "oriented_grassmannian"    # oriented 2-planes in R^5
     TRIVIAL_P2_BUNDLE = "trivial_p2_bundle"            # S^2 x P(C^3)
     NONTRIVIAL_P2_BUNDLE = "nontrivial_p2_bundle"      # nontrivial P(C^3)-bundle over S^2
-
-
-_MOD3_FAMILIES = (DelzantFamily, HalfReflPlusFamily, HalfReflMinusFamily)
 
 
 def line_bundle_chern(k1: int, k2: int) -> int:
@@ -44,30 +39,32 @@ def line_bundle_chern(k1: int, k2: int) -> int:
     return k1 - k2
 
 
-def chern_mod3_at_vertex(polygon: Polygon, v: RationalPoint) -> int:
+def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
     """Residue (a1 + a2 - b1 - b2) mod 3 of the primitive rays
     a_i*eps1 + b_i*eps2 at the vertex v.
 
-    Defined for triangles of the Delzant and half-reflection families,
-    where it is independent of the chosen vertex and detects the trivial
-    bundle (residue 0).
+    Defined for triangles of the families with `mod3` set (Delzant and
+    half-reflection), where it is independent of the chosen vertex and
+    detects the trivial bundle (residue 0).
     """
-    fam = classify_triangle(polygon)
-    if not isinstance(fam, _MOD3_FAMILIES):
+    analysis = analyze(polygon)
+    fam = classify_triangle(analysis)
+    if not fam.mod3:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
         )
-    r1, r2 = polygon.vertex_rays(v)
+    r1, r2 = analysis.polygon.vertex_rays(v)
     return (r1.a + r2.a - r1.b - r2.b) % 3
 
 
-def diffeo_type(fam: TriangleFamily, polygon: Polygon) -> DiffType:
+def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
     """Diffeomorphism type of the manifold realizing a valid triangle."""
-    if classify_triangle(polygon) != fam:
+    analysis = analyze(polygon)
+    if classify_triangle(analysis) != fam:
         raise GeometryError("family does not match the polygon")
     if isinstance(fam, WallEdgeFamily):
         return DiffType.PROJECTIVE_SPACE_4
     if isinstance(fam, ReflectionFamily):
         return DiffType.ORIENTED_GRASSMANNIAN
-    residue = chern_mod3_at_vertex(polygon, polygon.vertices[0])
+    residue = chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0])
     return DiffType.TRIVIAL_P2_BUNDLE if residue == 0 else DiffType.NONTRIVIAL_P2_BUNDLE

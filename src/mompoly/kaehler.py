@@ -17,12 +17,14 @@ from typing import Optional
 from .classify import (
     HalfReflMinus,
     HalfReflPlus,
+    PolygonLike,
     Reflection,
     WallEdgeMinus,
     WallEdgePlus,
-    check_momentum_polytope,
+    analyze,
+    require_valid,
 )
-from .errors import InvalidPolytopeError, UnsupportedPolytopeError
+from .errors import UnsupportedPolytopeError
 from .lattice import RationalPoint, coroot_pairing, weyl_reflect
 from .polygon import Edge, Polygon, is_parallel_to_wall_root
 
@@ -30,18 +32,9 @@ from .polygon import Edge, Polygon, is_parallel_to_wall_root
 FixpointImages = Counter
 
 
-def _require_valid(polygon: Polygon):
-    report = check_momentum_polytope(polygon)
-    if not report.valid:
-        raise InvalidPolytopeError(
-            "not a momentum polytope: " + "; ".join(msg for _, msg in report.failures)
-        )
-    return report
-
-
-def positive_edges(polygon: Polygon) -> list[Edge]:
+def positive_edges(polygon: PolygonLike) -> list[Edge]:
     """Edges whose inward primitive normal pairs positively with the coroot."""
-    _require_valid(polygon)
+    polygon = require_valid(polygon).polygon
     return [
         e
         for e in polygon.edges()
@@ -49,44 +42,39 @@ def positive_edges(polygon: Polygon) -> list[Edge]:
     ]
 
 
-def is_kaehlerizable(polygon: Polygon) -> tuple[bool, Optional[Edge]]:
+def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
     """Kähler verdict with a violating positive edge as witness when false.
 
     With zero or two wall vertices the criterion is vacuous; with one
     wall vertex w, every positive edge must contain w.
     """
-    _require_valid(polygon)
-    wall = polygon.wall_vertices()
+    analysis = require_valid(polygon)
+    wall = analysis.polygon.wall_vertices()
     if len(wall) != 1:
         return True, None
     (w,) = wall
-    for e in positive_edges(polygon):
+    for e in positive_edges(analysis):
         if not e.contains(w):
             return False, e
     return True, None
 
 
-def fixpoint_images(polygon: Polygon) -> FixpointImages:
+def fixpoint_images(polygon: PolygonLike) -> FixpointImages:
     """Multiset of T-momentum images of the T-fixpoints.
 
     Interior vertices contribute themselves and their reflection; wall
-    vertices contribute according to their type: wall-edge once,
+    vertices contribute `fixpoints` of their type: wall-edge once,
     half-reflection twice, reflection not at all.
     """
-    report = _require_valid(polygon)
-    wall_types = dict(report.wall_vertex_types())
+    analysis = require_valid(polygon)
     images: FixpointImages = Counter()
-    for v in polygon.vertices:
-        wt = wall_types.get(v)
+    for v in analysis.polygon.vertices:
+        wt = analysis.wall_types.get(v)
         if wt is None:
             images[v] += 1
             images[weyl_reflect(v)] += 1
-        elif isinstance(wt, (WallEdgePlus, WallEdgeMinus)):
-            images[v] += 1
-        elif isinstance(wt, (HalfReflPlus, HalfReflMinus)):
-            images[v] += 2
-        else:
-            assert isinstance(wt, Reflection)
+        elif wt.fixpoints:
+            images[v] += wt.fixpoints
     return images
 
 
@@ -99,23 +87,24 @@ def _require_one_wall_vertex(polygon: Polygon) -> RationalPoint:
     return wall[0]
 
 
-def fixpoint_boundary_check(polygon: Polygon) -> bool:
+def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     """True iff every fixpoint image lies on the boundary of the T-polytope.
 
     Requires a valid polytope with exactly one wall vertex; equivalent to
     Kählerizability in that case (see atiyah_cross_check).
     """
-    _require_valid(polygon)
-    _require_one_wall_vertex(polygon)
-    pt = polygon.t_polytope()
-    return all(pt.boundary_contains(p) for p in fixpoint_images(polygon))
+    analysis = require_valid(polygon)
+    _require_one_wall_vertex(analysis.polygon)
+    pt = analysis.polygon.t_polytope()
+    return all(pt.boundary_contains(p) for p in fixpoint_images(analysis))
 
 
-def atiyah_cross_check(polygon: Polygon) -> bool:
+def atiyah_cross_check(polygon: PolygonLike) -> bool:
     """Self-test: the positive-edge verdict and the fixpoint-boundary
     criterion must agree on every valid one-wall-vertex polytope."""
-    verdict, _ = is_kaehlerizable(polygon)
-    return verdict == fixpoint_boundary_check(polygon)
+    analysis = analyze(polygon)
+    verdict, _ = is_kaehlerizable(analysis)
+    return verdict == fixpoint_boundary_check(analysis)
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,7 @@ class XRay:
     strata: tuple[Stratum, ...]
 
 
-def build_xray(polygon: Polygon) -> XRay:
+def build_xray(polygon: PolygonLike) -> XRay:
     """X-ray of the maximal-torus action for a valid polytope with exactly
     one wall vertex v0.
 
@@ -149,9 +138,10 @@ def build_xray(polygon: Polygon) -> XRay:
     Wall-edge vertices (and wall-vertex counts other than 1) are refused:
     the construction is defined only for the one-wall-vertex case.
     """
-    report = _require_valid(polygon)
+    analysis = require_valid(polygon)
+    polygon = analysis.polygon
     v0 = _require_one_wall_vertex(polygon)
-    wt = dict(report.wall_vertex_types())[v0]
+    wt = analysis.wall_types[v0]
     if isinstance(wt, (WallEdgePlus, WallEdgeMinus)):
         raise UnsupportedPolytopeError(
             "x-ray construction is not defined for wall-edge vertex types"
@@ -190,4 +180,4 @@ def build_xray(polygon: Polygon) -> XRay:
         strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
         strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
 
-    return XRay(fixpoint_images(polygon), tuple(strata))
+    return XRay(fixpoint_images(analysis), tuple(strata))

@@ -9,15 +9,11 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Union
 
-from .classify import (
-    TriangleFamily,
-    check_momentum_polytope,
-    classify_triangle,
-    manifold_model,
-)
+from .classify import analyze, classify_triangle, manifold_model
 from .difftype import chern_mod3_at_vertex, diffeo_type
 from .errors import UnsupportedPolytopeError
 from .kaehler import (
@@ -39,9 +35,15 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+# The only coordinate strings accepted: an integer or a fraction p/q.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: Union[int, str]) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError(f"coordinate {value!r} is not an integer or fraction string")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise DocumentError(f"coordinate {value!r} is not of the form n or p/q")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -63,7 +65,7 @@ def weight_out(w: Weight) -> list[int]:
 def parse_polytope_document(text: str) -> list[RationalPoint]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the interpreter's digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise DocumentError('document must be an object with a "vertices" list')
@@ -90,10 +92,11 @@ def _not_applicable(reason: str) -> dict:
     return {"applicable": False, "reason": reason}
 
 
-def _family_out(fam: TriangleFamily) -> dict:
-    out = {"family": fam.tag}
-    for name in fam.__dataclass_fields__:
-        value = getattr(fam, name)
+def _params(obj) -> dict:
+    """The fields of a wall type or family, fractions written as strings."""
+    out = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
         out[name] = format_rational(value) if isinstance(value, Fraction) else value
     return out
 
@@ -106,7 +109,8 @@ def full_report(points: list[RationalPoint]) -> dict:
     Raises ChamberError for polytopes leaving the chamber.
     """
     polygon = convex_hull(points)
-    report = check_momentum_polytope(polygon)
+    analysis = analyze(polygon)
+    report = analysis.report
 
     failed = {cid for cid, _ in report.failures}
     doc = {
@@ -148,22 +152,22 @@ def full_report(points: list[RationalPoint]) -> dict:
         doc["atiyah_cross_check"] = _not_applicable(reason)
         return doc
 
-    verdict, witness = is_kaehlerizable(polygon)
+    verdict, witness = is_kaehlerizable(analysis)
     doc["kaehler"] = {
         "verdict": verdict,
         "witness_edge": (
             [point_out(witness.tail), point_out(witness.head)] if witness else None
         ),
     }
-    images = fixpoint_images(polygon)
+    images = fixpoint_images(analysis)
     doc["fixpoint_images"] = [
         {"point": point_out(p), "multiplicity": m} for p, m in sorted(images.items())
     ]
 
     if len(polygon) == 3:
-        fam = classify_triangle(polygon)
+        fam = classify_triangle(analysis)
         model = manifold_model(fam)
-        doc["triangle_family"] = _family_out(fam)
+        doc["triangle_family"] = {"family": fam.tag, **_params(fam)}
         doc["manifold_model"] = {
             "total_space_kind": model.total_space.kind,
             "weights": [weight_out(w) for w in model.total_space.weights],
@@ -173,9 +177,9 @@ def full_report(points: list[RationalPoint]) -> dict:
                 for wt, label in model.local_models
             ],
         }
-        dt = {"type": diffeo_type(fam, polygon).value}
-        if fam.tag in ("delzant", "half_refl_plus", "half_refl_minus"):
-            dt["chern_mod3"] = chern_mod3_at_vertex(polygon, polygon.vertices[0])
+        dt = {"type": diffeo_type(fam, analysis).value}
+        if fam.mod3:
+            dt["chern_mod3"] = chern_mod3_at_vertex(analysis, polygon.vertices[0])
         doc["diffeo_type"] = dt
     else:
         reason = "triangle families apply to triangles only"
@@ -184,13 +188,13 @@ def full_report(points: list[RationalPoint]) -> dict:
         doc["diffeo_type"] = _not_applicable(reason)
 
     try:
-        doc["fixpoint_boundary_check"] = fixpoint_boundary_check(polygon)
-        doc["atiyah_cross_check"] = atiyah_cross_check(polygon)
+        doc["fixpoint_boundary_check"] = fixpoint_boundary_check(analysis)
+        doc["atiyah_cross_check"] = atiyah_cross_check(analysis)
     except UnsupportedPolytopeError as exc:
         doc["fixpoint_boundary_check"] = _not_applicable(str(exc))
         doc["atiyah_cross_check"] = _not_applicable(str(exc))
     try:
-        xray = build_xray(polygon)
+        xray = build_xray(analysis)
         doc["xray"] = {
             "strata": [
                 {
@@ -203,7 +207,3 @@ def full_report(points: list[RationalPoint]) -> dict:
     except UnsupportedPolytopeError as exc:
         doc["xray"] = _not_applicable(str(exc))
     return doc
-
-
-def _params(wall_type) -> dict:
-    return {name: getattr(wall_type, name) for name in wall_type.__dataclass_fields__}

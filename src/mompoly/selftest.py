@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .census import run_census
-from .classify import check_momentum_polytope, classify_triangle
+from .classify import analyze, classify_triangle
 from .difftype import chern_mod3_at_vertex
 from .kaehler import atiyah_cross_check, fixpoint_images, is_kaehlerizable
 from .lattice import (
@@ -98,24 +98,24 @@ def check_triangle_sweep() -> list[str]:
         hull = convex_hull(triple)
         if len(hull) != 3:
             continue
-        report = check_momentum_polytope(hull)
-        if not report.valid:
+        analysis = analyze(hull)
+        if not analysis.report.valid:
             continue
-        fam = classify_triangle(hull)
+        fam = classify_triangle(analysis)
         rebuilt = fam.triangle()
         if rebuilt.vertices != hull.vertices:
             failures.append(f"family {fam} does not reconstruct {hull.vertices}")
-        verdict, _ = is_kaehlerizable(hull)
+        verdict, _ = is_kaehlerizable(analysis)
         if not verdict:
             failures.append(f"valid triangle {hull.vertices} reported non-Kähler")
         if len(hull.wall_vertices()) == 1:
-            if not atiyah_cross_check(hull):
+            if not atiyah_cross_check(analysis):
                 failures.append(f"criteria disagree on {hull.vertices}")
-        if fam.tag in ("delzant", "half_refl_plus", "half_refl_minus"):
-            residues = {chern_mod3_at_vertex(hull, v) for v in hull.vertices}
+        if fam.mod3:
+            residues = {chern_mod3_at_vertex(analysis, v) for v in hull.vertices}
             if len(residues) != 1:
                 failures.append(f"mod-3 residue depends on the vertex for {hull.vertices}")
-        images = fixpoint_images(hull)
+        images = fixpoint_images(analysis)
         tp = hull.t_polytope()
         if sorted(convex_hull(list(images)).vertices) != sorted(tp.vertices):
             failures.append(f"fixpoint hull differs from T-polytope for {hull.vertices}")

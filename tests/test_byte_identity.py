@@ -1,0 +1,108 @@
+"""Byte-identity guard: sha256 digests of census streams, classify reports
+and SVG drawings, recorded from the engine before its analysis refactor.
+
+A refactor of the engine must not change a single output byte.  When a
+change alters an output on purpose, record the new digests by running
+this file as a script and say so in the change description:
+
+    PYTHONPATH=src python tests/test_byte_identity.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stdout
+
+from mompoly.cli import main
+from mompoly.lattice import RationalPoint
+from mompoly.polygon import convex_hull
+from mompoly.report import full_report, render_document
+from mompoly.svgplot import OVERLAYS, render_svg
+
+from test_acceptance import _sweep_families
+
+EXPECTED = {
+    "census-tri-3.summary": "2f55cc5091fa5a3ce1999c86110b3d47f658aba05376e2ace16bb8754cef6ec2",
+    "census-tri-3.stream": "75d25b1917fdb0cea9132167a0bf2d00e819c79100efc44e88fe4adb0ab8957b",
+    "census-all-1.summary": "990216e89c951aa7c3c4001dc5b9aef1b415d62d8f3c3df6829a41e4e301ee80",
+    "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
+    "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
+    "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
+    "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
+    "svg.figures": "74d82aa1a56d795e1476c815b34ad65e47b9889ff207c37a737af976d7b2a1b9",
+}
+
+FIGURES = (
+    ((2, 2), (5, 2), (5, 1), (2, 1)),
+    ((2, 2), (3, 2), (5, 1), (2, 1)),
+    ((2, 2), (5, 2), (5, 0), (4, 0)),
+    ((2, 2), (3, 2), (5, 1), (3, 1)),
+)
+
+# Acceptance fixtures, plus one polytope for each way a report can refuse.
+FIXTURES = (
+    ((0, 0), (1, 0), (0, -1), (3, -1)),                      # Woodward trapezoids
+    ((0, 0), (1, 0), (1, -1), (3, -1)),
+    *(((-1, -1), (0, -2), (j, -j - 1)) for j in range(5)),   # half-reflection triangles
+    ((0, 0), (1, 0), (0, -1)),                               # reflection triangle
+    ((0, 0), (1, 1), (3, 2)),                                # wall-edge triangle
+    ((1, 0), (0, -1), (0, -2)),                              # Delzant triangle
+    (("1/2", "1/2"), ("7/2", "1/2"), ("1/2", "-5/2")),       # scaled reflection triangle
+    ((0, 0), (2, 2)),                                        # condition 1 fails
+    ((1, 0), (3, 1), (2, -1)),                               # condition 3 fails
+    ((0, 0), (2, 1), (2, -1)),                               # condition 4 fails
+    ((1, 0), (2, 0), (1, -1), (2, -1)),                      # no wall vertex
+    ((0, 0), (1, 1), (3, 2), (2, 0)),                        # two wall vertices
+)
+
+
+def _points(coords):
+    return [RationalPoint.of(x, y) for x, y in coords]
+
+
+def _sha(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode("utf-8"))
+    return h.hexdigest()
+
+
+def _census(max_coord: int, shape: str, tmp: str) -> tuple[str, str]:
+    stream = os.path.join(tmp, f"{shape}-{max_coord}.jsonl")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["enumerate", "--max-coord", str(max_coord), "--shape", shape,
+                   "--output", stream])
+    assert rc == 0
+    with open(stream, encoding="utf-8") as fh:
+        return _sha([out.getvalue()]), _sha([fh.read()])
+
+
+def compute_digests() -> dict:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, max_coord, shape in (("census-tri-3", 3, "triangles"),
+                                       ("census-all-1", 1, "all")):
+            summary, stream = _census(max_coord, shape, tmp)
+            digests[f"{name}.summary"] = summary
+            digests[f"{name}.stream"] = stream
+    digests["reports.fixtures"] = _sha(
+        render_document(full_report(_points(c))) for c in FIXTURES)
+    digests["reports.figures"] = _sha(
+        render_document(full_report(_points(c))) for c in FIGURES)
+    digests["reports.sweep"] = _sha(
+        render_document(full_report(list(fam.triangle().vertices)))
+        for fam in _sweep_families())
+    digests["svg.figures"] = _sha(
+        render_svg(convex_hull(_points(c)), OVERLAYS) for c in FIGURES)
+    return digests
+
+
+def test_outputs_byte_identical():
+    assert compute_digests() == EXPECTED
+
+
+if __name__ == "__main__":
+    print(json.dumps(compute_digests(), indent=4))

@@ -1,4 +1,7 @@
 import json
+import threading
+
+import pytest
 
 from mompoly.census import (
     classify_item,
@@ -59,6 +62,16 @@ def test_census_threads_deterministic():
     assert s1.as_dict() == s8.as_dict()
     assert items_1 == items_8
     assert json.dumps(s1.as_dict()) == json.dumps(s8.as_dict())
+
+
+def test_census_pool_stops_when_on_item_raises():
+    def on_item(item):
+        raise RuntimeError("consumer failed")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError):
+        run_census(4, threads=2, on_item=on_item)
+    assert threading.active_count() == before
 
 
 def test_census_all_shape():

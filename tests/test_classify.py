@@ -1,8 +1,11 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mompoly.classify
+from mompoly.census import classify_item
 from mompoly.classify import (
     DelzantFamily,
     HalfReflMinus,
@@ -14,6 +17,7 @@ from mompoly.classify import (
     WallEdgeFamily,
     WallEdgeMinus,
     WallEdgePlus,
+    analyze,
     check_momentum_polytope,
     classify_triangle,
     classify_wall_rays,
@@ -21,8 +25,10 @@ from mompoly.classify import (
     manifold_model,
 )
 from mompoly.errors import ChamberError, GeometryError, InvalidPolytopeError
+from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import convex_hull
+from mompoly.report import full_report
 
 
 def P(*coords):
@@ -194,3 +200,44 @@ class TestManifoldModel:
             Weight(-1, -1),
         }
         assert model.local_models == ()
+
+
+class TestAnalysis:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Records every call of check_momentum_polytope, in every module
+        that binds the name."""
+        calls = []
+        original = mompoly.classify.check_momentum_polytope
+
+        def counting(polygon):
+            calls.append(polygon)
+            return original(polygon)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mompoly" and (
+                getattr(module, "check_momentum_polytope", None) is original
+            ):
+                monkeypatch.setattr(module, "check_momentum_polytope", counting)
+        return calls
+
+    def test_full_report_checks_once(self, checks):
+        woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
+        one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
+        for coords in (woodward, one_wall_triangle):
+            checks.clear()
+            doc = full_report([RationalPoint.of(x, y) for x, y in coords])
+            assert doc["valid"] is True
+            assert len(checks) == 1, coords
+
+    def test_classify_item_checks_once(self, checks):
+        item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))
+        assert item.valid and item.family_tag == "half_refl_plus"
+        assert len(checks) == 1
+
+    def test_queries_take_an_analysis(self, checks):
+        woodward = P((0, 0), (1, 0), (0, -1), (3, -1))
+        analysis = analyze(woodward)
+        assert analyze(analysis) is analysis
+        assert is_kaehlerizable(analysis) == is_kaehlerizable(woodward)
+        assert len(checks) == 2

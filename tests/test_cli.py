@@ -35,8 +35,10 @@ class TestDocuments:
     def test_parse_errors(self):
         from mompoly.report import DocumentError
 
+        bad_coords = ["1.5", "1e3", " 3 ", "+2", "1_000"]
         for text in ["not json", "{}", '{"vertices": []}', '{"vertices": [[1]]}',
-                     '{"vertices": [[1, "1/0"]]}', '{"vertices": [[1, 2.5]]}']:
+                     '{"vertices": [[1, "1/0"]]}', '{"vertices": [[1, 2.5]]}',
+                     *(json.dumps({"vertices": [[1, c]]}) for c in bad_coords)]:
             with pytest.raises(DocumentError):
                 parse_polytope_document(text)
 
@@ -76,6 +78,25 @@ class TestClassifyCommand:
         path = tmp_path / "bad.json"
         path.write_text("nope")
         assert main(["classify", str(path)]) == 2
+
+    def test_integer_past_digit_limit_exit_two(self, tmp_path, capsys):
+        # json.loads refuses integers longer than the interpreter's
+        # 4,300-digit limit with a plain ValueError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices": [[' + "9" * 5000 + ", 0], [0, 0], [1, -1]]}")
+        assert main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        import mompoly.cli
+
+        def broken(points):
+            raise ValueError("engine fault")
+
+        monkeypatch.setattr(mompoly.cli, "full_report", broken)
+        path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1]])
+        assert main(["classify", path]) == 1
+        assert "internal error" in capsys.readouterr().err
 
     def test_output_file_and_determinism(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1], [3, -1]])
