@@ -38,6 +38,13 @@ def format_rational(q: Fraction) -> str:
 # The only coordinate strings accepted: an integer or a fraction p/q.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
+# Reports print integers with up to about four times the digits of the input
+# coordinates (the rays of an edge multiply numerators by denominators), so
+# this cap keeps every rendered number under the interpreter's 4,300-digit
+# str(int) limit.
+MAX_DIGITS = 1000
+_DIGIT_BOUND = 10**MAX_DIGITS
+
 
 def parse_rational(value: Union[int, str]) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
@@ -45,9 +52,12 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
         raise DocumentError(f"coordinate {value!r} is not of the form n or p/q")
     try:
-        return Fraction(value)
+        q = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"cannot parse coordinate {value!r}: {exc}") from None
+    if max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
+        raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits")
+    return q
 
 
 def _coord_out(q: Fraction) -> Union[int, str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .classify import analyze
 from .kaehler import build_xray, fixpoint_images
 from .lattice import RationalPoint
 from .polygon import Polygon
@@ -105,8 +106,12 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
         _polygon_element(canvas, polygon, 'fill="none" stroke="black" stroke-width="2"')
     )
 
+    # The x-ray and fixpoint overlays share one validation of the polygon.
+    if "xray" in overlays or "fixpoints" in overlays:
+        analysis = analyze(polygon)
+
     if "xray" in overlays:
-        for stratum in build_xray(polygon).strata:
+        for stratum in build_xray(analysis).strata:
             width_attr = "3" if stratum.dimension == 4 else "1.5"
             parts.append(
                 _line(
@@ -118,7 +123,7 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
             )
 
     if "fixpoints" in overlays:
-        for point, mult in sorted(fixpoint_images(polygon).items()):
+        for point, mult in sorted(fixpoint_images(analysis).items()):
             cx, cy = canvas.map(point)
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
             parts.append(

@@ -1,5 +1,6 @@
 """Byte-identity guard: sha256 digests of census streams, classify reports
-and SVG drawings, recorded from the engine before its analysis refactor.
+and SVG drawings, recorded from the engine before its analysis refactor
+(the census-all-2 digests before the integer rewrite of enumerate_convex).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -28,6 +29,8 @@ EXPECTED = {
     "census-tri-3.stream": "75d25b1917fdb0cea9132167a0bf2d00e819c79100efc44e88fe4adb0ab8957b",
     "census-all-1.summary": "990216e89c951aa7c3c4001dc5b9aef1b415d62d8f3c3df6829a41e4e301ee80",
     "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
+    "census-all-2.summary": "c05fc4d29a91c5a965a60296d64d4a97931d2a930f800513a57aeacfe01589db",
+    "census-all-2.stream": "954e808c68637191398d25298120db53022ae0d53be6aeb14fb6eff1fc55a1c2",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
     "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
@@ -84,7 +87,8 @@ def compute_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, max_coord, shape in (("census-tri-3", 3, "triangles"),
-                                       ("census-all-1", 1, "all")):
+                                       ("census-all-1", 1, "all"),
+                                       ("census-all-2", 2, "all")):
             summary, stream = _census(max_coord, shape, tmp)
             digests[f"{name}.summary"] = summary
             digests[f"{name}.stream"] = stream

@@ -12,6 +12,8 @@ from mompoly.census import (
 )
 from mompoly.lattice import RationalPoint
 
+from oracle import _jarvis_hull, oracle_is_valid
+
 
 def test_grid_points():
     pts = grid_points(1)
@@ -43,6 +45,22 @@ def test_enumerate_convex_small():
     assert len(tris) == len(list(enumerate_triangles(pts)))
     # Quadrilaterals exist in this grid, e.g. the unit square below the wall.
     assert any(len(it) == 4 for it in items)
+
+
+def test_enumerate_convex_complete():
+    """Every subset of the max-coord 2 grid in convex position, once each,
+    against a brute force over all subsets with the oracle's own hull."""
+    grid = [(i, j) for i in range(-2, 3) for j in range(-2, 3) if i >= j]
+    expected = set()
+    for mask in range(1, 1 << len(grid)):
+        subset = [p for k, p in enumerate(grid) if mask >> k & 1]
+        if len(_jarvis_hull(subset)) == len(subset):
+            expected.add(frozenset(subset))
+    items = list(enumerate_convex(grid_points(2)))
+    assert all(list(it) == sorted(it) for it in items)
+    found = [frozenset((int(p.x), int(p.y)) for p in it) for it in items]
+    assert len(found) == len(set(found)) == 15 + 105 + 1499
+    assert set(found) == expected
 
 
 def test_classify_item():
@@ -80,3 +98,12 @@ def test_census_all_shape():
     assert d["total"] > d["valid"] > 0
     # Points and segments are never valid (dimension < 2).
     assert d["invalid"] >= 6 + 15
+
+
+def test_census_all_agrees_with_oracle():
+    items = []
+    run_census(2, shape="all", on_item=items.append)
+    assert len(items) == 1619
+    for item in items:
+        assert item.valid == oracle_is_valid([(p.x, p.y) for p in item.vertices]), item
+    assert any(item.valid and len(item.vertices) >= 4 for item in items)

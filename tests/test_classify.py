@@ -28,6 +28,7 @@ from mompoly.errors import ChamberError, GeometryError, InvalidPolytopeError
 from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import convex_hull
+from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
 
@@ -241,3 +242,9 @@ class TestAnalysis:
         assert analyze(analysis) is analysis
         assert is_kaehlerizable(analysis) == is_kaehlerizable(woodward)
         assert len(checks) == 2
+
+    def test_render_svg_checks_once(self, checks):
+        woodward = P((0, 0), (1, 0), (0, -1), (3, -1))
+        svg = render_svg(woodward, ("xray", "fixpoints"))
+        assert "<circle" in svg and 'stroke="crimson"' in svg
+        assert len(checks) == 1

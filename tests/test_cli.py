@@ -32,6 +32,17 @@ class TestDocuments:
         # Round-trip through the renderer as well.
         assert parse_polytope_document(render_document(doc)) == points
 
+    def test_digit_cap(self):
+        from mompoly.report import MAX_DIGITS, DocumentError
+
+        at_cap = "9" * MAX_DIGITS
+        assert parse_rational(f"-{at_cap}/7") == Fraction(-int(at_cap), 7)
+        assert parse_rational(f"1/{at_cap}") == Fraction(1, int(at_cap))
+        assert parse_rational(int(at_cap)) == int(at_cap)
+        for value in ("1" + at_cap, f"1/1{at_cap}", 10**MAX_DIGITS):
+            with pytest.raises(DocumentError):
+                parse_rational(value)
+
     def test_parse_errors(self):
         from mompoly.report import DocumentError
 
@@ -86,6 +97,19 @@ class TestClassifyCommand:
         path.write_text('{"vertices": [[' + "9" * 5000 + ", 0], [0, 0], [1, -1]]}")
         assert main(["classify", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_coordinate_past_digit_cap_exit_two(self, tmp_path, capsys):
+        # A valid Delzant triangle whose base has 2,500-digit denominators:
+        # its parameter r = x - y of the base has a 5,000-digit denominator,
+        # past the interpreter's 4,300-digit str(int) limit.
+        x0 = Fraction(1, int("7" * 2500))
+        y0 = Fraction(-1, int("3" * 2499 + "1"))
+        vertices = [[format_rational(x0 + dx), format_rational(y0 + dy)]
+                    for dx, dy in ((1, 0), (0, -1), (0, -2))]
+        path = write_doc(tmp_path, vertices)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "digits" in err
 
     def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
         import mompoly.cli
