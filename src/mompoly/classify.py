@@ -10,6 +10,7 @@ parameters reconstruct the triangle exactly.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,32 +35,46 @@ _ONE = Weight(1, 1)
 # Wall vertex cone patterns
 # ---------------------------------------------------------------------------
 # Each pattern also carries `fixpoints`: how many T-fixpoints map to a wall
-# vertex of that type (the vertex is its own reflection).
+# vertex of that type (the vertex is its own reflection); `xray`: the x-ray
+# rule at a lone wall vertex of that type (see kaehler.build_xray; None
+# refuses); `local_model()`: the smooth affine spherical GL(2)-variety that
+# models the vertex; and `family(s, t)`: the triangle family whose base
+# s(eps1+eps2) has this pattern, with edges of scale t there.
 
 @dataclass(frozen=True)
-class WallEdgePlus:
+class _WallEdge:
+    """Rays {sign(eps1+eps2), k(eps1+eps2)+eps1}: the wall edge at the vertex
+    leaves it in direction sign(eps1+eps2)."""
+
+    k: int
+
+    fixpoints = 1
+    xray = None
+
+    def rays(self) -> frozenset:
+        return frozenset({self.sign * _ONE, Weight(self.k + 1, self.k)})
+
+    def local_model(self) -> str:
+        return f"(C^2 (x) det^-{self.k + 1}) x det^{-self.sign}"
+
+    def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
+        return WallEdgeFamily(s, t, self.k, self.sign)
+
+
+@dataclass(frozen=True)
+class WallEdgePlus(_WallEdge):
     """Rays {eps1+eps2, k(eps1+eps2)+eps1}."""
 
-    k: int
-
     name = "wall_edge_plus"
-    fixpoints = 1
-
-    def rays(self) -> frozenset:
-        return frozenset({_ONE, Weight(self.k + 1, self.k)})
+    sign = 1
 
 
 @dataclass(frozen=True)
-class WallEdgeMinus:
+class WallEdgeMinus(_WallEdge):
     """Rays {-(eps1+eps2), k(eps1+eps2)+eps1}."""
 
-    k: int
-
     name = "wall_edge_minus"
-    fixpoints = 1
-
-    def rays(self) -> frozenset:
-        return frozenset({-_ONE, Weight(self.k + 1, self.k)})
+    sign = -1
 
 
 @dataclass(frozen=True)
@@ -70,9 +85,16 @@ class HalfReflPlus:
 
     name = "half_refl_plus"
     fixpoints = 2
+    xray = "all_edges"
 
     def rays(self) -> frozenset:
         return frozenset({ALPHA, Weight(self.j + 1, -self.j)})
+
+    def local_model(self) -> str:
+        return f"GL(2) x_TC C_-({self.j}*alpha+eps1)"
+
+    def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
+        return HalfReflPlusFamily(s, t, self.j)
 
 
 @dataclass(frozen=True)
@@ -83,9 +105,16 @@ class HalfReflMinus:
 
     name = "half_refl_minus"
     fixpoints = 2
+    xray = "all_edges"
 
     def rays(self) -> frozenset:
         return frozenset({ALPHA, Weight(self.j, -self.j - 1)})
+
+    def local_model(self) -> str:
+        return f"GL(2) x_TC C_-({self.j}*alpha-eps2)"
+
+    def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
+        return HalfReflMinusFamily(s, t, self.j)
 
 
 @dataclass(frozen=True)
@@ -96,9 +125,16 @@ class Reflection:
 
     name = "reflection"
     fixpoints = 0
+    xray = "inner_edges_and_cross"
 
     def rays(self) -> frozenset:
         return frozenset({Weight(self.j + 1, -self.j), Weight(self.j, -self.j - 1)})
+
+    def local_model(self) -> str:
+        return f"GL(2)/{{diag(z^{self.j}, z^{self.j + 1})}}"
+
+    def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
+        return ReflectionFamily(s, t)
 
 
 WallVertexType = Union[WallEdgePlus, WallEdgeMinus, HalfReflPlus, HalfReflMinus, Reflection]
@@ -200,9 +236,17 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 # Triangle families
 # ---------------------------------------------------------------------------
-# Each family also carries `mod3`: whether the mod-3 Chern residue decides
-# its diffeomorphism type (see difftype), and `wall_types()`, the cone
-# patterns at its wall vertices.
+# Each family also carries `diffeo`: the diffeomorphism type of its
+# manifolds, or None where the mod-3 Chern residue decides it (see
+# difftype); `wall_types()`: the cone patterns at its wall vertices; and
+# `model()`: the total space and GL(2)-variety label of its manifold model.
+
+class DiffType(enum.Enum):
+    PROJECTIVE_SPACE_4 = "projective_space_4"          # P(C^4)
+    ORIENTED_GRASSMANNIAN = "oriented_grassmannian"    # oriented 2-planes in R^5
+    TRIVIAL_P2_BUNDLE = "trivial_p2_bundle"            # S^2 x P(C^3)
+    NONTRIVIAL_P2_BUNDLE = "nontrivial_p2_bundle"      # nontrivial P(C^3)-bundle over S^2
+
 
 @dataclass(frozen=True)
 class DelzantFamily:
@@ -218,7 +262,7 @@ class DelzantFamily:
     b2: int
 
     tag = "delzant"
-    mod3 = True
+    diffeo = None
 
     def deltas(self) -> tuple[Weight, Weight]:
         return Weight(self.b1, -self.a1), Weight(self.b2, -self.a2)
@@ -233,22 +277,25 @@ class DelzantFamily:
             [base, base + d1.to_point().scale(self.t), base + d2.to_point().scale(self.t)]
         )
 
+    def model(self) -> tuple[TotalSpace, str]:
+        d1, d2 = self.deltas()
+        total = TotalSpace("projective_bundle_over_sphere", (Weight(0, 0), -d1, -d2))
+        return total, f"GL(2) x_B- P(C + C_-{_wfmt(d1)} + C_-{_wfmt(d2)})"
+
 
 @dataclass(frozen=True)
 class _WallFamily:
     """A family whose triangles have the wall vertex s(eps1+eps2) with cone
-    pattern `pattern()`: s(eps1+eps2) + t*conv(0, r1, r2) for its rays r1, r2."""
+    pattern p = wall_types()[0]: s(eps1+eps2) + t*conv(0, r1, r2) for the
+    rays r1, r2 of p."""
 
     s: Fraction
     t: Fraction
 
-    def wall_types(self) -> tuple[WallVertexType, ...]:
-        return (self.pattern(),)
-
     def triangle(self) -> Polygon:
         base = RationalPoint(self.s, self.s)
         return convex_hull(
-            [base] + [base + r.to_point().scale(self.t) for r in self.pattern().rays()]
+            [base] + [base + r.to_point().scale(self.t) for r in self.wall_types()[0].rays()]
         )
 
 
@@ -260,15 +307,25 @@ class WallEdgeFamily(_WallFamily):
     l: int
 
     tag = "wall_edge"
-    mod3 = False
-
-    def pattern(self) -> WallVertexType:
-        return WallEdgePlus(self.k) if self.l == 1 else WallEdgeMinus(self.k)
+    diffeo = DiffType.PROJECTIVE_SPACE_4
 
     def wall_types(self) -> tuple[WallVertexType, ...]:
         if self.l == 1:
             return (WallEdgePlus(self.k), WallEdgeMinus(self.k - 1))
         return (WallEdgeMinus(self.k), WallEdgePlus(self.k + 1))
+
+    def model(self) -> tuple[TotalSpace, str]:
+        k, l = self.k, self.l
+        total = TotalSpace(
+            "projective_space",
+            (
+                Weight(-k, -k - 1),       # eps1 - (k+1)(eps1+eps2)
+                Weight(-k - 1, -k),       # eps2 - (k+1)(eps1+eps2)
+                Weight(-l, -l),
+                Weight(0, 0),
+            ),
+        )
+        return total, f"P((C^2 (x) det^-{k + 1}) + det^{-l} + C)"
 
 
 @dataclass(frozen=True)
@@ -278,10 +335,17 @@ class HalfReflPlusFamily(_WallFamily):
     j: int
 
     tag = "half_refl_plus"
-    mod3 = True
+    diffeo = None
 
-    def pattern(self) -> WallVertexType:
-        return HalfReflPlus(self.j)
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        return (HalfReflPlus(self.j),)
+
+    def model(self) -> tuple[TotalSpace, str]:
+        total = TotalSpace(
+            "projective_bundle_over_sphere",
+            (Weight(1, 0), Weight(0, 1), Weight(-self.j, self.j)),
+        )
+        return total, f"GL(2) x_B- P(C^2 + C_-{self.j}*alpha)"
 
 
 @dataclass(frozen=True)
@@ -291,10 +355,17 @@ class HalfReflMinusFamily(_WallFamily):
     j: int
 
     tag = "half_refl_minus"
-    mod3 = True
+    diffeo = None
 
-    def pattern(self) -> WallVertexType:
-        return HalfReflMinus(self.j)
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        return (HalfReflMinus(self.j),)
+
+    def model(self) -> tuple[TotalSpace, str]:
+        total = TotalSpace(
+            "projective_bundle_over_sphere",
+            (Weight(-1, 0), Weight(0, -1), Weight(-self.j, self.j)),
+        )
+        return total, f"GL(2) x_B- P((C^2)* + C_-{self.j}*alpha)"
 
 
 @dataclass(frozen=True)
@@ -302,10 +373,13 @@ class ReflectionFamily(_WallFamily):
     """s(eps1+eps2) + t*conv(0, eps1, -eps2)."""
 
     tag = "reflection"
-    mod3 = False
+    diffeo = DiffType.ORIENTED_GRASSMANNIAN
 
-    def pattern(self) -> WallVertexType:
-        return Reflection(0)
+    def wall_types(self) -> tuple[WallVertexType, ...]:
+        return (Reflection(0),)
+
+    def model(self) -> tuple[TotalSpace, str]:
+        return TotalSpace("oriented_grassmannian", ()), "SO(5,C)/P"
 
 
 TriangleFamily = Union[
@@ -342,14 +416,16 @@ class Analysis:
         if len(polygon) != 3:
             raise GeometryError("triangle classification needs exactly 3 vertices")
         require_valid(self)
-        wall = polygon.wall_vertices()
-
-        if len(wall) == 0:
-            # Base vertex: minimal coroot pairing, ties broken lexicographically.
-            base = min(polygon.vertices, key=lambda v: (coroot_pairing(v), v))
-            others = [v for v in polygon.vertices if v != base]
-            rays = [primitive_ray(v - base) for v in others]
-            t = _ray_scale(others[0] - base, rays[0])
+        # Base vertex: minimal coroot pairing, ties broken lexicographically.
+        # With wall vertices that is the lowest one, so that a wall edge
+        # always points in the +(eps1+eps2) direction (l = +1).
+        base = min(polygon.vertices, key=lambda v: (coroot_pairing(v), v))
+        others = [v for v in polygon.vertices if v != base]
+        rays = [primitive_ray(v - base) for v in others]
+        t = _ray_scale(others[0] - base, rays[0])
+        if base in self.wall_types:
+            fam = self.wall_types[base].family(base.x, t)
+        else:
             if cross(rays[0], rays[1]) < 0:
                 rays.reverse()
             d1, d2 = rays
@@ -362,21 +438,6 @@ class Analysis:
                 a2=-d2.b,
                 b2=d2.a,
             )
-        else:
-            # Base: the lowest wall vertex, so that a wall edge always points
-            # in the +(eps1+eps2) direction (l = +1).
-            w = min(wall)
-            wt = self.wall_types[w]
-            other = next(u for u in polygon.vertices if u != w)
-            t = _ray_scale(other - w, primitive_ray(other - w))
-            if isinstance(wt, WallEdgePlus):
-                fam = WallEdgeFamily(s=w.x, t=t, k=wt.k, l=1)
-            elif isinstance(wt, Reflection):
-                fam = ReflectionFamily(s=w.x, t=t)
-            elif isinstance(wt, HalfReflPlus):
-                fam = HalfReflPlusFamily(s=w.x, t=t, j=wt.j)
-            else:
-                fam = HalfReflMinusFamily(s=w.x, t=t, j=wt.j)
 
         # The parameters must rebuild the triangle: this checks the edge scales
         # and that the edges at the base follow its wall pattern.
@@ -446,51 +507,10 @@ def _wfmt(w: Weight) -> str:
 def local_model_label(wt: WallVertexType) -> str:
     """Smooth affine spherical GL(2)-variety providing the local model at a
     wall vertex of the given type."""
-    if isinstance(wt, WallEdgePlus):
-        return f"(C^2 (x) det^-{wt.k + 1}) x det^-1"
-    if isinstance(wt, WallEdgeMinus):
-        return f"(C^2 (x) det^-{wt.k + 1}) x det^1"
-    if isinstance(wt, HalfReflPlus):
-        return f"GL(2) x_TC C_-({wt.j}*alpha+eps1)"
-    if isinstance(wt, HalfReflMinus):
-        return f"GL(2) x_TC C_-({wt.j}*alpha-eps2)"
-    return f"GL(2)/{{diag(z^{wt.j}, z^{wt.j + 1})}}"
+    return wt.local_model()
 
 
 def manifold_model(fam: TriangleFamily) -> ManifoldModel:
     """Total space, complex-variety label and local models for a triangle family."""
-    if isinstance(fam, DelzantFamily):
-        d1, d2 = fam.deltas()
-        total = TotalSpace("projective_bundle_over_sphere", (Weight(0, 0), -d1, -d2))
-        label = f"GL(2) x_B- P(C + C_-{_wfmt(d1)} + C_-{_wfmt(d2)})"
-    elif isinstance(fam, WallEdgeFamily):
-        k, l = fam.k, fam.l
-        total = TotalSpace(
-            "projective_space",
-            (
-                Weight(-k, -k - 1),       # eps1 - (k+1)(eps1+eps2)
-                Weight(-k - 1, -k),       # eps2 - (k+1)(eps1+eps2)
-                Weight(-l, -l),
-                Weight(0, 0),
-            ),
-        )
-        total_label = f"P((C^2 (x) det^-{k + 1}) + det^-{l} + C)"
-        label = total_label
-    elif isinstance(fam, HalfReflPlusFamily):
-        total = TotalSpace(
-            "projective_bundle_over_sphere",
-            (Weight(1, 0), Weight(0, 1), Weight(-fam.j, fam.j)),
-        )
-        label = f"GL(2) x_B- P(C^2 + C_-{fam.j}*alpha)"
-    elif isinstance(fam, HalfReflMinusFamily):
-        total = TotalSpace(
-            "projective_bundle_over_sphere",
-            (Weight(-1, 0), Weight(0, -1), Weight(-fam.j, fam.j)),
-        )
-        label = f"GL(2) x_B- P((C^2)* + C_-{fam.j}*alpha)"
-    else:
-        total = TotalSpace("oriented_grassmannian", ())
-        label = "SO(5,C)/P"
-
     locals_ = tuple((wt, local_model_label(wt)) for wt in fam.wall_types())
-    return ManifoldModel(fam, total, label, locals_)
+    return ManifoldModel(fam, *fam.model(), locals_)

@@ -152,7 +152,3 @@ def main(argv=None) -> int:
         # Any other ValueError is a fault of the engine, not of its input.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

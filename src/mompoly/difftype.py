@@ -8,25 +8,9 @@ mod-3 residue computed from the primitive edge directions at any vertex.
 
 from __future__ import annotations
 
-import enum
-
-from .classify import (
-    PolygonLike,
-    ReflectionFamily,
-    TriangleFamily,
-    WallEdgeFamily,
-    analyze,
-    classify_triangle,
-)
+from .classify import DiffType, PolygonLike, TriangleFamily, analyze, classify_triangle
 from .errors import GeometryError, UnsupportedPolytopeError
 from .lattice import RationalPoint
-
-
-class DiffType(enum.Enum):
-    PROJECTIVE_SPACE_4 = "projective_space_4"          # P(C^4)
-    ORIENTED_GRASSMANNIAN = "oriented_grassmannian"    # oriented 2-planes in R^5
-    TRIVIAL_P2_BUNDLE = "trivial_p2_bundle"            # S^2 x P(C^3)
-    NONTRIVIAL_P2_BUNDLE = "nontrivial_p2_bundle"      # nontrivial P(C^3)-bundle over S^2
 
 
 def line_bundle_chern(k1: int, k2: int) -> int:
@@ -43,13 +27,13 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
     """Residue (a1 + a2 - b1 - b2) mod 3 of the primitive rays
     a_i*eps1 + b_i*eps2 at the vertex v.
 
-    Defined for triangles of the families with `mod3` set (Delzant and
+    Defined for triangles of the families whose `diffeo` is None (Delzant and
     half-reflection), where it is independent of the chosen vertex and
     detects the trivial bundle (residue 0).
     """
     analysis = analyze(polygon)
     fam = classify_triangle(analysis)
-    if not fam.mod3:
+    if fam.diffeo is not None:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
         )
@@ -62,9 +46,7 @@ def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
     analysis = analyze(polygon)
     if classify_triangle(analysis) != fam:
         raise GeometryError("family does not match the polygon")
-    if isinstance(fam, WallEdgeFamily):
-        return DiffType.PROJECTIVE_SPACE_4
-    if isinstance(fam, ReflectionFamily):
-        return DiffType.ORIENTED_GRASSMANNIAN
+    if fam.diffeo is not None:
+        return fam.diffeo
     residue = chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0])
     return DiffType.TRIVIAL_P2_BUNDLE if residue == 0 else DiffType.NONTRIVIAL_P2_BUNDLE

@@ -14,16 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import (
-    HalfReflMinus,
-    HalfReflPlus,
-    PolygonLike,
-    Reflection,
-    WallEdgeMinus,
-    WallEdgePlus,
-    analyze,
-    require_valid,
-)
+from .classify import PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
 from .lattice import RationalPoint, coroot_pairing, weyl_reflect
 from .polygon import Edge, Polygon, is_parallel_to_wall_root
@@ -129,20 +120,21 @@ def build_xray(polygon: PolygonLike) -> XRay:
     * chords (v_j, v_j') for j = 1..n, dimension 4 when an edge of the
       polygon at v_j is parallel to alpha, else 2; chords through v0 are
       kept as single segments;
-    * half-reflection wall vertex: all boundary edges not parallel to
-      alpha, together with their reflections;
-    * reflection wall vertex: boundary edges (v_j, v_{j+1}) for
-      j = 1..n-1 not parallel to alpha, their reflections, and the two
-      cross segments (v_n, v_1') and (v_1, v_n').
+    * rule "all_edges" (half-reflection wall vertex): all boundary edges
+      not parallel to alpha, together with their reflections;
+    * rule "inner_edges_and_cross" (reflection wall vertex): boundary
+      edges (v_j, v_{j+1}) for j = 1..n-1 not parallel to alpha, their
+      reflections, and the two cross segments (v_n, v_1') and (v_1, v_n').
 
-    Wall-edge vertices (and wall-vertex counts other than 1) are refused:
-    the construction is defined only for the one-wall-vertex case.
+    The rule is the `xray` of the wall vertex's type.  Wall-edge vertices
+    (rule None) and wall-vertex counts other than 1 are refused: the
+    construction is defined only for the one-wall-vertex case.
     """
     analysis = require_valid(polygon)
     polygon = analysis.polygon
     v0 = _require_one_wall_vertex(polygon)
-    wt = analysis.wall_types[v0]
-    if isinstance(wt, (WallEdgePlus, WallEdgeMinus)):
+    rule = analysis.wall_types[v0].xray
+    if rule is None:
         raise UnsupportedPolytopeError(
             "x-ray construction is not defined for wall-edge vertex types"
         )
@@ -162,10 +154,7 @@ def build_xray(polygon: PolygonLike) -> XRay:
         dim = 4 if alpha_edge_at(v) else 2
         strata.append(Stratum((v, weyl_reflect(v)), dim))
 
-    if isinstance(wt, (HalfReflPlus, HalfReflMinus)):
-        edge_range = range(0, n_total)
-    else:
-        edge_range = range(1, n)
+    edge_range = range(0, n_total) if rule == "all_edges" else range(1, n)
     boundary: list[tuple[RationalPoint, RationalPoint]] = []
     for j in edge_range:
         a, b = labels[j], labels[(j + 1) % n_total]
@@ -176,7 +165,7 @@ def build_xray(polygon: PolygonLike) -> XRay:
     for a, b in boundary:
         strata.append(Stratum((weyl_reflect(a), weyl_reflect(b)), 2))
 
-    if isinstance(wt, Reflection):
+    if rule == "inner_edges_and_cross":
         strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
         strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
 

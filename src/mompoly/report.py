@@ -47,14 +47,17 @@ _DIGIT_BOUND = 10**MAX_DIGITS
 
 
 def parse_rational(value: Union[int, str]) -> Fraction:
+    # Error messages quote at most the first 40 characters of a bad value.
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentError(f"coordinate {value!r} is not an integer or fraction string")
+        raise DocumentError(f"coordinate {value!r:.40} is not an integer or fraction string")
     if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise DocumentError(f"coordinate {value!r} is not of the form n or p/q")
+        raise DocumentError(f"coordinate {value!r:.40} is not of the form n or p/q")
     try:
         q = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"cannot parse coordinate {value!r}: {exc}") from None
+    except ZeroDivisionError as exc:
+        raise DocumentError(f"cannot parse coordinate {value!r:.40}: {exc}") from None
+    except ValueError:  # a numerator or denominator past the str -> int digit limit
+        raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits") from None
     if max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
         raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits")
     return q
@@ -85,7 +88,7 @@ def parse_polytope_document(text: str) -> list[RationalPoint]:
     points = []
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise DocumentError(f"vertex {entry!r} is not an [x, y] pair")
+            raise DocumentError(f"vertex {entry!r:.40} is not an [x, y] pair")
         points.append(RationalPoint(parse_rational(entry[0]), parse_rational(entry[1])))
     return points
 
@@ -188,7 +191,7 @@ def full_report(points: list[RationalPoint]) -> dict:
             ],
         }
         dt = {"type": diffeo_type(fam, analysis).value}
-        if fam.mod3:
+        if fam.diffeo is None:
             dt["chern_mod3"] = chern_mod3_at_vertex(analysis, polygon.vertices[0])
         doc["diffeo_type"] = dt
     else:

@@ -111,7 +111,7 @@ def check_triangle_sweep() -> list[str]:
         if len(hull.wall_vertices()) == 1:
             if not atiyah_cross_check(analysis):
                 failures.append(f"criteria disagree on {hull.vertices}")
-        if fam.mod3:
+        if fam.diffeo is None:
             residues = {chern_mod3_at_vertex(analysis, v) for v in hull.vertices}
             if len(residues) != 1:
                 failures.append(f"mod-3 residue depends on the vertex for {hull.vertices}")

@@ -1,11 +1,14 @@
+import functools
 import itertools
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mompoly.classify
-from mompoly.census import classify_item
+from mompoly.census import classify_item, enumerate_convex, grid_points
 from mompoly.classify import (
     DelzantFamily,
     HalfReflMinus,
@@ -24,8 +27,14 @@ from mompoly.classify import (
     local_model_label,
     manifold_model,
 )
-from mompoly.errors import ChamberError, GeometryError, InvalidPolytopeError
-from mompoly.kaehler import is_kaehlerizable
+from mompoly.difftype import diffeo_type
+from mompoly.errors import (
+    ChamberError,
+    GeometryError,
+    InvalidPolytopeError,
+    UnsupportedPolytopeError,
+)
+from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import convex_hull
 from mompoly.svgplot import render_svg
@@ -166,6 +175,146 @@ class TestClassifyTriangle:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_polygons():
+    """The 294 valid triangles and quadrilaterals with vertices in the
+    chamber part of [-2, 2]^2."""
+    hulls = (convex_hull(vs) for vs in enumerate_convex(grid_points(2)) if len(vs) in (3, 4))
+    return tuple(p for p in hulls if analyze(p).report.valid)
+
+
+def _verdicts(polygon):
+    analysis = analyze(polygon)
+    kaehler, _ = is_kaehlerizable(analysis)
+    if len(polygon) != 3:
+        return analysis.report.valid, None, kaehler, None
+    fam = classify_triangle(analysis)
+    return analysis.report.valid, fam.tag, kaehler, diffeo_type(fam, analysis)
+
+
+_shifts = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+_scales = st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), _shifts, _scales, _shifts, _scales)
+def test_verdicts_invariant_under_shift_and_scale(data, s0, t0, s, t):
+    """v -> s(eps1+eps2) + t*v with t > 0 keeps validity, family tag, Kaehler
+    verdict and diffeomorphism type.  (s0, t0) first moves a valid integral
+    polygon to a random rational one."""
+    polygon = data.draw(st.sampled_from(_valid_polygons())).transform(s0, t0)
+    assert _verdicts(polygon)[0] is True
+    assert _verdicts(polygon.transform(s, t)) == _verdicts(polygon)
+
+
+def _at_origin(wt):
+    """conv(0, r1, r2) for the rays r1, r2 of a wall pattern."""
+    return convex_hull([RationalPoint.of(0, 0)] + [r.to_point() for r in wt.rays()])
+
+
+# One fixed triangle per family and per wall pattern, with what the package
+# reports for it: family, diffeomorphism type, total space kind, GL(2)-variety,
+# local models, x-ray (stratum dimensions, or the reason it is refused), and
+# for a pattern at the origin that pattern with its fixpoint count.
+_TYPE_CASES = {
+    "DelzantFamily": (
+        DelzantFamily(Fraction(2), Fraction(1), Fraction(1), 1, 1, 0, 1).triangle(),
+        DelzantFamily(Fraction(2), Fraction(1), Fraction(1), 1, 1, 0, 1),
+        "trivial_p2_bundle", "projective_bundle_over_sphere",
+        "GL(2) x_B- P(C + C_-(1,-1) + C_-(1,0))", [],
+        "found 0", None,
+    ),
+    "WallEdgeFamily": (
+        WallEdgeFamily(Fraction(1), Fraction(2), 0, 1).triangle(),
+        WallEdgeFamily(Fraction(1), Fraction(2), 0, 1),
+        "projective_space_4", "projective_space",
+        "P((C^2 (x) det^-1) + det^-1 + C)",
+        ["(C^2 (x) det^-1) x det^-1", "(C^2 (x) det^-0) x det^1"],
+        "found 2", None,
+    ),
+    "HalfReflPlusFamily": (
+        HalfReflPlusFamily(Fraction(-1), Fraction(1, 2), 3).triangle(),
+        HalfReflPlusFamily(Fraction(-1), Fraction(1, 2), 3),
+        "trivial_p2_bundle", "projective_bundle_over_sphere",
+        "GL(2) x_B- P(C^2 + C_-3*alpha)", ["GL(2) x_TC C_-(3*alpha+eps1)"],
+        [2, 4, 2, 2, 2, 2], None,
+    ),
+    "HalfReflMinusFamily": (
+        HalfReflMinusFamily(Fraction(2), Fraction(3), 1).triangle(),
+        HalfReflMinusFamily(Fraction(2), Fraction(3), 1),
+        "nontrivial_p2_bundle", "projective_bundle_over_sphere",
+        "GL(2) x_B- P((C^2)* + C_-1*alpha)", ["GL(2) x_TC C_-(1*alpha-eps2)"],
+        [4, 2, 2, 2, 2, 2], None,
+    ),
+    "ReflectionFamily": (
+        ReflectionFamily(Fraction(1), Fraction(2)).triangle(),
+        ReflectionFamily(Fraction(1), Fraction(2)),
+        "oriented_grassmannian", "oriented_grassmannian",
+        "SO(5,C)/P", ["GL(2)/{diag(z^0, z^1)}"],
+        [2, 2, 2, 2, 2, 2], None,
+    ),
+    "WallEdgePlus": (
+        _at_origin(WallEdgePlus(2)),
+        WallEdgeFamily(Fraction(0), Fraction(1), 2, 1),
+        "projective_space_4", "projective_space",
+        "P((C^2 (x) det^-3) + det^-1 + C)",
+        ["(C^2 (x) det^-3) x det^-1", "(C^2 (x) det^-2) x det^1"],
+        "found 2", (WallEdgePlus(2), 1),
+    ),
+    "WallEdgeMinus": (
+        _at_origin(WallEdgeMinus(0)),
+        WallEdgeFamily(Fraction(-1), Fraction(1), 1, 1),
+        "projective_space_4", "projective_space",
+        "P((C^2 (x) det^-2) + det^-1 + C)",
+        ["(C^2 (x) det^-2) x det^-1", "(C^2 (x) det^-1) x det^1"],
+        "found 2", (WallEdgeMinus(0), 1),
+    ),
+    "HalfReflPlus": (
+        _at_origin(HalfReflPlus(2)),
+        HalfReflPlusFamily(Fraction(0), Fraction(1), 2),
+        "nontrivial_p2_bundle", "projective_bundle_over_sphere",
+        "GL(2) x_B- P(C^2 + C_-2*alpha)", ["GL(2) x_TC C_-(2*alpha+eps1)"],
+        [2, 4, 2, 2, 2, 2], (HalfReflPlus(2), 2),
+    ),
+    "HalfReflMinus": (
+        _at_origin(HalfReflMinus(0)),
+        HalfReflMinusFamily(Fraction(0), Fraction(1), 0),
+        "trivial_p2_bundle", "projective_bundle_over_sphere",
+        "GL(2) x_B- P((C^2)* + C_-0*alpha)", ["GL(2) x_TC C_-(0*alpha-eps2)"],
+        [4, 2, 2, 2, 2, 2], (HalfReflMinus(0), 2),
+    ),
+    "Reflection": (
+        _at_origin(Reflection(0)),
+        ReflectionFamily(Fraction(0), Fraction(1)),
+        "oriented_grassmannian", "oriented_grassmannian",
+        "SO(5,C)/P", ["GL(2)/{diag(z^0, z^1)}"],
+        [2, 2, 2, 2, 2, 2], (Reflection(0), 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TYPE_CASES), ids=list(_TYPE_CASES))
+def test_every_type_carries_its_facts(case):
+    triangle, family, diffeo, kind, variety, local_models, xray, origin = _TYPE_CASES[case]
+    analysis = analyze(triangle)
+    fam = classify_triangle(analysis)
+    assert fam == family
+    assert diffeo_type(fam, analysis).value == diffeo
+    model = manifold_model(fam)
+    assert (model.total_space.kind, model.gl2_variety_label) == (kind, variety)
+    assert [label for _, label in model.local_models] == local_models
+    if isinstance(xray, str):
+        with pytest.raises(UnsupportedPolytopeError, match=f"wall vertex, {xray}"):
+            build_xray(analysis)
+    else:
+        assert [s.dimension for s in build_xray(analysis).strata] == xray
+    if origin is not None:
+        wt, fixpoints = origin
+        zero = RationalPoint.of(0, 0)
+        assert analysis.wall_types[zero] == wt
+        assert fixpoint_images(analysis)[zero] == fixpoints
+
+
 class TestManifoldModel:
     def test_wall_edge(self):
         model = manifold_model(WallEdgeFamily(Fraction(0), Fraction(1), 2, 1))
@@ -177,6 +326,12 @@ class TestManifoldModel:
             Weight(0, 0),
         }
         assert [wt for wt, _ in model.local_models] == [WallEdgePlus(2), WallEdgeMinus(1)]
+
+    def test_wall_edge_l_minus_label(self):
+        # det^-l with l = -1 is det^1, not det^--1.
+        model = manifold_model(WallEdgeFamily(Fraction(0), Fraction(1), 2, -1))
+        assert model.gl2_variety_label == "P((C^2 (x) det^-3) + det^1 + C)"
+        assert Weight(1, 1) in model.total_space.weights
 
     def test_half_refl(self):
         model = manifold_model(HalfReflPlusFamily(Fraction(0), Fraction(1), 3))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,15 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "digits" in err
 
+    @pytest.mark.parametrize("tail", ["1", "x"], ids=["digits", "malformed"])
+    def test_long_bad_coordinate_short_error(self, tmp_path, capsys, tail):
+        # A 6,000-digit string and a 6,000-character malformed one: the error
+        # line quotes only a short prefix of the value.
+        path = write_doc(tmp_path, [["1" * 5999 + tail, 0], [0, 0], [1, -1]])
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 200
+
     def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
         import mompoly.cli
 
@@ -196,3 +209,16 @@ class TestSelftestCommand:
         assert main(["selftest", "--threads", "4"]) == 0
         out4 = capsys.readouterr().out
         assert out1 == out4
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    woodward = json.dumps({"vertices": [[0, 0], [1, 0], [0, -1], [3, -1]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "mompoly", "classify", "-"],
+        input=woodward, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"valid": true' in proc.stdout
