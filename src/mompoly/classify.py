@@ -11,6 +11,7 @@ parameters reconstruct the triangle exactly.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ from .lattice import (
     cross,
     is_lattice_basis,
     primitive_ray,
+    weyl_reflect,
 )
 from .polygon import Polygon, convex_hull
 
@@ -408,6 +410,29 @@ class Analysis:
     def wall_types(self) -> dict[RationalPoint, WallVertexType]:
         """Cone pattern of each wall vertex that matches one."""
         return dict(self.report.wall_vertex_types())
+
+    def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
+        """Polygon.vertex_rays(v), read from the report (which holds them
+        only for a 2-dimensional polygon)."""
+        for va in self.report.vertex_data:
+            if va.vertex == v:
+                return va.rays
+        raise GeometryError(f"{v} is not a vertex")
+
+    @cached_property
+    def fixpoint_images(self) -> Counter:
+        """The T-fixpoint images; see kaehler.fixpoint_images, which returns
+        a copy."""
+        require_valid(self)
+        images: Counter = Counter()
+        for v in self.polygon.vertices:
+            wt = self.wall_types.get(v)
+            if wt is None:
+                images[v] += 1
+                images[weyl_reflect(v)] += 1
+            elif wt.fixpoints:
+                images[v] += wt.fixpoints
+        return images
 
     @cached_property
     def family(self) -> TriangleFamily:

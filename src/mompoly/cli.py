@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-coord", type=int, required=True)
     p_enum.add_argument("--denominator", type=int, default=1)
     p_enum.add_argument("--shape", choices=["triangles", "all"], default="triangles")
-    p_enum.add_argument("--threads", type=int, default=1)
+    p_enum.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p_enum.add_argument(
         "--output", help="write a per-item JSON-lines stream here, summary to stdout"
     )
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--output", help="SVG destination (default stdout)")
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.add_argument("--threads", type=int, default=1)
+    p_self.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p_self.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
@@ -110,7 +110,6 @@ def _cmd_enumerate(args) -> int:
             args.max_coord,
             denominator=args.denominator,
             shape=args.shape,
-            threads=max(1, args.threads),
             on_item=on_item,
         )
     finally:
@@ -129,7 +128,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok, lines = run_selftest(threads=max(1, args.threads), inject_fault=args.inject_fault)
+    ok, lines = run_selftest(inject_fault=args.inject_fault)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -37,7 +37,7 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
         )
-    r1, r2 = analysis.polygon.vertex_rays(v)
+    r1, r2 = analysis.vertex_rays(v)
     return (r1.a + r2.a - r1.b - r2.b) % 3
 
 

@@ -14,10 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import PolygonLike, analyze, require_valid
+from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
 from .lattice import RationalPoint, coroot_pairing, weyl_reflect
-from .polygon import Edge, Polygon, is_parallel_to_wall_root
+from .polygon import Edge, is_parallel_to_wall_root
 
 # Multiset of T-momentum images of the T-fixpoints.
 FixpointImages = Counter
@@ -40,7 +40,7 @@ def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
     wall vertex w, every positive edge must contain w.
     """
     analysis = require_valid(polygon)
-    wall = analysis.polygon.wall_vertices()
+    wall = list(analysis.wall_types)
     if len(wall) != 1:
         return True, None
     (w,) = wall
@@ -57,20 +57,11 @@ def fixpoint_images(polygon: PolygonLike) -> FixpointImages:
     vertices contribute `fixpoints` of their type: wall-edge once,
     half-reflection twice, reflection not at all.
     """
-    analysis = require_valid(polygon)
-    images: FixpointImages = Counter()
-    for v in analysis.polygon.vertices:
-        wt = analysis.wall_types.get(v)
-        if wt is None:
-            images[v] += 1
-            images[weyl_reflect(v)] += 1
-        elif wt.fixpoints:
-            images[v] += wt.fixpoints
-    return images
+    return Counter(analyze(polygon).fixpoint_images)
 
 
-def _require_one_wall_vertex(polygon: Polygon) -> RationalPoint:
-    wall = polygon.wall_vertices()
+def _require_one_wall_vertex(analysis: Analysis) -> RationalPoint:
+    wall = list(analysis.wall_types)
     if len(wall) != 1:
         raise UnsupportedPolytopeError(
             f"operation needs exactly one wall vertex, found {len(wall)}"
@@ -85,9 +76,9 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     Kählerizability in that case (see atiyah_cross_check).
     """
     analysis = require_valid(polygon)
-    _require_one_wall_vertex(analysis.polygon)
+    _require_one_wall_vertex(analysis)
     pt = analysis.polygon.t_polytope()
-    return all(pt.boundary_contains(p) for p in fixpoint_images(analysis))
+    return all(pt.boundary_contains(p) for p in analysis.fixpoint_images)
 
 
 def atiyah_cross_check(polygon: PolygonLike) -> bool:
@@ -132,7 +123,7 @@ def build_xray(polygon: PolygonLike) -> XRay:
     """
     analysis = require_valid(polygon)
     polygon = analysis.polygon
-    v0 = _require_one_wall_vertex(polygon)
+    v0 = _require_one_wall_vertex(analysis)
     rule = analysis.wall_types[v0].xray
     if rule is None:
         raise UnsupportedPolytopeError(
@@ -146,7 +137,7 @@ def build_xray(polygon: PolygonLike) -> XRay:
     n = n_total - 1
 
     def alpha_edge_at(v: RationalPoint) -> bool:
-        return any(is_parallel_to_wall_root(r.to_point()) for r in polygon.vertex_rays(v))
+        return any(is_parallel_to_wall_root(r.to_point()) for r in analysis.vertex_rays(v))
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):
@@ -169,4 +160,4 @@ def build_xray(polygon: PolygonLike) -> XRay:
         strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
         strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
 
-    return XRay(fixpoint_images(analysis), tuple(strata))
+    return XRay(Counter(analysis.fixpoint_images), tuple(strata))

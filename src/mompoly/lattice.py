@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 
@@ -77,8 +76,6 @@ class RationalPoint:
 EPS1 = Weight(1, 0)
 EPS2 = Weight(0, 1)
 ALPHA = EPS1 - EPS2
-OMEGA1 = EPS1
-OMEGA2 = EPS1 + EPS2
 
 Vector = Union[Weight, RationalPoint]
 

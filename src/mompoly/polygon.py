@@ -65,9 +65,6 @@ class Polygon:
             return (Edge(vs[0], vs[1]),)
         return tuple(Edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
-    def is_vertex(self, p: RationalPoint) -> bool:
-        return p in self.vertices
-
     def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
         """Primitive rays of the cone spanned by the polygon at the vertex v.
 

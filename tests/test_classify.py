@@ -1,6 +1,7 @@
 import functools
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from mompoly.errors import (
 )
 from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
-from mompoly.polygon import convex_hull
+from mompoly.polygon import Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
@@ -385,6 +386,27 @@ class TestAnalysis:
             doc = full_report([RationalPoint.of(x, y) for x, y in coords])
             assert doc["valid"] is True
             assert len(checks) == 1, coords
+
+    def test_full_report_computes_each_fact_once(self, monkeypatch):
+        calls = Counter()
+        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal",
+                   "wall_vertices", "boundary_contains")
+        for name in methods:
+            def counting(self, *args, _name=name, _original=getattr(Polygon, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Polygon, name, counting)
+        woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
+        one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
+        for coords in (woodward, one_wall_triangle):
+            calls.clear()
+            full_report([RationalPoint.of(x, y) for x, y in coords])
+            n = len(coords)
+            # One T-polytope, the rays of each vertex and the normal of each
+            # edge once, no wall vertex search, one boundary test per image
+            # until the first one off the boundary.
+            assert [calls[m] for m in methods] == [1, n, n, 0, 5], coords
 
     def test_classify_item_checks_once(self, checks):
         item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))

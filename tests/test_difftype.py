@@ -58,6 +58,9 @@ def test_chern_mod3_guards():
     refl = ReflectionFamily(Fraction(0), Fraction(1)).triangle()
     with pytest.raises(UnsupportedPolytopeError):
         chern_mod3_at_vertex(refl, refl.vertices[0])
+    half_refl = P((0, 0), (1, -1), (4, -3))
+    with pytest.raises(GeometryError, match="is not a vertex"):
+        chern_mod3_at_vertex(half_refl, RationalPoint.of(1, -2))
 
 
 def test_diffeo_types():

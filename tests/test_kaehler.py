@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import mompoly.report
 from mompoly.classify import (
     HalfReflPlusFamily,
     ReflectionFamily,
     WallEdgeFamily,
+    analyze,
     check_momentum_polytope,
 )
 from mompoly.errors import InvalidPolytopeError, UnsupportedPolytopeError
@@ -22,6 +24,7 @@ from mompoly.kaehler import (
 )
 from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
+from mompoly.report import full_report
 
 
 def P(*coords):
@@ -121,6 +124,18 @@ class TestFixpointImages:
                     assert images[v] >= 1
             checked += 1
         assert checked > 100
+
+    def test_returned_multisets_are_copies(self, monkeypatch):
+        analysis = analyze(WOODWARD)
+        # full_report analyses its input itself; hand it this Analysis.
+        monkeypatch.setattr(mompoly.report, "analyze", lambda polygon: analysis)
+        points = list(WOODWARD.vertices)
+        doc = full_report(points)
+        fixpoint_images(analysis)[pt(9, 9)] += 1
+        build_xray(analysis).fixpoints.clear()
+        assert fixpoint_images(analysis) == fixpoint_images(WOODWARD)
+        assert build_xray(analysis) == build_xray(WOODWARD)
+        assert full_report(points) == doc
 
 
 class TestFixpointBoundaryCheck:
