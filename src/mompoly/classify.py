@@ -23,9 +23,7 @@ from .lattice import (
     RationalPoint,
     Weight,
     coroot_pairing,
-    cross,
     is_lattice_basis,
-    primitive_ray,
     weyl_reflect,
 )
 from .polygon import Polygon, convex_hull
@@ -213,10 +211,8 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
         return ClassificationReport(False, dim, (), tuple(failures))
 
     data: list[VertexAnalysis] = []
-    for v in polygon.vertices:
-        rays = polygon.vertex_rays(v)
-        on_wall = coroot_pairing(v) == 0
-        if on_wall:
+    for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays):
+        if x == y:
             wt = classify_wall_rays(*rays)
             if wt is None:
                 reason = f"wall vertex {v} has rays {rays} matching no wall pattern"
@@ -224,13 +220,12 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
                 data.append(VertexAnalysis(v, rays, True, "invalid", None, reason))
             else:
                 data.append(VertexAnalysis(v, rays, True, "wall", wt))
+        elif is_lattice_basis(*rays):
+            data.append(VertexAnalysis(v, rays, False, "interior_delzant"))
         else:
-            if is_lattice_basis(*rays):
-                data.append(VertexAnalysis(v, rays, False, "interior_delzant"))
-            else:
-                reason = f"interior vertex {v} has non-unimodular rays {rays}"
-                failures.append((3, reason))
-                data.append(VertexAnalysis(v, rays, False, "invalid", None, reason))
+            reason = f"interior vertex {v} has non-unimodular rays {rays}"
+            failures.append((3, reason))
+            data.append(VertexAnalysis(v, rays, False, "invalid", None, reason))
 
     return ClassificationReport(not failures, dim, tuple(data), tuple(failures))
 
@@ -389,11 +384,6 @@ TriangleFamily = Union[
 ]
 
 
-def _ray_scale(edge_vec: RationalPoint, ray: Weight) -> Fraction:
-    """The t with edge_vec = t * ray, for the primitive ray along edge_vec."""
-    return Fraction(edge_vec.x, ray.a) if ray.a else Fraction(edge_vec.y, ray.b)
-
-
 # ---------------------------------------------------------------------------
 # One analysis per polygon
 # ---------------------------------------------------------------------------
@@ -410,14 +400,6 @@ class Analysis:
     def wall_types(self) -> dict[RationalPoint, WallVertexType]:
         """Cone pattern of each wall vertex that matches one."""
         return dict(self.report.wall_vertex_types())
-
-    def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
-        """Polygon.vertex_rays(v), read from the report (which holds them
-        only for a 2-dimensional polygon)."""
-        for va in self.report.vertex_data:
-            if va.vertex == v:
-                return va.rays
-        raise GeometryError(f"{v} is not a vertex")
 
     @cached_property
     def fixpoint_images(self) -> Counter:
@@ -444,16 +426,18 @@ class Analysis:
         # Base vertex: minimal coroot pairing, ties broken lexicographically.
         # With wall vertices that is the lowest one, so that a wall edge
         # always points in the +(eps1+eps2) direction (l = +1).
-        base = min(polygon.vertices, key=lambda v: (coroot_pairing(v), v))
-        others = [v for v in polygon.vertices if v != base]
-        rays = [primitive_ray(v - base) for v in others]
-        t = _ray_scale(others[0] - base, rays[0])
-        if base in self.wall_types:
-            fam = self.wall_types[base].family(base.x, t)
+        xy = polygon.xy
+        i = min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
+        base = polygon.vertices[i]
+        va = self.report.vertex_data[i]
+        # The rays at the base, counterclockwise; t is the lattice length of
+        # the edge along the first one, to the next vertex.
+        d1, d2 = va.rays
+        (bx, by), (nx, ny), scale = xy[i], xy[(i + 1) % 3], polygon.scale
+        t = Fraction(nx - bx, d1.a * scale) if d1.a else Fraction(ny - by, d1.b * scale)
+        if va.wall_type is not None:
+            fam = va.wall_type.family(base.x, t)
         else:
-            if cross(rays[0], rays[1]) < 0:
-                rays.reverse()
-            d1, d2 = rays
             fam = DelzantFamily(
                 r=coroot_pairing(base),
                 s=base.x,

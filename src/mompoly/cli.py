@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .census import run_census
+from .census import MAX_COORD, run_census
 from .errors import GeometryError
 from .polygon import convex_hull
 from .report import (
@@ -90,6 +90,8 @@ def _cmd_classify(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.max_coord < 1:
         raise DocumentError("--max-coord must be at least 1")
+    if args.max_coord > MAX_COORD:
+        raise DocumentError(f"--max-coord must be at most {MAX_COORD}")
     if args.denominator < 1:
         raise DocumentError("--denominator must be at least 1")
     stream = open(args.output, "w", encoding="utf-8") if args.output else None

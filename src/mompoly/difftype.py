@@ -37,7 +37,7 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
         )
-    r1, r2 = analysis.vertex_rays(v)
+    r1, r2 = analysis.polygon.vertex_rays(v)
     return (r1.a + r2.a - r1.b - r2.b) % 3
 
 
@@ -48,5 +48,10 @@ def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
         raise GeometryError("family does not match the polygon")
     if fam.diffeo is not None:
         return fam.diffeo
-    residue = chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0])
+    return bundle_type(chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0]))
+
+
+def bundle_type(residue: int) -> DiffType:
+    """The P(C^3)-bundle over S^2 that a mod-3 residue stands for: the
+    trivial one for residue 0."""
     return DiffType.TRIVIAL_P2_BUNDLE if residue == 0 else DiffType.NONTRIVIAL_P2_BUNDLE

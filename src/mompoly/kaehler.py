@@ -137,7 +137,7 @@ def build_xray(polygon: PolygonLike) -> XRay:
     n = n_total - 1
 
     def alpha_edge_at(v: RationalPoint) -> bool:
-        return any(is_parallel_to_wall_root(r.to_point()) for r in analysis.vertex_rays(v))
+        return any(is_parallel_to_wall_root(r.to_point()) for r in polygon.vertex_rays(v))
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):

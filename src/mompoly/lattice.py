@@ -106,6 +106,13 @@ def cross(u: Vector, v: Vector):
     return ux * vy - uy * vx
 
 
+def primitive_int_ray(a: int, b: int) -> Weight:
+    """Primitive lattice vector spanning the ray R>=0 * (a, b), for integers
+    a, b not both zero."""
+    g = gcd(a, b)
+    return Weight(a // g, b // g)
+
+
 def primitive_ray(v: Vector) -> Weight:
     """Primitive lattice vector spanning the ray R>=0 * v.
 
@@ -116,10 +123,7 @@ def primitive_ray(v: Vector) -> Weight:
     if x == 0 and y == 0:
         raise ValueError("the zero vector does not span a ray")
     x, y = Fraction(x), Fraction(y)
-    m = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    a, b = int(x * m), int(y * m)
-    g = gcd(abs(a), abs(b))
-    return Weight(a // g, b // g)
+    return primitive_int_ray(x.numerator * y.denominator, y.numerator * x.denominator)
 
 
 def is_lattice_basis(u: Weight, v: Weight) -> bool:

@@ -1,15 +1,25 @@
 """Exact convex polygon computations in t*.
 
 A Polygon stores its extreme points only, in counterclockwise order,
-starting at the lexicographically smallest vertex.  Degenerate hulls
-(a single point or a segment) are permitted; operations that need a
-2-dimensional polygon say so.
+starting at the lexicographically smallest vertex; the constructor
+checks this.  Degenerate hulls (a single point or a segment) are
+permitted; operations that need a 2-dimensional polygon say so.
+
+A positive scaling about the origin changes none of the lattice facts
+of a polygon: its primitive rays and normals, the lexicographic order
+of its vertices, the sign of every cross product, the chamber x >= y
+and the wall x = y.  So each polygon computes its integer form once, a
+common denominator `scale` of its coordinates and its vertices times
+`scale` as int pairs `xy`, and reads those facts from it with integer
+arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ChamberError, GeometryError
@@ -18,11 +28,56 @@ from .lattice import (
     RationalLike,
     RationalPoint,
     Weight,
-    coroot_pairing,
     cross,
-    primitive_ray,
+    primitive_int_ray,
     weyl_reflect,
 )
+
+IntPair = tuple[int, int]
+
+
+def integer_form(points: Sequence[RationalPoint]) -> tuple[int, list[IntPair]]:
+    """The lcm of the points' denominators, and the points times it as int pairs."""
+    scale = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    return scale, [
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in points
+    ]
+
+
+def _turn(a: IntPair, b: IntPair, c: IntPair) -> int:
+    """Cross product of b - a and c - a: positive iff a, b, c turn left."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _on_segment(a: IntPair, b: IntPair, p: IntPair) -> bool:
+    """True iff the point p lies on the closed segment from a to b."""
+    dx, dy, wx, wy = b[0] - a[0], b[1] - a[1], p[0] - a[0], p[1] - a[1]
+    return dx * wy - dy * wx == 0 and 0 <= dx * wx + dy * wy <= dx * dx + dy * dy
+
+
+def _check_vertex_order(xy: Sequence[IntPair]) -> None:
+    """Raise GeometryError unless xy are the extreme points of a convex
+    polygon, counterclockwise from the lexicographically smallest.
+
+    For three or more vertices: a strict left turn at every vertex, and
+    the lexicographic order rising from the first vertex and then falling
+    back to it, so that the boundary winds around once.
+    """
+    n = len(xy)
+    if n == 0:
+        raise GeometryError("a polygon needs at least one vertex")
+    if n == 2 and not xy[0] < xy[1]:
+        raise GeometryError("a segment needs two distinct endpoints in lexicographic order")
+    if n < 3:
+        return
+    rising = [a < b for a, b in zip(xy, xy[1:] + xy[:1])]
+    left_turns = all(_turn(a, b, c) > 0 for a, b, c in zip(xy[-1:] + xy[:-1], xy, xy[1:] + xy[:1]))
+    if not (left_turns and rising[0] and rising == sorted(rising, reverse=True)):
+        raise GeometryError(
+            "vertices are not the extreme points of a convex polygon in counterclockwise "
+            "order from the lexicographically smallest one"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,17 +91,31 @@ class Edge:
         return self.head - self.tail
 
     def contains(self, p: RationalPoint) -> bool:
-        d = self.direction()
-        w = p - self.tail
-        if cross(d, w) != 0:
-            return False
-        t = d.x * w.x + d.y * w.y
-        return 0 <= t <= d.x * d.x + d.y * d.y
+        _, (a, b, q) = integer_form((self.tail, self.head, p))
+        return _on_segment(a, b, q)
 
 
 @dataclass(frozen=True)
 class Polygon:
     vertices: tuple[RationalPoint, ...]
+    # The integer form (see the module docstring).
+    scale: int = field(init=False, repr=False, compare=False)
+    xy: tuple[IntPair, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale, xy = integer_form(self.vertices)
+        _check_vertex_order(xy)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "xy", tuple(xy))
+
+    @classmethod
+    def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
+                   xy: tuple[IntPair, ...]) -> "Polygon":
+        """The polygon of vertices that convex_hull has put in the required
+        order, with their integer form; the order is not checked again."""
+        polygon = object.__new__(cls)
+        polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
+        return polygon
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -56,14 +125,30 @@ class Polygon:
         n = len(self.vertices)
         return min(n - 1, 2)
 
-    def edges(self) -> tuple[Edge, ...]:
-        """Counterclockwise boundary edges (empty for points, one for segments)."""
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
         vs = self.vertices
         if len(vs) == 1:
             return ()
         if len(vs) == 2:
             return (Edge(vs[0], vs[1]),)
-        return tuple(Edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        return tuple(Edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
+
+    def edges(self) -> tuple[Edge, ...]:
+        """Counterclockwise boundary edges (empty for points, one for segments)."""
+        return self._edges
+
+    @cached_property
+    def rays(self) -> tuple[tuple[Weight, Weight], ...]:
+        """vertex_rays of every vertex, in vertex order."""
+        if self.dimension() != 2:
+            raise GeometryError("vertex rays need a 2-dimensional polygon")
+        xy = self.xy
+        # Primitive direction of each edge; the edge before a vertex gives
+        # its second ray reversed.
+        ahead = [primitive_int_ray(bx - ax, by - ay)
+                 for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])]
+        return tuple((ray, -ahead[i - 1]) for i, ray in enumerate(ahead))
 
     def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
         """Primitive rays of the cone spanned by the polygon at the vertex v.
@@ -77,42 +162,51 @@ class Polygon:
             i = self.vertices.index(v)
         except ValueError:
             raise GeometryError(f"{v} is not a vertex") from None
-        n = len(self.vertices)
-        nxt = self.vertices[(i + 1) % n]
-        prv = self.vertices[(i - 1) % n]
-        return primitive_ray(nxt - v), primitive_ray(prv - v)
+        return self.rays[i]
 
     def inward_primitive_normal(self, e: Edge) -> Weight:
         """Primitive lattice vector perpendicular to e pointing into the polygon."""
         if self.dimension() != 2:
             raise GeometryError("normals need a 2-dimensional polygon")
-        if e not in self.edges():
-            raise GeometryError(f"{e} is not an edge")
-        d = e.direction()
+        try:
+            i = self._edges.index(e)
+        except ValueError:
+            raise GeometryError(f"{e} is not an edge") from None
         # Interior lies to the left of every counterclockwise edge.
-        return primitive_ray(RationalPoint(-d.y, d.x))
+        d = self.rays[i][0]
+        return Weight(-d.b, d.a)
 
     def is_in_chamber(self) -> bool:
-        return all(coroot_pairing(v) >= 0 for v in self.vertices)
+        return all(x >= y for x, y in self.xy)
 
     def wall_vertices(self) -> list[RationalPoint]:
         """Vertices on the wall x = y, in counterclockwise order."""
         if not self.is_in_chamber():
             raise ChamberError("polygon leaves the dominant chamber")
-        return [v for v in self.vertices if coroot_pairing(v) == 0]
+        return [v for v, (x, y) in zip(self.vertices, self.xy) if x == y]
+
+    def _with_point(self, p: RationalPoint) -> tuple[list[IntPair], IntPair]:
+        """The vertices and p on one integer grid."""
+        scale = math.lcm(self.scale, p.x.denominator, p.y.denominator)
+        m = scale // self.scale
+        q = (p.x.numerator * (scale // p.x.denominator),
+             p.y.numerator * (scale // p.y.denominator))
+        return [(m * x, m * y) for x, y in self.xy], q
 
     def boundary_contains(self, p: RationalPoint) -> bool:
         if self.dimension() != 2:
             raise GeometryError("boundary test needs a 2-dimensional polygon")
-        return any(e.contains(p) for e in self.edges())
+        xy, q = self._with_point(p)
+        return any(_on_segment(a, b, q) for a, b in zip(xy, xy[1:] + xy[:1]))
 
     def contains(self, p: RationalPoint) -> bool:
         """Membership in the (closed) convex hull, any dimension."""
         if len(self.vertices) == 1:
             return p == self.vertices[0]
-        if len(self.vertices) == 2:
-            return Edge(self.vertices[0], self.vertices[1]).contains(p)
-        return all(cross(e.direction(), p - e.tail) >= 0 for e in self.edges())
+        xy, q = self._with_point(p)
+        if len(xy) == 2:
+            return _on_segment(xy[0], xy[1], q)
+        return all(_turn(a, b, q) >= 0 for a, b in zip(xy, xy[1:] + xy[:1]))
 
     def reflected(self) -> "Polygon":
         return convex_hull([weyl_reflect(v) for v in self.vertices])
@@ -136,18 +230,23 @@ def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
     """Convex hull, counterclockwise, lexicographically smallest vertex first.
 
     Duplicates and non-extreme points (including interior points of edges)
-    are dropped.
+    are dropped.  The hull is taken on the integer form of the points
+    (lexicographic order is kept by the scaling), and its vertices are the
+    caller's own points.
     """
-    pts: Sequence[RationalPoint] = sorted(set(points))
+    points = list(points)
+    scale, xy = integer_form(points)
+    at = dict(zip(xy, points))
+    pts = sorted(at)
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     if len(pts) == 1:
-        return Polygon((pts[0],))
+        return Polygon._from_form((at[pts[0]],), scale, (pts[0],))
 
     def chain(seq):
-        out: list[RationalPoint] = []
+        out: list[IntPair] = []
         for p in seq:
-            while len(out) > 1 and cross(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) > 1 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -156,8 +255,10 @@ def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
     upper = chain(reversed(pts))
     if len(lower) == 2 and len(upper) == 2:
         # Collinear input: keep the two endpoints.
-        return Polygon((pts[0], pts[-1]))
-    return Polygon(tuple(lower[:-1] + upper[:-1]))
+        hull = (pts[0], pts[-1])
+    else:
+        hull = tuple(lower[:-1] + upper[:-1])
+    return Polygon._from_form(tuple(at[q] for q in hull), scale, hull)
 
 
 def triangle(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> Polygon:

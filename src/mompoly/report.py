@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import analyze, classify_triangle, manifold_model
-from .difftype import chern_mod3_at_vertex, diffeo_type
+from .difftype import bundle_type, chern_mod3_at_vertex
 from .errors import UnsupportedPolytopeError
 from .kaehler import (
     build_xray,
@@ -189,10 +189,11 @@ def full_report(points: list[RationalPoint]) -> dict:
                 for wt, label in model.local_models
             ],
         }
-        dt = {"type": diffeo_type(fam, analysis).value}
         if fam.diffeo is None:
-            dt["chern_mod3"] = chern_mod3_at_vertex(analysis, polygon.vertices[0])
-        doc["diffeo_type"] = dt
+            residue = chern_mod3_at_vertex(analysis, polygon.vertices[0])
+            doc["diffeo_type"] = {"type": bundle_type(residue).value, "chern_mod3": residue}
+        else:
+            doc["diffeo_type"] = {"type": fam.diffeo.value}
     else:
         reason = "triangle families apply to triangles only"
         doc["triangle_family"] = _not_applicable(reason)

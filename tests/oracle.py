@@ -1,9 +1,11 @@
-"""Independent brute-force validity checker used as a test oracle.
+"""Independent brute-force validity checker and Kähler verdict used as
+test oracles.
 
 Deliberately shares no code with the package: its own hull (Jarvis
-march), its own primitive-vector reduction, and a literal transcription
+march), its own primitive-vector reduction, a literal transcription
 of the four validity conditions, with the five wall patterns matched by
-enumerating the parameter over a coordinate-bounded range.
+enumerating the parameter over a coordinate-bounded range, and a literal
+transcription of the positive-edge rule.
 """
 
 from fractions import Fraction
@@ -19,7 +21,8 @@ def _prim(dx, dy):
 
 
 def _jarvis_hull(points):
-    """Extreme points in counterclockwise order (Jarvis march)."""
+    """Extreme points in clockwise order from the smallest (Jarvis march:
+    each step takes the point with no other point to its left)."""
     pts = sorted(set(points))
     if len(pts) == 1:
         return pts
@@ -92,4 +95,27 @@ def oracle_is_valid(points):
             det = r1[0] * r2[1] - r1[1] * r2[0]
             if det not in (1, -1):
                 return False  # condition (3)
+    return True
+
+
+def oracle_kaehler(points):
+    """Kähler verdict of a valid momentum polytope by the positive-edge rule.
+
+    With exactly one wall vertex w, every edge whose inward normal pairs
+    positively with the coroot (x - y > 0) must contain w; otherwise the
+    rule is vacuous.  An edge of the hull contains the vertex w iff w is
+    one of its ends.
+    """
+    hull = _jarvis_hull([(Fraction(x), Fraction(y)) for x, y in points])[::-1]
+    wall = [v for v in hull if v[0] == v[1]]
+    if len(wall) != 1:
+        return True
+    n = len(hull)
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        # The hull is now counterclockwise, so the interior lies left of
+        # each edge: the inward normal is (-dy, dx).
+        if -dy - dx > 0 and wall[0] not in (a, b):
+            return False
     return True

@@ -1,6 +1,7 @@
 """Byte-identity guard: sha256 digests of census streams, classify reports
 and SVG drawings, recorded from the engine before its analysis refactor
-(the census-all-2 digests before the integer rewrite of enumerate_convex).
+(the census-all-2 digests before the integer rewrite of enumerate_convex,
+the census-tri-4 digests before the integer form of polygons).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -27,6 +28,8 @@ from test_acceptance import _sweep_families
 EXPECTED = {
     "census-tri-3.summary": "2f55cc5091fa5a3ce1999c86110b3d47f658aba05376e2ace16bb8754cef6ec2",
     "census-tri-3.stream": "75d25b1917fdb0cea9132167a0bf2d00e819c79100efc44e88fe4adb0ab8957b",
+    "census-tri-4.summary": "c63ec3ae45c8c2220f4976278d87628a1e54422dbeddc9f3971b8773ab26b123",
+    "census-tri-4.stream": "876ca508ff9c55aae682511ebfb87f0cbc25ca67ef9c506768d8b5f9fb44498e",
     "census-all-1.summary": "990216e89c951aa7c3c4001dc5b9aef1b415d62d8f3c3df6829a41e4e301ee80",
     "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
     "census-all-2.summary": "c05fc4d29a91c5a965a60296d64d4a97931d2a930f800513a57aeacfe01589db",
@@ -87,6 +90,7 @@ def compute_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, max_coord, shape in (("census-tri-3", 3, "triangles"),
+                                       ("census-tri-4", 4, "triangles"),
                                        ("census-all-1", 1, "all"),
                                        ("census-all-2", 2, "all")):
             summary, stream = _census(max_coord, shape, tmp)

@@ -12,7 +12,7 @@ from mompoly.census import (
 )
 from mompoly.lattice import RationalPoint
 
-from oracle import _jarvis_hull, oracle_is_valid
+from oracle import _jarvis_hull, oracle_is_valid, oracle_kaehler
 
 
 def test_grid_points():
@@ -107,3 +107,13 @@ def test_census_all_agrees_with_oracle():
     for item in items:
         assert item.valid == oracle_is_valid([(p.x, p.y) for p in item.vertices]), item
     assert any(item.valid and len(item.vertices) >= 4 for item in items)
+
+
+def test_census_kaehler_agrees_with_oracle():
+    items = []
+    run_census(2, shape="all", on_item=items.append)
+    valid = [item for item in items if item.valid]
+    assert len(valid) == 343
+    verdicts = [oracle_kaehler([(p.x, p.y) for p in item.vertices]) for item in valid]
+    assert [item.kaehler for item in valid] == verdicts
+    assert verdicts.count(False) == 4

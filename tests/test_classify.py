@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mompoly.classify
+import mompoly.difftype
+import mompoly.polygon
 from mompoly.census import classify_item, enumerate_convex, grid_points
 from mompoly.classify import (
     DelzantFamily,
@@ -37,7 +39,7 @@ from mompoly.errors import (
 )
 from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
-from mompoly.polygon import Polygon, convex_hull
+from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
@@ -397,16 +399,61 @@ class TestAnalysis:
                 return _original(self, *args)
 
             monkeypatch.setattr(Polygon, name, counting)
+
+        def counting_rays(a, b, _original=mompoly.polygon.primitive_int_ray):
+            calls["edge_rays"] += 1
+            return _original(a, b)
+
+        monkeypatch.setattr(mompoly.polygon, "primitive_int_ray", counting_rays)
         woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
         one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
         for coords in (woodward, one_wall_triangle):
             calls.clear()
             full_report([RationalPoint.of(x, y) for x, y in coords])
             n = len(coords)
-            # One T-polytope, the rays of each vertex and the normal of each
-            # edge once, no wall vertex search, one boundary test per image
-            # until the first one off the boundary.
-            assert [calls[m] for m in methods] == [1, n, n, 0, 5], coords
+            # One T-polytope, the primitive ray of each edge and the normal
+            # of each edge once, no wall vertex search, one boundary test per
+            # image until the first one off the boundary.  The validity check
+            # reads the rays of every vertex from the polygon's integer form;
+            # vertex_rays is asked by the x-ray at each vertex but the wall
+            # vertex, and by the mod-3 residue at one vertex of a triangle.
+            rays_asked = n - 1 + (n == 3)
+            assert [calls[m] for m in methods] == [1, rays_asked, n, 0, 5], coords
+            assert calls["edge_rays"] == n, coords
+
+    def test_full_report_computes_mod3_residue_once(self, monkeypatch):
+        calls = []
+        original = mompoly.difftype.chern_mod3_at_vertex
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mompoly" and (
+                getattr(module, "chern_mod3_at_vertex", None) is original
+            ):
+                monkeypatch.setattr(module, "chern_mod3_at_vertex", counting)
+        doc = full_report([RationalPoint.of(x, y) for x, y in ((0, 0), (1, -1), (4, -3))])
+        assert doc["diffeo_type"] == {"type": "trivial_p2_bundle", "chern_mod3": 0}
+        assert len(calls) == 1
+
+    def test_full_report_builds_each_edge_once(self, monkeypatch):
+        built = []
+        original = Edge.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(Edge, "__init__", counting)
+        woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
+        one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
+        for coords, most in ((woodward, 4 + 4), (one_wall_triangle, 3 + 4)):
+            built.clear()
+            full_report([RationalPoint.of(x, y) for x, y in coords])
+            # At most the edges of the polygon and of its T-polytope.
+            assert len(built) <= most, coords
 
     def test_classify_item_checks_once(self, checks):
         item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mompoly import census
 from mompoly.cli import main
 from mompoly.report import (
     format_rational,
@@ -168,6 +169,16 @@ class TestEnumerateCommand:
 
     def test_bad_flags(self, capsys):
         assert main(["enumerate", "--max-coord", "0"]) == 2
+
+    def test_max_coord_cap(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args))
+        assert main(["enumerate", "--max-coord", str(census.MAX_COORD + 1)]) == 2
+        assert f"at most {census.MAX_COORD}" in capsys.readouterr().err
+        assert calls == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            census.grid_points(census.MAX_COORD + 1)
 
 
 class TestPlotCommand:

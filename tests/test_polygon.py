@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
-from mompoly.polygon import Edge, convex_hull, is_parallel_to_wall_root, triangle
+from mompoly.classify import analyze
+from mompoly.polygon import Edge, Polygon, convex_hull, is_parallel_to_wall_root, triangle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -138,3 +139,34 @@ def test_edges_close_up(pts):
         assert e.tail in hull.vertices and e.head in hull.vertices
     if len(hull) >= 3:
         assert sum((coroot_pairing(e.direction()) for e in hull.edges()), Fraction(0)) == 0
+
+
+def test_polygon_refuses_reversed_vertices():
+    # Taken as given, clockwise Woodward vertices would be reported valid
+    # with the Kähler witness (3,-1)->(0,-1) instead of (3,-1)->(1,0).
+    woodward = P((0, 0), (1, 0), (0, -1), (3, -1))
+    with pytest.raises(GeometryError):
+        Polygon(tuple(reversed(woodward.vertices)))
+    rotated = woodward.vertices[1:] + woodward.vertices[:1]
+    with pytest.raises(GeometryError):
+        Polygon(rotated)
+    assert Polygon(woodward.vertices) == woodward
+
+
+def test_polygon_refuses_repeated_vertex():
+    # Taken as given, a repeated vertex would reach the ray computation and
+    # fail there with a bare ValueError.
+    with pytest.raises(GeometryError):
+        analyze(Polygon(tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (0, 0), (1, 0)))))
+    for bad in (((1, 0), (0, 0)), ((1, 1), (1, 1)), ()):
+        with pytest.raises(GeometryError):
+            Polygon(tuple(RationalPoint.of(x, y) for x, y in bad))
+
+
+def test_polygon_refuses_non_convex_and_doubly_wound():
+    # A left turn at every vertex is not enough: the pentagram order winds twice.
+    pentagon = P((0, 0), (2, -1), (3, 1), (1, 3), (-1, 1))
+    v = pentagon.vertices
+    for bad in ((v[0], v[2], v[4], v[1], v[3]), (v[0], v[1], RationalPoint.of(1, 0), v[2])):
+        with pytest.raises(GeometryError):
+            Polygon(bad)
