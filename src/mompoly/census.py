@@ -6,8 +6,8 @@ dominant chamber, classifies each one, and aggregates counts.  The
 candidate order, the per-item stream and all totals are deterministic.
 Candidates are classified one after another.  On a 2-vCPU x86 machine
 with Python 3.11, the max-coord 3 `--shape all` census (46,667
-candidates) takes 4.5 to 5 s, nearly all of it classification, and the
-max-coord 4 triangle census (13,428 candidates) about 1.1 to 1.5 s.
+candidates) takes about 4 to 4.5 s, nearly all of it classification, and
+the max-coord 4 triangle census (13,428 candidates) about 0.9 to 1.3 s.
 """
 
 from __future__ import annotations

@@ -177,15 +177,34 @@ class VertexAnalysis:
     on_wall: bool
     kind: str  # "interior_delzant" | "wall" | "invalid"
     wall_type: Optional[WallVertexType] = None
-    reason: Optional[str] = None
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why an invalid vertex fails its condition; None for a valid one."""
+        if self.kind != "invalid":
+            return None
+        if self.on_wall:
+            return f"wall vertex {self.vertex} has rays {self.rays} matching no wall pattern"
+        return f"interior vertex {self.vertex} has non-unimodular rays {self.rays}"
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The facts of the validity check.  The rejection reasons are formatted
+    from them when they are read."""
+
     valid: bool
     dimension: int
     vertex_data: tuple[VertexAnalysis, ...]
-    failures: tuple[tuple[int, str], ...]
+
+    @property
+    def failures(self) -> tuple[tuple[int, str], ...]:
+        """(condition id, reason) of every failure, in vertex order."""
+        if self.dimension != 2:
+            return ((1, f"polytope has dimension {self.dimension}, expected 2"),)
+        return tuple(
+            (4 if va.on_wall else 3, va.reason) for va in self.vertex_data if va.kind == "invalid"
+        )
 
     def wall_vertex_types(self) -> list[tuple[RationalPoint, WallVertexType]]:
         return [
@@ -204,30 +223,20 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
     if not polygon.is_in_chamber():
         raise ChamberError("polygon leaves the dominant chamber x >= y")
 
-    failures: list[tuple[int, str]] = []
     dim = polygon.dimension()
     if dim != 2:
-        failures.append((1, f"polytope has dimension {dim}, expected 2"))
-        return ClassificationReport(False, dim, (), tuple(failures))
+        return ClassificationReport(False, dim, ())
 
     data: list[VertexAnalysis] = []
     for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays):
         if x == y:
             wt = classify_wall_rays(*rays)
-            if wt is None:
-                reason = f"wall vertex {v} has rays {rays} matching no wall pattern"
-                failures.append((4, reason))
-                data.append(VertexAnalysis(v, rays, True, "invalid", None, reason))
-            else:
-                data.append(VertexAnalysis(v, rays, True, "wall", wt))
-        elif is_lattice_basis(*rays):
-            data.append(VertexAnalysis(v, rays, False, "interior_delzant"))
+            data.append(VertexAnalysis(v, rays, True, "invalid" if wt is None else "wall", wt))
         else:
-            reason = f"interior vertex {v} has non-unimodular rays {rays}"
-            failures.append((3, reason))
-            data.append(VertexAnalysis(v, rays, False, "invalid", None, reason))
-
-    return ClassificationReport(not failures, dim, tuple(data), tuple(failures))
+            kind = "interior_delzant" if is_lattice_basis(*rays) else "invalid"
+            data.append(VertexAnalysis(v, rays, False, kind))
+    valid = all(va.kind != "invalid" for va in data)
+    return ClassificationReport(valid, dim, tuple(data))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,14 @@ from .svgplot import OVERLAYS, render_svg
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of a file, or of stdin for "-"."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"input is not UTF-8: {exc.reason}") from None
 
 
 def _write_output(path, text: str) -> None:

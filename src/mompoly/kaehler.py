@@ -16,8 +16,8 @@ from typing import Optional
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import RationalPoint, coroot_pairing, weyl_reflect
-from .polygon import Edge, is_parallel_to_wall_root
+from .lattice import ALPHA, RationalPoint, coroot_pairing, weyl_reflect
+from .polygon import Edge
 
 # Multiset of T-momentum images of the T-fixpoints.
 FixpointImages = Counter
@@ -26,11 +26,7 @@ FixpointImages = Counter
 def positive_edges(polygon: PolygonLike) -> list[Edge]:
     """Edges whose inward primitive normal pairs positively with the coroot."""
     polygon = require_valid(polygon).polygon
-    return [
-        e
-        for e in polygon.edges()
-        if coroot_pairing(polygon.inward_primitive_normal(e)) > 0
-    ]
+    return [e for e, n in zip(polygon.edges(), polygon.normals) if coroot_pairing(n) > 0]
 
 
 def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
@@ -45,7 +41,8 @@ def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
         return True, None
     (w,) = wall
     for e in positive_edges(analysis):
-        if not e.contains(w):
+        # A vertex of a strictly convex polygon lies on an edge only as an end.
+        if w not in (e.tail, e.head):
             return False, e
     return True, None
 
@@ -130,27 +127,27 @@ def build_xray(polygon: PolygonLike) -> XRay:
             "x-ray construction is not defined for wall-edge vertex types"
         )
 
-    # Clockwise labels from the wall vertex (vertices are stored CCW).
+    # Clockwise labels from the wall vertex (vertices are stored CCW).  The
+    # second ray at a vertex points to the next label, so parallel[j] says
+    # whether the edge (labels[j], labels[j + 1]) is parallel to alpha.
     n_total = len(polygon)
     i0 = polygon.vertices.index(v0)
-    labels = [polygon.vertices[(i0 - t) % n_total] for t in range(n_total)]
+    at = [(i0 - t) % n_total for t in range(n_total)]
+    labels = [polygon.vertices[i] for i in at]
+    parallel = [polygon.rays[i][1] in (ALPHA, -ALPHA) for i in at]
     n = n_total - 1
-
-    def alpha_edge_at(v: RationalPoint) -> bool:
-        return any(is_parallel_to_wall_root(r.to_point()) for r in polygon.vertex_rays(v))
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):
         v = labels[j]
-        dim = 4 if alpha_edge_at(v) else 2
+        dim = 4 if parallel[j - 1] or parallel[j] else 2
         strata.append(Stratum((v, weyl_reflect(v)), dim))
 
     edge_range = range(0, n_total) if rule == "all_edges" else range(1, n)
     boundary: list[tuple[RationalPoint, RationalPoint]] = []
     for j in edge_range:
-        a, b = labels[j], labels[(j + 1) % n_total]
-        if not is_parallel_to_wall_root(b - a):
-            boundary.append((a, b))
+        if not parallel[j]:
+            boundary.append((labels[j], labels[(j + 1) % n_total]))
     for a, b in boundary:
         strata.append(Stratum((a, b), 2))
     for a, b in boundary:

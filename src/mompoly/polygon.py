@@ -22,16 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ChamberError, GeometryError
-from .lattice import (
-    ALPHA,
-    RationalLike,
-    RationalPoint,
-    Weight,
-    cross,
-    primitive_int_ray,
-    weyl_reflect,
-)
+from .errors import GeometryError
+from .lattice import RationalLike, RationalPoint, Weight, primitive_int_ray, weyl_reflect
 
 IntPair = tuple[int, int]
 
@@ -156,34 +148,30 @@ class Polygon:
         The first ray points along the edge following v in counterclockwise
         order, the second along the edge preceding it.
         """
-        if self.dimension() != 2:
-            raise GeometryError("vertex rays need a 2-dimensional polygon")
+        rays = self.rays
         try:
-            i = self.vertices.index(v)
+            return rays[self.vertices.index(v)]
         except ValueError:
             raise GeometryError(f"{v} is not a vertex") from None
-        return self.rays[i]
+
+    @cached_property
+    def normals(self) -> tuple[Weight, ...]:
+        """Inward primitive normal of every edge, in edge order."""
+        if self.dimension() != 2:
+            raise GeometryError("normals need a 2-dimensional polygon")
+        # Interior lies to the left of every counterclockwise edge.
+        return tuple(Weight(-d.b, d.a) for d, _ in self.rays)
 
     def inward_primitive_normal(self, e: Edge) -> Weight:
         """Primitive lattice vector perpendicular to e pointing into the polygon."""
-        if self.dimension() != 2:
-            raise GeometryError("normals need a 2-dimensional polygon")
+        normals = self.normals
         try:
-            i = self._edges.index(e)
+            return normals[self._edges.index(e)]
         except ValueError:
             raise GeometryError(f"{e} is not an edge") from None
-        # Interior lies to the left of every counterclockwise edge.
-        d = self.rays[i][0]
-        return Weight(-d.b, d.a)
 
     def is_in_chamber(self) -> bool:
         return all(x >= y for x, y in self.xy)
-
-    def wall_vertices(self) -> list[RationalPoint]:
-        """Vertices on the wall x = y, in counterclockwise order."""
-        if not self.is_in_chamber():
-            raise ChamberError("polygon leaves the dominant chamber")
-        return [v for v, (x, y) in zip(self.vertices, self.xy) if x == y]
 
     def _with_point(self, p: RationalPoint) -> tuple[list[IntPair], IntPair]:
         """The vertices and p on one integer grid."""
@@ -266,8 +254,3 @@ def triangle(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> Polygon:
     if len(p) != 3:
         raise GeometryError("points are affinely dependent")
     return p
-
-
-def is_parallel_to_wall_root(d: RationalPoint) -> bool:
-    """True iff the direction d is parallel to alpha = eps1 - eps2."""
-    return not d.is_zero() and cross(d, ALPHA.to_point()) == 0

@@ -79,6 +79,8 @@ def parse_polytope_document(text: str) -> list[RationalPoint]:
         doc = json.loads(text)
     except ValueError as exc:  # also integers past the interpreter's digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: the document nests too deeply") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise DocumentError('document must be an object with a "vertices" list')
     raw = doc["vertices"]
@@ -124,7 +126,8 @@ def full_report(points: list[RationalPoint]) -> dict:
     analysis = analyze(polygon)
     report = analysis.report
 
-    failed = {cid for cid, _ in report.failures}
+    failures = report.failures
+    failed = {cid for cid, _ in failures}
     doc = {
         "input": polytope_document(points),
         "hull_vertices": [point_out(v) for v in polygon.vertices],
@@ -135,7 +138,7 @@ def full_report(points: list[RationalPoint]) -> dict:
             "3_interior_delzant": 3 not in failed,
             "4_wall_patterns": 4 not in failed,
         },
-        "failures": [{"condition": cid, "reason": msg} for cid, msg in report.failures],
+        "failures": [{"condition": cid, "reason": msg} for cid, msg in failures],
         "vertex_analyses": [
             {
                 "vertex": point_out(va.vertex),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import mompoly.classify
 import mompoly.difftype
 import mompoly.polygon
-from mompoly.census import classify_item, enumerate_convex, grid_points
+from mompoly.census import classify_item, enumerate_convex, enumerate_triangles, grid_points
 from mompoly.classify import (
     DelzantFamily,
     HalfReflMinus,
@@ -391,8 +391,7 @@ class TestAnalysis:
 
     def test_full_report_computes_each_fact_once(self, monkeypatch):
         calls = Counter()
-        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal",
-                   "wall_vertices", "boundary_contains")
+        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal", "boundary_contains")
         for name in methods:
             def counting(self, *args, _name=name, _original=getattr(Polygon, name)):
                 calls[_name] += 1
@@ -411,14 +410,12 @@ class TestAnalysis:
             calls.clear()
             full_report([RationalPoint.of(x, y) for x, y in coords])
             n = len(coords)
-            # One T-polytope, the primitive ray of each edge and the normal
-            # of each edge once, no wall vertex search, one boundary test per
-            # image until the first one off the boundary.  The validity check
-            # reads the rays of every vertex from the polygon's integer form;
-            # vertex_rays is asked by the x-ray at each vertex but the wall
-            # vertex, and by the mod-3 residue at one vertex of a triangle.
-            rays_asked = n - 1 + (n == 3)
-            assert [calls[m] for m in methods] == [1, rays_asked, n, 0, 5], coords
+            # One T-polytope, the primitive ray of each edge once, one
+            # boundary test per image until the first one off the boundary.
+            # The validity check, the positive edges and the x-ray read the
+            # rays and normals by index; vertex_rays is asked only by the
+            # mod-3 residue at one vertex of a triangle.
+            assert [calls[m] for m in methods] == [1, int(n == 3), 0, 5], coords
             assert calls["edge_rays"] == n, coords
 
     def test_full_report_computes_mod3_residue_once(self, monkeypatch):
@@ -459,6 +456,21 @@ class TestAnalysis:
         item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))
         assert item.valid and item.family_tag == "half_refl_plus"
         assert len(checks) == 1
+
+    def test_census_formats_no_reason(self, monkeypatch):
+        # The census reads only the verdicts; a rejection reason, which
+        # formats the failing vertex, is built only when it is read.
+        formatted = []
+        original = RationalPoint.__repr__
+
+        def counting(self):
+            formatted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RationalPoint, "__repr__", counting)
+        items = [classify_item(t) for t in enumerate_triangles(grid_points(2))]
+        assert not all(item.valid for item in items)
+        assert formatted == []
 
     def test_queries_take_an_analysis(self, checks):
         woodward = P((0, 0), (1, 0), (0, -1), (3, -1))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -124,6 +125,28 @@ class TestClassifyCommand:
         assert main(["classify", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.encode()) < 200
+
+    def test_deeply_nested_document_exit_two(self, tmp_path, capsys):
+        # json.loads raises RecursionError on nesting this deep.
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_exit_two(self, tmp_path, capsys, monkeypatch, source):
+        data = b"\xff\xfe"
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            arg = "-"
+        else:
+            path = tmp_path / "bad.json"
+            path.write_bytes(data)
+            arg = str(path)
+        assert main(["classify", arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_internal_value_error_exit_one(self, tmp_path, capsys, monkeypatch):
         import mompoly.cli

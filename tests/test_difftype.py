@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,14 @@ from mompoly.classify import (
     HalfReflPlusFamily,
     ReflectionFamily,
     WallEdgeFamily,
+    analyze,
     classify_triangle,
+    manifold_model,
 )
+from mompoly.census import enumerate_triangles, grid_points
 from mompoly.difftype import (
     DiffType,
+    bundle_type,
     chern_mod3_at_vertex,
     diffeo_type,
     line_bundle_chern,
@@ -29,6 +34,22 @@ def test_line_bundle_chern():
     assert line_bundle_chern(3, 3) == 0
     assert line_bundle_chern(1, 0) == 1
     assert line_bundle_chern(0, -4) == 4
+
+
+def test_diff_type_agrees_with_fiber_weights():
+    # A second route to the bundle type: the Chern numbers of the fiber
+    # weights of the family's manifold model, summed mod 3, against the
+    # residue of the rays at a vertex of the triangle.
+    tags = Counter()
+    for vertices in enumerate_triangles(grid_points(4)):
+        analysis = analyze(convex_hull(vertices))
+        if not analysis.report.valid or analysis.family.diffeo is not None:
+            continue
+        fam = analysis.family
+        residue = sum(line_bundle_chern(w.a, w.b) for w in manifold_model(fam).total_space.weights)
+        assert bundle_type(residue % 3) == diffeo_type(fam, analysis), vertices
+        tags[fam.tag] += 1
+    assert tags == {"delzant": 874, "half_refl_plus": 31, "half_refl_minus": 31}
 
 
 def test_chern_mod3_examples():

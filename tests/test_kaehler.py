@@ -165,7 +165,7 @@ class TestAtiyahCrossCheck:
             hull = convex_hull(triple)
             if len(hull) != 3 or not check_momentum_polytope(hull).valid:
                 continue
-            if len(hull.wall_vertices()) == 1:
+            if len(analyze(hull).wall_types) == 1:
                 assert atiyah_cross_check(hull)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
 from mompoly.classify import analyze
-from mompoly.polygon import Edge, Polygon, convex_hull, is_parallel_to_wall_root, triangle
+from mompoly.polygon import Edge, Polygon, convex_hull, triangle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -82,11 +82,11 @@ def test_inward_normal():
 def test_chamber_and_wall_vertices():
     hull = P((0, 0), (1, 0), (0, -1))
     assert hull.is_in_chamber()
-    assert hull.wall_vertices() == [RationalPoint.of(0, 0)]
+    assert list(analyze(hull).wall_types) == [RationalPoint.of(0, 0)]
     outside = P((0, 1), (1, 0), (0, 0))
     assert not outside.is_in_chamber()
     with pytest.raises(ChamberError):
-        outside.wall_vertices()
+        analyze(outside)
 
 
 def test_t_polytope_example():
@@ -124,12 +124,6 @@ def test_boundary_contains():
     assert hull.boundary_contains(RationalPoint.of(1, 1))
     assert not hull.boundary_contains(RationalPoint.of("1/2", "1/2"))
     assert not hull.boundary_contains(RationalPoint.of(5, 5))
-
-
-def test_parallel_to_wall_root():
-    assert is_parallel_to_wall_root(RationalPoint.of(2, -2))
-    assert not is_parallel_to_wall_root(RationalPoint.of(1, 1))
-    assert not is_parallel_to_wall_root(RationalPoint.of(0, 0))
 
 
 @given(point_lists)
