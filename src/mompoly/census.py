@@ -4,25 +4,28 @@ Enumerates convex polytopes with vertices on the grid
 (1/denominator) * [-max_coord, max_coord]^2 intersected with the
 dominant chamber, classifies each one, and aggregates counts.  The
 candidate order, the per-item stream and all totals are deterministic.
-Candidates are classified one after another.  On a 2-vCPU x86 machine
-with Python 3.11, the max-coord 3 `--shape all` census (46,667
-candidates) takes about 4 to 4.5 s, nearly all of it classification, and
-the max-coord 4 triangle census (13,428 candidates) about 0.9 to 1.3 s.
+Candidates are classified one after another; an invalid one is rejected
+on its integer hull, and only a valid one gets a Polygon and an Analysis.
+On a 2-vCPU x86 machine with Python 3.11, writing the stream, the
+max-coord 3 `--shape all` census (46,667 candidates) takes about 2.9 to
+3.4 s and the max-coord 4 triangle census (13,428 candidates) about 0.75
+to 0.95 s.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .classify import analyze, classify_triangle
+from .classify import analyze, classify_triangle, require_chamber, vertex_kind
 from .difftype import diffeo_type
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint
-from .polygon import convex_hull, integer_form
+from .polygon import Polygon, int_rays, integer_form, integer_hull
 
 
 # The largest --max-coord a census accepts.  Every grid point is built before
@@ -30,6 +33,19 @@ from .polygon import convex_hull, integer_form
 # cap), so the cap bounds the memory a census asks for.  Useful censuses stay
 # far below it: max-coord 6 already has 117,471 triangles.
 MAX_COORD = 100
+
+# The most candidates a triangle census accepts.  MAX_COORD bounds memory,
+# not time: max-coord 100 has about 1.4e12 triangles.  Max-coord 19 (78.8
+# million) is accepted and max-coord 20 (106 million) refused, before the
+# grid is built.
+MAX_TRIANGLES = 10**8
+
+
+def triangle_count(max_coord: int) -> int:
+    """The number of point triples, collinear ones included, on the grid
+    of max_coord: C(n, 3) for its n = (2m+1)(2m+2)/2 points."""
+    n = (2 * max_coord + 1) * (2 * max_coord + 2) // 2
+    return math.comb(n, 3)
 
 
 def grid_points(max_coord: int, denominator: int = 1) -> list[RationalPoint]:
@@ -112,13 +128,26 @@ class ItemResult:
 
 
 def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
-    analysis = analyze(convex_hull(vertices))
-    if not analysis.report.valid:
+    """Classify the convex hull of `vertices`: any nonempty tuple of
+    points, in any order, with duplicates and non-extreme points allowed.
+    The result records `vertices` as given.  Raises ChamberError when a
+    point leaves the chamber.
+
+    A candidate is rejected on its integer hull, at its first vertex that
+    fails its condition, without building a Polygon or an Analysis.
+    """
+    hull = integer_hull(vertices)
+    xy = hull[2]
+    require_chamber(xy)
+    if len(xy) < 3 or any(
+        vertex_kind(x == y, *rays)[0] == "invalid" for (x, y), rays in zip(xy, int_rays(xy))
+    ):
         return ItemResult(vertices, False, None, None, None)
+    analysis = analyze(Polygon._from_form(*hull))
     kaehler, _ = is_kaehlerizable(analysis)
     family_tag = None
     diff = None
-    if len(analysis.polygon) == 3:
+    if len(xy) == 3:
         fam = classify_triangle(analysis)
         family_tag = fam.tag
         diff = diffeo_type(fam, analysis).value
@@ -178,6 +207,8 @@ def run_census(
     """Classify every candidate and aggregate; `on_item` (if given) receives
     every ItemResult in the deterministic candidate order.  `threads` is
     accepted and ignored: output and speed do not depend on it."""
+    if shape == "triangles" and triangle_count(max_coord) > MAX_TRIANGLES:
+        raise ValueError(f"a triangle census has at most {MAX_TRIANGLES} candidates")
     points = grid_points(max_coord, denominator)
     if shape == "triangles":
         candidates = enumerate_triangles(points)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
 from .lattice import (
@@ -26,7 +26,7 @@ from .lattice import (
     is_lattice_basis,
     weyl_reflect,
 )
-from .polygon import Polygon, convex_hull
+from .polygon import IntPair, Polygon, convex_hull
 
 _ONE = Weight(1, 1)
 
@@ -214,29 +214,40 @@ class ClassificationReport:
         ]
 
 
+def require_chamber(xy: Iterable[IntPair]) -> None:
+    """Raise ChamberError unless every point (x, y) of an integer form has x >= y."""
+    if not all(x >= y for x, y in xy):
+        raise ChamberError("polygon leaves the dominant chamber x >= y")
+
+
+def vertex_kind(on_wall: bool, r1: Weight, r2: Weight) -> tuple[str, Optional[WallVertexType]]:
+    """Conditions 3 and 4 at a vertex with primitive rays r1, r2: its kind
+    ("interior_delzant", "wall" or "invalid") and, at a wall vertex, the
+    cone pattern it matches."""
+    if on_wall:
+        wt = classify_wall_rays(r1, r2)
+        return ("invalid" if wt is None else "wall"), wt
+    return ("interior_delzant" if is_lattice_basis(r1, r2) else "invalid"), None
+
+
 def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
     """Run the four validity conditions; invalidity is a report value.
 
     Condition 2 (rationality) holds by construction for rational input.
     A polygon outside the chamber is an input error, not an invalid one.
     """
-    if not polygon.is_in_chamber():
-        raise ChamberError("polygon leaves the dominant chamber x >= y")
+    require_chamber(polygon.xy)
 
     dim = polygon.dimension()
     if dim != 2:
         return ClassificationReport(False, dim, ())
 
-    data: list[VertexAnalysis] = []
-    for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays):
-        if x == y:
-            wt = classify_wall_rays(*rays)
-            data.append(VertexAnalysis(v, rays, True, "invalid" if wt is None else "wall", wt))
-        else:
-            kind = "interior_delzant" if is_lattice_basis(*rays) else "invalid"
-            data.append(VertexAnalysis(v, rays, False, kind))
+    data = tuple(
+        VertexAnalysis(v, rays, x == y, *vertex_kind(x == y, *rays))
+        for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays)
+    )
     valid = all(va.kind != "invalid" for va in data)
-    return ClassificationReport(valid, dim, tuple(data))
+    return ClassificationReport(valid, dim, data)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GeometryError
 from .lattice import RationalLike, RationalPoint, Weight, primitive_int_ray, weyl_reflect
@@ -103,7 +103,7 @@ class Polygon:
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
                    xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon of vertices that convex_hull has put in the required
+        """The polygon of vertices that integer_hull has put in the required
         order, with their integer form; the order is not checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
@@ -135,12 +135,7 @@ class Polygon:
         """vertex_rays of every vertex, in vertex order."""
         if self.dimension() != 2:
             raise GeometryError("vertex rays need a 2-dimensional polygon")
-        xy = self.xy
-        # Primitive direction of each edge; the edge before a vertex gives
-        # its second ray reversed.
-        ahead = [primitive_int_ray(bx - ax, by - ay)
-                 for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])]
-        return tuple((ray, -ahead[i - 1]) for i, ray in enumerate(ahead))
+        return tuple(int_rays(self.xy))
 
     def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
         """Primitive rays of the cone spanned by the polygon at the vertex v.
@@ -214,8 +209,11 @@ class Polygon:
         )
 
 
-def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
-    """Convex hull, counterclockwise, lexicographically smallest vertex first.
+def integer_hull(
+    points: Iterable[RationalPoint],
+) -> tuple[tuple[RationalPoint, ...], int, tuple[IntPair, ...]]:
+    """The vertices of the convex hull, counterclockwise from the
+    lexicographically smallest, with their integer form (scale, xy).
 
     Duplicates and non-extreme points (including interior points of edges)
     are dropped.  The hull is taken on the integer form of the points
@@ -229,7 +227,7 @@ def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     if len(pts) == 1:
-        return Polygon._from_form((at[pts[0]],), scale, (pts[0],))
+        return (at[pts[0]],), scale, (pts[0],)
 
     def chain(seq):
         out: list[IntPair] = []
@@ -246,7 +244,30 @@ def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
         hull = (pts[0], pts[-1])
     else:
         hull = tuple(lower[:-1] + upper[:-1])
-    return Polygon._from_form(tuple(at[q] for q in hull), scale, hull)
+    return tuple(at[q] for q in hull), scale, hull
+
+
+def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:
+    """Yield the primitive rays of the cone at each vertex of a
+    counterclockwise cycle of three or more int pairs, in vertex order:
+    the first along the edge to the next vertex, the second along the edge
+    to the previous one.  A caller that stops early computes no more."""
+    (px, py), (cx, cy) = xy[-1], xy[0]
+    # Each edge's ray is computed once: the last vertex's first ray is the
+    # first vertex's second one, reversed.
+    closing = back = primitive_int_ray(px - cx, py - cy)
+    for nx, ny in xy[1:]:
+        ahead = primitive_int_ray(nx - cx, ny - cy)
+        yield ahead, back
+        back = -ahead
+        cx, cy = nx, ny
+    yield -closing, back
+
+
+def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
+    """Convex hull, counterclockwise, lexicographically smallest vertex
+    first; see integer_hull."""
+    return Polygon._from_form(*integer_hull(points))
 
 
 def triangle(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> Polygon:

@@ -1,7 +1,9 @@
 """Byte-identity guard: sha256 digests of census streams, classify reports
 and SVG drawings, recorded from the engine before its analysis refactor
 (the census-all-2 digests before the integer rewrite of enumerate_convex,
-the census-tri-4 digests before the integer form of polygons).
+the census-tri-4 digests before the integer form of polygons, the
+census-all-2-d2 digests before the census rejected candidates on the
+integer hull).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -34,6 +36,8 @@ EXPECTED = {
     "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
     "census-all-2.summary": "c05fc4d29a91c5a965a60296d64d4a97931d2a930f800513a57aeacfe01589db",
     "census-all-2.stream": "954e808c68637191398d25298120db53022ae0d53be6aeb14fb6eff1fc55a1c2",
+    "census-all-2-d2.summary": "2767981347e218cb78ab2b877d85e55cf7587a3434e81e47f727734a8095116c",
+    "census-all-2-d2.stream": "8ab3340c46ee96784d969cbc49cb4c647e5dd3d51e6ff9bcb05d1517990e399e",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
     "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
@@ -75,12 +79,12 @@ def _sha(parts) -> str:
     return h.hexdigest()
 
 
-def _census(max_coord: int, shape: str, tmp: str) -> tuple[str, str]:
-    stream = os.path.join(tmp, f"{shape}-{max_coord}.jsonl")
+def _census(max_coord: int, denominator: int, shape: str, tmp: str) -> tuple[str, str]:
+    stream = os.path.join(tmp, f"{shape}-{max_coord}-{denominator}.jsonl")
     out = io.StringIO()
     with redirect_stdout(out):
-        rc = main(["enumerate", "--max-coord", str(max_coord), "--shape", shape,
-                   "--output", stream])
+        rc = main(["enumerate", "--max-coord", str(max_coord), "--denominator", str(denominator),
+                   "--shape", shape, "--output", stream])
     assert rc == 0
     with open(stream, encoding="utf-8") as fh:
         return _sha([out.getvalue()]), _sha([fh.read()])
@@ -89,11 +93,13 @@ def _census(max_coord: int, shape: str, tmp: str) -> tuple[str, str]:
 def compute_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, max_coord, shape in (("census-tri-3", 3, "triangles"),
-                                       ("census-tri-4", 4, "triangles"),
-                                       ("census-all-1", 1, "all"),
-                                       ("census-all-2", 2, "all")):
-            summary, stream = _census(max_coord, shape, tmp)
+        # census-all-2-d2 has denominator 2: its polygons have scale 2.
+        for name, max_coord, denominator, shape in (("census-tri-3", 3, 1, "triangles"),
+                                                    ("census-tri-4", 4, 1, "triangles"),
+                                                    ("census-all-1", 1, 1, "all"),
+                                                    ("census-all-2", 2, 1, "all"),
+                                                    ("census-all-2-d2", 2, 2, "all")):
+            summary, stream = _census(max_coord, denominator, shape, tmp)
             digests[f"{name}.summary"] = summary
             digests[f"{name}.stream"] = stream
     digests["reports.fixtures"] = _sha(

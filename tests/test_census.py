@@ -3,14 +3,21 @@ import threading
 
 import pytest
 
+from mompoly import classify
 from mompoly.census import (
+    ItemResult,
     classify_item,
     enumerate_convex,
     enumerate_triangles,
     grid_points,
     run_census,
 )
+from mompoly.classify import analyze, classify_triangle
+from mompoly.difftype import diffeo_type
+from mompoly.errors import ChamberError
+from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint
+from mompoly.polygon import convex_hull
 
 from oracle import _jarvis_hull, oracle_is_valid, oracle_kaehler
 
@@ -71,6 +78,56 @@ def test_classify_item():
     assert item.kaehler is True and item.diff_type == "projective_space_4"
     bad = classify_item((RationalPoint.of(0, 0), RationalPoint.of(2, 2)))
     assert not bad.valid
+
+
+def _classify_via_analysis(vertices):
+    """The ItemResult of the full Analysis of the candidate's hull."""
+    analysis = analyze(convex_hull(vertices))
+    if not analysis.report.valid:
+        return ItemResult(vertices, False, None, None, None)
+    kaehler, _ = is_kaehlerizable(analysis)
+    if len(analysis.polygon) != 3:
+        return ItemResult(vertices, True, None, kaehler, None)
+    fam = classify_triangle(analysis)
+    return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
+
+
+@pytest.mark.parametrize("denominator", [1, 2])
+def test_classify_item_agrees_with_analysis(denominator):
+    for vertices in enumerate_convex(grid_points(2, denominator)):
+        assert classify_item(vertices) == _classify_via_analysis(vertices), vertices
+
+
+@pytest.mark.parametrize("coords", [
+    ((0, 0), (0, -1), (2, -1), (2, 0)),            # counterclockwise, not sorted
+    ((1, -1), (0, 0), (3, -1), (0, 0), (2, -1)),   # a duplicate and an edge point
+    ((0, 0), (0, -1), (1, -1), (1, 0), (0, 0)),    # a closed counterclockwise cycle
+    ((1, 0),),                                     # a point
+    ((0, 0), (2, 2)),                              # a segment
+])
+def test_classify_item_takes_any_point_tuple(coords):
+    vertices = tuple(RationalPoint.of(x, y) for x, y in coords)
+    assert classify_item(vertices) == _classify_via_analysis(vertices)
+    assert classify_item(vertices).vertices is vertices
+
+
+def test_classify_item_refuses_chamber_exit():
+    vertices = tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1)))
+    for route in (classify_item, _classify_via_analysis):
+        with pytest.raises(ChamberError):
+            route(vertices)
+
+
+def test_census_analyzes_only_valid_candidates(monkeypatch):
+    """An invalid candidate is rejected on its integer hull: only the valid
+    ones reach check_momentum_polytope."""
+    calls = []
+    check = classify.check_momentum_polytope
+    monkeypatch.setattr(classify, "check_momentum_polytope",
+                        lambda polygon: calls.append(polygon) or check(polygon))
+    summary = run_census(2)
+    assert summary.total > summary.valid > 0
+    assert len(calls) == summary.valid
 
 
 def test_census_threads_deterministic():

@@ -203,6 +203,21 @@ class TestEnumerateCommand:
         with pytest.raises(ValueError):
             census.grid_points(census.MAX_COORD + 1)
 
+    def test_triangle_count_cap(self, monkeypatch, capsys):
+        # The grid is stubbed empty, so no run builds one or classifies anything.
+        calls = []
+        monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args) or [])
+        assert census.triangle_count(19) == 78_788_060 <= census.MAX_TRIANGLES
+        assert census.triangle_count(20) == 106_009_190 > census.MAX_TRIANGLES
+        assert main(["enumerate", "--max-coord", "20"]) == 2
+        assert "more than 100000000" in capsys.readouterr().err
+        assert calls == []
+        assert main(["enumerate", "--max-coord", "19"]) == 0
+        assert main(["enumerate", "--max-coord", "20", "--shape", "all"]) == 0
+        assert calls == [(19, 1), (20, 1)]
+        with pytest.raises(ValueError):
+            census.run_census(20)
+
 
 class TestPlotCommand:
     def test_overlays(self, tmp_path, capsys):
