@@ -4,8 +4,10 @@ Enumerates convex polytopes with vertices on the grid
 (1/denominator) * [-max_coord, max_coord]^2 intersected with the
 dominant chamber, classifies each one, and aggregates counts.  The
 candidate order, the per-item stream and all totals are deterministic.
-Candidates are classified one after another; an invalid one is rejected
-on its integer hull, and only a valid one gets a Polygon and an Analysis.
+check_census holds each shape to a max-coord with about 10^8 candidates
+or fewer (MAX_COORD).  Candidates are classified one after another; an
+invalid one is rejected on its integer hull, and only a valid one gets a
+Polygon and an Analysis.
 On a 2-vCPU x86 machine with Python 3.11, writing the stream, the
 max-coord 3 `--shape all` census (46,667 candidates) takes about 2.9 to
 3.4 s and the max-coord 4 triangle census (13,428 candidates) about 0.75
@@ -15,7 +17,6 @@ to 0.95 s.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,37 +24,32 @@ from typing import Iterator, Optional
 
 from .classify import analyze, classify_triangle, require_chamber, vertex_kind
 from .difftype import diffeo_type
+from .errors import GeometryError
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint
 from .polygon import Polygon, int_rays, integer_form, integer_hull
 
 
-# The largest --max-coord a census accepts.  Every grid point is built before
-# the first candidate, (2m+1)(2m+2)/2 of them at max-coord m (20,301 at the
-# cap), so the cap bounds the memory a census asks for.  Useful censuses stay
-# far below it: max-coord 6 already has 117,471 triangles.
-MAX_COORD = 100
-
-# The most candidates a triangle census accepts.  MAX_COORD bounds memory,
-# not time: max-coord 100 has about 1.4e12 triangles.  Max-coord 19 (78.8
-# million) is accepted and max-coord 20 (106 million) refused, before the
-# grid is built.
-MAX_TRIANGLES = 10**8
+# The largest max-coord of a census, by shape.  Each holds a census to about
+# 10^8 candidates, and so also bounds the grid it builds first.  Triangles:
+# max-coord 19 has 78,788,060 point triples and 20 has 106,009,190.  All
+# convex polytopes: 1,619 / 46,667 / 1,066,962 / 20,306,911 candidates at
+# max-coord 2 / 3 / 4 / 5, about 19x more at each step.
+MAX_COORD = {"triangles": 19, "all": 5}
 
 
-def triangle_count(max_coord: int) -> int:
-    """The number of point triples, collinear ones included, on the grid
-    of max_coord: C(n, 3) for its n = (2m+1)(2m+2)/2 points."""
-    n = (2 * max_coord + 1) * (2 * max_coord + 2) // 2
-    return math.comb(n, 3)
+def check_census(max_coord: int, denominator: int, shape: str) -> None:
+    """Raise GeometryError unless the census of these arguments is accepted."""
+    if shape not in MAX_COORD:
+        raise GeometryError(f"unknown shape {shape!r}")
+    if not 1 <= max_coord <= MAX_COORD[shape]:
+        raise GeometryError(f"max-coord must be from 1 to {MAX_COORD[shape]} for shape {shape}")
+    if denominator < 1:
+        raise GeometryError("denominator must be at least 1")
 
 
 def grid_points(max_coord: int, denominator: int = 1) -> list[RationalPoint]:
     """Chamber part of the grid, in lexicographic order."""
-    if max_coord < 1 or denominator < 1:
-        raise ValueError("max_coord and denominator must be positive")
-    if max_coord > MAX_COORD:
-        raise ValueError(f"max_coord must be at most {MAX_COORD}")
     rng = range(-max_coord, max_coord + 1)
     return [
         RationalPoint(Fraction(i, denominator), Fraction(j, denominator))
@@ -134,16 +130,22 @@ def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
     point leaves the chamber.
 
     A candidate is rejected on its integer hull, at its first vertex that
-    fails its condition, without building a Polygon or an Analysis.
+    fails its condition, without building a Polygon or an Analysis.  A
+    valid one's Polygon is handed the rays this check computed.
     """
     hull = integer_hull(vertices)
     xy = hull[2]
     require_chamber(xy)
-    if len(xy) < 3 or any(
-        vertex_kind(x == y, *rays)[0] == "invalid" for (x, y), rays in zip(xy, int_rays(xy))
-    ):
+    rays = []
+    for (x, y), r in zip(xy, int_rays(xy) if len(xy) >= 3 else ()):
+        if vertex_kind(x == y, *r)[0] == "invalid":
+            break
+        rays.append(r)
+    if len(rays) < len(xy):
         return ItemResult(vertices, False, None, None, None)
-    analysis = analyze(Polygon._from_form(*hull))
+    polygon = Polygon._from_form(*hull)
+    polygon.__dict__["rays"] = tuple(rays)  # the value of the cached Polygon.rays
+    analysis = analyze(polygon)
     kaehler, _ = is_kaehlerizable(analysis)
     family_tag = None
     diff = None
@@ -201,21 +203,15 @@ def run_census(
     max_coord: int,
     denominator: int = 1,
     shape: str = "triangles",
-    threads: int = 1,
     on_item=None,
 ) -> CensusSummary:
     """Classify every candidate and aggregate; `on_item` (if given) receives
-    every ItemResult in the deterministic candidate order.  `threads` is
-    accepted and ignored: output and speed do not depend on it."""
-    if shape == "triangles" and triangle_count(max_coord) > MAX_TRIANGLES:
-        raise ValueError(f"a triangle census has at most {MAX_TRIANGLES} candidates")
+    every ItemResult in the deterministic candidate order.  Raises
+    GeometryError, before the grid is built, for a census that
+    check_census refuses."""
+    check_census(max_coord, denominator, shape)
     points = grid_points(max_coord, denominator)
-    if shape == "triangles":
-        candidates = enumerate_triangles(points)
-    elif shape == "all":
-        candidates = enumerate_convex(points)
-    else:
-        raise ValueError(f"unknown shape {shape!r}")
+    candidates = enumerate_triangles(points) if shape == "triangles" else enumerate_convex(points)
 
     summary = CensusSummary(shape, max_coord, denominator)
     for vertices in candidates:

@@ -206,13 +206,6 @@ class ClassificationReport:
             (4 if va.on_wall else 3, va.reason) for va in self.vertex_data if va.kind == "invalid"
         )
 
-    def wall_vertex_types(self) -> list[tuple[RationalPoint, WallVertexType]]:
-        return [
-            (va.vertex, va.wall_type)
-            for va in self.vertex_data
-            if va.on_wall and va.wall_type is not None
-        ]
-
 
 def require_chamber(xy: Iterable[IntPair]) -> None:
     """Raise ChamberError unless every point (x, y) of an integer form has x >= y."""
@@ -419,7 +412,11 @@ class Analysis:
     @cached_property
     def wall_types(self) -> dict[RationalPoint, WallVertexType]:
         """Cone pattern of each wall vertex that matches one."""
-        return dict(self.report.wall_vertex_types())
+        return {
+            va.vertex: va.wall_type
+            for va in self.report.vertex_data
+            if va.on_wall and va.wall_type is not None
+        }
 
     @cached_property
     def fixpoint_images(self) -> Counter:
@@ -533,13 +530,7 @@ def _wfmt(w: Weight) -> str:
     return f"({w.a},{w.b})"
 
 
-def local_model_label(wt: WallVertexType) -> str:
-    """Smooth affine spherical GL(2)-variety providing the local model at a
-    wall vertex of the given type."""
-    return wt.local_model()
-
-
 def manifold_model(fam: TriangleFamily) -> ManifoldModel:
     """Total space, complex-variety label and local models for a triangle family."""
-    locals_ = tuple((wt, local_model_label(wt)) for wt in fam.wall_types())
+    locals_ = tuple((wt, wt.local_model()) for wt in fam.wall_types())
     return ManifoldModel(fam, *fam.model(), locals_)

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .census import MAX_COORD, MAX_TRIANGLES, run_census, triangle_count
+from .census import check_census, run_census
 from .errors import GeometryError
 from .polygon import convex_hull
 from .report import (
@@ -92,17 +92,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.max_coord < 1:
-        raise DocumentError("--max-coord must be at least 1")
-    if args.max_coord > MAX_COORD:
-        raise DocumentError(f"--max-coord must be at most {MAX_COORD}")
-    if args.shape == "triangles" and triangle_count(args.max_coord) > MAX_TRIANGLES:
-        raise DocumentError(
-            f"--max-coord {args.max_coord} gives {triangle_count(args.max_coord)} triangle "
-            f"candidates, more than {MAX_TRIANGLES}"
-        )
-    if args.denominator < 1:
-        raise DocumentError("--denominator must be at least 1")
+    check_census(args.max_coord, args.denominator, args.shape)
     stream = open(args.output, "w", encoding="utf-8") if args.output else None
     try:
         def on_item(item):

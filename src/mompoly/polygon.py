@@ -1,9 +1,10 @@
 """Exact convex polygon computations in t*.
 
 A Polygon stores its extreme points only, in counterclockwise order,
-starting at the lexicographically smallest vertex; the constructor
-checks this.  Degenerate hulls (a single point or a segment) are
-permitted; operations that need a 2-dimensional polygon say so.
+starting at the lexicographically smallest vertex: the constructor
+accepts a vertex tuple exactly when integer_hull returns it unchanged.
+Degenerate hulls (a single point or a segment) are permitted;
+operations that need a 2-dimensional polygon say so.
 
 A positive scaling about the origin changes none of the lattice facts
 of a polygon: its primitive rays and normals, the lexicographic order
@@ -48,30 +49,6 @@ def _on_segment(a: IntPair, b: IntPair, p: IntPair) -> bool:
     return dx * wy - dy * wx == 0 and 0 <= dx * wx + dy * wy <= dx * dx + dy * dy
 
 
-def _check_vertex_order(xy: Sequence[IntPair]) -> None:
-    """Raise GeometryError unless xy are the extreme points of a convex
-    polygon, counterclockwise from the lexicographically smallest.
-
-    For three or more vertices: a strict left turn at every vertex, and
-    the lexicographic order rising from the first vertex and then falling
-    back to it, so that the boundary winds around once.
-    """
-    n = len(xy)
-    if n == 0:
-        raise GeometryError("a polygon needs at least one vertex")
-    if n == 2 and not xy[0] < xy[1]:
-        raise GeometryError("a segment needs two distinct endpoints in lexicographic order")
-    if n < 3:
-        return
-    rising = [a < b for a, b in zip(xy, xy[1:] + xy[:1])]
-    left_turns = all(_turn(a, b, c) > 0 for a, b, c in zip(xy[-1:] + xy[:-1], xy, xy[1:] + xy[:1]))
-    if not (left_turns and rising[0] and rising == sorted(rising, reverse=True)):
-        raise GeometryError(
-            "vertices are not the extreme points of a convex polygon in counterclockwise "
-            "order from the lexicographically smallest one"
-        )
-
-
 @dataclass(frozen=True)
 class Edge:
     """Directed edge between consecutive vertices (counterclockwise)."""
@@ -95,10 +72,14 @@ class Polygon:
     xy: tuple[IntPair, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        scale, xy = integer_form(self.vertices)
-        _check_vertex_order(xy)
+        vertices, scale, xy = integer_hull(self.vertices)
+        if vertices != tuple(self.vertices):
+            raise GeometryError(
+                "vertices are not the extreme points of a convex polytope in counterclockwise "
+                "order from the lexicographically smallest one"
+            )
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "xy", tuple(xy))
+        object.__setattr__(self, "xy", xy)
 
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
@@ -164,9 +145,6 @@ class Polygon:
             return normals[self._edges.index(e)]
         except ValueError:
             raise GeometryError(f"{e} is not an edge") from None
-
-    def is_in_chamber(self) -> bool:
-        return all(x >= y for x, y in self.xy)
 
     def _with_point(self, p: RationalPoint) -> tuple[list[IntPair], IntPair]:
         """The vertices and p on one integer grid."""

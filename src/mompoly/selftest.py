@@ -2,8 +2,7 @@
 
 Each check is a pure function returning a failure message list; the
 runner reports one line per suite and an overall verdict.  The random
-suites use a fixed seed, so the output is identical across runs and
-worker counts.
+suites use a fixed seed, so the output is identical across runs.
 """
 
 from __future__ import annotations
@@ -130,8 +129,8 @@ def check_census_determinism() -> list[str]:
     return []
 
 
-def run_selftest(threads: int = 1, inject_fault: bool = False) -> tuple[bool, list[str]]:
-    """Run every suite; `threads` is accepted and ignored, as by run_census."""
+def run_selftest(inject_fault: bool = False) -> tuple[bool, list[str]]:
+    """Run every suite."""
     suites = [
         ("lattice-invariants", check_lattice_invariants),
         ("polygon-invariants", check_polygon_invariants),

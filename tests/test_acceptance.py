@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from mompoly.census import enumerate_triangles, grid_points, run_census
+from mompoly.census import enumerate_triangles, grid_points
 from mompoly.classify import (
     DelzantFamily,
     HalfReflMinusFamily,
@@ -192,9 +192,10 @@ def test_criterion_5_diffeomorphism_typing():
     _report("5 (diffeomorphism typing)")
 
 
-def test_criterion_6_oracle_census():
+def test_criterion_6_oracle_census(tmp_path, capsys):
     """Classifier vs independent oracle on every integral triangle in
-    [-4, 4]^2 of the chamber; census byte-identical for 1 vs 8 threads."""
+    [-4, 4]^2 of the chamber; census byte-identical for `--threads 1`
+    and `--threads 8`."""
     points = grid_points(4)
     disagreements = 0
     for triple in enumerate_triangles(points):
@@ -210,12 +211,14 @@ def test_criterion_6_oracle_census():
                 classify_triangle(hull)
     assert disagreements == 0
 
-    items_1, items_8 = [], []
-    s1 = run_census(4, threads=1, on_item=items_1.append)
-    s8 = run_census(4, threads=8, on_item=items_8.append)
-    assert json.dumps(s1.as_dict()) == json.dumps(s8.as_dict())
-    assert items_1 == items_8
-    assert s1.total == sum(1 for _ in enumerate_triangles(points))
+    out = []
+    for threads in ("1", "8"):
+        stream = tmp_path / f"items{threads}.jsonl"
+        assert main(["enumerate", "--max-coord", "4", "--threads", threads,
+                     "--output", str(stream)]) == 0
+        out.append((capsys.readouterr().out, stream.read_bytes()))
+    assert out[0] == out[1]
+    assert json.loads(out[0][0])["total"] == sum(1 for _ in enumerate_triangles(points))
     _report("6 (oracle census)")
 
 

@@ -27,7 +27,6 @@ from mompoly.classify import (
     check_momentum_polytope,
     classify_triangle,
     classify_wall_rays,
-    local_model_label,
     manifold_model,
 )
 from mompoly.difftype import diffeo_type
@@ -119,12 +118,13 @@ class TestCheckMomentumPolytope:
             check_momentum_polytope(P((0, 0), (0, 1), (1, 1)))
 
     def test_vertex_data_kinds(self):
-        report = check_momentum_polytope(P((0, 0), (1, 1), (3, 2)))
+        analysis = analyze(P((0, 0), (1, 1), (3, 2)))
+        report = analysis.report
         kinds = {va.vertex: va.kind for va in report.vertex_data}
         assert kinds[RationalPoint.of(0, 0)] == "wall"
         assert kinds[RationalPoint.of(1, 1)] == "wall"
         assert kinds[RationalPoint.of(3, 2)] == "interior_delzant"
-        types = dict(report.wall_vertex_types())
+        types = analysis.wall_types
         assert types[RationalPoint.of(0, 0)] == WallEdgePlus(2)
         assert types[RationalPoint.of(1, 1)] == WallEdgeMinus(1)
 
@@ -347,7 +347,7 @@ class TestManifoldModel:
         model = manifold_model(ReflectionFamily(Fraction(0), Fraction(1)))
         assert model.total_space.kind == "oriented_grassmannian"
         assert model.gl2_variety_label == "SO(5,C)/P"
-        assert model.local_models == ((Reflection(0), local_model_label(Reflection(0))),)
+        assert model.local_models == ((Reflection(0), Reflection(0).local_model()),)
 
     def test_delzant(self):
         fam = DelzantFamily(Fraction(1), Fraction(0), Fraction(1), 1, 0, -1, 1)
@@ -417,6 +417,16 @@ class TestAnalysis:
             # mod-3 residue at one vertex of a triangle.
             assert [calls[m] for m in methods] == [1, int(n == 3), 0, 5], coords
             assert calls["edge_rays"] == n, coords
+
+    def test_census_item_computes_each_edge_ray_once(self, monkeypatch):
+        # The rays of the early rejection check are the valid polygon's rays.
+        calls = []
+        original = mompoly.polygon.primitive_int_ray
+        monkeypatch.setattr(mompoly.polygon, "primitive_int_ray",
+                            lambda a, b: calls.append((a, b)) or original(a, b))
+        item = classify_item(tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (1, -1), (4, -3))))
+        assert item.valid and item.family_tag is not None
+        assert len(calls) == 3
 
     def test_full_report_computes_mod3_residue_once(self, monkeypatch):
         calls = []

@@ -9,6 +9,7 @@ import pytest
 
 from mompoly import census
 from mompoly.cli import main
+from mompoly.errors import GeometryError
 from mompoly.report import (
     format_rational,
     parse_polytope_document,
@@ -193,30 +194,29 @@ class TestEnumerateCommand:
     def test_bad_flags(self, capsys):
         assert main(["enumerate", "--max-coord", "0"]) == 2
 
-    def test_max_coord_cap(self, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args))
-        assert main(["enumerate", "--max-coord", str(census.MAX_COORD + 1)]) == 2
-        assert f"at most {census.MAX_COORD}" in capsys.readouterr().err
-        assert calls == []
-        monkeypatch.undo()
-        with pytest.raises(ValueError):
-            census.grid_points(census.MAX_COORD + 1)
-
-    def test_triangle_count_cap(self, monkeypatch, capsys):
-        # The grid is stubbed empty, so no run builds one or classifies anything.
+    def test_max_coord_cap(self, monkeypatch, tmp_path, capsys):
+        # A refused census exits 2 before it builds the grid or opens --output.
         calls = []
         monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args) or [])
-        assert census.triangle_count(19) == 78_788_060 <= census.MAX_TRIANGLES
-        assert census.triangle_count(20) == 106_009_190 > census.MAX_TRIANGLES
-        assert main(["enumerate", "--max-coord", "20"]) == 2
-        assert "more than 100000000" in capsys.readouterr().err
+        stream = tmp_path / "items.jsonl"
+        for flags in (["--max-coord", "20"], ["--max-coord", "6", "--shape", "all"],
+                      ["--max-coord", "0"], ["--max-coord", "1", "--denominator", "0"]):
+            assert main(["enumerate", *flags, "--output", str(stream)]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
         assert calls == []
+        assert not stream.exists()
+
+    def test_triangle_count_cap(self, monkeypatch, capsys):
+        # The grid is stubbed empty, so an accepted census classifies nothing.
+        calls = []
+        monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args) or [])
         assert main(["enumerate", "--max-coord", "19"]) == 0
-        assert main(["enumerate", "--max-coord", "20", "--shape", "all"]) == 0
-        assert calls == [(19, 1), (20, 1)]
-        with pytest.raises(ValueError):
-            census.run_census(20)
+        assert main(["enumerate", "--max-coord", "5", "--shape", "all"]) == 0
+        assert calls == [(19, 1), (5, 1)]
+        with pytest.raises(GeometryError):
+            census.run_census(6, shape="all")
+        assert calls == [(19, 1), (5, 1)]
 
 
 class TestPlotCommand:

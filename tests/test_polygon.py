@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
-from mompoly.classify import analyze
+from mompoly.classify import analyze, require_chamber
 from mompoly.polygon import Edge, Polygon, convex_hull, triangle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -81,10 +81,11 @@ def test_inward_normal():
 
 def test_chamber_and_wall_vertices():
     hull = P((0, 0), (1, 0), (0, -1))
-    assert hull.is_in_chamber()
+    require_chamber(hull.xy)
     assert list(analyze(hull).wall_types) == [RationalPoint.of(0, 0)]
     outside = P((0, 1), (1, 0), (0, 0))
-    assert not outside.is_in_chamber()
+    with pytest.raises(ChamberError):
+        require_chamber(outside.xy)
     with pytest.raises(ChamberError):
         analyze(outside)
 
@@ -164,3 +165,27 @@ def test_polygon_refuses_non_convex_and_doubly_wound():
     for bad in ((v[0], v[2], v[4], v[1], v[3]), (v[0], v[1], RationalPoint.of(1, 0), v[2])):
         with pytest.raises(GeometryError):
             Polygon(bad)
+
+
+@given(point_lists, st.data())
+def test_polygon_accepts_exactly_its_hull(pts, data):
+    # A rotation, a reversal, or the hull with one more point that is not
+    # extreme: the midpoint of two vertices, or a repeated vertex.
+    hull = convex_hull(pts).vertices
+    n = len(hull)
+    how = data.draw(st.sampled_from(("rotate", "reverse", "insert")))
+    if how == "rotate":
+        k = data.draw(st.integers(0, n - 1))
+        t = hull[k:] + hull[:k]
+    elif how == "reverse":
+        t = hull[::-1]
+    else:
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        mid = RationalPoint((hull[a].x + hull[b].x) / 2, (hull[a].y + hull[b].y) / 2)
+        i = data.draw(st.integers(0, n))
+        t = hull[:i] + (mid,) + hull[i:]
+    if t == hull:
+        assert Polygon(t) == convex_hull(pts)
+    else:
+        with pytest.raises(GeometryError):
+            Polygon(t)
