@@ -5,13 +5,13 @@ Enumerates convex polytopes with vertices on the grid
 dominant chamber, classifies each one, and aggregates counts.  The
 candidate order, the per-item stream and all totals are deterministic.
 check_census holds each shape to a max-coord with about 10^8 candidates
-or fewer (MAX_COORD).  Candidates are classified one after another; an
-invalid one is rejected on its integer hull, and only a valid one gets a
-Polygon and an Analysis.
+or fewer (MAX_COORD).  Candidates are classified one after another, on
+the grid's integer form, taken once per census; an invalid one is rejected
+on its integer hull, and only a valid one gets a Polygon and an Analysis.
 On a 2-vCPU x86 machine with Python 3.11, writing the stream, the
-max-coord 3 `--shape all` census (46,667 candidates) takes about 2.9 to
-3.4 s and the max-coord 4 triangle census (13,428 candidates) about 0.75
-to 0.95 s.
+max-coord 3 `--shape all` census (46,667 candidates) takes about 1.7 to
+2.3 s and the max-coord 4 triangle census (13,428 candidates) about 0.55
+to 0.7 s, each including interpreter start-up.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .difftype import diffeo_type
 from .errors import GeometryError
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint
-from .polygon import Polygon, int_rays, integer_form, integer_hull
+from .polygon import IntPair, Polygon, hull_of_form, int_rays, integer_form
 
 
 # The largest max-coord of a census, by shape.  Each holds a census to about
@@ -133,23 +133,28 @@ def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
     fails its condition, without building a Polygon or an Analysis.  A
     valid one's Polygon is handed the rays this check computed.
     """
-    hull = integer_hull(vertices)
-    xy = hull[2]
-    require_chamber(xy)
+    scale, xy = integer_form(vertices)
+    return _classify(vertices, scale, xy)
+
+
+def _classify(vertices: tuple[RationalPoint, ...], scale: int, xy: list[IntPair]) -> ItemResult:
+    """classify_item of vertices whose integer form on `scale` is xy."""
+    hull, hull_xy = hull_of_form(vertices, xy)
+    require_chamber(hull_xy)
     rays = []
-    for (x, y), r in zip(xy, int_rays(xy) if len(xy) >= 3 else ()):
+    for (x, y), r in zip(hull_xy, int_rays(hull_xy) if len(hull_xy) >= 3 else ()):
         if vertex_kind(x == y, *r)[0] == "invalid":
             break
         rays.append(r)
-    if len(rays) < len(xy):
+    if len(rays) < len(hull_xy):
         return ItemResult(vertices, False, None, None, None)
-    polygon = Polygon._from_form(*hull)
+    polygon = Polygon._from_form(hull, scale, hull_xy)
     polygon.__dict__["rays"] = tuple(rays)  # the value of the cached Polygon.rays
     analysis = analyze(polygon)
     kaehler, _ = is_kaehlerizable(analysis)
     family_tag = None
     diff = None
-    if len(xy) == 3:
+    if len(hull_xy) == 3:
         fam = classify_triangle(analysis)
         family_tag = fam.tag
         diff = diffeo_type(fam, analysis).value
@@ -212,10 +217,16 @@ def run_census(
     check_census(max_coord, denominator, shape)
     points = grid_points(max_coord, denominator)
     candidates = enumerate_triangles(points) if shape == "triangles" else enumerate_convex(points)
+    # The grid's integer form, taken once.  The enumerators yield the grid's
+    # own point objects, and `points` keeps them alive for the whole loop, so
+    # a candidate's int pairs are found by object identity.  Its polygon then
+    # has the grid's scale, which changes none of its lattice facts.
+    scale, xy = integer_form(points)
+    at = {id(p): q for p, q in zip(points, xy)}
 
     summary = CensusSummary(shape, max_coord, denominator)
     for vertices in candidates:
-        item = classify_item(vertices)
+        item = _classify(vertices, scale, [at[id(v)] for v in vertices])
         summary.add(item)
         if on_item is not None:
             on_item(item)

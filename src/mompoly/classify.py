@@ -11,6 +11,7 @@ parameters reconstruct the triangle exactly.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .lattice import (
     is_lattice_basis,
     weyl_reflect,
 )
-from .polygon import IntPair, Polygon, convex_hull
+from .polygon import IntPair, Polygon, hull_of_form
 
 _ONE = Weight(1, 1)
 
@@ -258,6 +259,16 @@ class DiffType(enum.Enum):
     NONTRIVIAL_P2_BUNDLE = "nontrivial_p2_bundle"      # nontrivial P(C^3)-bundle over S^2
 
 
+def _cone_triangle(x: Fraction, y: Fraction, t: Fraction, r1: Weight, r2: Weight) -> Polygon:
+    """The triangle (x, y) + t*conv(0, r1, r2), built on one integer grid."""
+    scale = math.lcm(x.denominator, y.denominator, t.denominator)
+    bx, by, u = (q.numerator * (scale // q.denominator) for q in (x, y, t))
+    xy = [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+    points = [RationalPoint(Fraction(a, scale), Fraction(b, scale)) for a, b in xy]
+    vertices, hull = hull_of_form(points, xy)
+    return Polygon._from_form(vertices, scale, hull)
+
+
 @dataclass(frozen=True)
 class DelzantFamily:
     """r(-eps2) + s(eps1+eps2) + t*conv(0, d1, d2) with d_i = a_i(-eps2)+b_i*eps1,
@@ -281,11 +292,7 @@ class DelzantFamily:
         return ()
 
     def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s - self.r)
-        d1, d2 = self.deltas()
-        return convex_hull(
-            [base, base + d1.to_point().scale(self.t), base + d2.to_point().scale(self.t)]
-        )
+        return _cone_triangle(self.s, self.s - self.r, self.t, *self.deltas())
 
     def model(self) -> tuple[TotalSpace, str]:
         d1, d2 = self.deltas()
@@ -303,10 +310,7 @@ class _WallFamily:
     t: Fraction
 
     def triangle(self) -> Polygon:
-        base = RationalPoint(self.s, self.s)
-        return convex_hull(
-            [base] + [base + r.to_point().scale(self.t) for r in self.wall_types()[0].rays()]
-        )
+        return _cone_triangle(self.s, self.s, self.t, *self.wall_types()[0].rays())
 
 
 @dataclass(frozen=True)
@@ -467,7 +471,7 @@ class Analysis:
 
         # The parameters must rebuild the triangle: this checks the edge scales
         # and that the edges at the base follow its wall pattern.
-        if set(fam.triangle().vertices) != set(polygon.vertices):
+        if fam.triangle().vertices != polygon.vertices:
             raise AssertionError(f"{fam} does not rebuild the triangle {polygon.vertices}")
         return fam
 

@@ -20,7 +20,6 @@ from .report import (
     DocumentError,
     full_report,
     parse_polytope_document,
-    point_out,
     render_document,
 )
 from .selftest import run_selftest
@@ -64,7 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--shape", choices=["triangles", "all"], default="triangles")
     p_enum.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p_enum.add_argument(
-        "--output", help="write a per-item JSON-lines stream here, summary to stdout"
+        "--output",
+        help="write a per-item JSON-lines stream to this file, summary to stdout "
+        "(- is refused: the summary owns stdout)",
     )
 
     p_plot = sub.add_parser("plot", help="SVG drawing of a polytope")
@@ -91,21 +92,29 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# The end of the stream line of every invalid candidate.
+_INVALID_TAIL = '], "valid": false, "family": null, "kaehler": null, "diff_type": null}\n'
+
+
+def _stream_line(item) -> str:
+    """The census stream's JSON line of an ItemResult."""
+    head = '{"vertices": [' + ", ".join(v.json for v in item.vertices)
+    if not item.valid:
+        return head + _INVALID_TAIL
+    return head + '], "valid": true, "family": %s, "kaehler": %s, "diff_type": %s}\n' % (
+        json.dumps(item.family_tag), json.dumps(item.kaehler), json.dumps(item.diff_type))
+
+
 def _cmd_enumerate(args) -> int:
+    if args.output == "-":
+        print("error: enumerate writes its summary to stdout; give --output a file", file=sys.stderr)
+        return 2
     check_census(args.max_coord, args.denominator, args.shape)
     stream = open(args.output, "w", encoding="utf-8") if args.output else None
     try:
         def on_item(item):
-            if stream is None:
-                return
-            record = {
-                "vertices": [point_out(v) for v in item.vertices],
-                "valid": item.valid,
-                "family": item.family_tag,
-                "kaehler": item.kaehler,
-                "diff_type": item.diff_type,
-            }
-            stream.write(json.dumps(record) + "\n")
+            if stream is not None:
+                stream.write(_stream_line(item))
 
         summary = run_census(
             args.max_coord,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Union
 
@@ -70,6 +71,15 @@ class RationalPoint:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
+
+    @cached_property
+    def json(self) -> str:
+        """The point as JSON text, as the census stream writes it: an
+        integral coordinate as a number, any other as a "p/q" string."""
+        return "[" + ", ".join(
+            str(c.numerator) if c.denominator == 1 else f'"{c.numerator}/{c.denominator}"'
+            for c in (self.x, self.y)
+        ) + "]"
 
 
 # Distinguished lattice vectors.

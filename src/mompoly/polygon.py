@@ -84,8 +84,9 @@ class Polygon:
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
                    xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon of vertices that integer_hull has put in the required
-        order, with their integer form; the order is not checked again."""
+        """The polygon of vertices that integer_hull or hull_of_form has put
+        in the required order, with their integer form on any common scale;
+        the order is not checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
         return polygon
@@ -200,12 +201,21 @@ def integer_hull(
     """
     points = list(points)
     scale, xy = integer_form(points)
+    vertices, hull = hull_of_form(points, xy)
+    return vertices, scale, hull
+
+
+def hull_of_form(
+    points: Sequence[RationalPoint], xy: Sequence[IntPair],
+) -> tuple[tuple[RationalPoint, ...], tuple[IntPair, ...]]:
+    """integer_hull of points whose integer form on some scale is xy (the
+    monotone chain): the hull's vertices and their int pairs."""
     at = dict(zip(xy, points))
     pts = sorted(at)
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     if len(pts) == 1:
-        return (at[pts[0]],), scale, (pts[0],)
+        return (at[pts[0]],), (pts[0],)
 
     def chain(seq):
         out: list[IntPair] = []
@@ -222,7 +232,7 @@ def integer_hull(
         hull = (pts[0], pts[-1])
     else:
         hull = tuple(lower[:-1] + upper[:-1])
-    return tuple(at[q] for q in hull), scale, hull
+    return tuple(at[q] for q in hull), hull
 
 
 def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:

@@ -3,7 +3,8 @@ and SVG drawings, recorded from the engine before its analysis refactor
 (the census-all-2 digests before the integer rewrite of enumerate_convex,
 the census-tri-4 digests before the integer form of polygons, the
 census-all-2-d2 digests before the census rejected candidates on the
-integer hull).
+integer hull, the census-tri-3-d3 digests before the census read its
+grid's integer form and wrote stream lines from cached point texts).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -32,6 +33,8 @@ EXPECTED = {
     "census-tri-3.stream": "75d25b1917fdb0cea9132167a0bf2d00e819c79100efc44e88fe4adb0ab8957b",
     "census-tri-4.summary": "c63ec3ae45c8c2220f4976278d87628a1e54422dbeddc9f3971b8773ab26b123",
     "census-tri-4.stream": "876ca508ff9c55aae682511ebfb87f0cbc25ca67ef9c506768d8b5f9fb44498e",
+    "census-tri-3-d3.summary": "53eeb214ab87790926125983e64538e51fc9d0ac5bbdaacb6b4ee83d1532ed43",
+    "census-tri-3-d3.stream": "4330d0b95c497d2de22bdbd68e3e726b0318ca3bdadb83d2e3103376d2f7b5f2",
     "census-all-1.summary": "990216e89c951aa7c3c4001dc5b9aef1b415d62d8f3c3df6829a41e4e301ee80",
     "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
     "census-all-2.summary": "c05fc4d29a91c5a965a60296d64d4a97931d2a930f800513a57aeacfe01589db",
@@ -93,9 +96,11 @@ def _census(max_coord: int, denominator: int, shape: str, tmp: str) -> tuple[str
 def compute_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
-        # census-all-2-d2 has denominator 2: its polygons have scale 2.
+        # census-tri-3-d3 and census-all-2-d2 have fractional vertices: their
+        # streams write "p/q" coordinates and their polygons have scale > 1.
         for name, max_coord, denominator, shape in (("census-tri-3", 3, 1, "triangles"),
                                                     ("census-tri-4", 4, 1, "triangles"),
+                                                    ("census-tri-3-d3", 3, 3, "triangles"),
                                                     ("census-all-1", 1, 1, "all"),
                                                     ("census-all-2", 2, 1, "all"),
                                                     ("census-all-2-d2", 2, 2, "all")):

@@ -108,6 +108,28 @@ def test_classify_item_takes_any_point_tuple(coords):
     assert classify_item(vertices).vertices is vertices
 
 
+@pytest.mark.parametrize("max_coord, denominator, shape", [
+    (3, 1, "triangles"), (3, 2, "triangles"), (3, 3, "triangles"), (2, 1, "all"), (2, 2, "all"),
+])
+def test_census_items_agree_with_classify_item(max_coord, denominator, shape):
+    """run_census reads each candidate's int pairs from the grid's integer
+    form; classify_item takes the candidate's own.  Both give the same items."""
+    items = []
+    run_census(max_coord, denominator, shape, on_item=items.append)
+    points = grid_points(max_coord, denominator)
+    candidates = enumerate_triangles(points) if shape == "triangles" else enumerate_convex(points)
+    assert items == [classify_item(vertices) for vertices in candidates]
+
+
+@pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
+def test_enumerators_yield_the_grid_points_themselves(enumerate_candidates):
+    """run_census finds a candidate's int pairs by the identity of its points."""
+    points = grid_points(2, 2)
+    ids = {id(p) for p in points}
+    candidates = list(enumerate_candidates(points))
+    assert candidates and all(id(v) in ids for vertices in candidates for v in vertices)
+
+
 def test_classify_item_refuses_chamber_exit():
     vertices = tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1)))
     for route in (classify_item, _classify_via_analysis):

@@ -163,6 +163,14 @@ class TestClassifyTriangle:
         ]:
             assert classify_triangle(fam.triangle()) == fam
 
+    def test_rebuild_check_catches_a_wrong_scale(self, monkeypatch):
+        # A wall pattern whose family has the wrong t does not rebuild the
+        # triangle, and Analysis.family refuses it.
+        family = HalfReflPlus.family
+        monkeypatch.setattr(HalfReflPlus, "family", lambda self, s, t: family(self, s, 2 * t))
+        with pytest.raises(AssertionError, match="does not rebuild"):
+            classify_triangle(P((0, 0), (1, -1), (4, -3)))
+
     def test_wall_edge_l_minus_canonicalizes(self):
         fam = WallEdgeFamily(Fraction(0), Fraction(1), 2, -1)
         assert classify_triangle(fam.triangle()) == WallEdgeFamily(
@@ -176,6 +184,42 @@ class TestClassifyTriangle:
         assert moved == HalfReflPlusFamily(
             5 + Fraction(3, 2) * fam.s, Fraction(3, 2) * fam.t, fam.j
         )
+
+
+_UNIMODULAR = tuple(
+    (a1, b1, a2, b2) for a1, b1, a2, b2 in itertools.product(range(-3, 4), repeat=4)
+    if a1 * b2 - a2 * b1 == 1 and a1 + b1 >= 0 and a2 + b2 >= 0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7))
+def test_family_triangle_is_the_fraction_hull(data, s, t):
+    """fam.triangle() builds base + t*conv(0, r1, r2) on one integer grid.
+    It is the hull of the same three points built with Fractions, and its
+    integer form is its vertices times its scale."""
+    kind = data.draw(st.sampled_from(
+        ("delzant", "wall_edge", "half_refl_plus", "half_refl_minus", "reflection")))
+    if kind == "delzant":
+        r = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7))
+        fam = DelzantFamily(r, s, t, *data.draw(st.sampled_from(_UNIMODULAR)))
+        base, rays = RationalPoint(s, s - r), fam.deltas()
+    else:
+        k, l, j = (data.draw(st.integers(-3, 3)), data.draw(st.sampled_from((1, -1))),
+                   data.draw(st.integers(0, 4)))
+        fam = {
+            "wall_edge": WallEdgeFamily(s, t, k, l),
+            "half_refl_plus": HalfReflPlusFamily(s, t, j),
+            "half_refl_minus": HalfReflMinusFamily(s, t, j),
+            "reflection": ReflectionFamily(s, t),
+        }[kind]
+        base, rays = RationalPoint(s, s), fam.wall_types()[0].rays()
+    expected = convex_hull([base] + [base + r.to_point().scale(t) for r in rays])
+    tri = fam.triangle()
+    assert tri.vertices == expected.vertices
+    assert [(Fraction(x, tri.scale), Fraction(y, tri.scale)) for x, y in tri.xy] == [
+        (v.x, v.y) for v in tri.vertices]
 
 
 @functools.lru_cache(maxsize=None)

@@ -194,6 +194,19 @@ class TestEnumerateCommand:
     def test_bad_flags(self, capsys):
         assert main(["enumerate", "--max-coord", "0"]) == 2
 
+    def test_output_dash_refused(self, monkeypatch, tmp_path, capsys):
+        # The summary owns stdout, so "-" is refused, not taken as a file
+        # name, before the grid is built.
+        calls = []
+        monkeypatch.setattr(census, "grid_points", lambda *args: calls.append(args) or [])
+        monkeypatch.chdir(tmp_path)
+        assert main(["enumerate", "--max-coord", "1", "--output", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_max_coord_cap(self, monkeypatch, tmp_path, capsys):
         # A refused census exits 2 before it builds the grid or opens --output.
         calls = []

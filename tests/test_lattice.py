@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from mompoly.lattice import (
     primitive_ray,
     weyl_reflect,
 )
+from mompoly.report import point_out
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -88,3 +90,9 @@ def test_basis_implies_primitive(u, v):
     if is_lattice_basis(u, v):
         assert primitive_ray(u) == u
         assert primitive_ray(v) == v
+
+
+@given(points)
+def test_json_text_is_the_report_form(p):
+    # The census stream writes p.json; reports write point_out(p).
+    assert p.json == json.dumps(point_out(p))
