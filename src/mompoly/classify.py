@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
@@ -236,10 +237,11 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
     if dim != 2:
         return ClassificationReport(False, dim, ())
 
-    data = tuple(
+    # Tuples are built from lists: see the polygon module's docstring.
+    data = tuple([
         VertexAnalysis(v, rays, x == y, *vertex_kind(x == y, *rays))
         for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays)
-    )
+    ])
     valid = all(va.kind != "invalid" for va in data)
     return ClassificationReport(valid, dim, data)
 
@@ -423,19 +425,33 @@ class Analysis:
         }
 
     @cached_property
+    def _fixpoints(self) -> tuple[tuple[IntPair, RationalPoint, int], ...]:
+        """(integer form, image, multiplicity) of each distinct T-fixpoint
+        image, in vertex order: an interior vertex and its reflection once
+        each, a wall vertex `fixpoints` times for its type."""
+        require_valid(self)
+        out = []
+        polygon = self.polygon
+        for v, (x, y), va in zip(polygon.vertices, polygon.xy, self.report.vertex_data):
+            wt = va.wall_type
+            if wt is None:
+                out += (((x, y), v, 1), ((y, x), weyl_reflect(v), 1))
+            elif wt.fixpoints:
+                out.append(((x, y), v, wt.fixpoints))
+        return tuple(out)
+
+    @cached_property
     def fixpoint_images(self) -> Counter:
         """The T-fixpoint images; see kaehler.fixpoint_images, which returns
         a copy."""
-        require_valid(self)
-        images: Counter = Counter()
-        for v in self.polygon.vertices:
-            wt = self.wall_types.get(v)
-            if wt is None:
-                images[v] += 1
-                images[weyl_reflect(v)] += 1
-            elif wt.fixpoints:
-                images[v] += wt.fixpoints
-        return images
+        return Counter({p: m for _, p, m in self._fixpoints})
+
+    @cached_property
+    def sorted_fixpoint_images(self) -> tuple[tuple[RationalPoint, int], ...]:
+        """(image, multiplicity) in the order of the images.  The positive
+        scale of the integer form keeps that order, so the int pairs are
+        sorted, not the fractions."""
+        return tuple([(p, m) for _, p, m in sorted(self._fixpoints, key=itemgetter(0))])
 
     @cached_property
     def family(self) -> TriangleFamily:

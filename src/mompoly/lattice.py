@@ -38,9 +38,6 @@ class Weight:
 
     __rmul__ = __mul__
 
-    def to_point(self) -> "RationalPoint":
-        return RationalPoint(Fraction(self.a), Fraction(self.b))
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -64,10 +61,6 @@ class RationalPoint:
 
     def __neg__(self) -> "RationalPoint":
         return RationalPoint(-self.x, -self.y)
-
-    def scale(self, t: RationalLike) -> "RationalPoint":
-        t = Fraction(t)
-        return RationalPoint(self.x * t, self.y * t)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0

@@ -13,6 +13,13 @@ and the wall x = y.  So each polygon computes its integer form once, a
 common denominator `scale` of its coordinates and its vertices times
 `scale` as int pairs `xy`, and reads those facts from it with integer
 arithmetic.
+
+The tuples a polygon keeps are built from lists, not from generators.
+CPython builds a tuple from a generator by resizing it, so when it is
+freed it joins the free list of a size it was not taken from.  Those
+lists keep up to 2,000 tuples per size until a full garbage collection,
+which a long run of reports seldom triggers, and so they raise the
+peak memory.
 """
 
 from __future__ import annotations
@@ -55,9 +62,6 @@ class Edge:
 
     tail: RationalPoint
     head: RationalPoint
-
-    def direction(self) -> RationalPoint:
-        return self.head - self.tail
 
     def contains(self, p: RationalPoint) -> bool:
         _, (a, b, q) = integer_form((self.tail, self.head, p))
@@ -106,7 +110,7 @@ class Polygon:
             return ()
         if len(vs) == 2:
             return (Edge(vs[0], vs[1]),)
-        return tuple(Edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
+        return tuple([Edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1])])
 
     def edges(self) -> tuple[Edge, ...]:
         """Counterclockwise boundary edges (empty for points, one for segments)."""
@@ -117,7 +121,7 @@ class Polygon:
         """vertex_rays of every vertex, in vertex order."""
         if self.dimension() != 2:
             raise GeometryError("vertex rays need a 2-dimensional polygon")
-        return tuple(int_rays(self.xy))
+        return tuple(list(int_rays(self.xy)))
 
     def vertex_rays(self, v: RationalPoint) -> tuple[Weight, Weight]:
         """Primitive rays of the cone spanned by the polygon at the vertex v.
@@ -137,7 +141,7 @@ class Polygon:
         if self.dimension() != 2:
             raise GeometryError("normals need a 2-dimensional polygon")
         # Interior lies to the left of every counterclockwise edge.
-        return tuple(Weight(-d.b, d.a) for d, _ in self.rays)
+        return tuple([Weight(-d.b, d.a) for d, _ in self.rays])
 
     def inward_primitive_normal(self, e: Edge) -> Weight:
         """Primitive lattice vector perpendicular to e pointing into the polygon."""
@@ -174,9 +178,12 @@ class Polygon:
         return convex_hull([weyl_reflect(v) for v in self.vertices])
 
     def t_polytope(self) -> "Polygon":
-        """Hull of the polygon together with its Weyl reflection."""
+        """Hull of the polygon together with its Weyl reflection, on the
+        polygon's scale: the reflection swaps the int pairs."""
         pts = list(self.vertices) + [weyl_reflect(v) for v in self.vertices]
-        return convex_hull(pts)
+        xy = list(self.xy) + [(y, x) for x, y in self.xy]
+        vertices, hull = hull_of_form(pts, xy)
+        return Polygon._from_form(vertices, self.scale, hull)
 
     def transform(self, s: RationalLike, t: RationalLike) -> "Polygon":
         """Vertex-wise map v -> s*(eps1+eps2) + t*v; t must be positive."""
@@ -232,7 +239,7 @@ def hull_of_form(
         hull = (pts[0], pts[-1])
     else:
         hull = tuple(lower[:-1] + upper[:-1])
-    return tuple(at[q] for q in hull), hull
+    return tuple([at[q] for q in hull]), hull
 
 
 def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:

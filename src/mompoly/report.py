@@ -3,7 +3,9 @@
 Polytope documents are JSON objects with a "vertices" list of [x, y]
 pairs; coordinates are integers or exact fraction strings "p/q".
 Reports mirror the full analysis with a fixed key order so output is
-byte-identical across runs.
+byte-identical across runs.  The module renders them with its own
+renderer, whose text is byte-identical to json.dumps(indent=2), and
+lists the fixpoint images in the order that their integer form gives.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import UnsupportedPolytopeError
 from .kaehler import (
     build_xray,
     fixpoint_boundary_check,
-    fixpoint_images,
     is_kaehlerizable,
 )
 from .lattice import RationalPoint, Weight
@@ -98,8 +99,59 @@ def polytope_document(points: list[RationalPoint]) -> dict:
     return {"vertices": [point_out(p) for p in points]}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """The document as json.dumps(doc, indent=2) writes it, byte for byte,
+    and a newline.  (Given an indent, json.dumps runs the json module's
+    pure-Python encoder.)  Only the report's value types are rendered:
+    dicts with str keys, lists, str, int, bool and None; any other value
+    raises TypeError."""
+    out: list[str] = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(value, newline: str, out: list[str]) -> None:
+    """Append the text of value, whose container lines start with newline."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            _render(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 def _not_applicable(reason: str) -> dict:
@@ -174,9 +226,8 @@ def full_report(points: list[RationalPoint]) -> dict:
             [point_out(witness.tail), point_out(witness.head)] if witness else None
         ),
     }
-    images = fixpoint_images(analysis)
     doc["fixpoint_images"] = [
-        {"point": point_out(p), "multiplicity": m} for p, m in sorted(images.items())
+        {"point": point_out(p), "multiplicity": m} for p, m in analysis.sorted_fixpoint_images
     ]
 
     if len(polygon) == 3:

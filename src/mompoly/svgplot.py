@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import analyze
-from .kaehler import build_xray, fixpoint_images
+from .kaehler import build_xray
 from .lattice import RationalPoint
 from .polygon import Polygon
 
@@ -123,7 +123,7 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
             )
 
     if "fixpoints" in overlays:
-        for point, mult in sorted(fixpoint_images(analysis).items()):
+        for point, mult in analysis.sorted_fixpoint_images:
             cx, cy = canvas.map(point)
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
             parts.append(

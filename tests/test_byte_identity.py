@@ -4,7 +4,9 @@ and SVG drawings, recorded from the engine before its analysis refactor
 the census-tri-4 digests before the integer form of polygons, the
 census-all-2-d2 digests before the census rejected candidates on the
 integer hull, the census-tri-3-d3 digests before the census read its
-grid's integer form and wrote stream lines from cached point texts).
+grid's integer form and wrote stream lines from cached point texts, the
+reports.rational digest before reports were rendered by their own
+renderer and their fixpoint images ordered on the integer form).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -19,6 +21,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 from mompoly.cli import main
 from mompoly.lattice import RationalPoint
@@ -43,6 +46,7 @@ EXPECTED = {
     "census-all-2-d2.stream": "8ab3340c46ee96784d969cbc49cb4c647e5dd3d51e6ff9bcb05d1517990e399e",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
+    "reports.rational": "99743ab99a9ed1f617dbbdfd5465555819180d8e2a7151cc3b0a797c09d93002",
     "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
     "svg.figures": "74d82aa1a56d795e1476c815b34ad65e47b9889ff207c37a737af976d7b2a1b9",
 }
@@ -70,9 +74,24 @@ FIXTURES = (
     ((0, 0), (1, 1), (3, 2), (2, 0)),                        # two wall vertices
 )
 
+# Maps v -> s(eps1+eps2) + t*v with mixed denominators.  On the moved
+# polygons the order of the fixpoint images is an order of fractions
+# across denominators.
+MOVES = (
+    (Fraction(1, 3), Fraction(7, 5)),
+    (Fraction(-5, 7), Fraction(11, 6)),
+    (Fraction(2, 9), Fraction(3, 4)),
+)
+
 
 def _points(coords):
     return [RationalPoint.of(x, y) for x, y in coords]
+
+
+def rational_inputs():
+    """The vertices of every fixture and figure polygon moved by each of MOVES."""
+    return [list(convex_hull(_points(c)).transform(s, t).vertices)
+            for c in FIXTURES + FIGURES for s, t in MOVES]
 
 
 def _sha(parts) -> str:
@@ -111,6 +130,8 @@ def compute_digests() -> dict:
         render_document(full_report(_points(c))) for c in FIXTURES)
     digests["reports.figures"] = _sha(
         render_document(full_report(_points(c))) for c in FIGURES)
+    digests["reports.rational"] = _sha(
+        render_document(full_report(points)) for points in rational_inputs())
     digests["reports.sweep"] = _sha(
         render_document(full_report(list(fam.triangle().vertices)))
         for fam in _sweep_families())

@@ -215,7 +215,7 @@ def test_family_triangle_is_the_fraction_hull(data, s, t):
             "reflection": ReflectionFamily(s, t),
         }[kind]
         base, rays = RationalPoint(s, s), fam.wall_types()[0].rays()
-    expected = convex_hull([base] + [base + r.to_point().scale(t) for r in rays])
+    expected = convex_hull([base] + [RationalPoint(base.x + t * r.a, base.y + t * r.b) for r in rays])
     tri = fam.triangle()
     assert tri.vertices == expected.vertices
     assert [(Fraction(x, tri.scale), Fraction(y, tri.scale)) for x, y in tri.xy] == [
@@ -256,7 +256,7 @@ def test_verdicts_invariant_under_shift_and_scale(data, s0, t0, s, t):
 
 def _at_origin(wt):
     """conv(0, r1, r2) for the rays r1, r2 of a wall pattern."""
-    return convex_hull([RationalPoint.of(0, 0)] + [r.to_point() for r in wt.rays()])
+    return convex_hull([RationalPoint.of(0, 0)] + [RationalPoint.of(r.a, r.b) for r in wt.rays()])
 
 
 # One fixed triangle per family and per wall pattern, with what the package

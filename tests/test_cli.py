@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mompoly import census
 from mompoly.cli import main
@@ -59,6 +61,35 @@ class TestDocuments:
                      *(json.dumps({"vertices": [[1, c]]}) for c in bad_coords)]:
             with pytest.raises(DocumentError):
                 parse_polytope_document(text)
+
+
+# Report-shaped trees: the leaves are every value type a report holds, with
+# strings of any code point (quotes, backslashes, control characters, lone
+# surrogates) and ints of up to several hundred digits.
+_leaves = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=-10**700, max_value=10**700)
+           | st.text(st.characters(blacklist_categories=()))
+           | st.text('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\U0001d11e'))
+_trees = st.recursive(
+    _leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(st.characters(blacklist_categories=())),
+                                        children, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), _trees, max_size=5))
+def test_render_document_is_json_dumps_indent_2(doc):
+    assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1, 2}, object(), {1: "a"},
+                                   (1, 2), [[{"a": 1.0}]]])
+def test_render_document_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        render_document({"value": value})
 
 
 class TestClassifyCommand:

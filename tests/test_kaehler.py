@@ -24,7 +24,9 @@ from mompoly.kaehler import (
 )
 from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
-from mompoly.report import full_report
+from mompoly.report import full_report, point_out
+
+from test_byte_identity import FIXTURES, rational_inputs
 
 
 def P(*coords):
@@ -136,6 +138,22 @@ class TestFixpointImages:
         assert fixpoint_images(analysis) == fixpoint_images(WOODWARD)
         assert build_xray(analysis) == build_xray(WOODWARD)
         assert full_report(points) == doc
+
+    def test_report_lists_images_in_sorted_order(self):
+        # The report orders the images on the integer form; the order is the
+        # one of sorted RationalPoints, here across mixed denominators.
+        inputs = [[pt(x, y) for x, y in c] for c in FIXTURES] + rational_inputs()
+        checked = 0
+        for points in inputs:
+            analysis = analyze(convex_hull(points))
+            if not analysis.report.valid:
+                continue
+            assert full_report(points)["fixpoint_images"] == [
+                {"point": point_out(p), "multiplicity": m}
+                for p, m in sorted(fixpoint_images(analysis).items())
+            ]
+            checked += 1
+        assert checked == 60
 
 
 class TestFixpointBoundaryCheck:

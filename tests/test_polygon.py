@@ -133,7 +133,7 @@ def test_edges_close_up(pts):
     for e in hull.edges():
         assert e.tail in hull.vertices and e.head in hull.vertices
     if len(hull) >= 3:
-        assert sum((coroot_pairing(e.direction()) for e in hull.edges()), Fraction(0)) == 0
+        assert sum((coroot_pairing(e.head - e.tail) for e in hull.edges()), Fraction(0)) == 0
 
 
 def test_polygon_refuses_reversed_vertices():
