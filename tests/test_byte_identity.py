@@ -6,7 +6,9 @@ census-all-2-d2 digests before the census rejected candidates on the
 integer hull, the census-tri-3-d3 digests before the census read its
 grid's integer form and wrote stream lines from cached point texts, the
 reports.rational digest before reports were rendered by their own
-renderer and their fixpoint images ordered on the integer form).
+renderer and their fixpoint images ordered on the integer form, the
+svg.rational digest before the analysis kept its fixpoints in one
+integer-ordered tuple).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -23,6 +25,7 @@ import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+from mompoly.classify import analyze
 from mompoly.cli import main
 from mompoly.lattice import RationalPoint
 from mompoly.polygon import convex_hull
@@ -49,6 +52,7 @@ EXPECTED = {
     "reports.rational": "99743ab99a9ed1f617dbbdfd5465555819180d8e2a7151cc3b0a797c09d93002",
     "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
     "svg.figures": "74d82aa1a56d795e1476c815b34ad65e47b9889ff207c37a737af976d7b2a1b9",
+    "svg.rational": "c2370fa8f442ef37ae0971f01decff6b43bf1e6db936e4235564e9429efd726f",
 }
 
 FIGURES = (
@@ -94,6 +98,12 @@ def rational_inputs():
             for c in FIXTURES + FIGURES for s, t in MOVES]
 
 
+def _valid_rational_polygons():
+    """The hulls of rational_inputs() that are valid momentum polytopes."""
+    hulls = (convex_hull(points) for points in rational_inputs())
+    return [h for h in hulls if analyze(h).report.valid]
+
+
 def _sha(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -137,6 +147,8 @@ def compute_digests() -> dict:
         for fam in _sweep_families())
     digests["svg.figures"] = _sha(
         render_svg(convex_hull(_points(c)), OVERLAYS) for c in FIGURES)
+    digests["svg.rational"] = _sha(
+        render_svg(polygon, ("fixpoints",)) for polygon in _valid_rational_polygons())
     return digests
 
 
