@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -410,7 +409,8 @@ TriangleFamily = Union[
 @dataclass(frozen=True)
 class Analysis:
     """A polygon with its validity report.  The facts derived from them are
-    computed on first use and kept as long as the Analysis is."""
+    computed on first use and kept as long as the Analysis is, each in one
+    form only: the T-fixpoint images as `fixpoints`, in their order."""
 
     polygon: Polygon
     report: ClassificationReport
@@ -425,10 +425,12 @@ class Analysis:
         }
 
     @cached_property
-    def _fixpoints(self) -> tuple[tuple[IntPair, RationalPoint, int], ...]:
-        """(integer form, image, multiplicity) of each distinct T-fixpoint
-        image, in vertex order: an interior vertex and its reflection once
-        each, a wall vertex `fixpoints` times for its type."""
+    def fixpoints(self) -> tuple[tuple[IntPair, RationalPoint, int], ...]:
+        """(int pair, image, multiplicity) of each distinct T-fixpoint image:
+        an interior vertex and its reflection once each, a wall vertex
+        `fixpoints` times for its type.  The int pairs are on the polygon's
+        grid, which is its T-polytope's too, and sorted: the positive scale
+        keeps the order of the images."""
         require_valid(self)
         out = []
         polygon = self.polygon
@@ -438,20 +440,8 @@ class Analysis:
                 out += (((x, y), v, 1), ((y, x), weyl_reflect(v), 1))
             elif wt.fixpoints:
                 out.append(((x, y), v, wt.fixpoints))
+        out.sort(key=itemgetter(0))
         return tuple(out)
-
-    @cached_property
-    def fixpoint_images(self) -> Counter:
-        """The T-fixpoint images; see kaehler.fixpoint_images, which returns
-        a copy."""
-        return Counter({p: m for _, p, m in self._fixpoints})
-
-    @cached_property
-    def sorted_fixpoint_images(self) -> tuple[tuple[RationalPoint, int], ...]:
-        """(image, multiplicity) in the order of the images.  The positive
-        scale of the integer form keeps that order, so the int pairs are
-        sorted, not the fractions."""
-        return tuple([(p, m) for _, p, m in sorted(self._fixpoints, key=itemgetter(0))])
 
     @cached_property
     def family(self) -> TriangleFamily:

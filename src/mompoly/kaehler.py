@@ -6,6 +6,10 @@ coroot) contains the wall vertex; with zero or two wall vertices there
 is no obstruction.  The equivalent criterion — all maximal-torus
 fixpoint images on the boundary of the T-momentum polytope — and the
 x-ray of the torus action are computed as independent data.
+
+The fixpoint images come from `Analysis.fixpoints`, whose int pairs are
+tested on the T-polytope's grid; fixpoint_images and XRay.fixpoints are
+fresh Counters built from that tuple.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
 from .lattice import ALPHA, RationalPoint, coroot_pairing, weyl_reflect
-from .polygon import Edge
+from .polygon import Edge, on_boundary
 
 # Multiset of T-momentum images of the T-fixpoints.
 FixpointImages = Counter
@@ -54,7 +58,7 @@ def fixpoint_images(polygon: PolygonLike) -> FixpointImages:
     vertices contribute `fixpoints` of their type: wall-edge once,
     half-reflection twice, reflection not at all.
     """
-    return Counter(analyze(polygon).fixpoint_images)
+    return Counter({p: m for _, p, m in analyze(polygon).fixpoints})
 
 
 def _require_one_wall_vertex(analysis: Analysis) -> RationalPoint:
@@ -74,8 +78,8 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     """
     analysis = require_valid(polygon)
     _require_one_wall_vertex(analysis)
-    pt = analysis.polygon.t_polytope()
-    return all(pt.boundary_contains(p) for p in analysis.fixpoint_images)
+    xy = analysis.polygon.t_polytope().xy
+    return all(on_boundary(xy, q) for q, _, _ in analysis.fixpoints)
 
 
 def atiyah_cross_check(polygon: PolygonLike) -> bool:
@@ -157,4 +161,4 @@ def build_xray(polygon: PolygonLike) -> XRay:
         strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
         strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
 
-    return XRay(Counter(analysis.fixpoint_images), tuple(strata))
+    return XRay(fixpoint_images(analysis), tuple(strata))

@@ -2,7 +2,8 @@
 
 A Polygon stores its extreme points only, in counterclockwise order,
 starting at the lexicographically smallest vertex: the constructor
-accepts a vertex tuple exactly when integer_hull returns it unchanged.
+accepts a vertex tuple exactly when convex_hull, the one hull entry
+point, returns it unchanged.
 Degenerate hulls (a single point or a segment) are permitted;
 operations that need a 2-dimensional polygon say so.
 
@@ -12,7 +13,9 @@ of its vertices, the sign of every cross product, the chamber x >= y
 and the wall x = y.  So each polygon computes its integer form once, a
 common denominator `scale` of its coordinates and its vertices times
 `scale` as int pairs `xy`, and reads those facts from it with integer
-arithmetic.
+arithmetic.  A point tested against a polygon joins its vertices on
+one grid through integer_form; int pairs that already lie on the
+polygon's grid are tested with on_boundary.
 
 The tuples a polygon keeps are built from lists, not from generators.
 CPython builds a tuple from a generator by resizing it, so when it is
@@ -76,21 +79,21 @@ class Polygon:
     xy: tuple[IntPair, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vertices, scale, xy = integer_hull(self.vertices)
-        if vertices != tuple(self.vertices):
+        hull = convex_hull(self.vertices)
+        if hull.vertices != tuple(self.vertices):
             raise GeometryError(
                 "vertices are not the extreme points of a convex polytope in counterclockwise "
                 "order from the lexicographically smallest one"
             )
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "scale", hull.scale)
+        object.__setattr__(self, "xy", hull.xy)
 
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
                    xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon of vertices that integer_hull or hull_of_form has put
-        in the required order, with their integer form on any common scale;
-        the order is not checked again."""
+        """The polygon of vertices that hull_of_form has put in the
+        required order, with their integer form on any common scale; the
+        order is not checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
         return polygon
@@ -151,25 +154,17 @@ class Polygon:
         except ValueError:
             raise GeometryError(f"{e} is not an edge") from None
 
-    def _with_point(self, p: RationalPoint) -> tuple[list[IntPair], IntPair]:
-        """The vertices and p on one integer grid."""
-        scale = math.lcm(self.scale, p.x.denominator, p.y.denominator)
-        m = scale // self.scale
-        q = (p.x.numerator * (scale // p.x.denominator),
-             p.y.numerator * (scale // p.y.denominator))
-        return [(m * x, m * y) for x, y in self.xy], q
-
     def boundary_contains(self, p: RationalPoint) -> bool:
         if self.dimension() != 2:
             raise GeometryError("boundary test needs a 2-dimensional polygon")
-        xy, q = self._with_point(p)
-        return any(_on_segment(a, b, q) for a, b in zip(xy, xy[1:] + xy[:1]))
+        _, (*xy, q) = integer_form([*self.vertices, p])
+        return on_boundary(xy, q)
 
     def contains(self, p: RationalPoint) -> bool:
         """Membership in the (closed) convex hull, any dimension."""
         if len(self.vertices) == 1:
             return p == self.vertices[0]
-        xy, q = self._with_point(p)
+        _, (*xy, q) = integer_form([*self.vertices, p])
         if len(xy) == 2:
             return _on_segment(xy[0], xy[1], q)
         return all(_turn(a, b, q) >= 0 for a, b in zip(xy, xy[1:] + xy[:1]))
@@ -195,28 +190,12 @@ class Polygon:
         )
 
 
-def integer_hull(
-    points: Iterable[RationalPoint],
-) -> tuple[tuple[RationalPoint, ...], int, tuple[IntPair, ...]]:
-    """The vertices of the convex hull, counterclockwise from the
-    lexicographically smallest, with their integer form (scale, xy).
-
-    Duplicates and non-extreme points (including interior points of edges)
-    are dropped.  The hull is taken on the integer form of the points
-    (lexicographic order is kept by the scaling), and its vertices are the
-    caller's own points.
-    """
-    points = list(points)
-    scale, xy = integer_form(points)
-    vertices, hull = hull_of_form(points, xy)
-    return vertices, scale, hull
-
-
 def hull_of_form(
     points: Sequence[RationalPoint], xy: Sequence[IntPair],
 ) -> tuple[tuple[RationalPoint, ...], tuple[IntPair, ...]]:
-    """integer_hull of points whose integer form on some scale is xy (the
-    monotone chain): the hull's vertices and their int pairs."""
+    """The convex hull of points whose integer form on some scale is xy
+    (the monotone chain): the hull's vertices, counterclockwise from the
+    lexicographically smallest, and their int pairs."""
     at = dict(zip(xy, points))
     pts = sorted(at)
     if not pts:
@@ -242,6 +221,12 @@ def hull_of_form(
     return tuple([at[q] for q in hull]), hull
 
 
+def on_boundary(xy: Sequence[IntPair], q: IntPair) -> bool:
+    """True iff the int pair q lies on the boundary of the counterclockwise
+    cycle xy of three or more int pairs on q's grid."""
+    return any(_on_segment(a, b, q) for a, b in zip(xy, xy[1:] + xy[:1]))
+
+
 def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:
     """Yield the primitive rays of the cone at each vertex of a
     counterclockwise cycle of three or more int pairs, in vertex order:
@@ -260,9 +245,15 @@ def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:
 
 
 def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
-    """Convex hull, counterclockwise, lexicographically smallest vertex
-    first; see integer_hull."""
-    return Polygon._from_form(*integer_hull(points))
+    """Convex hull, counterclockwise from the lexicographically smallest
+    vertex, with its integer form.  Duplicates and non-extreme points
+    (including interior points of edges) are dropped.  The hull is taken
+    on the integer form of the points, whose scaling keeps their
+    lexicographic order, and its vertices are the caller's own points."""
+    points = list(points)
+    scale, xy = integer_form(points)
+    vertices, hull = hull_of_form(points, xy)
+    return Polygon._from_form(vertices, scale, hull)
 
 
 def triangle(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> Polygon:

@@ -11,6 +11,7 @@ lists the fixpoint images in the order that their integer form gives.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -41,7 +42,8 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # Reports print integers with up to about four times the digits of the input
 # coordinates (the rays of an edge multiply numerators by denominators), so
 # this cap keeps every rendered number under the interpreter's 4,300-digit
-# str(int) limit.
+# str(int) limit.  The common denominator of a document has the same cap:
+# a polygon's integer form scales every coordinate by it.
 MAX_DIGITS = 1000
 _DIGIT_BOUND = 10**MAX_DIGITS
 
@@ -88,10 +90,16 @@ def parse_polytope_document(text: str) -> list[RationalPoint]:
     if not isinstance(raw, list) or not raw:
         raise DocumentError('"vertices" must be a non-empty list')
     points = []
+    scale = 1
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentError(f"vertex {entry!r:.40} is not an [x, y] pair")
-        points.append(RationalPoint(parse_rational(entry[0]), parse_rational(entry[1])))
+        p = RationalPoint(parse_rational(entry[0]), parse_rational(entry[1]))
+        scale = math.lcm(scale, p.x.denominator, p.y.denominator)
+        if scale >= _DIGIT_BOUND:
+            raise DocumentError(
+                f"the coordinates' common denominator has more than {MAX_DIGITS} digits")
+        points.append(p)
     return points
 
 
@@ -227,7 +235,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         ),
     }
     doc["fixpoint_images"] = [
-        {"point": point_out(p), "multiplicity": m} for p, m in analysis.sorted_fixpoint_images
+        {"point": point_out(p), "multiplicity": m} for _, p, m in analysis.fixpoints
     ]
 
     if len(polygon) == 3:

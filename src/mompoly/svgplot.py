@@ -3,7 +3,8 @@ fixpoint images.
 
 All geometric decisions happen upstream in exact arithmetic; floats are
 used here only to format display coordinates with a fixed precision, so
-identical input always yields identical bytes.
+identical input always yields identical bytes.  A display coordinate that
+does not fit a float raises GeometryError.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import analyze
+from .errors import GeometryError
 from .kaehler import build_xray
 from .lattice import RationalPoint
 from .polygon import Polygon
@@ -21,8 +23,11 @@ _MARGIN = Fraction(1)
 OVERLAYS = ("reflection", "xray", "fixpoints")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+def _fmt(value: Fraction) -> str:
+    try:
+        return f"{float(value):.2f}"
+    except OverflowError:
+        raise GeometryError("a display coordinate does not fit a float") from None
 
 
 class _Canvas:
@@ -38,14 +43,14 @@ class _Canvas:
 
     def map(self, p: RationalPoint) -> tuple[str, str]:
         return (
-            _fmt(float((p.x - self.x0) * _SCALE)),
-            _fmt(float((self.y1 - p.y) * _SCALE)),
+            _fmt((p.x - self.x0) * _SCALE),
+            _fmt((self.y1 - p.y) * _SCALE),
         )
 
     def size(self) -> tuple[str, str]:
         return (
-            _fmt(float((self.x1 - self.x0) * _SCALE)),
-            _fmt(float((self.y1 - self.y0) * _SCALE)),
+            _fmt((self.x1 - self.x0) * _SCALE),
+            _fmt((self.y1 - self.y0) * _SCALE),
         )
 
 
@@ -123,7 +128,7 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
             )
 
     if "fixpoints" in overlays:
-        for point, mult in analysis.sorted_fixpoint_images:
+        for _, point, mult in analysis.fixpoints:
             cx, cy = canvas.map(point)
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
             parts.append(

@@ -98,12 +98,6 @@ def rational_inputs():
             for c in FIXTURES + FIGURES for s, t in MOVES]
 
 
-def _valid_rational_polygons():
-    """The hulls of rational_inputs() that are valid momentum polytopes."""
-    hulls = (convex_hull(points) for points in rational_inputs())
-    return [h for h in hulls if analyze(h).report.valid]
-
-
 def _sha(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -147,8 +141,10 @@ def compute_digests() -> dict:
         for fam in _sweep_families())
     digests["svg.figures"] = _sha(
         render_svg(convex_hull(_points(c)), OVERLAYS) for c in FIGURES)
+    # The fixpoints overlay needs a valid polygon.
     digests["svg.rational"] = _sha(
-        render_svg(polygon, ("fixpoints",)) for polygon in _valid_rational_polygons())
+        render_svg(hull, ("fixpoints",)) for hull in map(convex_hull, rational_inputs())
+        if analyze(hull).report.valid)
     return digests
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mompoly.classify
 import mompoly.difftype
+import mompoly.kaehler
 import mompoly.polygon
 from mompoly.census import classify_item, enumerate_convex, enumerate_triangles, grid_points
 from mompoly.classify import (
@@ -435,7 +436,7 @@ class TestAnalysis:
 
     def test_full_report_computes_each_fact_once(self, monkeypatch):
         calls = Counter()
-        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal", "boundary_contains")
+        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal")
         for name in methods:
             def counting(self, *args, _name=name, _original=getattr(Polygon, name)):
                 calls[_name] += 1
@@ -447,10 +448,18 @@ class TestAnalysis:
             calls["edge_rays"] += 1
             return _original(a, b)
 
+        def counting_boundary(xy, q, _original=mompoly.kaehler.on_boundary):
+            calls["on_boundary"] += 1
+            return _original(xy, q)
+
         monkeypatch.setattr(mompoly.polygon, "primitive_int_ray", counting_rays)
-        woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
-        one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
-        for coords in (woodward, one_wall_triangle):
+        monkeypatch.setattr(mompoly.kaehler, "on_boundary", counting_boundary)
+        # (coordinates, boundary tests): the Woodward quadrilateral's fourth
+        # image in their order is the first one off the T-polytope's
+        # boundary; all five images of the triangle lie on it.
+        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4)
+        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5)
+        for coords, tests in (woodward, one_wall_triangle):
             calls.clear()
             full_report([RationalPoint.of(x, y) for x, y in coords])
             n = len(coords)
@@ -459,7 +468,8 @@ class TestAnalysis:
             # The validity check, the positive edges and the x-ray read the
             # rays and normals by index; vertex_rays is asked only by the
             # mod-3 residue at one vertex of a triangle.
-            assert [calls[m] for m in methods] == [1, int(n == 3), 0, 5], coords
+            assert [calls[m] for m in methods] == [1, int(n == 3), 0], coords
+            assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords
 
     def test_census_item_computes_each_edge_ray_once(self, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from mompoly import census
 from mompoly.cli import main
 from mompoly.errors import GeometryError
 from mompoly.report import (
+    MAX_DIGITS,
     format_rational,
     parse_polytope_document,
     parse_rational,
@@ -149,6 +151,28 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "digits" in err
 
+    def test_common_denominator_cap(self, tmp_path, capsys):
+        # Denominators 2**k and 5**k have the common denominator 10**k: with
+        # k = MAX_DIGITS - 1 it has MAX_DIGITS digits, with k = MAX_DIGITS one
+        # digit more, while each coordinate stays under the per-coordinate cap.
+        for k, rc in ((MAX_DIGITS - 1, 0), (MAX_DIGITS, 2)):
+            path = write_doc(tmp_path, [[0, 0], [1, f"-1/{2**k}"], [3, f"-1/{5**k}"]])
+            capsys.readouterr()
+            assert main(["classify", path]) == rc, k
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "common denominator" in err
+
+    def test_many_denominators_refused_quickly(self, tmp_path, capsys):
+        # 800 coordinates with distinct 100-digit denominators.  The report
+        # of their hull would work on integers of about 80,000 digits; the
+        # lcm of the denominators passes the cap after a dozen of them.
+        path = write_doc(tmp_path, [[i, f"-1/{10**99 + 2 * i + 1}"] for i in range(800)])
+        start = time.perf_counter()
+        assert main(["classify", path]) == 2
+        assert time.perf_counter() - start < 1
+        assert "common denominator" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tail", ["1", "x"], ids=["digits", "malformed"])
     def test_long_bad_coordinate_short_error(self, tmp_path, capsys, tail):
         # A 6,000-digit string and a 6,000-character malformed one: the error
@@ -281,6 +305,16 @@ class TestPlotCommand:
         assert main(["plot", path, "--overlay", "xray", "--output", str(a)]) == 0
         assert main(["plot", path, "--overlay", "xray", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_coordinate_past_float_exit_two(self, tmp_path, capsys):
+        # classify reports this triangle exactly; the drawing's size,
+        # about 1.6e402 display units, does not fit a float.
+        path = write_doc(tmp_path, [[0, 0], [1, -1], ["4" + "0" * 400, -3]])
+        assert main(["classify", path]) == 0
+        capsys.readouterr()
+        assert main(["plot", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_xray_overlay_refused_for_two_wall_vertices(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0, 0], [1, 1], [3, 2]])

@@ -26,7 +26,8 @@ from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
 from mompoly.report import full_report, point_out
 
-from test_byte_identity import FIXTURES, rational_inputs
+from test_acceptance import _sweep_families
+from test_byte_identity import FIGURES, FIXTURES, rational_inputs
 
 
 def P(*coords):
@@ -162,6 +163,23 @@ class TestFixpointBoundaryCheck:
         assert fixpoint_boundary_check(FIG_REFL_RIGHT) is False
         assert fixpoint_boundary_check(FIG_HALF_LEFT) is True
         assert fixpoint_boundary_check(FIG_HALF_RIGHT) is False
+
+    def test_agrees_with_boundary_contains(self):
+        # The check tests int pairs on the polygon's grid; the reference
+        # puts each image on a grid with the T-polytope's vertices.
+        polygons = [P(*c) for c in FIXTURES + FIGURES]
+        polygons += [convex_hull(points) for points in rational_inputs()]
+        polygons += [fam.triangle() for fam in _sweep_families()]
+        verdicts = Counter()
+        for polygon in polygons:
+            analysis = analyze(polygon)
+            if not analysis.report.valid or len(analysis.wall_types) != 1:
+                continue
+            pt = polygon.t_polytope()
+            expected = all(pt.boundary_contains(p) for p in fixpoint_images(analysis))
+            assert fixpoint_boundary_check(analysis) == expected, polygon.vertices
+            verdicts[expected] += 1
+        assert verdicts == {True: 102, False: 16}
 
     def test_wall_count_guard(self):
         with pytest.raises(UnsupportedPolytopeError):
