@@ -148,9 +148,7 @@ def _classify(vertices: tuple[RationalPoint, ...], scale: int, xy: list[IntPair]
         rays.append(r)
     if len(rays) < len(hull_xy):
         return ItemResult(vertices, False, None, None, None)
-    polygon = Polygon._from_form(hull, scale, hull_xy)
-    polygon.__dict__["rays"] = tuple(rays)  # the value of the cached Polygon.rays
-    analysis = analyze(polygon)
+    analysis = analyze(Polygon._from_form(hull, scale, hull_xy, tuple(rays)))
     kaehler, _ = is_kaehlerizable(analysis)
     family_tag = None
     diff = None

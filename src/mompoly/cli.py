@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
     p_self.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    p_self.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -138,7 +137,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok, lines = run_selftest(inject_fault=args.inject_fault)
+    ok, lines = run_selftest()
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -7,24 +7,22 @@ is no obstruction.  The equivalent criterion — all maximal-torus
 fixpoint images on the boundary of the T-momentum polytope — and the
 x-ray of the torus action are computed as independent data.
 
-The fixpoint images come from `Analysis.fixpoints`, whose int pairs are
-tested on the T-polytope's grid; fixpoint_images and XRay.fixpoints are
-fresh Counters built from that tuple.
+The queries read the validity report and the polygon by index; the
+verdict builds an Edge only for its witness.  The fixpoint images are
+`Analysis.fixpoints`, tested on the T-polytope's grid; fixpoint_images
+and XRay.fixpoints build a fresh Counter of them on every call or read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
 from .lattice import ALPHA, RationalPoint, coroot_pairing, weyl_reflect
 from .polygon import Edge, on_boundary
-
-# Multiset of T-momentum images of the T-fixpoints.
-FixpointImages = Counter
 
 
 def positive_edges(polygon: PolygonLike) -> list[Edge]:
@@ -40,18 +38,19 @@ def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
     wall vertex w, every positive edge must contain w.
     """
     analysis = require_valid(polygon)
-    wall = list(analysis.wall_types)
-    if len(wall) != 1:
+    try:
+        w = _wall_vertex(analysis)
+    except UnsupportedPolytopeError:
         return True, None
-    (w,) = wall
-    for e in positive_edges(analysis):
-        # A vertex of a strictly convex polygon lies on an edge only as an end.
-        if w not in (e.tail, e.head):
-            return False, e
+    normals = analysis.polygon.normals
+    for k, normal in enumerate(normals):
+        # Edge k runs from vertex k to the next; a vertex lies on it only as an end.
+        if coroot_pairing(normal) > 0 and w not in (k, (k + 1) % len(normals)):
+            return False, analysis.polygon.edges()[k]
     return True, None
 
 
-def fixpoint_images(polygon: PolygonLike) -> FixpointImages:
+def fixpoint_images(polygon: PolygonLike) -> Counter:
     """Multiset of T-momentum images of the T-fixpoints.
 
     Interior vertices contribute themselves and their reflection; wall
@@ -61,8 +60,8 @@ def fixpoint_images(polygon: PolygonLike) -> FixpointImages:
     return Counter({p: m for _, p, m in analyze(polygon).fixpoints})
 
 
-def _require_one_wall_vertex(analysis: Analysis) -> RationalPoint:
-    wall = list(analysis.wall_types)
+def _wall_vertex(analysis: Analysis) -> int:
+    wall = [i for i, va in enumerate(analysis.report.vertex_data) if va.on_wall]
     if len(wall) != 1:
         raise UnsupportedPolytopeError(
             f"operation needs exactly one wall vertex, found {len(wall)}"
@@ -77,7 +76,7 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     Kählerizability in that case (see atiyah_cross_check).
     """
     analysis = require_valid(polygon)
-    _require_one_wall_vertex(analysis)
+    _wall_vertex(analysis)
     xy = analysis.polygon.t_polytope().xy
     return all(on_boundary(xy, q) for q, _, _ in analysis.fixpoints)
 
@@ -98,8 +97,13 @@ class Stratum:
 
 @dataclass(frozen=True)
 class XRay:
-    fixpoints: FixpointImages
     strata: tuple[Stratum, ...]
+    _analysis: Analysis = field(repr=False)
+
+    @property
+    def fixpoints(self) -> Counter:
+        """fixpoint_images of the polygon, a fresh Counter on every read."""
+        return fixpoint_images(self._analysis)
 
 
 def build_xray(polygon: PolygonLike) -> XRay:
@@ -124,8 +128,8 @@ def build_xray(polygon: PolygonLike) -> XRay:
     """
     analysis = require_valid(polygon)
     polygon = analysis.polygon
-    v0 = _require_one_wall_vertex(analysis)
-    rule = analysis.wall_types[v0].xray
+    i0 = _wall_vertex(analysis)
+    rule = analysis.report.vertex_data[i0].wall_type.xray
     if rule is None:
         raise UnsupportedPolytopeError(
             "x-ray construction is not defined for wall-edge vertex types"
@@ -135,7 +139,6 @@ def build_xray(polygon: PolygonLike) -> XRay:
     # second ray at a vertex points to the next label, so parallel[j] says
     # whether the edge (labels[j], labels[j + 1]) is parallel to alpha.
     n_total = len(polygon)
-    i0 = polygon.vertices.index(v0)
     at = [(i0 - t) % n_total for t in range(n_total)]
     labels = [polygon.vertices[i] for i in at]
     parallel = [polygon.rays[i][1] in (ALPHA, -ALPHA) for i in at]
@@ -161,4 +164,4 @@ def build_xray(polygon: PolygonLike) -> XRay:
         strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
         strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
 
-    return XRay(fixpoint_images(analysis), tuple(strata))
+    return XRay(tuple(strata), analysis)

@@ -90,12 +90,14 @@ class Polygon:
 
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
-                   xy: tuple[IntPair, ...]) -> "Polygon":
+                   xy: tuple[IntPair, ...], rays=None) -> "Polygon":
         """The polygon of vertices that hull_of_form has put in the
-        required order, with their integer form on any common scale; the
-        order is not checked again."""
+        required order, with their integer form on any common scale and,
+        if given, the int_rays of xy as its rays; nothing is checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
+        if rays is not None:
+            polygon.__dict__["rays"] = rays
         return polygon
 
     def __len__(self) -> int:
@@ -222,9 +224,24 @@ def hull_of_form(
 
 
 def on_boundary(xy: Sequence[IntPair], q: IntPair) -> bool:
-    """True iff the int pair q lies on the boundary of the counterclockwise
-    cycle xy of three or more int pairs on q's grid."""
-    return any(_on_segment(a, b, q) for a, b in zip(xy, xy[1:] + xy[:1]))
+    """True iff the int pair q lies on the boundary of the strictly convex
+    counterclockwise cycle xy of three or more int pairs on q's grid.
+
+    The other vertices lie counterclockwise around a = xy[0], within less
+    than a half turn.  So q can lie only on the two edges at a, or on the
+    edge opposite a in the wedge from a that holds q, which a binary search
+    finds with O(log n) turn tests."""
+    a = xy[0]
+    if _on_segment(a, xy[1], q) or _on_segment(xy[-1], a, q):
+        return True
+    lo, hi = 1, len(xy) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _turn(a, xy[mid], q) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return _on_segment(xy[lo], xy[hi], q)
 
 
 def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:

@@ -129,7 +129,7 @@ def check_census_determinism() -> list[str]:
     return []
 
 
-def run_selftest(inject_fault: bool = False) -> tuple[bool, list[str]]:
+def run_selftest() -> tuple[bool, list[str]]:
     """Run every suite."""
     suites = [
         ("lattice-invariants", check_lattice_invariants),
@@ -137,8 +137,6 @@ def run_selftest(inject_fault: bool = False) -> tuple[bool, list[str]]:
         ("triangle-sweep", check_triangle_sweep),
         ("census-determinism", check_census_determinism),
     ]
-    if inject_fault:
-        suites.append(("injected-fault", lambda: ["injected fault for harness testing"]))
     lines = []
     ok = True
     for name, fn in suites:

@@ -1,11 +1,12 @@
-"""Independent brute-force validity checker and Kähler verdict used as
-test oracles.
+"""Independent brute-force validity checker, Kähler verdict and family
+generator used as test oracles.
 
 Deliberately shares no code with the package: its own hull (Jarvis
 march), its own primitive-vector reduction, a literal transcription
 of the four validity conditions, with the five wall patterns matched by
-enumerating the parameter over a coordinate-bounded range, and a literal
-transcription of the positive-edge rule.
+enumerating the parameter over a coordinate-bounded range, a literal
+transcription of the positive-edge rule, and the five triangle families
+generated from their parameters rather than recognized.
 """
 
 from fractions import Fraction
@@ -119,3 +120,50 @@ def oracle_kaehler(points):
         if -dy - dx > 0 and wall[0] not in (a, b):
             return False
     return True
+
+
+def oracle_family_triangles(max_coord, denominator=1):
+    """Every triangle with its vertices on the census grid
+    (1/denominator) * [-max_coord, max_coord]^2 in the chamber that one of
+    the five families generates, as a dict from its vertex set (pairs of
+    Fractions) to its family tag.
+
+    On the grid's integer coordinates, a family triangle is
+    base + t*conv(0, r1, r2) with an integer t >= 1 and primitive rays, so
+    every ray entry lies within 2*max_coord:
+      - delzant: an off-wall base (s, s - r), r > 0, and r1 = (b1, -a1),
+        r2 = (b2, -a2) with a1*b2 - a2*b1 = 1 and a_i + b_i >= 0;
+      - the wall families: the base s(1, 1) and the rays of its pattern,
+        wall_edge (1, 1) and (k+1, k) (the base is the lower wall vertex),
+        half_refl_plus (1, -1) and (j+1, -j), half_refl_minus (1, -1) and
+        (j, -j-1), reflection (1, 0) and (0, -1), with j >= 0.
+    A triangle is kept when all its vertices are grid points.
+    """
+    m = max_coord
+    span = range(-2 * m, 2 * m + 1)
+    grid = [(x, y) for x in range(-m, m + 1) for y in range(-m, m + 1) if x >= y]
+    on_grid = set(grid)
+    patterns = [("delzant", base, r1, r2)
+                for r1 in ((x, y) for x in span for y in span if x - y >= 0)
+                for r2 in ((x, y) for x in span for y in span if x - y >= 0)
+                if r1[0] * r2[1] - r1[1] * r2[0] == 1
+                for base in grid if base[0] > base[1]]
+    walls = [("reflection", (1, 0), (0, -1))]
+    for k in span:
+        walls.append(("wall_edge", (1, 1), (k + 1, k)))
+        if k >= 0:
+            walls.append(("half_refl_plus", (1, -1), (k + 1, -k)))
+            walls.append(("half_refl_minus", (1, -1), (k, -k - 1)))
+    patterns += [(tag, (c, c), r1, r2) for tag, r1, r2 in walls for c in range(-m, m + 1)]
+
+    out = {}
+    for tag, (bx, by), r1, r2 in patterns:
+        for t in range(1, 2 * m + 1):
+            p1 = (bx + t * r1[0], by + t * r1[1])
+            p2 = (bx + t * r2[0], by + t * r2[1])
+            if p1 in on_grid and p2 in on_grid:
+                key = frozenset((Fraction(x, denominator), Fraction(y, denominator))
+                                for x, y in ((bx, by), p1, p2))
+                if out.setdefault(key, tag) != tag:
+                    raise AssertionError(f"{sorted(key)} is generated as {out[key]} and {tag}")
+    return out

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from mompoly import classify
@@ -16,7 +18,7 @@ from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint
 from mompoly.polygon import convex_hull
 
-from oracle import _jarvis_hull, oracle_is_valid, oracle_kaehler
+from oracle import _jarvis_hull, oracle_family_triangles, oracle_is_valid, oracle_kaehler
 
 
 def test_grid_points():
@@ -186,3 +188,22 @@ def test_census_kaehler_agrees_with_oracle():
     verdicts = [oracle_kaehler([(p.x, p.y) for p in item.vertices]) for item in valid]
     assert [item.kaehler for item in valid] == verdicts
     assert verdicts.count(False) == 4
+
+
+@pytest.mark.parametrize("max_coord, denominator, counts", [
+    (4, 1, {"delzant": 874, "wall_edge": 118, "half_refl_plus": 31, "half_refl_minus": 31,
+            "reflection": 16}),
+    (2, 2, {"delzant": 43, "wall_edge": 24, "half_refl_plus": 6, "half_refl_minus": 6,
+            "reflection": 4}),
+], ids=["max-coord-4", "max-coord-2-denominator-2"])
+def test_census_valid_triangles_are_the_family_triangles(max_coord, denominator, counts):
+    """The census filters the grid's triangles; the oracle generates the
+    families' triangles on the same grid.  Both give the same triangles
+    with the same family tags."""
+    items = []
+    run_census(max_coord, denominator, on_item=items.append)
+    found = {frozenset((p.x, p.y) for p in item.vertices): item.family_tag
+             for item in items if item.valid}
+    generated = oracle_family_triangles(max_coord, denominator)
+    assert found == generated
+    assert Counter(generated.values()) == counts

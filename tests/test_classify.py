@@ -507,14 +507,23 @@ class TestAnalysis:
             built.append(args)
             original(self, *args)
 
+        counters = []
         monkeypatch.setattr(Edge, "__init__", counting)
+        monkeypatch.setattr(mompoly.kaehler, "Counter",
+                            lambda *args: counters.append(args) or Counter(*args))
         woodward = [(0, 0), (1, 0), (0, -1), (3, -1)]
         one_wall_triangle = [(0, 0), (1, -1), (4, -3)]
-        for coords, most in ((woodward, 4 + 4), (one_wall_triangle, 3 + 4)):
+        # The Kähler verdict builds the polygon's edges only to return a
+        # witness: Woodward's, not the Kähler triangle's.  The report reads
+        # and the drawing read the fixpoint images from the Analysis and
+        # build no Counter.
+        for coords, edges in ((woodward, 4), (one_wall_triangle, 0)):
             built.clear()
-            full_report([RationalPoint.of(x, y) for x, y in coords])
-            # At most the edges of the polygon and of its T-polytope.
-            assert len(built) <= most, coords
+            doc = full_report([RationalPoint.of(x, y) for x, y in coords])
+            assert doc["kaehler"]["verdict"] is (edges == 0), coords
+            assert len(built) == edges, coords
+        render_svg(P(*woodward), ("xray", "fixpoints"))
+        assert counters == []
 
     def test_classify_item_checks_once(self, checks):
         item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mompoly import census
+from mompoly import census, selftest
 from mompoly.cli import main
 from mompoly.errors import GeometryError
 from mompoly.report import (
@@ -327,8 +327,13 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "all suites passed" in out
 
-    def test_injected_fault(self, capsys):
-        assert main(["selftest", "--inject-fault"]) == 1
+    def test_injected_fault(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "check_census_determinism",
+                            lambda: ["census is not reproducible"])
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL census-determinism: census is not reproducible (1 failure(s))" in lines
+        assert lines[-1] == "selftest: failures detected"
 
     def test_thread_counts_agree(self, capsys):
         assert main(["selftest"]) == 0

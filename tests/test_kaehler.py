@@ -1,9 +1,11 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import mompoly.polygon
 import mompoly.report
 from mompoly.classify import (
     HalfReflPlusFamily,
@@ -32,6 +34,34 @@ from test_byte_identity import FIGURES, FIXTURES, rational_inputs
 
 def P(*coords):
     return convex_hull([RationalPoint.of(x, y) for x, y in coords])
+
+
+def corner_cut_polygon(n, size=3**30):
+    """The integer vertices of a valid Kähler polygon with n >= 3 vertices,
+    one of them, (0, 0), on the wall.
+
+    Starting from the triangle (0, 0), (size, -size), (size, 0), each round
+    cuts the corners at off-wall vertices v, in counterclockwise order,
+    until there are n vertices.  With r1 and r2 the primitive rays from v
+    to the next and to the previous vertex, and e a third of the shorter
+    lattice length of the two edges at v, v gives way to v + e*r2 and
+    v + e*r1.  A cut keeps every vertex Delzant.  It is made only where the
+    new edge's direction r1 - r2 has a + b >= 0, so that no new edge is
+    positive."""
+    vs = [(0, 0), (size, -size), (size, 0)]
+    while len(vs) < n:
+        cut = []
+        for i, (x, y) in enumerate(vs):
+            (nx, ny), (px, py) = vs[(i + 1) % len(vs)], vs[i - 1]
+            g1, g2 = gcd(nx - x, ny - y), gcd(px - x, py - y)
+            r1, r2 = ((nx - x) // g1, (ny - y) // g1), ((px - x) // g2, (py - y) // g2)
+            if x == y or len(vs) + len(cut) - i >= n or sum(r1) - sum(r2) < 0:
+                cut.append((x, y))
+                continue
+            e = min(g1, g2) // 3
+            cut += [(x + e * r2[0], y + e * r2[1]), (x + e * r1[0], y + e * r1[1])]
+        vs = cut
+    return vs
 
 
 def pt(x, y):
@@ -64,14 +94,38 @@ class TestPositiveEdges:
             positive_edges(P((1, 0), (3, 1), (2, -1)))
 
 
+def _first_violating_edge(analysis):
+    """The positive-edge rule, read from positive_edges and the wall
+    vertex's point: the reference for is_kaehlerizable."""
+    wall = [va.vertex for va in analysis.report.vertex_data if va.on_wall]
+    if len(wall) != 1:
+        return True, None
+    for e in positive_edges(analysis):
+        if wall[0] not in (e.tail, e.head):
+            return False, e
+    return True, None
+
+
 class TestIsKaehlerizable:
     def test_woodward_trapezoids(self):
         verdict, witness = is_kaehlerizable(WOODWARD)
         assert not verdict
-        assert {witness.tail, witness.head} == {pt(1, 0), pt(3, -1)}
+        assert (witness.tail, witness.head) == (pt(3, -1), pt(1, 0))
         verdict2, witness2 = is_kaehlerizable(P((0, 0), (1, 0), (1, -1), (3, -1)))
         assert not verdict2
-        assert witness2 is not None
+        assert (witness2.tail, witness2.head) == (pt(3, -1), pt(1, 0))
+
+    def test_witness_is_first_violating_positive_edge(self):
+        polygons = [P(*c) for c in FIXTURES + FIGURES]
+        polygons += [convex_hull(points) for points in rational_inputs()]
+        witnesses = 0
+        for polygon in polygons:
+            analysis = analyze(polygon)
+            if analysis.report.valid:
+                verdict = is_kaehlerizable(analysis)
+                assert verdict == _first_violating_edge(analysis), polygon.vertices
+                witnesses += verdict[1] is not None
+        assert witnesses == 16
 
     def test_vacuous_without_single_wall_vertex(self):
         assert is_kaehlerizable(P((1, 0), (2, 0), (1, -1), (2, -1))) == (True, None)
@@ -135,8 +189,10 @@ class TestFixpointImages:
         points = list(WOODWARD.vertices)
         doc = full_report(points)
         fixpoint_images(analysis)[pt(9, 9)] += 1
-        build_xray(analysis).fixpoints.clear()
-        assert fixpoint_images(analysis) == fixpoint_images(WOODWARD)
+        xray = build_xray(analysis)
+        xray.fixpoints.clear()
+        assert xray.fixpoints is not xray.fixpoints
+        assert xray.fixpoints == fixpoint_images(analysis) == fixpoint_images(WOODWARD)
         assert build_xray(analysis) == build_xray(WOODWARD)
         assert full_report(points) == doc
 
@@ -182,10 +238,36 @@ class TestFixpointBoundaryCheck:
         assert verdicts == {True: 102, False: 16}
 
     def test_wall_count_guard(self):
-        with pytest.raises(UnsupportedPolytopeError):
+        with pytest.raises(UnsupportedPolytopeError, match="^operation needs exactly one "
+                           "wall vertex, found 0$"):
             fixpoint_boundary_check(P((1, 0), (2, 0), (1, -1), (2, -1)))
-        with pytest.raises(UnsupportedPolytopeError):
+        with pytest.raises(UnsupportedPolytopeError, match="^operation needs exactly one "
+                           "wall vertex, found 2$"):
             fixpoint_boundary_check(P((0, 0), (1, 1), (3, 2)))
+
+    def test_large_polygon_tests_each_image_in_logarithmic_time(self, monkeypatch):
+        # A Kähler polygon of 3,201 vertices: every one of its 6,401 images
+        # lies on the T-polytope's boundary, so each is tested.  Testing each
+        # against every edge until one holds it took 20,473,855 segment tests.
+        calls = Counter()
+        for name in ("_turn", "_on_segment"):
+            def counting(*args, _name=name, _original=getattr(mompoly.polygon, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mompoly.polygon, name, counting)
+        n = 3201
+        doc = full_report([pt(x, y) for x, y in corner_cut_polygon(n)])
+        assert len(doc["hull_vertices"]) == n
+        assert doc["kaehler"]["verdict"] is doc["fixpoint_boundary_check"] is True
+        images = len(doc["fixpoint_images"])
+        assert images == 2 * n - 1
+        # Per image: at most three segment tests and a binary search over
+        # the T-polytope's at most 2n vertices.  Per hull (of the n input
+        # points and of the 2n points of the T-polytope): at most two turns
+        # per point and chain.
+        assert calls["_on_segment"] <= 3 * images
+        assert calls["_turn"] <= images * (2 * n).bit_length() + 4 * (n + 2 * n)
 
 
 class TestAtiyahCrossCheck:
@@ -250,10 +332,12 @@ class TestBuildXray:
         assert segments == drawn
 
     def test_refusals(self):
-        with pytest.raises(UnsupportedPolytopeError):
-            build_xray(P((0, 0), (1, 1), (3, 2)))  # wall-edge vertex type
-        with pytest.raises(UnsupportedPolytopeError):
-            build_xray(P((1, 0), (2, 0), (1, -1), (2, -1)))  # no wall vertex
+        with pytest.raises(UnsupportedPolytopeError, match="^operation needs exactly one "
+                           "wall vertex, found 2$"):
+            build_xray(P((0, 0), (1, 1), (3, 2)))  # two wall-edge vertices
+        with pytest.raises(UnsupportedPolytopeError, match="^operation needs exactly one "
+                           "wall vertex, found 0$"):
+            build_xray(P((1, 0), (2, 0), (1, -1), (2, -1)))
         with pytest.raises(InvalidPolytopeError):
             build_xray(P((1, 0), (3, 1), (2, -1)))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
 from mompoly.classify import analyze, require_chamber
-from mompoly.polygon import Edge, Polygon, convex_hull, triangle
+from mompoly.polygon import Edge, Polygon, _on_segment, convex_hull, on_boundary, triangle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -125,6 +125,24 @@ def test_boundary_contains():
     assert hull.boundary_contains(RationalPoint.of(1, 1))
     assert not hull.boundary_contains(RationalPoint.of("1/2", "1/2"))
     assert not hull.boundary_contains(RationalPoint.of(5, 5))
+
+
+int_pairs = st.tuples(st.integers(-48, 48), st.integers(-48, 48))
+
+
+@given(st.lists(int_pairs, min_size=3, max_size=30), st.data())
+def test_on_boundary_agrees_with_testing_every_edge(pairs, data):
+    """A vertex, a point on the line through two vertices (on an edge, on a
+    chord or past its ends) and any point, against a test of every edge."""
+    hull = convex_hull([RationalPoint.of(x, y) for x, y in pairs])
+    if len(hull) < 3:
+        return
+    xy = [(4 * x, 4 * y) for x, y in hull.xy]
+    (ax, ay), (bx, by) = data.draw(st.sampled_from(xy)), data.draw(st.sampled_from(xy))
+    k = data.draw(st.integers(-1, 5))
+    for q in ((ax, ay), (ax + k * (bx - ax) // 4, ay + k * (by - ay) // 4), data.draw(int_pairs)):
+        expected = any(_on_segment(a, b, q) for a, b in zip(xy, xy[1:] + xy[:1]))
+        assert on_boundary(xy, q) == expected, (xy, q)
 
 
 @given(point_lists)
