@@ -5,13 +5,22 @@ Enumerates convex polytopes with vertices on the grid
 dominant chamber, classifies each one, and aggregates counts.  The
 candidate order, the per-item stream and all totals are deterministic.
 check_census holds each shape to a max-coord with about 10^8 candidates
-or fewer (MAX_COORD).  Candidates are classified one after another, on
-the grid's integer form, taken once per census; an invalid one is rejected
-on its integer hull, and only a valid one gets a Polygon and an Analysis.
-On a 2-vCPU x86 machine with Python 3.11, writing the stream, the
-max-coord 3 `--shape all` census (46,667 candidates) takes about 1.7 to
-2.3 s and the max-coord 4 triangle census (13,428 candidates) about 0.55
-to 0.7 s, each including interpreter start-up.
+or fewer (MAX_COORD).
+
+A vertex's condition depends only on whether it lies on the wall and on
+the primitive rays to its two neighbours, so a census builds one ray table
+per grid: the id of the primitive direction from each grid point to each
+other one (132 distinct directions at max-coord 4).  Candidates are then
+classified one after another.  A triangle takes its counterclockwise order
+from one cross product, any other candidate its hull on its int pairs.
+Each hull vertex is judged from its two ray ids: an interior vertex by
+their determinant, a wall vertex by its cone pattern, whose verdict is
+memoised on the pair of ids.  An invalid candidate is rejected at its first failing vertex,
+with no Polygon and no Analysis; a valid one's Analysis is handed the
+report of these verdicts.  On a 2-vCPU x86 machine with Python 3.11,
+writing the stream, the max-coord 4 triangle census (13,428 candidates)
+takes about 0.21 s and the max-coord 3 `--shape all` census (46,667
+candidates) about 1.0 s, each including interpreter start-up.
 """
 
 from __future__ import annotations
@@ -20,13 +29,21 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .classify import analyze, classify_triangle, require_chamber, vertex_kind
+from .classify import (
+    Analysis,
+    ClassificationReport,
+    VertexAnalysis,
+    WallVertexType,
+    classify_triangle,
+    require_chamber,
+    vertex_kind,
+)
 from .difftype import diffeo_type
 from .errors import GeometryError
 from .kaehler import is_kaehlerizable
-from .lattice import RationalPoint
+from .lattice import RationalPoint, Weight, primitive_int_ray
 from .polygon import IntPair, Polygon, hull_of_form, int_rays, integer_form
 
 
@@ -123,40 +140,131 @@ class ItemResult:
     diff_type: Optional[str]
 
 
+class _RayTable:
+    """Primitive directions by small int id, and the vertex verdicts read
+    from pairs of them.
+
+    A vertex's condition depends only on whether it lies on the wall and on
+    the primitive rays r1, r2 along its two edges: its verdict is
+    vertex_kind(on_wall, r1, r2).  An interior vertex's, a 2x2 determinant,
+    is taken on every visit; a wall vertex's, a match against the cone
+    patterns, is memoised on the pair of ids.
+    """
+
+    def __init__(self):
+        self.dirs: list[Weight] = []
+        self._ids: dict[Weight, int] = {}
+        self._wall: dict[tuple[int, int], tuple[str, Optional[WallVertexType]]] = {}
+
+    def intern(self, w: Weight) -> int:
+        """The id of the primitive direction w."""
+        k = self._ids.get(w)
+        if k is None:
+            k = self._ids[w] = len(self.dirs)
+            self.dirs.append(w)
+        return k
+
+    def item(self, vertices: tuple[RationalPoint, ...], hull: tuple[RationalPoint, ...],
+             scale: int, hull_xy: tuple[IntPair, ...],
+             ray_ids: Sequence[tuple[int, int]]) -> ItemResult:
+        """The ItemResult of the candidate `vertices`, whose hull is `hull`,
+        counterclockwise from its lexicographically smallest vertex, with
+        int pairs hull_xy on `scale` and the ids of its vertices' rays.
+
+        An invalid candidate is rejected at its first hull vertex that fails
+        its condition.  A valid one's Analysis is handed the report of these
+        verdicts, so check_momentum_polytope does not run.
+        """
+        if len(hull) < 3:
+            return ItemResult(vertices, False, None, None, None)
+        dirs, wall = self.dirs, self._wall
+        verdicts = []
+        for (x, y), (r1, r2) in zip(hull_xy, ray_ids):
+            if x == y:
+                verdict = wall.get((r1, r2))
+                if verdict is None:
+                    verdict = wall[r1, r2] = vertex_kind(True, dirs[r1], dirs[r2])
+            else:
+                verdict = vertex_kind(False, dirs[r1], dirs[r2])
+            if verdict[0] == "invalid":
+                return ItemResult(vertices, False, None, None, None)
+            verdicts.append(verdict)
+
+        rays = tuple([(dirs[r1], dirs[r2]) for r1, r2 in ray_ids])
+        report = ClassificationReport(True, 2, tuple([
+            VertexAnalysis(v, r, x == y, *verdict)
+            for v, (x, y), r, verdict in zip(hull, hull_xy, rays, verdicts)
+        ]))
+        analysis = Analysis(Polygon._from_form(hull, scale, hull_xy, rays), report)
+        kaehler, _ = is_kaehlerizable(analysis)
+        if len(hull) != 3:
+            return ItemResult(vertices, True, None, kaehler, None)
+        fam = classify_triangle(analysis)
+        return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
+
+
 def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
     """Classify the convex hull of `vertices`: any nonempty tuple of
     points, in any order, with duplicates and non-extreme points allowed.
     The result records `vertices` as given.  Raises ChamberError when a
     point leaves the chamber.
 
-    A candidate is rejected on its integer hull, at its first vertex that
-    fails its condition, without building a Polygon or an Analysis.  A
-    valid one's Polygon is handed the rays this check computed.
+    The rays are int_rays of the candidate's own integer hull, judged as
+    the census judges them (_RayTable.item).
     """
     scale, xy = integer_form(vertices)
-    return _classify(vertices, scale, xy)
-
-
-def _classify(vertices: tuple[RationalPoint, ...], scale: int, xy: list[IntPair]) -> ItemResult:
-    """classify_item of vertices whose integer form on `scale` is xy."""
     hull, hull_xy = hull_of_form(vertices, xy)
     require_chamber(hull_xy)
-    rays = []
-    for (x, y), r in zip(hull_xy, int_rays(hull_xy) if len(hull_xy) >= 3 else ()):
-        if vertex_kind(x == y, *r)[0] == "invalid":
-            break
-        rays.append(r)
-    if len(rays) < len(hull_xy):
-        return ItemResult(vertices, False, None, None, None)
-    analysis = analyze(Polygon._from_form(hull, scale, hull_xy, tuple(rays)))
-    kaehler, _ = is_kaehlerizable(analysis)
-    family_tag = None
-    diff = None
-    if len(hull_xy) == 3:
-        fam = classify_triangle(analysis)
-        family_tag = fam.tag
-        diff = diffeo_type(fam, analysis).value
-    return ItemResult(vertices, True, family_tag, kaehler, diff)
+    table = _RayTable()
+    ray_ids = [(table.intern(r1), table.intern(r2))
+               for r1, r2 in (int_rays(hull_xy) if len(hull_xy) >= 3 else ())]
+    return table.item(vertices, hull, scale, hull_xy, ray_ids)
+
+
+class _Grid:
+    """A census grid with its ray table: the id of the primitive ray from
+    grid point i to grid point j is rays[i][j].  The enumerators yield the
+    grid's own point objects, which the grid keeps alive, so a candidate's
+    grid indices are found by object identity."""
+
+    def __init__(self, points: list[RationalPoint]):
+        self.points = points
+        # Every point of the grid is in the chamber; so is every candidate.
+        self.scale, self.xy = integer_form(points)
+        require_chamber(self.xy)
+        self._at = {id(p): k for k, p in enumerate(points)}
+        self.table = table = _RayTable()
+        self.rays = [
+            [None if i == j else table.intern(primitive_int_ray(qx - px, qy - py))
+             for j, (qx, qy) in enumerate(self.xy)]
+            for i, (px, py) in enumerate(self.xy)
+        ]
+
+    def triangle(self, vertices: tuple[RationalPoint, ...]) -> ItemResult:
+        """The ItemResult of a candidate of enumerate_triangles: three
+        points, lexicographically sorted and not collinear, so that one
+        cross product gives the counterclockwise order."""
+        at, xy, rays = self._at, self.xy, self.rays
+        a, b, c = vertices
+        i, j, k = at[id(a)], at[id(b)], at[id(c)]
+        p, q, r = xy[i], xy[j], xy[k]
+        if (q[0] - p[0]) * (r[1] - p[1]) < (q[1] - p[1]) * (r[0] - p[0]):
+            b, c, j, k, q, r = c, b, k, j, r, q
+        ri, rj, rk = rays[i], rays[j], rays[k]
+        return self.table.item(vertices, (a, b, c), self.scale, (p, q, r),
+                               ((ri[j], ri[k]), (rj[k], rj[i]), (rk[i], rk[j])))
+
+    def polytope(self, vertices: tuple[RationalPoint, ...]) -> ItemResult:
+        """The ItemResult of any candidate made of grid points, whose hull
+        is taken on its int pairs."""
+        at, xy, rays, points = self._at, self.xy, self.rays, self.points
+        index = [at[id(v)] for v in vertices]
+        hull, hull_xy = hull_of_form(index, [xy[k] for k in index])
+        n = len(hull)
+        ray_ids = [(rays[k][hull[(m + 1) % n]], rays[k][hull[m - 1]])
+                   for m, k in enumerate(hull)] if n >= 3 else ()
+        return self.table.item(vertices, tuple([points[k] for k in hull]), self.scale,
+                               hull_xy, ray_ids)
 
 
 @dataclass
@@ -214,17 +322,17 @@ def run_census(
     check_census refuses."""
     check_census(max_coord, denominator, shape)
     points = grid_points(max_coord, denominator)
-    candidates = enumerate_triangles(points) if shape == "triangles" else enumerate_convex(points)
-    # The grid's integer form, taken once.  The enumerators yield the grid's
-    # own point objects, and `points` keeps them alive for the whole loop, so
-    # a candidate's int pairs are found by object identity.  Its polygon then
-    # has the grid's scale, which changes none of its lattice facts.
-    scale, xy = integer_form(points)
-    at = {id(p): q for p, q in zip(points, xy)}
+    # One ray table per grid.  A valid candidate's polygon has the grid's
+    # scale, which changes none of its lattice facts.
+    grid = _Grid(points)
+    if shape == "triangles":
+        candidates, classify = enumerate_triangles(points), grid.triangle
+    else:
+        candidates, classify = enumerate_convex(points), grid.polytope
 
     summary = CensusSummary(shape, max_coord, denominator)
     for vertices in candidates:
-        item = _classify(vertices, scale, [at[id(v)] for v in vertices])
+        item = classify(vertices)
         summary.add(item)
         if on_item is not None:
             on_item(item)

@@ -37,10 +37,11 @@ _ONE = Weight(1, 1)
 # ---------------------------------------------------------------------------
 # Each pattern also carries `fixpoints`: how many T-fixpoints map to a wall
 # vertex of that type (the vertex is its own reflection); `xray`: the x-ray
-# rule at a lone wall vertex of that type (see kaehler.build_xray; None
-# refuses); `local_model()`: the smooth affine spherical GL(2)-variety that
-# models the vertex; and `family(s, t)`: the triangle family whose base
-# s(eps1+eps2) has this pattern, with edges of scale t there.
+# rule at a lone wall vertex of that type (see kaehler.build_xray; a
+# wall-edge vertex is never one, so _WallEdge has none); `local_model()`:
+# the smooth affine spherical GL(2)-variety that models the vertex; and
+# `family(s, t)`: the triangle family whose base s(eps1+eps2) has this
+# pattern, with edges of scale t there.
 
 @dataclass(frozen=True)
 class _WallEdge:
@@ -50,7 +51,6 @@ class _WallEdge:
     k: int
 
     fixpoints = 1
-    xray = None
 
     def rays(self) -> frozenset:
         return frozenset({self.sign * _ONE, Weight(self.k + 1, self.k)})
@@ -260,11 +260,30 @@ class DiffType(enum.Enum):
     NONTRIVIAL_P2_BUNDLE = "nontrivial_p2_bundle"      # nontrivial P(C^3)-bundle over S^2
 
 
-def _cone_triangle(x: Fraction, y: Fraction, t: Fraction, r1: Weight, r2: Weight) -> Polygon:
-    """The triangle (x, y) + t*conv(0, r1, r2), built on one integer grid."""
+Cone = tuple[Fraction, Fraction, Fraction, Weight, Weight]
+
+
+def _cone_form(scale: int, x: Fraction, y: Fraction, t: Fraction, r1: Weight,
+               r2: Weight) -> Optional[list[IntPair]]:
+    """The int pairs on `scale` of the points (x, y), (x, y) + t*r1 and
+    (x, y) + t*r2, or None when x, y or t is off that grid.  With r1 and r2
+    primitive, all three points lie on the grid exactly when x, y and t do."""
+    out = []
+    for q in (x, y, t):
+        n, rem = divmod(q.numerator * scale, q.denominator)
+        if rem:
+            return None
+        out.append(n)
+    bx, by, u = out
+    return [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+
+
+def _cone_triangle(cone: Cone) -> Polygon:
+    """The triangle (x, y) + t*conv(0, r1, r2) of cone = (x, y, t, r1, r2),
+    built on one integer grid."""
+    x, y, t, _, _ = cone
     scale = math.lcm(x.denominator, y.denominator, t.denominator)
-    bx, by, u = (q.numerator * (scale // q.denominator) for q in (x, y, t))
-    xy = [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+    xy = _cone_form(scale, *cone)
     points = [RationalPoint(Fraction(a, scale), Fraction(b, scale)) for a, b in xy]
     vertices, hull = hull_of_form(points, xy)
     return Polygon._from_form(vertices, scale, hull)
@@ -292,8 +311,12 @@ class DelzantFamily:
     def wall_types(self) -> tuple[WallVertexType, ...]:
         return ()
 
+    def cone(self) -> Cone:
+        """(x, y, t, r1, r2): the triangle is (x, y) + t*conv(0, r1, r2)."""
+        return (self.s, self.s - self.r, self.t, *self.deltas())
+
     def triangle(self) -> Polygon:
-        return _cone_triangle(self.s, self.s - self.r, self.t, *self.deltas())
+        return _cone_triangle(self.cone())
 
     def model(self) -> tuple[TotalSpace, str]:
         d1, d2 = self.deltas()
@@ -310,8 +333,12 @@ class _WallFamily:
     s: Fraction
     t: Fraction
 
+    def cone(self) -> Cone:
+        """(x, y, t, r1, r2): the triangle is (x, y) + t*conv(0, r1, r2)."""
+        return (self.s, self.s, self.t, *self.wall_types()[0].rays())
+
     def triangle(self) -> Polygon:
-        return _cone_triangle(self.s, self.s, self.t, *self.wall_types()[0].rays())
+        return _cone_triangle(self.cone())
 
 
 @dataclass(frozen=True)
@@ -476,8 +503,10 @@ class Analysis:
             )
 
         # The parameters must rebuild the triangle: this checks the edge scales
-        # and that the edges at the base follow its wall pattern.
-        if fam.triangle().vertices != polygon.vertices:
+        # and that the edges at the base follow its wall pattern.  The points
+        # fam.triangle() is built from are compared on the polygon's grid.
+        form = _cone_form(scale, *fam.cone())
+        if form is None or sorted(form) != sorted(xy):
             raise AssertionError(f"{fam} does not rebuild the triangle {polygon.vertices}")
         return fam
 

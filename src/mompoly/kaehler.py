@@ -122,18 +122,16 @@ def build_xray(polygon: PolygonLike) -> XRay:
       edges (v_j, v_{j+1}) for j = 1..n-1 not parallel to alpha, their
       reflections, and the two cross segments (v_n, v_1') and (v_1, v_n').
 
-    The rule is the `xray` of the wall vertex's type.  Wall-edge vertices
-    (rule None) and wall-vertex counts other than 1 are refused: the
-    construction is defined only for the one-wall-vertex case.
+    The rule is the `xray` of the wall vertex's type.  Wall-vertex counts
+    other than 1 are refused: the construction is defined only for the
+    one-wall-vertex case.  That case never has a wall-edge vertex, whose
+    edge along +-(eps1+eps2) ends at a second wall vertex, so the rule is
+    always one of the two above.
     """
     analysis = require_valid(polygon)
     polygon = analysis.polygon
     i0 = _wall_vertex(analysis)
     rule = analysis.report.vertex_data[i0].wall_type.xray
-    if rule is None:
-        raise UnsupportedPolytopeError(
-            "x-ray construction is not defined for wall-edge vertex types"
-        )
 
     # Clockwise labels from the wall vertex (vertices are stored CCW).  The
     # second ray at a vertex points to the next label, so parallel[j] says

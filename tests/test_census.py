@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from mompoly import classify
+from mompoly import census, classify, polygon
 from mompoly.census import (
     ItemResult,
     classify_item,
@@ -139,16 +139,68 @@ def test_classify_item_refuses_chamber_exit():
             route(vertices)
 
 
-def test_census_analyzes_only_valid_candidates(monkeypatch):
-    """An invalid candidate is rejected on its integer hull: only the valid
-    ones reach check_momentum_polytope."""
-    calls = []
-    check = classify.check_momentum_polytope
-    monkeypatch.setattr(classify, "check_momentum_polytope",
-                        lambda polygon: calls.append(polygon) or check(polygon))
-    summary = run_census(2)
+@pytest.fixture
+def analyses(monkeypatch):
+    """Records every Analysis the census builds; check_momentum_polytope
+    must not run."""
+    made = []
+
+    def recording(polygon, report):
+        made.append(analysis := classify.Analysis(polygon, report))
+        return analysis
+
+    def refused(polygon):
+        raise AssertionError("the census ran check_momentum_polytope")
+
+    monkeypatch.setattr(census, "Analysis", recording)
+    monkeypatch.setattr(classify, "check_momentum_polytope", refused)
+    return made
+
+
+def test_census_analyzes_only_valid_candidates(analyses):
+    """An invalid candidate is rejected from the ray table: only the valid
+    ones get an Analysis, one each."""
+    valid = []
+    summary = run_census(2, on_item=lambda item: item.valid and valid.append(item))
     assert summary.total > summary.valid > 0
-    assert len(calls) == summary.valid
+    assert len(analyses) == len(valid) == summary.valid
+    assert [a.polygon.vertices for a in analyses] == [
+        convex_hull(item.vertices).vertices for item in valid]
+
+
+@pytest.mark.parametrize("max_coord, denominator, shape", [
+    (3, 1, "triangles"), (3, 2, "triangles"), (2, 1, "all"),
+])
+def test_census_hands_over_the_validity_report(analyses, monkeypatch, max_coord, denominator,
+                                               shape):
+    """The report built from the table's verdicts is the one
+    check_momentum_polytope gives on the candidate's own hull."""
+    run_census(max_coord, denominator, shape)
+    monkeypatch.undo()
+    assert analyses and all(a.report.valid for a in analyses)
+    for a in analyses:
+        assert a.report == classify.check_momentum_polytope(convex_hull(a.polygon.vertices))
+
+
+def test_census_reads_rays_from_one_table(monkeypatch):
+    """The max-coord 4 grid has 45 points: its table computes at most one
+    primitive ray per ordered pair of them (1,980), where judging each
+    triangle on its own hull computed 30,917.  Each wall pattern is matched
+    once per pair of ray ids."""
+    rays = []
+    wall = []
+    primitive_int_ray = polygon.primitive_int_ray
+    classify_wall_rays = classify.classify_wall_rays
+    for module in (census, polygon):
+        monkeypatch.setattr(module, "primitive_int_ray",
+                            lambda a, b: rays.append((a, b)) or primitive_int_ray(a, b))
+    monkeypatch.setattr(classify, "classify_wall_rays",
+                        lambda r1, r2: wall.append((r1, r2)) or classify_wall_rays(r1, r2))
+    summary = run_census(4)
+    assert summary.total == 13428 and summary.valid == 1070
+    assert len(grid_points(4)) == 45
+    assert len(rays) <= 45 * 44
+    assert wall and len(wall) == len(set(wall))
 
 
 def test_census_propagates_on_item_error():

@@ -172,6 +172,15 @@ class TestClassifyTriangle:
         with pytest.raises(AssertionError, match="does not rebuild"):
             classify_triangle(P((0, 0), (1, -1), (4, -3)))
 
+    def test_rebuild_check_catches_a_base_off_the_grid(self, monkeypatch):
+        # The rebuild check compares int pairs on the polygon's grid; a
+        # family whose s is off that grid has none there, and is refused.
+        family = HalfReflPlus.family
+        monkeypatch.setattr(HalfReflPlus, "family",
+                            lambda self, s, t: family(self, s + Fraction(1, 2), t))
+        with pytest.raises(AssertionError, match="does not rebuild"):
+            classify_triangle(P((0, 0), (1, -1), (4, -3)))
+
     def test_wall_edge_l_minus_canonicalizes(self):
         fam = WallEdgeFamily(Fraction(0), Fraction(1), 2, -1)
         assert classify_triangle(fam.triangle()) == WallEdgeFamily(
@@ -525,10 +534,17 @@ class TestAnalysis:
         render_svg(P(*woodward), ("xray", "fixpoints"))
         assert counters == []
 
-    def test_classify_item_checks_once(self, checks):
+    def test_classify_item_checks_once(self, checks, monkeypatch):
+        # Each vertex is judged once, by the census's verdict routine, and
+        # the Analysis is handed that report: check_momentum_polytope does
+        # not run.  The triangle's one wall vertex is matched once.
+        wall = []
+        monkeypatch.setattr(mompoly.classify, "classify_wall_rays",
+                            lambda *rays: wall.append(rays) or classify_wall_rays(*rays))
         item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))
         assert item.valid and item.family_tag == "half_refl_plus"
-        assert len(checks) == 1
+        assert checks == []
+        assert len(wall) == 1
 
     def test_census_formats_no_reason(self, monkeypatch):
         # The census reads only the verdicts; a rejection reason, which

@@ -7,6 +7,7 @@ import pytest
 
 import mompoly.polygon
 import mompoly.report
+from mompoly.census import run_census
 from mompoly.classify import (
     HalfReflPlusFamily,
     ReflectionFamily,
@@ -340,6 +341,19 @@ class TestBuildXray:
             build_xray(P((1, 0), (2, 0), (1, -1), (2, -1)))
         with pytest.raises(InvalidPolytopeError):
             build_xray(P((1, 0), (3, 1), (2, -1)))
+
+    def test_every_one_wall_census_polytope(self):
+        """A lone wall vertex is never a wall-edge vertex, whose wall edge ends
+        at a second wall vertex; so build_xray has a rule for every valid
+        polytope with one wall vertex, here all 376 of the max-coord 3
+        `--shape all` census."""
+        items = []
+        run_census(3, shape="all", on_item=items.append)
+        one_wall = [convex_hull(item.vertices) for item in items
+                    if item.valid and sum(p.x == p.y for p in item.vertices) == 1]
+        assert len(one_wall) == 376
+        for polygon in one_wall:
+            assert build_xray(polygon).strata
 
     def test_fixpoints_attached(self):
         xray = build_xray(FIG_REFL_LEFT)
