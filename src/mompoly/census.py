@@ -11,16 +11,20 @@ A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
 per grid: the id of the primitive direction from each grid point to each
 other one (132 distinct directions at max-coord 4).  Candidates are then
-classified one after another.  A triangle takes its counterclockwise order
-from one cross product, any other candidate its hull on its int pairs.
-Each hull vertex is judged from its two ray ids: an interior vertex by
-their determinant, a wall vertex by its cone pattern, whose verdict is
-memoised on the pair of ids.  An invalid candidate is rejected at its first failing vertex,
-with no Polygon and no Analysis; a valid one's Analysis is handed the
-report of these verdicts.  On a 2-vCPU x86 machine with Python 3.11,
-writing the stream, the max-coord 4 triangle census (13,428 candidates)
-takes about 0.21 s and the max-coord 3 `--shape all` census (46,667
-candidates) about 1.0 s, each including interpreter start-up.
+classified one after another, each vertex judged from its two ray ids: an
+interior vertex by their determinant, a wall vertex by its cone pattern,
+whose verdict is memoised on the pair of ids.  A triangle takes its
+counterclockwise order from one cross product and is rejected at its first
+failing vertex.  An `--shape all` candidate comes with its hull, the
+counterclockwise chain enumerate_convex grew it as; the chain's newest
+inner vertex is judged once for every chain that extends it, and a
+per-length flag carries the verdict on the rest of the chain, so a
+candidate is judged in O(1) and takes no hull.  An invalid candidate gets
+no Polygon and no Analysis; a valid one's Analysis is handed the report of
+its vertices' verdicts.  On a 2-vCPU x86 machine with Python 3.11, writing
+the stream, the max-coord 4 triangle census (13,428 candidates) takes
+about 0.21 s and the max-coord 3 `--shape all` census (46,667 candidates)
+about 0.85 s, each including interpreter start-up.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ def check_census(max_coord: int, denominator: int, shape: str) -> None:
     """Raise GeometryError unless the census of these arguments is accepted."""
     if shape not in MAX_COORD:
         raise GeometryError(f"unknown shape {shape!r}")
+    for name, value in (("max-coord", max_coord), ("denominator", denominator)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise GeometryError(f"{name} must be an integer, not {value!r}")
     if not 1 <= max_coord <= MAX_COORD[shape]:
         raise GeometryError(f"max-coord must be from 1 to {MAX_COORD[shape]} for shape {shape}")
     if denominator < 1:
@@ -84,21 +91,34 @@ def enumerate_triangles(points: list[RationalPoint]) -> Iterator[tuple[RationalP
             yield (a, b, c)
 
 
-def enumerate_convex(points: list[RationalPoint]) -> Iterator[tuple[RationalPoint, ...]]:
+def enumerate_convex(
+    points: list[RationalPoint],
+) -> Iterator[tuple[tuple[RationalPoint, ...], tuple[int, ...]]]:
     """All convex polytopes with every chosen point extreme: single points,
-    segments, and convex polygons, as sorted vertex tuples.
+    segments, and convex polygons, each as a pair (vertices, ccw).
+
+    `vertices` is the sorted tuple of the candidate's points.  `ccw` holds
+    their indices in sorted(points): the point's or the segment's indices,
+    and a polygon's hull, counterclockwise from its lexicographically
+    smallest vertex.  On grid_points, which are sorted, these are grid
+    indices.
 
     Polygons are grown as counterclockwise convex chains anchored at their
     lexicographically smallest vertex, so each polygon appears exactly once.
     A chain is extended only by a point that keeps it closable, so every
     chain of three or more points is yielded and the work grows with the
-    output: the 46,667 items at max-coord 3 take about 0.3 s.
+    output: the 46,667 candidates at max-coord 3 take about 0.2 s (2-vCPU
+    x86, Python 3.11).  The search is depth first and yields each chain before its
+    extensions (preorder): the chain most recently yielded with length
+    L - 1 is the prefix of a chain of length L >= 4.  When p is appended
+    after c, c's two neighbours are fixed for every chain that extends it,
+    which is what lets run_census judge c once for them all.
     """
     pts = sorted(points)
-    for p in pts:
-        yield (p,)
-    for a, b in itertools.combinations(pts, 2):
-        yield (a, b)
+    for k, p in enumerate(pts):
+        yield (p,), (k,)
+    for (i, a), (j, b) in itertools.combinations(enumerate(pts), 2):
+        yield (a, b), (i, j)
 
     # Scaling by a positive integer keeps the sign of every cross product,
     # so the search runs on integer coordinates.
@@ -118,17 +138,16 @@ def enumerate_convex(points: list[RationalPoint]) -> Iterator[tuple[RationalPoin
             px, py = xy[j]
             dx, dy = px - cx, py - cy
             if ux * dy - uy * dx > 0 and dx * (sy - py) - dy * (sx - px) > 0:
-                chain.append(j)
-                yield tuple(pts[k] for k in sorted(chain))
-                yield from extend(chain, later, dx, dy)
-                chain.pop()
+                ccw = chain + (j,)
+                yield tuple([pts[k] for k in sorted(ccw)]), ccw
+                yield from extend(ccw, later, dx, dy)
 
     for i, (sx, sy) in enumerate(xy):
         for j in range(i + 1, len(xy)):
             ux, uy = xy[j][0] - sx, xy[j][1] - sy
             later = [k for k in range(i + 1, len(xy))
                      if ux * (xy[k][1] - sy) - uy * (xy[k][0] - sx) > 0]
-            yield from extend([i, j], later, ux, uy)
+            yield from extend((i, j), later, ux, uy)
 
 
 @dataclass(frozen=True)
@@ -138,6 +157,20 @@ class ItemResult:
     family_tag: Optional[str]
     kaehler: Optional[bool]
     diff_type: Optional[str]
+
+
+class _WallVerdicts(dict):
+    """vertex_kind of a wall vertex by the pair of ids of its rays in
+    `dirs`, each taken once."""
+
+    def __init__(self, dirs: list[Weight]):
+        super().__init__()
+        self.dirs = dirs
+
+    def __missing__(self, ids: tuple[int, int]) -> tuple[str, Optional[WallVertexType]]:
+        r1, r2 = ids
+        verdict = self[ids] = vertex_kind(True, self.dirs[r1], self.dirs[r2])
+        return verdict
 
 
 class _RayTable:
@@ -154,7 +187,7 @@ class _RayTable:
     def __init__(self):
         self.dirs: list[Weight] = []
         self._ids: dict[Weight, int] = {}
-        self._wall: dict[tuple[int, int], tuple[str, Optional[WallVertexType]]] = {}
+        self._wall = _WallVerdicts(self.dirs)
 
     def intern(self, w: Weight) -> int:
         """The id of the primitive direction w."""
@@ -163,6 +196,11 @@ class _RayTable:
             k = self._ids[w] = len(self.dirs)
             self.dirs.append(w)
         return k
+
+    def verdict(self, on_wall: bool, r1: int, r2: int) -> tuple[str, Optional[WallVertexType]]:
+        """vertex_kind of a vertex, on the wall or not, with the rays of ids
+        r1, r2."""
+        return self._wall[r1, r2] if on_wall else vertex_kind(False, self.dirs[r1], self.dirs[r2])
 
     def item(self, vertices: tuple[RationalPoint, ...], hull: tuple[RationalPoint, ...],
              scale: int, hull_xy: tuple[IntPair, ...],
@@ -180,12 +218,9 @@ class _RayTable:
         dirs, wall = self.dirs, self._wall
         verdicts = []
         for (x, y), (r1, r2) in zip(hull_xy, ray_ids):
-            if x == y:
-                verdict = wall.get((r1, r2))
-                if verdict is None:
-                    verdict = wall[r1, r2] = vertex_kind(True, dirs[r1], dirs[r2])
-            else:
-                verdict = vertex_kind(False, dirs[r1], dirs[r2])
+            # The body of verdict(), inline: a triangle census visits this
+            # loop once or more for each of its candidates.
+            verdict = wall[r1, r2] if x == y else vertex_kind(False, dirs[r1], dirs[r2])
             if verdict[0] == "invalid":
                 return ItemResult(vertices, False, None, None, None)
             verdicts.append(verdict)
@@ -223,9 +258,10 @@ def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
 
 class _Grid:
     """A census grid with its ray table: the id of the primitive ray from
-    grid point i to grid point j is rays[i][j].  The enumerators yield the
-    grid's own point objects, which the grid keeps alive, so a candidate's
-    grid indices are found by object identity."""
+    grid point i to grid point j is rays[i][j].  enumerate_triangles yields
+    the grid's own point objects, which the grid keeps alive, so a
+    triangle's grid indices are found by object identity; enumerate_convex
+    yields each candidate's indices with it."""
 
     def __init__(self, points: list[RationalPoint]):
         self.points = points
@@ -233,6 +269,10 @@ class _Grid:
         self.scale, self.xy = integer_form(points)
         require_chamber(self.xy)
         self._at = {id(p): k for k, p in enumerate(points)}
+        self.on_wall = [x == y for x, y in self.xy]
+        # prefix_ok[L] is the verdict on the chain of length L that chain()
+        # judged last; only lengths 3 to len(points) are read.
+        self.prefix_ok = [False] * (len(points) + 1)
         self.table = table = _RayTable()
         self.rays = [
             [None if i == j else table.intern(primitive_int_ray(qx - px, qy - py))
@@ -254,17 +294,36 @@ class _Grid:
         return self.table.item(vertices, (a, b, c), self.scale, (p, q, r),
                                ((ri[j], ri[k]), (rj[k], rj[i]), (rk[i], rk[j])))
 
-    def polytope(self, vertices: tuple[RationalPoint, ...]) -> ItemResult:
-        """The ItemResult of any candidate made of grid points, whose hull
-        is taken on its int pairs."""
-        at, xy, rays, points = self._at, self.xy, self.rays, self.points
-        index = [at[id(v)] for v in vertices]
-        hull, hull_xy = hull_of_form(index, [xy[k] for k in index])
-        n = len(hull)
-        ray_ids = [(rays[k][hull[(m + 1) % n]], rays[k][hull[m - 1]])
-                   for m, k in enumerate(hull)] if n >= 3 else ()
-        return self.table.item(vertices, tuple([points[k] for k in hull]), self.scale,
-                               hull_xy, ray_ids)
+    def chain(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
+        """The ItemResult of a candidate (vertices, ccw) of enumerate_convex
+        on the grid's points, judged on its chain ccw = (s, ..., b, c, p).
+
+        Vertex c is judged with its neighbours b and p, which no extension
+        of the chain changes; prefix_ok[L] records whether every vertex from
+        ccw[1] to c passes, from prefix_ok[L - 1] of the chain's prefix,
+        which enumerate_convex yielded last at that length.  The candidate is
+        valid iff that holds and both closing vertices pass: p with
+        neighbours c and s, and s with neighbours ccw[1] and p.  A valid
+        candidate's ccw is its hull, on which _RayTable.item builds its
+        report.
+        """
+        vertices, ccw = candidate
+        n = len(ccw)
+        if n < 3:
+            return ItemResult(vertices, False, None, None, None)
+        xy, rays, verdict = self.xy, self.rays, self.table.verdict
+        s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
+        ok = self.prefix_ok[n] = (
+            (n == 3 or self.prefix_ok[n - 1])
+            and verdict(self.on_wall[c], rays[c][p], rays[c][b])[0] != "invalid")
+        if not (ok
+                and verdict(self.on_wall[p], rays[p][s], rays[p][c])[0] != "invalid"
+                and verdict(self.on_wall[s], rays[s][ccw[1]], rays[s][p])[0] != "invalid"):
+            return ItemResult(vertices, False, None, None, None)
+        points = self.points
+        ray_ids = [(rays[k][ccw[(m + 1) % n]], rays[k][ccw[m - 1]]) for m, k in enumerate(ccw)]
+        return self.table.item(vertices, tuple([points[k] for k in ccw]), self.scale,
+                               tuple([xy[k] for k in ccw]), ray_ids)
 
 
 @dataclass
@@ -328,11 +387,11 @@ def run_census(
     if shape == "triangles":
         candidates, classify = enumerate_triangles(points), grid.triangle
     else:
-        candidates, classify = enumerate_convex(points), grid.polytope
+        candidates, classify = enumerate_convex(points), grid.chain
 
     summary = CensusSummary(shape, max_coord, denominator)
-    for vertices in candidates:
-        item = classify(vertices)
+    for candidate in candidates:
+        item = classify(candidate)
         summary.add(item)
         if on_item is not None:
             on_item(item)

@@ -8,7 +8,8 @@ grid's integer form and wrote stream lines from cached point texts, the
 reports.rational digest before reports were rendered by their own
 renderer and their fixpoint images ordered on the integer form, the
 svg.rational digest before the analysis kept its fixpoints in one
-integer-ordered tuple).
+integer-ordered tuple, the census-all-3 digests before the census judged
+`--shape all` candidates on their enumeration chains).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -45,6 +46,8 @@ EXPECTED = {
     "census-all-1.stream": "5c0ce774f2ce0bbc2ec577d06f3868b5062e141fa34365ff0de7e77a04891117",
     "census-all-2.summary": "c05fc4d29a91c5a965a60296d64d4a97931d2a930f800513a57aeacfe01589db",
     "census-all-2.stream": "954e808c68637191398d25298120db53022ae0d53be6aeb14fb6eff1fc55a1c2",
+    "census-all-3.summary": "eac45f0bc44ef721bdfbbd5ff1c1d88b50c74b17e8cefc8946b4776e32330cf8",
+    "census-all-3.stream": "bf627dbfd3eca28aba017ce2729fe25b362d1473bbe7389e625e1e28157bedcf",
     "census-all-2-d2.summary": "2767981347e218cb78ab2b877d85e55cf7587a3434e81e47f727734a8095116c",
     "census-all-2-d2.stream": "8ab3340c46ee96784d969cbc49cb4c647e5dd3d51e6ff9bcb05d1517990e399e",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
@@ -126,6 +129,7 @@ def compute_digests() -> dict:
                                                     ("census-tri-3-d3", 3, 3, "triangles"),
                                                     ("census-all-1", 1, 1, "all"),
                                                     ("census-all-2", 2, 1, "all"),
+                                                    ("census-all-3", 3, 1, "all"),
                                                     ("census-all-2-d2", 2, 2, "all")):
             summary, stream = _census(max_coord, denominator, shape, tmp)
             digests[f"{name}.summary"] = summary

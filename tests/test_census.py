@@ -13,10 +13,10 @@ from mompoly.census import (
 )
 from mompoly.classify import analyze, classify_triangle
 from mompoly.difftype import diffeo_type
-from mompoly.errors import ChamberError
+from mompoly.errors import ChamberError, GeometryError
 from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint
-from mompoly.polygon import convex_hull
+from mompoly.polygon import convex_hull, hull_of_form, integer_form
 
 from oracle import _jarvis_hull, oracle_family_triangles, oracle_is_valid, oracle_kaehler
 
@@ -41,7 +41,7 @@ def test_enumerate_triangles_counts():
 
 def test_enumerate_convex_small():
     pts = grid_points(1)
-    items = list(enumerate_convex(pts))
+    items = [vertices for vertices, _ in enumerate_convex(pts)]
     assert len(items) == len(set(items))
     singles = [it for it in items if len(it) == 1]
     pairs = [it for it in items if len(it) == 2]
@@ -62,11 +62,34 @@ def test_enumerate_convex_complete():
         subset = [p for k, p in enumerate(grid) if mask >> k & 1]
         if len(_jarvis_hull(subset)) == len(subset):
             expected.add(frozenset(subset))
-    items = list(enumerate_convex(grid_points(2)))
+    items = [vertices for vertices, _ in enumerate_convex(grid_points(2))]
     assert all(list(it) == sorted(it) for it in items)
     found = [frozenset((int(p.x), int(p.y)) for p in it) for it in items]
     assert len(found) == len(set(found)) == 15 + 105 + 1499
     assert set(found) == expected
+
+
+@pytest.mark.parametrize("denominator", [1, 2])
+def test_enumerate_convex_yields_hulls_in_preorder(denominator):
+    """Each candidate's ccw is the hull of its vertices, counterclockwise
+    from the smallest, as indices in the sorted points; a chain of length
+    L >= 4 follows its prefix, the last chain yielded with length L - 1."""
+    points = grid_points(2, denominator)
+    _, xy = integer_form(points)
+    last = {}
+    chains = 0
+    for vertices, ccw in enumerate_convex(points):
+        assert vertices == tuple(sorted(points[k] for k in ccw))
+        if len(ccw) <= 2:
+            assert list(ccw) == sorted(ccw)
+        else:
+            hull, _ = hull_of_form(list(ccw), [xy[k] for k in ccw])
+            assert ccw == hull
+        if len(ccw) >= 4:
+            assert last[len(ccw) - 1] == ccw[:-1]
+            chains += 1
+        last[len(ccw)] = ccw
+    assert chains > 0 and max(last) == 6
 
 
 def test_classify_item():
@@ -93,7 +116,7 @@ def _classify_via_analysis(vertices):
 
 @pytest.mark.parametrize("denominator", [1, 2])
 def test_classify_item_agrees_with_analysis(denominator):
-    for vertices in enumerate_convex(grid_points(2, denominator)):
+    for vertices, _ in enumerate_convex(grid_points(2, denominator)):
         assert classify_item(vertices) == _classify_via_analysis(vertices), vertices
 
 
@@ -119,16 +142,20 @@ def test_census_items_agree_with_classify_item(max_coord, denominator, shape):
     items = []
     run_census(max_coord, denominator, shape, on_item=items.append)
     points = grid_points(max_coord, denominator)
-    candidates = enumerate_triangles(points) if shape == "triangles" else enumerate_convex(points)
+    candidates = (enumerate_triangles(points) if shape == "triangles"
+                  else (vertices for vertices, _ in enumerate_convex(points)))
     assert items == [classify_item(vertices) for vertices in candidates]
 
 
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
 def test_enumerators_yield_the_grid_points_themselves(enumerate_candidates):
-    """run_census finds a candidate's int pairs by the identity of its points."""
+    """run_census finds a triangle's int pairs by the identity of its
+    points, and the stream writes each grid point's own cached text."""
     points = grid_points(2, 2)
     ids = {id(p) for p in points}
     candidates = list(enumerate_candidates(points))
+    if enumerate_candidates is enumerate_convex:
+        candidates = [vertices for vertices, _ in candidates]
     assert candidates and all(id(v) in ids for vertices in candidates for v in vertices)
 
 
@@ -201,6 +228,36 @@ def test_census_reads_rays_from_one_table(monkeypatch):
     assert len(grid_points(4)) == 45
     assert len(rays) <= 45 * 44
     assert wall and len(wall) == len(set(wall))
+
+
+def test_census_judges_chains_without_hulls(monkeypatch):
+    """An `--shape all` census judges each candidate on the chain
+    enumerate_convex grew it as: it takes no hull, judges each chain vertex
+    once for all the chains that extend it (65,459 vertex_kind calls when
+    every candidate's hull was judged from scratch), and hands only the
+    valid candidates on to the report."""
+    kinds = []
+    handed = []
+    vertex_kind = census.vertex_kind
+    item = census._RayTable.item
+    monkeypatch.setattr(census, "hull_of_form", lambda *args: pytest.fail("a hull was taken"))
+    monkeypatch.setattr(census, "vertex_kind",
+                        lambda *args: kinds.append(args) or vertex_kind(*args))
+    monkeypatch.setattr(census._RayTable, "item",
+                        lambda self, *args: handed.append(args) or item(self, *args))
+    summary = run_census(3, shape="all")
+    assert summary.total == 46667
+    assert 0 < len(kinds) <= 32000
+    assert len(handed) == summary.valid
+
+
+@pytest.mark.parametrize("max_coord, denominator", [
+    (True, 1), (2.5, 1), (2, True), (2, 1.0), ("2", 1), (None, 1),
+])
+def test_census_refuses_non_integers(max_coord, denominator):
+    for shape in ("triangles", "all"):
+        with pytest.raises(GeometryError, match="must be an integer"):
+            run_census(max_coord, denominator, shape)
 
 
 def test_census_propagates_on_item_error():

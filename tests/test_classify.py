@@ -236,7 +236,7 @@ def test_family_triangle_is_the_fraction_hull(data, s, t):
 def _valid_polygons():
     """The 294 valid triangles and quadrilaterals with vertices in the
     chamber part of [-2, 2]^2."""
-    hulls = (convex_hull(vs) for vs in enumerate_convex(grid_points(2)) if len(vs) in (3, 4))
+    hulls = (convex_hull(vs) for vs, _ in enumerate_convex(grid_points(2)) if len(vs) in (3, 4))
     return tuple(p for p in hulls if analyze(p).report.valid)
 
 
