@@ -10,21 +10,22 @@ or fewer (MAX_COORD).
 A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
 per grid: the id of the primitive direction from each grid point to each
-other one (132 distinct directions at max-coord 4).  Candidates are then
-classified one after another, each vertex judged from its two ray ids: an
-interior vertex by their determinant, a wall vertex by its cone pattern,
-whose verdict is memoised on the pair of ids.  A triangle takes its
-counterclockwise order from one cross product and is rejected at its first
-failing vertex.  An `--shape all` candidate comes with its hull, the
-counterclockwise chain enumerate_convex grew it as; the chain's newest
-inner vertex is judged once for every chain that extends it, and a
-per-length flag carries the verdict on the rest of the chain, so a
-candidate is judged in O(1) and takes no hull.  An invalid candidate gets
-no Polygon and no Analysis; a valid one's Analysis is handed the report of
-its vertices' verdicts.  On a 2-vCPU x86 machine with Python 3.11, writing
-the stream, the max-coord 4 triangle census (13,428 candidates) takes
-about 0.21 s and the max-coord 3 `--shape all` census (46,667 candidates)
-about 0.85 s, each including interpreter start-up.
+other one (132 distinct directions at max-coord 4).  Both enumerators
+yield each candidate as a pair (vertices, ccw), with ccw its grid indices
+counterclockwise from its smallest vertex, and every candidate is judged
+on that index cycle by one routine (_Grid.item), each vertex from its two
+ray ids: an interior vertex by their determinant, a wall vertex by its
+cone pattern, whose verdict is memoised on the pair of ids.  A candidate
+is rejected at its first failing vertex.  An `--shape all` candidate's ccw
+is the chain enumerate_convex grew it as; the chain's newest inner vertex
+is judged once for every chain that extends it, and its verdict is kept
+by position for them, so a candidate is judged in O(1) and takes no hull.
+An invalid candidate gets no Polygon and no Analysis; a valid one's
+Analysis is handed the report of its vertices' verdicts.  On a 2-vCPU x86
+machine with Python 3.11, writing the stream, the max-coord 4 triangle
+census (13,428 candidates) takes about 0.21 s and the max-coord 3
+`--shape all` census (46,667 candidates) about 0.85 s, each including
+interpreter start-up.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .classify import (
     Analysis,
@@ -48,7 +49,7 @@ from .difftype import diffeo_type
 from .errors import GeometryError
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint, Weight, primitive_int_ray
-from .polygon import IntPair, Polygon, hull_of_form, int_rays, integer_form
+from .polygon import Polygon, integer_form
 
 
 # The largest max-coord of a census, by shape.  Each holds a census to about
@@ -83,12 +84,19 @@ def grid_points(max_coord: int, denominator: int = 1) -> list[RationalPoint]:
     ]
 
 
-def enumerate_triangles(points: list[RationalPoint]) -> Iterator[tuple[RationalPoint, ...]]:
-    """All 3-element subsets in convex position, as sorted vertex tuples."""
-    _, xy = integer_form(points)
-    for (a, (ax, ay)), (b, (bx, by)), (c, (cx, cy)) in itertools.combinations(zip(points, xy), 3):
-        if (bx - ax) * (cy - ay) != (by - ay) * (cx - ax):
-            yield (a, b, c)
+def enumerate_triangles(
+    points: list[RationalPoint],
+) -> Iterator[tuple[tuple[RationalPoint, ...], tuple[int, ...]]]:
+    """All 3-element subsets in convex position, each as a pair (vertices,
+    ccw) as enumerate_convex yields it: `vertices` is the sorted tuple of
+    the three points, and `ccw` holds their indices in sorted(points),
+    counterclockwise from the smallest."""
+    pts = sorted(points)
+    _, xy = integer_form(pts)
+    for (i, (ax, ay)), (j, (bx, by)), (k, (cx, cy)) in itertools.combinations(enumerate(xy), 3):
+        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if cross:
+            yield (pts[i], pts[j], pts[k]), ((i, j, k) if cross > 0 else (i, k, j))
 
 
 def enumerate_convex(
@@ -159,6 +167,10 @@ class ItemResult:
     diff_type: Optional[str]
 
 
+# A vertex's verdict: vertex_kind(on_wall, r1, r2).
+_Verdict = tuple[str, Optional[WallVertexType]]
+
+
 class _WallVerdicts(dict):
     """vertex_kind of a wall vertex by the pair of ids of its rays in
     `dirs`, each taken once."""
@@ -167,163 +179,82 @@ class _WallVerdicts(dict):
         super().__init__()
         self.dirs = dirs
 
-    def __missing__(self, ids: tuple[int, int]) -> tuple[str, Optional[WallVertexType]]:
+    def __missing__(self, ids: tuple[int, int]) -> _Verdict:
         r1, r2 = ids
         verdict = self[ids] = vertex_kind(True, self.dirs[r1], self.dirs[r2])
         return verdict
 
 
-class _RayTable:
-    """Primitive directions by small int id, and the vertex verdicts read
-    from pairs of them.
-
-    A vertex's condition depends only on whether it lies on the wall and on
-    the primitive rays r1, r2 along its two edges: its verdict is
-    vertex_kind(on_wall, r1, r2).  An interior vertex's, a 2x2 determinant,
-    is taken on every visit; a wall vertex's, a match against the cone
-    patterns, is memoised on the pair of ids.
-    """
-
-    def __init__(self):
-        self.dirs: list[Weight] = []
-        self._ids: dict[Weight, int] = {}
-        self._wall = _WallVerdicts(self.dirs)
-
-    def intern(self, w: Weight) -> int:
-        """The id of the primitive direction w."""
-        k = self._ids.get(w)
-        if k is None:
-            k = self._ids[w] = len(self.dirs)
-            self.dirs.append(w)
-        return k
-
-    def verdict(self, on_wall: bool, r1: int, r2: int) -> tuple[str, Optional[WallVertexType]]:
-        """vertex_kind of a vertex, on the wall or not, with the rays of ids
-        r1, r2."""
-        return self._wall[r1, r2] if on_wall else vertex_kind(False, self.dirs[r1], self.dirs[r2])
-
-    def item(self, vertices: tuple[RationalPoint, ...], hull: tuple[RationalPoint, ...],
-             scale: int, hull_xy: tuple[IntPair, ...],
-             ray_ids: Sequence[tuple[int, int]]) -> ItemResult:
-        """The ItemResult of the candidate `vertices`, whose hull is `hull`,
-        counterclockwise from its lexicographically smallest vertex, with
-        int pairs hull_xy on `scale` and the ids of its vertices' rays.
-
-        An invalid candidate is rejected at its first hull vertex that fails
-        its condition.  A valid one's Analysis is handed the report of these
-        verdicts, so check_momentum_polytope does not run.
-        """
-        if len(hull) < 3:
-            return ItemResult(vertices, False, None, None, None)
-        dirs, wall = self.dirs, self._wall
-        verdicts = []
-        for (x, y), (r1, r2) in zip(hull_xy, ray_ids):
-            # The body of verdict(), inline: a triangle census visits this
-            # loop once or more for each of its candidates.
-            verdict = wall[r1, r2] if x == y else vertex_kind(False, dirs[r1], dirs[r2])
-            if verdict[0] == "invalid":
-                return ItemResult(vertices, False, None, None, None)
-            verdicts.append(verdict)
-
-        rays = tuple([(dirs[r1], dirs[r2]) for r1, r2 in ray_ids])
-        report = ClassificationReport(True, 2, tuple([
-            VertexAnalysis(v, r, x == y, *verdict)
-            for v, (x, y), r, verdict in zip(hull, hull_xy, rays, verdicts)
-        ]))
-        analysis = Analysis(Polygon._from_form(hull, scale, hull_xy, rays), report)
-        kaehler, _ = is_kaehlerizable(analysis)
-        if len(hull) != 3:
-            return ItemResult(vertices, True, None, kaehler, None)
-        fam = classify_triangle(analysis)
-        return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
-
-
-def classify_item(vertices: tuple[RationalPoint, ...]) -> ItemResult:
-    """Classify the convex hull of `vertices`: any nonempty tuple of
-    points, in any order, with duplicates and non-extreme points allowed.
-    The result records `vertices` as given.  Raises ChamberError when a
-    point leaves the chamber.
-
-    The rays are int_rays of the candidate's own integer hull, judged as
-    the census judges them (_RayTable.item).
-    """
-    scale, xy = integer_form(vertices)
-    hull, hull_xy = hull_of_form(vertices, xy)
-    require_chamber(hull_xy)
-    table = _RayTable()
-    ray_ids = [(table.intern(r1), table.intern(r2))
-               for r1, r2 in (int_rays(hull_xy) if len(hull_xy) >= 3 else ())]
-    return table.item(vertices, hull, scale, hull_xy, ray_ids)
-
-
 class _Grid:
     """A census grid with its ray table: the id of the primitive ray from
-    grid point i to grid point j is rays[i][j].  enumerate_triangles yields
-    the grid's own point objects, which the grid keeps alive, so a
-    triangle's grid indices are found by object identity; enumerate_convex
-    yields each candidate's indices with it."""
+    grid point i to grid point j is rays[i][j], and that ray is dirs[id]."""
 
     def __init__(self, points: list[RationalPoint]):
         self.points = points
         # Every point of the grid is in the chamber; so is every candidate.
         self.scale, self.xy = integer_form(points)
         require_chamber(self.xy)
-        self._at = {id(p): k for k, p in enumerate(points)}
         self.on_wall = [x == y for x, y in self.xy]
-        # prefix_ok[L] is the verdict on the chain of length L that chain()
-        # judged last; only lengths 3 to len(points) are read.
-        self.prefix_ok = [False] * (len(points) + 1)
-        self.table = table = _RayTable()
+        ids: dict[Weight, int] = {}
         self.rays = [
-            [None if i == j else table.intern(primitive_int_ray(qx - px, qy - py))
+            [None if i == j else ids.setdefault(primitive_int_ray(qx - px, qy - py), len(ids))
              for j, (qx, qy) in enumerate(self.xy)]
             for i, (px, py) in enumerate(self.xy)
         ]
+        self.dirs = list(ids)
+        self.wall = _WallVerdicts(self.dirs)
+        # passed[m] is the verdict on ccw[m] of the candidate of length
+        # m + 2 that item() judged last, or None unless its ccw[1..m] pass.
+        self.passed: list[Optional[_Verdict]] = [None] * len(points)
 
-    def triangle(self, vertices: tuple[RationalPoint, ...]) -> ItemResult:
-        """The ItemResult of a candidate of enumerate_triangles: three
-        points, lexicographically sorted and not collinear, so that one
-        cross product gives the counterclockwise order."""
-        at, xy, rays = self._at, self.xy, self.rays
-        a, b, c = vertices
-        i, j, k = at[id(a)], at[id(b)], at[id(c)]
-        p, q, r = xy[i], xy[j], xy[k]
-        if (q[0] - p[0]) * (r[1] - p[1]) < (q[1] - p[1]) * (r[0] - p[0]):
-            b, c, j, k, q, r = c, b, k, j, r, q
-        ri, rj, rk = rays[i], rays[j], rays[k]
-        return self.table.item(vertices, (a, b, c), self.scale, (p, q, r),
-                               ((ri[j], ri[k]), (rj[k], rj[i]), (rk[i], rk[j])))
+    def passing(self, k: int, i: int, j: int) -> Optional[_Verdict]:
+        """The verdict (vertex_kind) on grid point k as a hull vertex whose
+        next and previous vertices, counterclockwise, are grid points i and
+        j; None if it fails its condition."""
+        r1, r2 = self.rays[k][i], self.rays[k][j]
+        verdict = (self.wall[r1, r2] if self.on_wall[k]
+                   else vertex_kind(False, self.dirs[r1], self.dirs[r2]))
+        return None if verdict[0] == "invalid" else verdict
 
-    def chain(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
-        """The ItemResult of a candidate (vertices, ccw) of enumerate_convex
-        on the grid's points, judged on its chain ccw = (s, ..., b, c, p).
+    def item(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
+        """The ItemResult of a candidate (vertices, ccw) of
+        enumerate_triangles or enumerate_convex on the grid's points, judged
+        on its index cycle ccw = (s, ..., b, c, p).
 
         Vertex c is judged with its neighbours b and p, which no extension
-        of the chain changes; prefix_ok[L] records whether every vertex from
-        ccw[1] to c passes, from prefix_ok[L - 1] of the chain's prefix,
-        which enumerate_convex yielded last at that length.  The candidate is
-        valid iff that holds and both closing vertices pass: p with
+        of the chain changes, once ccw[1] to b pass: passed[n - 3] holds
+        that, written by the chain's prefix, which enumerate_convex yielded
+        last at its length; a triangle reads no entry.  The candidate is
+        valid iff c passes and both closing vertices pass: p with
         neighbours c and s, and s with neighbours ccw[1] and p.  A valid
-        candidate's ccw is its hull, on which _RayTable.item builds its
-        report.
+        candidate's ccw is its hull, and its Analysis is handed the report
+        of these verdicts, so check_momentum_polytope does not run.
         """
         vertices, ccw = candidate
         n = len(ccw)
         if n < 3:
             return ItemResult(vertices, False, None, None, None)
-        xy, rays, verdict = self.xy, self.rays, self.table.verdict
+        passed, passing = self.passed, self.passing
         s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
-        ok = self.prefix_ok[n] = (
-            (n == 3 or self.prefix_ok[n - 1])
-            and verdict(self.on_wall[c], rays[c][p], rays[c][b])[0] != "invalid")
-        if not (ok
-                and verdict(self.on_wall[p], rays[p][s], rays[p][c])[0] != "invalid"
-                and verdict(self.on_wall[s], rays[s][ccw[1]], rays[s][p])[0] != "invalid"):
+        ok = passed[n - 2] = passing(c, p, b) if n == 3 or passed[n - 3] else None
+        if not (ok and (vp := passing(p, s, c)) and (vs := passing(s, ccw[1], p))):
             return ItemResult(vertices, False, None, None, None)
-        points = self.points
-        ray_ids = [(rays[k][ccw[(m + 1) % n]], rays[k][ccw[m - 1]]) for m, k in enumerate(ccw)]
-        return self.table.item(vertices, tuple([points[k] for k in ccw]), self.scale,
-                               tuple([xy[k] for k in ccw]), ray_ids)
+
+        points, xy, on_wall, rays, dirs = self.points, self.xy, self.on_wall, self.rays, self.dirs
+        hull = tuple([points[k] for k in ccw])
+        hull_xy = tuple([xy[k] for k in ccw])
+        edge_rays = tuple([(dirs[rays[k][ccw[(m + 1) % n]]], dirs[rays[k][ccw[m - 1]]])
+                           for m, k in enumerate(ccw)])
+        report = ClassificationReport(True, 2, tuple([
+            VertexAnalysis(points[k], r, on_wall[k], *verdict)
+            for k, r, verdict in zip(ccw, edge_rays, (vs, *passed[1:n - 1], vp))
+        ]))
+        analysis = Analysis(Polygon._from_form(hull, self.scale, hull_xy, edge_rays), report)
+        kaehler, _ = is_kaehlerizable(analysis)
+        if n != 3:
+            return ItemResult(vertices, True, None, kaehler, None)
+        fam = classify_triangle(analysis)
+        return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
 
 
 @dataclass
@@ -384,14 +315,11 @@ def run_census(
     # One ray table per grid.  A valid candidate's polygon has the grid's
     # scale, which changes none of its lattice facts.
     grid = _Grid(points)
-    if shape == "triangles":
-        candidates, classify = enumerate_triangles(points), grid.triangle
-    else:
-        candidates, classify = enumerate_convex(points), grid.chain
+    enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
 
     summary = CensusSummary(shape, max_coord, denominator)
-    for candidate in candidates:
-        item = classify(candidate)
+    for candidate in enumerate_candidates(points):
+        item = grid.item(candidate)
         summary.add(item)
         if on_item is not None:
             on_item(item)

@@ -5,7 +5,6 @@ import pytest
 from mompoly import census, classify, polygon
 from mompoly.census import (
     ItemResult,
-    classify_item,
     enumerate_convex,
     enumerate_triangles,
     grid_points,
@@ -32,7 +31,7 @@ def test_grid_points():
 
 def test_enumerate_triangles_counts():
     pts = grid_points(1)
-    tris = list(enumerate_triangles(pts))
+    tris = [vertices for vertices, _ in enumerate_triangles(pts)]
     # 6 choose 3 = 20 triples, minus the collinear ones.
     assert all(len(t) == 3 for t in tris)
     assert len(tris) == len(set(tris))
@@ -69,16 +68,21 @@ def test_enumerate_convex_complete():
     assert set(found) == expected
 
 
-@pytest.mark.parametrize("denominator", [1, 2])
-def test_enumerate_convex_yields_hulls_in_preorder(denominator):
+@pytest.mark.parametrize("enumerate_candidates, denominator", [
+    pytest.param(enumerate_convex, 1, id="1"),
+    pytest.param(enumerate_convex, 2, id="2"),
+    pytest.param(enumerate_triangles, 2, id="triangles"),
+])
+def test_enumerate_convex_yields_hulls_in_preorder(enumerate_candidates, denominator):
     """Each candidate's ccw is the hull of its vertices, counterclockwise
-    from the smallest, as indices in the sorted points; a chain of length
-    L >= 4 follows its prefix, the last chain yielded with length L - 1."""
+    from the smallest, as indices in the sorted points; enumerate_triangles
+    keeps the same contract.  A chain of enumerate_convex of length L >= 4
+    follows its prefix, the last chain yielded with length L - 1."""
     points = grid_points(2, denominator)
     _, xy = integer_form(points)
     last = {}
     chains = 0
-    for vertices, ccw in enumerate_convex(points):
+    for vertices, ccw in enumerate_candidates(points):
         assert vertices == tuple(sorted(points[k] for k in ccw))
         if len(ccw) <= 2:
             assert list(ccw) == sorted(ccw)
@@ -89,17 +93,10 @@ def test_enumerate_convex_yields_hulls_in_preorder(denominator):
             assert last[len(ccw) - 1] == ccw[:-1]
             chains += 1
         last[len(ccw)] = ccw
-    assert chains > 0 and max(last) == 6
-
-
-def test_classify_item():
-    item = classify_item(
-        (RationalPoint.of(0, 0), RationalPoint.of(1, 1), RationalPoint.of(3, 2))
-    )
-    assert item.valid and item.family_tag == "wall_edge"
-    assert item.kaehler is True and item.diff_type == "projective_space_4"
-    bad = classify_item((RationalPoint.of(0, 0), RationalPoint.of(2, 2)))
-    assert not bad.valid
+    if enumerate_candidates is enumerate_convex:
+        assert chains > 0 and max(last) == 6
+    else:
+        assert chains == 0 and list(last) == [3]
 
 
 def _classify_via_analysis(vertices):
@@ -114,54 +111,33 @@ def _classify_via_analysis(vertices):
     return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
 
 
-@pytest.mark.parametrize("denominator", [1, 2])
-def test_classify_item_agrees_with_analysis(denominator):
-    for vertices, _ in enumerate_convex(grid_points(2, denominator)):
-        assert classify_item(vertices) == _classify_via_analysis(vertices), vertices
-
-
-@pytest.mark.parametrize("coords", [
-    ((0, 0), (0, -1), (2, -1), (2, 0)),            # counterclockwise, not sorted
-    ((1, -1), (0, 0), (3, -1), (0, 0), (2, -1)),   # a duplicate and an edge point
-    ((0, 0), (0, -1), (1, -1), (1, 0), (0, 0)),    # a closed counterclockwise cycle
-    ((1, 0),),                                     # a point
-    ((0, 0), (2, 2)),                              # a segment
-])
-def test_classify_item_takes_any_point_tuple(coords):
-    vertices = tuple(RationalPoint.of(x, y) for x, y in coords)
-    assert classify_item(vertices) == _classify_via_analysis(vertices)
-    assert classify_item(vertices).vertices is vertices
-
-
 @pytest.mark.parametrize("max_coord, denominator, shape", [
     (3, 1, "triangles"), (3, 2, "triangles"), (3, 3, "triangles"), (2, 1, "all"), (2, 2, "all"),
 ])
-def test_census_items_agree_with_classify_item(max_coord, denominator, shape):
-    """run_census reads each candidate's int pairs from the grid's integer
-    form; classify_item takes the candidate's own.  Both give the same items."""
+def test_census_items_agree_with_analysis(max_coord, denominator, shape):
+    """run_census judges each candidate on its grid indices and the grid's
+    ray table; the full Analysis of the candidate's own hull gives the
+    same items."""
     items = []
     run_census(max_coord, denominator, shape, on_item=items.append)
     points = grid_points(max_coord, denominator)
-    candidates = (enumerate_triangles(points) if shape == "triangles"
-                  else (vertices for vertices, _ in enumerate_convex(points)))
-    assert items == [classify_item(vertices) for vertices in candidates]
+    enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
+    assert items == [_classify_via_analysis(vertices)
+                     for vertices, _ in enumerate_candidates(points)]
 
 
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
 def test_enumerators_yield_the_grid_points_themselves(enumerate_candidates):
-    """run_census finds a triangle's int pairs by the identity of its
-    points, and the stream writes each grid point's own cached text."""
+    """The stream writes each grid point's own cached text."""
     points = grid_points(2, 2)
     ids = {id(p) for p in points}
-    candidates = list(enumerate_candidates(points))
-    if enumerate_candidates is enumerate_convex:
-        candidates = [vertices for vertices, _ in candidates]
+    candidates = [vertices for vertices, _ in enumerate_candidates(points)]
     assert candidates and all(id(v) in ids for vertices in candidates for v in vertices)
 
 
-def test_classify_item_refuses_chamber_exit():
-    vertices = tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1)))
-    for route in (classify_item, _classify_via_analysis):
+def test_census_grid_refuses_chamber_exit():
+    vertices = [RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1))]
+    for route in (census._Grid, _classify_via_analysis):
         with pytest.raises(ChamberError):
             route(vertices)
 
@@ -230,25 +206,24 @@ def test_census_reads_rays_from_one_table(monkeypatch):
     assert wall and len(wall) == len(set(wall))
 
 
-def test_census_judges_chains_without_hulls(monkeypatch):
+def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     """An `--shape all` census judges each candidate on the chain
     enumerate_convex grew it as: it takes no hull, judges each chain vertex
-    once for all the chains that extend it (65,459 vertex_kind calls when
-    every candidate's hull was judged from scratch), and hands only the
-    valid candidates on to the report."""
+    once for all the chains that extend it and reuses that verdict in a
+    valid chain's report (65,459 vertex_kind calls when every candidate's
+    hull was judged from scratch, 30,240 when a valid chain's vertices were
+    judged again), and hands only the valid candidates on to the report."""
     kinds = []
-    handed = []
     vertex_kind = census.vertex_kind
-    item = census._RayTable.item
-    monkeypatch.setattr(census, "hull_of_form", lambda *args: pytest.fail("a hull was taken"))
+    for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
+                         (classify, "hull_of_form")):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("a hull was taken"))
     monkeypatch.setattr(census, "vertex_kind",
                         lambda *args: kinds.append(args) or vertex_kind(*args))
-    monkeypatch.setattr(census._RayTable, "item",
-                        lambda self, *args: handed.append(args) or item(self, *args))
     summary = run_census(3, shape="all")
     assert summary.total == 46667
-    assert 0 < len(kinds) <= 32000
-    assert len(handed) == summary.valid
+    assert 0 < len(kinds) <= 20000
+    assert len(analyses) == summary.valid
 
 
 @pytest.mark.parametrize("max_coord, denominator", [

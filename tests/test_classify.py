@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ import mompoly.classify
 import mompoly.difftype
 import mompoly.kaehler
 import mompoly.polygon
-from mompoly.census import classify_item, enumerate_convex, enumerate_triangles, grid_points
+from mompoly.census import enumerate_convex, grid_points, run_census
 from mompoly.classify import (
     DelzantFamily,
     HalfReflMinus,
@@ -85,6 +86,36 @@ class TestClassifyWallRays:
         ]
         for wt in cases:
             assert classify_wall_rays(*wt.rays()) == wt
+
+    def test_duality_maps_patterns(self):
+        # sigma(x, y) = (-y, -x), the map lambda -> -w0(lambda), keeps the
+        # chamber, the wall and the lattice but reverses orientation: it
+        # carries a wall vertex with rays (r1, r2) to one with rays
+        # (sigma r2, sigma r1), and its pattern to the image below.
+        def sigma(r):
+            return Weight(-r.b, -r.a)
+
+        def image(wt):
+            if isinstance(wt, HalfReflPlus):
+                return HalfReflMinus(wt.j)
+            if isinstance(wt, HalfReflMinus):
+                return HalfReflPlus(wt.j)
+            if isinstance(wt, WallEdgePlus):
+                return WallEdgeMinus(-wt.k - 1)
+            if isinstance(wt, WallEdgeMinus):
+                return WallEdgePlus(-wt.k - 1)
+            return wt  # Reflection(j) and None map to themselves.
+
+        rays = [Weight(a, b) for a, b in itertools.product(range(-6, 7), repeat=2)
+                if math.gcd(a, b) == 1]
+        assert len(rays) == 96
+        seen = Counter()
+        for r1, r2 in itertools.product(rays, repeat=2):
+            wt = classify_wall_rays(r1, r2)
+            assert classify_wall_rays(sigma(r2), sigma(r1)) == image(wt), (r1, r2)
+            seen[type(wt)] += 1
+        assert set(seen) == {WallEdgePlus, WallEdgeMinus, HalfReflPlus, HalfReflMinus,
+                             Reflection, type(None)}
 
 
 class TestCheckMomentumPolytope:
@@ -481,16 +512,6 @@ class TestAnalysis:
             assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords
 
-    def test_census_item_computes_each_edge_ray_once(self, monkeypatch):
-        # The rays of the early rejection check are the valid polygon's rays.
-        calls = []
-        original = mompoly.polygon.primitive_int_ray
-        monkeypatch.setattr(mompoly.polygon, "primitive_int_ray",
-                            lambda a, b: calls.append((a, b)) or original(a, b))
-        item = classify_item(tuple(RationalPoint.of(x, y) for x, y in ((0, 0), (1, -1), (4, -3))))
-        assert item.valid and item.family_tag is not None
-        assert len(calls) == 3
-
     def test_full_report_computes_mod3_residue_once(self, monkeypatch):
         calls = []
         original = mompoly.difftype.chern_mod3_at_vertex
@@ -534,18 +555,6 @@ class TestAnalysis:
         render_svg(P(*woodward), ("xray", "fixpoints"))
         assert counters == []
 
-    def test_classify_item_checks_once(self, checks, monkeypatch):
-        # Each vertex is judged once, by the census's verdict routine, and
-        # the Analysis is handed that report: check_momentum_polytope does
-        # not run.  The triangle's one wall vertex is matched once.
-        wall = []
-        monkeypatch.setattr(mompoly.classify, "classify_wall_rays",
-                            lambda *rays: wall.append(rays) or classify_wall_rays(*rays))
-        item = classify_item(tuple(P((0, 0), (1, -1), (4, -3)).vertices))
-        assert item.valid and item.family_tag == "half_refl_plus"
-        assert checks == []
-        assert len(wall) == 1
-
     def test_census_formats_no_reason(self, monkeypatch):
         # The census reads only the verdicts; a rejection reason, which
         # formats the failing vertex, is built only when it is read.
@@ -557,8 +566,9 @@ class TestAnalysis:
             return original(self)
 
         monkeypatch.setattr(RationalPoint, "__repr__", counting)
-        items = [classify_item(t) for t in enumerate_triangles(grid_points(2))]
-        assert not all(item.valid for item in items)
+        for shape in ("triangles", "all"):
+            summary = run_census(2, shape=shape)
+            assert summary.total > summary.valid > 0
         assert formatted == []
 
     def test_queries_take_an_analysis(self, checks):

@@ -41,7 +41,7 @@ def test_diff_type_agrees_with_fiber_weights():
     # weights of the family's manifold model, summed mod 3, against the
     # residue of the rays at a vertex of the triangle.
     tags = Counter()
-    for vertices in enumerate_triangles(grid_points(4)):
+    for vertices, _ in enumerate_triangles(grid_points(4)):
         analysis = analyze(convex_hull(vertices))
         if not analysis.report.valid or analysis.family.diffeo is not None:
             continue
