@@ -15,17 +15,29 @@ yield each candidate as a pair (vertices, ccw), with ccw its grid indices
 counterclockwise from its smallest vertex, and every candidate is judged
 on that index cycle by one routine (_Grid.item), each vertex from its two
 ray ids: an interior vertex by their determinant, a wall vertex by its
-cone pattern, whose verdict is memoised on the pair of ids.  A candidate
-is rejected at its first failing vertex.  An `--shape all` candidate's ccw
-is the chain enumerate_convex grew it as; the chain's newest inner vertex
-is judged once for every chain that extends it, and its verdict is kept
-by position for them, so a candidate is judged in O(1) and takes no hull.
-An invalid candidate gets no Polygon and no Analysis; a valid one's
-Analysis is handed the report of its vertices' verdicts.  On a 2-vCPU x86
-machine with Python 3.11, writing the stream, the max-coord 4 triangle
-census (13,428 candidates) takes about 0.21 s and the max-coord 3
-`--shape all` census (46,667 candidates) about 0.85 s, each including
-interpreter start-up.
+cone pattern, each verdict memoised on its wall flag and pair of ids.  A
+candidate is rejected at its first failing vertex.  An `--shape all`
+candidate's ccw is the chain enumerate_convex grew it as; the chain's
+newest inner vertex is judged once for every chain that extends it, and
+its verdict is kept by position for them, so a candidate is judged in
+O(1) and takes no hull.  An invalid candidate gets no Polygon and no
+Analysis.
+
+The validity criterion and the triangle families are local, so a valid
+candidate's family tag, Kaehler verdict and diff type are functions of
+its ray signature: (on_wall, ray id to the next vertex, ray id to the
+previous vertex) at each vertex along ccw.  The first valid candidate of
+a signature gets an Analysis, handed the report of its vertices' verdicts,
+and its fields are kept on the grid; a later one builds no report, Polygon
+or Analysis (run_census(4) analyses 128 signatures for 1,070 valid
+triangles).  Analysis.family's rebuild check still runs on every valid
+triangle: a later triangle of a signature is rebuilt from its own base
+vertex and edge scale with the cone rays of the signature's family.
+Ten perfbench runs of 10 s (seeds 1 and 2, 2-vCPU Intel Xeon, Python
+3.11.7) gave a median of about 183,000 candidates/s on the max-coord 4
+triangle census (13,428 candidates), and four gave about 99,000 on the
+max-coord 2 `--shape all` census (1,619 candidates), each writing the
+stream, at perfbench's reference machine speed.
 """
 
 from __future__ import annotations
@@ -41,8 +53,11 @@ from .classify import (
     ClassificationReport,
     VertexAnalysis,
     WallVertexType,
+    base_vertex,
     classify_triangle,
+    edge_scale,
     require_chamber,
+    require_rebuild,
     vertex_kind,
 )
 from .difftype import diffeo_type
@@ -167,22 +182,31 @@ class ItemResult:
     diff_type: Optional[str]
 
 
-# A vertex's verdict: vertex_kind(on_wall, r1, r2).
+# A passing vertex's verdict: vertex_kind(on_wall, r1, r2).
 _Verdict = tuple[str, Optional[WallVertexType]]
 
 
-class _WallVerdicts(dict):
-    """vertex_kind of a wall vertex by the pair of ids of its rays in
-    `dirs`, each taken once."""
+class _Verdicts(dict):
+    """The verdict of a vertex on (on_wall) or off the wall by the pair of
+    ids of its rays in `dirs`, None if it fails its condition; each pair is
+    judged once."""
 
-    def __init__(self, dirs: list[Weight]):
+    def __init__(self, on_wall: bool, dirs: list[Weight]):
         super().__init__()
+        self.on_wall = on_wall
         self.dirs = dirs
 
-    def __missing__(self, ids: tuple[int, int]) -> _Verdict:
+    def __missing__(self, ids: tuple[int, int]) -> Optional[_Verdict]:
         r1, r2 = ids
-        verdict = self[ids] = vertex_kind(True, self.dirs[r1], self.dirs[r2])
+        verdict = vertex_kind(self.on_wall, self.dirs[r1], self.dirs[r2])
+        verdict = self[ids] = None if verdict[0] == "invalid" else verdict
         return verdict
+
+
+# The fields of a valid candidate's ItemResult after `vertices` and `valid`
+# (family tag, Kaehler verdict, diff type) and, for a triangle, the rays
+# r1, r2 of its family's cone.
+_Fields = tuple[Optional[str], bool, Optional[str], Optional[tuple[Weight, Weight]]]
 
 
 class _Grid:
@@ -202,19 +226,20 @@ class _Grid:
             for i, (px, py) in enumerate(self.xy)
         ]
         self.dirs = list(ids)
-        self.wall = _WallVerdicts(self.dirs)
+        verdicts = {w: _Verdicts(w, self.dirs) for w in (False, True)}
+        self.verdicts = [verdicts[w] for w in self.on_wall]
         # passed[m] is the verdict on ccw[m] of the candidate of length
         # m + 2 that item() judged last, or None unless its ccw[1..m] pass.
         self.passed: list[Optional[_Verdict]] = [None] * len(points)
+        # The fields of each ray signature analysed so far.
+        self.fields: dict[tuple, _Fields] = {}
 
     def passing(self, k: int, i: int, j: int) -> Optional[_Verdict]:
         """The verdict (vertex_kind) on grid point k as a hull vertex whose
         next and previous vertices, counterclockwise, are grid points i and
         j; None if it fails its condition."""
-        r1, r2 = self.rays[k][i], self.rays[k][j]
-        verdict = (self.wall[r1, r2] if self.on_wall[k]
-                   else vertex_kind(False, self.dirs[r1], self.dirs[r2]))
-        return None if verdict[0] == "invalid" else verdict
+        row = self.rays[k]
+        return self.verdicts[k][row[i], row[j]]
 
     def item(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
         """The ItemResult of a candidate (vertices, ccw) of
@@ -226,9 +251,13 @@ class _Grid:
         that, written by the chain's prefix, which enumerate_convex yielded
         last at its length; a triangle reads no entry.  The candidate is
         valid iff c passes and both closing vertices pass: p with
-        neighbours c and s, and s with neighbours ccw[1] and p.  A valid
-        candidate's ccw is its hull, and its Analysis is handed the report
-        of these verdicts, so check_momentum_polytope does not run.
+        neighbours c and s, and s with neighbours ccw[1] and p.
+
+        A valid candidate's ccw is its hull, and its fields are those of
+        its ray signature: (on_wall, id of the ray to the next vertex, id of
+        the ray to the previous one) at each vertex along ccw.  The first
+        candidate of a signature is analysed (analyse); a later triangle of
+        it is still held to its family's rebuild check (rebuild).
         """
         vertices, ccw = candidate
         n = len(ccw)
@@ -240,21 +269,49 @@ class _Grid:
         if not (ok and (vp := passing(p, s, c)) and (vs := passing(s, ccw[1], p))):
             return ItemResult(vertices, False, None, None, None)
 
-        points, xy, on_wall, rays, dirs = self.points, self.xy, self.on_wall, self.rays, self.dirs
+        on_wall, rays = self.on_wall, self.rays
+        key = tuple([(on_wall[k], rays[k][ccw[(m + 1) % n]], rays[k][ccw[m - 1]])
+                     for m, k in enumerate(ccw)])
+        fields = self.fields.get(key)
+        if fields is None:
+            fields = self.fields[key] = self.analyse(ccw, key, (vs, *passed[1:n - 1], vp))
+        elif n == 3:
+            self.rebuild(ccw, key, fields)
+        return ItemResult(vertices, True, *fields[:3])
+
+    def analyse(self, ccw: tuple[int, ...], key: tuple,
+                verdicts: tuple[_Verdict, ...]) -> _Fields:
+        """The fields of a valid candidate with signature `key` from its
+        Analysis, which is handed the report of its vertices' verdicts, so
+        check_momentum_polytope does not run."""
+        points, xy, dirs = self.points, self.xy, self.dirs
         hull = tuple([points[k] for k in ccw])
         hull_xy = tuple([xy[k] for k in ccw])
-        edge_rays = tuple([(dirs[rays[k][ccw[(m + 1) % n]]], dirs[rays[k][ccw[m - 1]]])
-                           for m, k in enumerate(ccw)])
+        edge_rays = tuple([(dirs[r1], dirs[r2]) for _, r1, r2 in key])
         report = ClassificationReport(True, 2, tuple([
-            VertexAnalysis(points[k], r, on_wall[k], *verdict)
-            for k, r, verdict in zip(ccw, edge_rays, (vs, *passed[1:n - 1], vp))
+            VertexAnalysis(points[k], r, w, *verdict)
+            for k, (w, _, _), r, verdict in zip(ccw, key, edge_rays, verdicts)
         ]))
         analysis = Analysis(Polygon._from_form(hull, self.scale, hull_xy, edge_rays), report)
         kaehler, _ = is_kaehlerizable(analysis)
-        if n != 3:
-            return ItemResult(vertices, True, None, kaehler, None)
+        if len(ccw) != 3:
+            return None, kaehler, None, None
         fam = classify_triangle(analysis)
-        return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
+        return fam.tag, kaehler, diffeo_type(fam, analysis).value, fam.cone()[3:]
+
+    def rebuild(self, ccw: tuple[int, ...], key: tuple, fields: _Fields) -> None:
+        """Analysis.family's rebuild check on a valid triangle whose
+        signature `key` was analysed before: its own base vertex and edge
+        scale with the cone rays of that signature's family must rebuild
+        it."""
+        tag, _, _, cone_rays = fields
+        points = self.points
+        hull_xy = [self.xy[k] for k in ccw]
+        i = base_vertex(hull_xy)
+        base = points[ccw[i]]
+        t = edge_scale(hull_xy, i, self.dirs[key[i][1]], self.scale)
+        require_rebuild(tag, tuple([points[k] for k in ccw]), self.scale, hull_xy,
+                        (base.x, base.y, t, *cone_rays))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
 from .lattice import (
@@ -477,18 +477,12 @@ class Analysis:
         if len(polygon) != 3:
             raise GeometryError("triangle classification needs exactly 3 vertices")
         require_valid(self)
-        # Base vertex: minimal coroot pairing, ties broken lexicographically.
-        # With wall vertices that is the lowest one, so that a wall edge
-        # always points in the +(eps1+eps2) direction (l = +1).
-        xy = polygon.xy
-        i = min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
+        xy, scale = polygon.xy, polygon.scale
+        i = base_vertex(xy)
         base = polygon.vertices[i]
         va = self.report.vertex_data[i]
-        # The rays at the base, counterclockwise; t is the lattice length of
-        # the edge along the first one, to the next vertex.
         d1, d2 = va.rays
-        (bx, by), (nx, ny), scale = xy[i], xy[(i + 1) % 3], polygon.scale
-        t = Fraction(nx - bx, d1.a * scale) if d1.a else Fraction(ny - by, d1.b * scale)
+        t = edge_scale(xy, i, d1, scale)
         if va.wall_type is not None:
             fam = va.wall_type.family(base.x, t)
         else:
@@ -501,14 +495,35 @@ class Analysis:
                 a2=-d2.b,
                 b2=d2.a,
             )
-
-        # The parameters must rebuild the triangle: this checks the edge scales
-        # and that the edges at the base follow its wall pattern.  The points
-        # fam.triangle() is built from are compared on the polygon's grid.
-        form = _cone_form(scale, *fam.cone())
-        if form is None or sorted(form) != sorted(xy):
-            raise AssertionError(f"{fam} does not rebuild the triangle {polygon.vertices}")
+        require_rebuild(fam, polygon.vertices, scale, xy, fam.cone())
         return fam
+
+
+def base_vertex(xy: Sequence[IntPair]) -> int:
+    """The index of a triangle's base vertex among its int pairs xy: minimal
+    coroot pairing, ties broken lexicographically.  With wall vertices that
+    is the lowest one, so that a wall edge always points in the
+    +(eps1+eps2) direction (l = +1)."""
+    return min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
+
+
+def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight, scale: int) -> Fraction:
+    """t: the lattice length of the edge from vertex i of a counterclockwise
+    triangle, along its primitive ray d1, to the next vertex."""
+    (bx, by), (nx, ny) = xy[i], xy[(i + 1) % 3]
+    return Fraction(nx - bx, d1.a * scale) if d1.a else Fraction(ny - by, d1.b * scale)
+
+
+def require_rebuild(family: object, vertices: tuple[RationalPoint, ...], scale: int,
+                    xy: Sequence[IntPair], cone: Cone) -> None:
+    """The family check: the parameters of `family`, read as cone = (x, y,
+    t, r1, r2), must rebuild the triangle `vertices` with int pairs xy on
+    `scale`.  This checks the edge scales and that the edges at the base
+    follow its wall pattern.  The points (x, y) + t*conv(0, r1, r2) are
+    compared on the triangle's grid; AssertionError if they differ."""
+    form = _cone_form(scale, *cone)
+    if form is None or sorted(form) != sorted(xy):
+        raise AssertionError(f"{family} does not rebuild the triangle {vertices}")
 
 
 PolygonLike = Union[Polygon, Analysis]

@@ -95,13 +95,26 @@ def _cmd_classify(args) -> int:
 _INVALID_TAIL = '], "valid": false, "family": null, "kaehler": null, "diff_type": null}\n'
 
 
+class _ValidTails(dict):
+    """The end of a valid candidate's stream line by its fields (family tag,
+    Kaehler verdict, diff type), each None, a bool or an ASCII tag; each
+    triple is formatted once."""
+
+    def __missing__(self, fields: tuple) -> str:
+        tail = self[fields] = '], "valid": true, "family": %s, "kaehler": %s, "diff_type": %s}\n' % (
+            tuple(json.dumps(f) for f in fields))
+        return tail
+
+
+_VALID_TAILS = _ValidTails()
+
+
 def _stream_line(item) -> str:
     """The census stream's JSON line of an ItemResult."""
     head = '{"vertices": [' + ", ".join(v.json for v in item.vertices)
     if not item.valid:
         return head + _INVALID_TAIL
-    return head + '], "valid": true, "family": %s, "kaehler": %s, "diff_type": %s}\n' % (
-        json.dumps(item.family_tag), json.dumps(item.kaehler), json.dumps(item.diff_type))
+    return head + _VALID_TAILS[item.family_tag, item.kaehler, item.diff_type]
 
 
 def _cmd_enumerate(args) -> int:

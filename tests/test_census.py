@@ -112,12 +112,15 @@ def _classify_via_analysis(vertices):
 
 
 @pytest.mark.parametrize("max_coord, denominator, shape", [
-    (3, 1, "triangles"), (3, 2, "triangles"), (3, 3, "triangles"), (2, 1, "all"), (2, 2, "all"),
+    (3, 1, "triangles"), (3, 2, "triangles"), (3, 3, "triangles"), (4, 1, "triangles"),
+    (2, 1, "all"), (2, 2, "all"),
 ])
 def test_census_items_agree_with_analysis(max_coord, denominator, shape):
     """run_census judges each candidate on its grid indices and the grid's
-    ray table; the full Analysis of the candidate's own hull gives the
-    same items."""
+    ray table, and takes a valid one's fields from the first candidate of
+    its ray signature; the full Analysis of the candidate's own hull gives
+    the same items (at max-coord 4, for 942 memo hits among 1,070 valid
+    triangles)."""
     items = []
     run_census(max_coord, denominator, shape, on_item=items.append)
     points = grid_points(max_coord, denominator)
@@ -160,15 +163,63 @@ def analyses(monkeypatch):
     return made
 
 
-def test_census_analyzes_only_valid_candidates(analyses):
-    """An invalid candidate is rejected from the ray table: only the valid
-    ones get an Analysis, one each."""
+def _signature(vertices):
+    """A valid candidate's ray signature, from the full Analysis of its own
+    hull: (on_wall, ray to the next vertex, ray to the previous one) at
+    each hull vertex, counterclockwise from the smallest."""
+    return tuple((va.on_wall, *va.rays) for va in analyze(convex_hull(vertices)).report.vertex_data)
+
+
+def _first_hull_per_signature(valid):
+    """The hull of the first valid item of each signature, in first-seen order."""
+    first = {}
+    for item in valid:
+        first.setdefault(_signature(item.vertices), item)
+    return [convex_hull(item.vertices).vertices for item in first.values()]
+
+
+def test_census_analyzes_only_valid_candidates(analyses, monkeypatch):
+    """An invalid candidate is rejected from the ray table; a valid one's
+    fields are those of its ray signature, and only the first valid
+    candidate of each signature gets an Analysis."""
     valid = []
     summary = run_census(2, on_item=lambda item: item.valid and valid.append(item))
-    assert summary.total > summary.valid > 0
-    assert len(analyses) == len(valid) == summary.valid
-    assert [a.polygon.vertices for a in analyses] == [
-        convex_hull(item.vertices).vertices for item in valid]
+    monkeypatch.undo()
+    assert summary.total > summary.valid == len(valid) > len(analyses) > 0
+    assert [a.polygon.vertices for a in analyses] == _first_hull_per_signature(valid)
+
+
+def test_census_checks_every_valid_triangle_rebuilds(analyses, monkeypatch):
+    """run_census(4) analyses 128 signatures of its 1,070 valid triangles,
+    and Analysis.family's rebuild check runs on every one of them: 128
+    times inside Analysis.family, 942 times on the memo's hits."""
+    checked = []
+    require_rebuild = classify.require_rebuild
+    for module in (census, classify):
+        monkeypatch.setattr(module, "require_rebuild",
+                            lambda *args: checked.append(args) or require_rebuild(*args))
+    summary = run_census(4)
+    assert summary.valid == 1070
+    assert len(analyses) == 128
+    assert len(checked) == summary.valid
+
+
+def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
+    """A memo hit rebuilds its triangle from its own base, its own edge
+    scale and the cone rays stored for its signature: cone rays that
+    rebuild no triangle fail the census on its first hit."""
+    analyse = census._Grid.analyse
+
+    def wrong_rays(grid, *args):
+        tag, kaehler, diff_type, cone_rays = analyse(grid, *args)
+        if cone_rays is not None:
+            r1, r2 = cone_rays
+            cone_rays = (2 * r1, r2)
+        return tag, kaehler, diff_type, cone_rays
+
+    monkeypatch.setattr(census._Grid, "analyse", wrong_rays)
+    with pytest.raises(AssertionError, match="does not rebuild"):
+        run_census(4)
 
 
 @pytest.mark.parametrize("max_coord, denominator, shape", [
@@ -210,9 +261,11 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     """An `--shape all` census judges each candidate on the chain
     enumerate_convex grew it as: it takes no hull, judges each chain vertex
     once for all the chains that extend it and reuses that verdict in a
-    valid chain's report (65,459 vertex_kind calls when every candidate's
-    hull was judged from scratch, 30,240 when a valid chain's vertices were
-    judged again), and hands only the valid candidates on to the report."""
+    valid chain's report.  Each (on_wall, r1, r2) is judged once (65,459
+    vertex_kind calls when every candidate's hull was judged from scratch,
+    30,240 when a valid chain's vertices were judged again, 19,757 when
+    an interior vertex was judged on every visit, 1,051 now), and only the first
+    valid candidate of each ray signature is handed on to a report."""
     kinds = []
     vertex_kind = census.vertex_kind
     for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
@@ -220,10 +273,12 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
         monkeypatch.setattr(module, name, lambda *args: pytest.fail("a hull was taken"))
     monkeypatch.setattr(census, "vertex_kind",
                         lambda *args: kinds.append(args) or vertex_kind(*args))
-    summary = run_census(3, shape="all")
-    assert summary.total == 46667
-    assert 0 < len(kinds) <= 20000
-    assert len(analyses) == summary.valid
+    valid = []
+    summary = run_census(3, shape="all", on_item=lambda item: item.valid and valid.append(item))
+    monkeypatch.undo()
+    assert summary.total == 46667 and summary.valid == len(valid)
+    assert kinds and len(kinds) == len(set(kinds))
+    assert [a.polygon.vertices for a in analyses] == _first_hull_per_signature(valid)
 
 
 @pytest.mark.parametrize("max_coord, denominator", [
@@ -291,3 +346,27 @@ def test_census_valid_triangles_are_the_family_triangles(max_coord, denominator,
     generated = oracle_family_triangles(max_coord, denominator)
     assert found == generated
     assert Counter(generated.values()) == counts
+
+
+_DUAL_TAG = {"half_refl_plus": "half_refl_minus", "half_refl_minus": "half_refl_plus"}
+
+
+@pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
+def test_census_is_dual_under_minus_w0(max_coord, shape):
+    """sigma(x, y) = (-y, -x), the map lambda -> -w0(lambda), maps the
+    census grid onto itself and each candidate onto one of the same
+    census.  The image keeps `valid`, `kaehler` and `diff_type`, and its
+    family tag swaps half_refl_plus and half_refl_minus; the other tags
+    stay.  sigma maps a ray signature to a different one, so this holds
+    the memo's fields for one signature against those for its image."""
+    items = []
+    run_census(max_coord, shape=shape, on_item=items.append)
+    by_points = {frozenset(item.vertices): item for item in items}
+    assert len(by_points) == len(items)
+    for item in items:
+        image = by_points[frozenset(RationalPoint(-p.y, -p.x) for p in item.vertices)]
+        assert (image.valid, image.kaehler, image.diff_type) == (
+            item.valid, item.kaehler, item.diff_type), item
+        assert image.family_tag == _DUAL_TAG.get(item.family_tag, item.family_tag), item
+    tags = Counter(item.family_tag for item in items if item.valid)
+    assert tags["half_refl_plus"] == tags["half_refl_minus"] > 0
