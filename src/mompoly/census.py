@@ -32,12 +32,12 @@ and its fields are kept on the grid; a later one builds no report, Polygon
 or Analysis (run_census(4) analyses 128 signatures for 1,070 valid
 triangles).  Analysis.family's rebuild check still runs on every valid
 triangle: a later triangle of a signature is rebuilt from its own base
-vertex and edge scale with the cone rays of the signature's family.
-Ten perfbench runs of 10 s (seeds 1 and 2, 2-vCPU Intel Xeon, Python
-3.11.7) gave a median of about 183,000 candidates/s on the max-coord 4
-triangle census (13,428 candidates), and four gave about 99,000 on the
-max-coord 2 `--shape all` census (1,619 candidates), each writing the
-stream, at perfbench's reference machine speed.
+vertex and edge scale with the cone rays of the signature's family, on
+the grid's int pairs.  Ten perfbench runs of 10 s (seeds 1 to 10, 2-vCPU
+Intel Xeon, Python 3.11.7) gave a median of about 229,000 candidates/s on
+the max-coord 4 triangle census (13,428 candidates), and four gave about
+120,000 on the max-coord 2 `--shape all` census (1,619 candidates), each
+writing the stream, at perfbench's reference machine speed.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .classify import (
     Analysis,
@@ -55,6 +55,7 @@ from .classify import (
     WallVertexType,
     base_vertex,
     classify_triangle,
+    cone_points,
     edge_scale,
     require_chamber,
     require_rebuild,
@@ -130,12 +131,18 @@ def enumerate_convex(
     lexicographically smallest vertex, so each polygon appears exactly once.
     A chain is extended only by a point that keeps it closable, so every
     chain of three or more points is yielded and the work grows with the
-    output: the 46,667 candidates at max-coord 3 take about 0.2 s (2-vCPU
-    x86, Python 3.11).  The search is depth first and yields each chain before its
-    extensions (preorder): the chain most recently yielded with length
-    L - 1 is the prefix of a chain of length L >= 4.  When p is appended
-    after c, c's two neighbours are fixed for every chain that extends it,
-    which is what lets run_census judge c once for them all.
+    output.  The search is depth first and yields each chain before its
+    extensions (preorder), in increasing order of the new point's index:
+    the chain most recently yielded with length L - 1 is the prefix of a
+    chain of length L >= 4.  When p is appended after c, c's two neighbours
+    are fixed for every chain that extends it, which is what lets
+    run_census judge c once for them all.
+
+    Each test on a new point is a strict half-plane (the view of convex
+    chains of Eppstein, Overmars, Rote and Woeginger, "Finding minimum
+    area k-gons", DCG 1992), so the points that extend a chain are one AND
+    of three rows of a bitmask table built in O(n^3): the 46,667
+    candidates at max-coord 3 take about 0.1 s (2-vCPU x86, Python 3.11).
     """
     pts = sorted(points)
     for k, p in enumerate(pts):
@@ -144,37 +151,40 @@ def enumerate_convex(
         yield (a, b), (i, j)
 
     # Scaling by a positive integer keeps the sign of every cross product,
-    # so the search runs on integer coordinates.
+    # so the table is built on integer coordinates.  left[a][b] has bit k
+    # set iff point k lies strictly left of the line from point a to point b.
     _, xy = integer_form(pts)
+    left = [[sum([1 << k for k, (x, y) in enumerate(xy)
+                  if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0])
+             for bx, by in xy]
+            for ax, ay in xy]
 
-    def extend(chain, later, ux, uy):
-        # `chain` indexes a counterclockwise strictly convex chain from s to c
-        # whose newest edge has direction u.  Every vertex of a strictly
-        # convex polygon lies strictly left of each edge not incident to it,
-        # so a new point p must lie left of the first edge (`later` holds
-        # only such points), turn left at c, and have s left of the edge
-        # c -> p.  A chain that passes closes at p; one that fails can close
-        # neither at p nor after it.
-        sx, sy = xy[chain[0]]
-        cx, cy = xy[chain[-1]]
-        for j in later:
-            px, py = xy[j]
-            dx, dy = px - cx, py - cy
-            if ux * dy - uy * dx > 0 and dx * (sy - py) - dy * (sx - px) > 0:
-                ccw = chain + (j,)
-                yield tuple([pts[k] for k in sorted(ccw)]), ccw
-                yield from extend(ccw, later, dx, dy)
+    def extend(chain, c, first, ls, fits):
+        # `chain` indexes a counterclockwise strictly convex chain from s to c.
+        # Every vertex of a strictly convex polygon lies strictly left of
+        # each edge not incident to it, so a new point p must lie left of
+        # the first edge (`first`, above s), turn left at c (left of the line
+        # b -> c) and have s left of the edge c -> p (p left of s -> c, in
+        # `ls` = left[s]).  `fits` holds the points that pass.  A chain that
+        # passes closes at p; one that fails can close neither at p nor after.
+        lc = left[c]
+        while fits:
+            low = fits & -fits
+            fits ^= low
+            p = low.bit_length() - 1
+            ccw = chain + (p,)
+            yield tuple([pts[k] for k in sorted(ccw)]), ccw
+            if more := first & lc[p] & ls[p]:
+                yield from extend(ccw, p, first, ls, more)
 
-    for i, (sx, sy) in enumerate(xy):
-        for j in range(i + 1, len(xy)):
-            ux, uy = xy[j][0] - sx, xy[j][1] - sy
-            later = [k for k in range(i + 1, len(xy))
-                     if ux * (xy[k][1] - sy) - uy * (xy[k][0] - sx) > 0]
-            yield from extend((i, j), later, ux, uy)
+    for s, ls in enumerate(left):
+        above = -1 << (s + 1)
+        for j in range(s + 1, len(pts)):
+            first = ls[j] & above
+            yield from extend((s, j), j, first, ls, first)
 
 
-@dataclass(frozen=True)
-class ItemResult:
+class ItemResult(NamedTuple):
     vertices: tuple[RationalPoint, ...]
     valid: bool
     family_tag: Optional[str]
@@ -234,13 +244,6 @@ class _Grid:
         # The fields of each ray signature analysed so far.
         self.fields: dict[tuple, _Fields] = {}
 
-    def passing(self, k: int, i: int, j: int) -> Optional[_Verdict]:
-        """The verdict (vertex_kind) on grid point k as a hull vertex whose
-        next and previous vertices, counterclockwise, are grid points i and
-        j; None if it fails its condition."""
-        row = self.rays[k]
-        return self.verdicts[k][row[i], row[j]]
-
     def item(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
         """The ItemResult of a candidate (vertices, ccw) of
         enumerate_triangles or enumerate_convex on the grid's points, judged
@@ -251,7 +254,9 @@ class _Grid:
         that, written by the chain's prefix, which enumerate_convex yielded
         last at its length; a triangle reads no entry.  The candidate is
         valid iff c passes and both closing vertices pass: p with
-        neighbours c and s, and s with neighbours ccw[1] and p.
+        neighbours c and s, and s with neighbours ccw[1] and p.  A vertex k
+        with next and previous vertices i and j is judged by
+        verdicts[k][rays[k][i], rays[k][j]].
 
         A valid candidate's ccw is its hull, and its fields are those of
         its ray signature: (on_wall, id of the ray to the next vertex, id of
@@ -263,20 +268,22 @@ class _Grid:
         n = len(ccw)
         if n < 3:
             return ItemResult(vertices, False, None, None, None)
-        passed, passing = self.passed, self.passing
+        rays, verdicts, passed = self.rays, self.verdicts, self.passed
         s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
-        ok = passed[n - 2] = passing(c, p, b) if n == 3 or passed[n - 3] else None
-        if not (ok and (vp := passing(p, s, c)) and (vs := passing(s, ccw[1], p))):
+        rs, rc, rp = rays[s], rays[c], rays[p]
+        ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if n == 3 or passed[n - 3] else None
+        if not (ok and (vp := verdicts[p][rp[s], rp[c]])
+                and (vs := verdicts[s][rs[ccw[1]], rs[p]])):
             return ItemResult(vertices, False, None, None, None)
 
-        on_wall, rays = self.on_wall, self.rays
+        on_wall = self.on_wall
         key = tuple([(on_wall[k], rays[k][ccw[(m + 1) % n]], rays[k][ccw[m - 1]])
                      for m, k in enumerate(ccw)])
         fields = self.fields.get(key)
         if fields is None:
             fields = self.fields[key] = self.analyse(ccw, key, (vs, *passed[1:n - 1], vp))
         elif n == 3:
-            self.rebuild(ccw, key, fields)
+            self.rebuild(vertices, ccw, key, fields)
         return ItemResult(vertices, True, *fields[:3])
 
     def analyse(self, ccw: tuple[int, ...], key: tuple,
@@ -299,19 +306,18 @@ class _Grid:
         fam = classify_triangle(analysis)
         return fam.tag, kaehler, diffeo_type(fam, analysis).value, fam.cone()[3:]
 
-    def rebuild(self, ccw: tuple[int, ...], key: tuple, fields: _Fields) -> None:
+    def rebuild(self, vertices: tuple[RationalPoint, ...], ccw: tuple[int, ...], key: tuple,
+                fields: _Fields) -> None:
         """Analysis.family's rebuild check on a valid triangle whose
         signature `key` was analysed before: its own base vertex and edge
         scale with the cone rays of that signature's family must rebuild
-        it."""
-        tag, _, _, cone_rays = fields
-        points = self.points
-        hull_xy = [self.xy[k] for k in ccw]
-        i = base_vertex(hull_xy)
-        base = points[ccw[i]]
-        t = edge_scale(hull_xy, i, self.dirs[key[i][1]], self.scale)
-        require_rebuild(tag, tuple([points[k] for k in ccw]), self.scale, hull_xy,
-                        (base.x, base.y, t, *cone_rays))
+        it.  The check runs on the grid's int pairs."""
+        tag, _, _, (r1, r2) = fields
+        xy = [self.xy[k] for k in ccw]
+        i = base_vertex(xy)
+        bx, by = xy[i]
+        u = edge_scale(xy, i, self.dirs[key[i][1]])
+        require_rebuild(tag, vertices, xy, cone_points(bx, by, u, r1, r2))
 
 
 @dataclass

@@ -263,6 +263,11 @@ class DiffType(enum.Enum):
 Cone = tuple[Fraction, Fraction, Fraction, Weight, Weight]
 
 
+def cone_points(bx: int, by: int, u: int, r1: Weight, r2: Weight) -> list[IntPair]:
+    """The int pairs (bx, by), (bx, by) + u*r1 and (bx, by) + u*r2."""
+    return [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+
+
 def _cone_form(scale: int, x: Fraction, y: Fraction, t: Fraction, r1: Weight,
                r2: Weight) -> Optional[list[IntPair]]:
     """The int pairs on `scale` of the points (x, y), (x, y) + t*r1 and
@@ -274,8 +279,7 @@ def _cone_form(scale: int, x: Fraction, y: Fraction, t: Fraction, r1: Weight,
         if rem:
             return None
         out.append(n)
-    bx, by, u = out
-    return [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+    return cone_points(*out, r1, r2)
 
 
 def _cone_triangle(cone: Cone) -> Polygon:
@@ -482,7 +486,7 @@ class Analysis:
         base = polygon.vertices[i]
         va = self.report.vertex_data[i]
         d1, d2 = va.rays
-        t = edge_scale(xy, i, d1, scale)
+        t = Fraction(edge_scale(xy, i, d1), scale)
         if va.wall_type is not None:
             fam = va.wall_type.family(base.x, t)
         else:
@@ -495,7 +499,7 @@ class Analysis:
                 a2=-d2.b,
                 b2=d2.a,
             )
-        require_rebuild(fam, polygon.vertices, scale, xy, fam.cone())
+        require_rebuild(fam, polygon.vertices, xy, _cone_form(scale, *fam.cone()))
         return fam
 
 
@@ -507,21 +511,21 @@ def base_vertex(xy: Sequence[IntPair]) -> int:
     return min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
 
 
-def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight, scale: int) -> Fraction:
-    """t: the lattice length of the edge from vertex i of a counterclockwise
-    triangle, along its primitive ray d1, to the next vertex."""
+def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight) -> int:
+    """u: the lattice length, on the grid of the int pairs xy, of the edge
+    from vertex i of a counterclockwise triangle, along its primitive ray
+    d1, to the next vertex."""
     (bx, by), (nx, ny) = xy[i], xy[(i + 1) % 3]
-    return Fraction(nx - bx, d1.a * scale) if d1.a else Fraction(ny - by, d1.b * scale)
+    return (nx - bx) // d1.a if d1.a else (ny - by) // d1.b
 
 
-def require_rebuild(family: object, vertices: tuple[RationalPoint, ...], scale: int,
-                    xy: Sequence[IntPair], cone: Cone) -> None:
-    """The family check: the parameters of `family`, read as cone = (x, y,
-    t, r1, r2), must rebuild the triangle `vertices` with int pairs xy on
-    `scale`.  This checks the edge scales and that the edges at the base
-    follow its wall pattern.  The points (x, y) + t*conv(0, r1, r2) are
-    compared on the triangle's grid; AssertionError if they differ."""
-    form = _cone_form(scale, *cone)
+def require_rebuild(family: object, vertices: tuple[RationalPoint, ...],
+                    xy: Sequence[IntPair], form: Optional[Sequence[IntPair]]) -> None:
+    """The family check: `form`, the int pairs of the points
+    (x, y) + t*conv(0, r1, r2) that the parameters of `family` give on the
+    triangle's grid (None if they are off it), must be the int pairs xy of
+    the triangle `vertices`.  This checks the edge scales and that the
+    edges at the base follow its wall pattern; AssertionError if not."""
     if form is None or sorted(form) != sorted(xy):
         raise AssertionError(f"{family} does not rebuild the triangle {vertices}")
 

@@ -111,7 +111,7 @@ _VALID_TAILS = _ValidTails()
 
 def _stream_line(item) -> str:
     """The census stream's JSON line of an ItemResult."""
-    head = '{"vertices": [' + ", ".join(v.json for v in item.vertices)
+    head = '{"vertices": [' + ", ".join([v.json for v in item.vertices])
     if not item.valid:
         return head + _INVALID_TAIL
     return head + _VALID_TAILS[item.family_tag, item.kaehler, item.diff_type]

@@ -1,6 +1,10 @@
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mompoly import census, classify, polygon
 from mompoly.census import (
@@ -99,6 +103,63 @@ def test_enumerate_convex_yields_hulls_in_preorder(enumerate_candidates, denomin
         assert chains == 0 and list(last) == [3]
 
 
+def _scan_convex(points):
+    """enumerate_convex as a scan, its reference: each chain node tests
+    every point left of the first edge (`later`) on its own, where
+    enumerate_convex reads the points that pass from its bitmask table."""
+    pts = sorted(points)
+    for k, p in enumerate(pts):
+        yield (p,), (k,)
+    for (i, a), (j, b) in itertools.combinations(enumerate(pts), 2):
+        yield (a, b), (i, j)
+    _, xy = integer_form(pts)
+
+    def extend(chain, later, ux, uy):
+        # p must turn left at the chain's newest point c, and have the
+        # chain's first point s left of the edge c -> p.
+        sx, sy = xy[chain[0]]
+        cx, cy = xy[chain[-1]]
+        for j in later:
+            px, py = xy[j]
+            dx, dy = px - cx, py - cy
+            if ux * dy - uy * dx > 0 and dx * (sy - py) - dy * (sx - px) > 0:
+                ccw = chain + (j,)
+                yield tuple([pts[k] for k in sorted(ccw)]), ccw
+                yield from extend(ccw, later, dx, dy)
+
+    for i, (sx, sy) in enumerate(xy):
+        for j in range(i + 1, len(xy)):
+            ux, uy = xy[j][0] - sx, xy[j][1] - sy
+            later = [k for k in range(i + 1, len(xy))
+                     if ux * (xy[k][1] - sy) - uy * (xy[k][0] - sx) > 0]
+            yield from extend((i, j), later, ux, uy)
+
+
+@pytest.mark.parametrize("max_coord", [1, 2, 3])
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+def test_enumerate_convex_matches_the_scan(max_coord, denominator):
+    """The bitmask enumerator yields the scan's (vertices, ccw) pairs, in
+    the scan's order."""
+    points = grid_points(max_coord, denominator)
+    assert list(enumerate_convex(points)) == list(_scan_convex(points))
+
+
+@st.composite
+def _point_sets(draw):
+    """Up to 12 points with denominators 1 to 3, some of them repeated, in
+    any order."""
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    distinct = draw(st.lists(st.builds(RationalPoint, coord, coord), min_size=1, max_size=9))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=12 - len(distinct)))
+    return draw(st.permutations(distinct + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_enumerate_convex_matches_the_scan_on_any_points(points):
+    assert list(enumerate_convex(points)) == list(_scan_convex(points))
+
+
 def _classify_via_analysis(vertices):
     """The ItemResult of the full Analysis of the candidate's hull."""
     analysis = analyze(convex_hull(vertices))
@@ -127,6 +188,23 @@ def test_census_items_agree_with_analysis(max_coord, denominator, shape):
     enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
     assert items == [_classify_via_analysis(vertices)
                      for vertices, _ in enumerate_candidates(points)]
+
+
+@pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
+def test_census_hands_on_item_item_results(max_coord, shape):
+    """on_item receives ItemResult objects, read by field name and
+    immutable.  An ItemResult equals the plain tuple of its fields, so
+    test_census_items_agree_with_analysis alone would accept bare tuples."""
+    items = []
+    run_census(max_coord, shape=shape, on_item=items.append)
+    assert any(item.valid for item in items) and not all(item.valid for item in items)
+    for item in items:
+        assert type(item) is ItemResult
+        assert item == ItemResult(vertices=item.vertices, valid=item.valid,
+                                  family_tag=item.family_tag, kaehler=item.kaehler,
+                                  diff_type=item.diff_type)
+        with pytest.raises(AttributeError):
+            item.valid = not item.valid
 
 
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])

@@ -26,9 +26,11 @@ from mompoly.classify import (
     WallEdgeMinus,
     WallEdgePlus,
     analyze,
+    base_vertex,
     check_momentum_polytope,
     classify_triangle,
     classify_wall_rays,
+    edge_scale,
     manifold_model,
 )
 from mompoly.difftype import diffeo_type
@@ -43,6 +45,8 @@ from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
+
+from oracle import oracle_family_triangles
 
 
 def P(*coords):
@@ -211,6 +215,23 @@ class TestClassifyTriangle:
                             lambda self, s, t: family(self, s + Fraction(1, 2), t))
         with pytest.raises(AssertionError, match="does not rebuild"):
             classify_triangle(P((0, 0), (1, -1), (4, -3)))
+
+    def test_edge_scale_measures_the_base_edge(self):
+        # Over every family triangle of the max-coord 3 grid, edge_scale's u
+        # times the primitive ray d1 at the base is the edge from the base
+        # to the next vertex counterclockwise, and u over the grid's scale
+        # is the family's t.
+        triangles = oracle_family_triangles(3)
+        assert len(triangles) == 360
+        for points in triangles:
+            analysis = analyze(convex_hull([RationalPoint(x, y) for x, y in points]))
+            xy = analysis.polygon.xy
+            i = base_vertex(xy)
+            d1 = analysis.report.vertex_data[i].rays[0]
+            u = edge_scale(xy, i, d1)
+            (bx, by), (nx, ny) = xy[i], xy[(i + 1) % 3]
+            assert u >= 1 and (u * d1.a, u * d1.b) == (nx - bx, ny - by)
+            assert Fraction(u, analysis.polygon.scale) == classify_triangle(analysis).t
 
     def test_wall_edge_l_minus_canonicalizes(self):
         fam = WallEdgeFamily(Fraction(0), Fraction(1), 2, -1)
