@@ -33,11 +33,7 @@ or Analysis (run_census(4) analyses 128 signatures for 1,070 valid
 triangles).  Analysis.family's rebuild check still runs on every valid
 triangle: a later triangle of a signature is rebuilt from its own base
 vertex and edge scale with the cone rays of the signature's family, on
-the grid's int pairs.  Ten perfbench runs of 10 s (seeds 1 to 10, 2-vCPU
-Intel Xeon, Python 3.11.7) gave a median of about 229,000 candidates/s on
-the max-coord 4 triangle census (13,428 candidates), and four gave about
-120,000 on the max-coord 2 `--shape all` census (1,619 candidates), each
-writing the stream, at perfbench's reference machine speed.
+the grid's int pairs.
 """
 
 from __future__ import annotations
@@ -141,8 +137,7 @@ def enumerate_convex(
     Each test on a new point is a strict half-plane (the view of convex
     chains of Eppstein, Overmars, Rote and Woeginger, "Finding minimum
     area k-gons", DCG 1992), so the points that extend a chain are one AND
-    of three rows of a bitmask table built in O(n^3): the 46,667
-    candidates at max-coord 3 take about 0.1 s (2-vCPU x86, Python 3.11).
+    of three rows of a bitmask table built in O(n^3).
     """
     pts = sorted(points)
     for k, p in enumerate(pts):
@@ -239,8 +234,9 @@ class _Grid:
         verdicts = {w: _Verdicts(w, self.dirs) for w in (False, True)}
         self.verdicts = [verdicts[w] for w in self.on_wall]
         # passed[m] is the verdict on ccw[m] of the candidate of length
-        # m + 2 that item() judged last, or None unless its ccw[1..m] pass.
-        self.passed: list[Optional[_Verdict]] = [None] * len(points)
+        # m + 2 that item() judged last, or None unless its ccw[1..m] pass;
+        # passed[0] stands for the empty ccw[1..0], which passes.
+        self.passed = [True] + [None] * len(points)
         # The fields of each ray signature analysed so far.
         self.fields: dict[tuple, _Fields] = {}
 
@@ -252,7 +248,7 @@ class _Grid:
         Vertex c is judged with its neighbours b and p, which no extension
         of the chain changes, once ccw[1] to b pass: passed[n - 3] holds
         that, written by the chain's prefix, which enumerate_convex yielded
-        last at its length; a triangle reads no entry.  The candidate is
+        last at its length; a triangle reads passed[0].  The candidate is
         valid iff c passes and both closing vertices pass: p with
         neighbours c and s, and s with neighbours ccw[1] and p.  A vertex k
         with next and previous vertices i and j is judged by
@@ -271,9 +267,8 @@ class _Grid:
         rays, verdicts, passed = self.rays, self.verdicts, self.passed
         s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
         rs, rc, rp = rays[s], rays[c], rays[p]
-        ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if n == 3 or passed[n - 3] else None
-        if not (ok and (vp := verdicts[p][rp[s], rp[c]])
-                and (vs := verdicts[s][rs[ccw[1]], rs[p]])):
+        ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if passed[n - 3] else None
+        if not (ok and verdicts[p][rp[s], rp[c]] and verdicts[s][rs[ccw[1]], rs[p]]):
             return ItemResult(vertices, False, None, None, None)
 
         on_wall = self.on_wall
@@ -281,23 +276,22 @@ class _Grid:
                      for m, k in enumerate(ccw)])
         fields = self.fields.get(key)
         if fields is None:
-            fields = self.fields[key] = self.analyse(ccw, key, (vs, *passed[1:n - 1], vp))
+            fields = self.fields[key] = self.analyse(ccw, key)
         elif n == 3:
             self.rebuild(vertices, ccw, key, fields)
         return ItemResult(vertices, True, *fields[:3])
 
-    def analyse(self, ccw: tuple[int, ...], key: tuple,
-                verdicts: tuple[_Verdict, ...]) -> _Fields:
+    def analyse(self, ccw: tuple[int, ...], key: tuple) -> _Fields:
         """The fields of a valid candidate with signature `key` from its
-        Analysis, which is handed the report of its vertices' verdicts, so
-        check_momentum_polytope does not run."""
-        points, xy, dirs = self.points, self.xy, self.dirs
+        Analysis, which is handed the report of its vertices' verdicts, read
+        from the verdict tables, so check_momentum_polytope does not run."""
+        points, xy, dirs, verdicts = self.points, self.xy, self.dirs, self.verdicts
         hull = tuple([points[k] for k in ccw])
         hull_xy = tuple([xy[k] for k in ccw])
         edge_rays = tuple([(dirs[r1], dirs[r2]) for _, r1, r2 in key])
         report = ClassificationReport(True, 2, tuple([
-            VertexAnalysis(points[k], r, w, *verdict)
-            for k, (w, _, _), r, verdict in zip(ccw, key, edge_rays, verdicts)
+            VertexAnalysis(points[k], r, w, *verdicts[k][r1, r2])
+            for k, (w, r1, r2), r in zip(ccw, key, edge_rays)
         ]))
         analysis = Analysis(Polygon._from_form(hull, self.scale, hull_xy, edge_rays), report)
         kaehler, _ = is_kaehlerizable(analysis)

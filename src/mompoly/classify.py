@@ -11,7 +11,6 @@ parameters reconstruct the triangle exactly.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,13 +20,15 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
 from .lattice import (
     ALPHA,
+    EPS1,
+    EPS2,
     RationalPoint,
     Weight,
     coroot_pairing,
     is_lattice_basis,
     weyl_reflect,
 )
-from .polygon import IntPair, Polygon, hull_of_form
+from .polygon import IntPair, Polygon, convex_hull
 
 _ONE = Weight(1, 1)
 
@@ -79,43 +80,40 @@ class WallEdgeMinus(_WallEdge):
 
 
 @dataclass(frozen=True)
-class HalfReflPlus:
-    """Rays {alpha, j*alpha+eps1}."""
+class _HalfRefl:
+    """Rays {alpha, j*alpha+e}, for the eps-term e = eps1 or -eps2 of the
+    subclass: the two patterns are dual under -w0, which fixes alpha and
+    maps eps1 to -eps2."""
 
     j: int
 
-    name = "half_refl_plus"
     fixpoints = 2
     xray = "all_edges"
 
     def rays(self) -> frozenset:
-        return frozenset({ALPHA, Weight(self.j + 1, -self.j)})
+        return frozenset({ALPHA, self.j * ALPHA + self.eps})
 
     def local_model(self) -> str:
-        return f"GL(2) x_TC C_-({self.j}*alpha+eps1)"
+        return f"GL(2) x_TC C_-({self.j}*alpha{self.eps_text})"
 
     def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
-        return HalfReflPlusFamily(s, t, self.j)
+        return _HALF_REFL_FAMILY[type(self)](s, t, self.j)
 
 
 @dataclass(frozen=True)
-class HalfReflMinus:
+class HalfReflPlus(_HalfRefl):
+    """Rays {alpha, j*alpha+eps1}."""
+
+    name = "half_refl_plus"
+    eps, eps_text = EPS1, "+eps1"
+
+
+@dataclass(frozen=True)
+class HalfReflMinus(_HalfRefl):
     """Rays {alpha, j*alpha-eps2}."""
 
-    j: int
-
     name = "half_refl_minus"
-    fixpoints = 2
-    xray = "all_edges"
-
-    def rays(self) -> frozenset:
-        return frozenset({ALPHA, Weight(self.j, -self.j - 1)})
-
-    def local_model(self) -> str:
-        return f"GL(2) x_TC C_-({self.j}*alpha-eps2)"
-
-    def family(self, s: Fraction, t: Fraction) -> TriangleFamily:
-        return HalfReflMinusFamily(s, t, self.j)
+    eps, eps_text = -EPS2, "-eps2"
 
 
 @dataclass(frozen=True)
@@ -283,14 +281,10 @@ def _cone_form(scale: int, x: Fraction, y: Fraction, t: Fraction, r1: Weight,
 
 
 def _cone_triangle(cone: Cone) -> Polygon:
-    """The triangle (x, y) + t*conv(0, r1, r2) of cone = (x, y, t, r1, r2),
-    built on one integer grid."""
-    x, y, t, _, _ = cone
-    scale = math.lcm(x.denominator, y.denominator, t.denominator)
-    xy = _cone_form(scale, *cone)
-    points = [RationalPoint(Fraction(a, scale), Fraction(b, scale)) for a, b in xy]
-    vertices, hull = hull_of_form(points, xy)
-    return Polygon._from_form(vertices, scale, hull)
+    """The triangle (x, y) + t*conv(0, r1, r2) of cone = (x, y, t, r1, r2)."""
+    x, y, t, r1, r2 = cone
+    return convex_hull([RationalPoint(x, y), RationalPoint(x + t * r1.a, y + t * r1.b),
+                        RationalPoint(x + t * r2.a, y + t * r2.b)])
 
 
 @dataclass(frozen=True)
@@ -375,43 +369,47 @@ class WallEdgeFamily(_WallFamily):
 
 
 @dataclass(frozen=True)
-class HalfReflPlusFamily(_WallFamily):
-    """s(eps1+eps2) + t*conv(0, alpha, j*alpha+eps1)."""
+class _HalfReflFamily(_WallFamily):
+    """s(eps1+eps2) + t*conv(0, alpha, j*alpha+e) for the eps-term e of the
+    subclass's `pattern`.  Its manifold is a P(F + C_-j*alpha)-bundle whose
+    fiber F is C^2 (weights eps1, eps2) for e = eps1 and the dual (C^2)*
+    (weights -eps1, -eps2) for e = -eps2."""
 
     j: int
 
-    tag = "half_refl_plus"
     diffeo = None
 
     def wall_types(self) -> tuple[WallVertexType, ...]:
-        return (HalfReflPlus(self.j),)
+        return (self.pattern(self.j),)
 
     def model(self) -> tuple[TotalSpace, str]:
         total = TotalSpace(
             "projective_bundle_over_sphere",
-            (Weight(1, 0), Weight(0, 1), Weight(-self.j, self.j)),
+            (Weight(self.sign, 0), Weight(0, self.sign), Weight(-self.j, self.j)),
         )
-        return total, f"GL(2) x_B- P(C^2 + C_-{self.j}*alpha)"
+        return total, f"GL(2) x_B- P({self.fiber} + C_-{self.j}*alpha)"
 
 
 @dataclass(frozen=True)
-class HalfReflMinusFamily(_WallFamily):
+class HalfReflPlusFamily(_HalfReflFamily):
+    """s(eps1+eps2) + t*conv(0, alpha, j*alpha+eps1)."""
+
+    tag = "half_refl_plus"
+    pattern = HalfReflPlus
+    fiber, sign = "C^2", 1
+
+
+@dataclass(frozen=True)
+class HalfReflMinusFamily(_HalfReflFamily):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha-eps2)."""
 
-    j: int
-
     tag = "half_refl_minus"
-    diffeo = None
+    pattern = HalfReflMinus
+    fiber, sign = "(C^2)*", -1
 
-    def wall_types(self) -> tuple[WallVertexType, ...]:
-        return (HalfReflMinus(self.j),)
 
-    def model(self) -> tuple[TotalSpace, str]:
-        total = TotalSpace(
-            "projective_bundle_over_sphere",
-            (Weight(-1, 0), Weight(0, -1), Weight(-self.j, self.j)),
-        )
-        return total, f"GL(2) x_B- P((C^2)* + C_-{self.j}*alpha)"
+# The family whose base has a given half-reflection pattern.
+_HALF_REFL_FAMILY = {fam.pattern: fam for fam in (HalfReflPlusFamily, HalfReflMinusFamily)}
 
 
 @dataclass(frozen=True)

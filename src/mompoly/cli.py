@@ -124,15 +124,11 @@ def _cmd_enumerate(args) -> int:
     check_census(args.max_coord, args.denominator, args.shape)
     stream = open(args.output, "w", encoding="utf-8") if args.output else None
     try:
-        def on_item(item):
-            if stream is not None:
-                stream.write(_stream_line(item))
-
         summary = run_census(
             args.max_coord,
             denominator=args.denominator,
             shape=args.shape,
-            on_item=on_item,
+            on_item=None if stream is None else lambda item: stream.write(_stream_line(item)),
         )
     finally:
         if stream is not None:

@@ -187,9 +187,8 @@ class Polygon:
         s, t = Fraction(s), Fraction(t)
         if t <= 0:
             raise GeometryError("scale factor must be positive")
-        return Polygon(
-            tuple(RationalPoint(s + t * v.x, s + t * v.y) for v in self.vertices)
-        )
+        # A positive scaling keeps the vertex order, so this hull is the image.
+        return convex_hull([RationalPoint(s + t * v.x, s + t * v.y) for v in self.vertices])
 
 
 def hull_of_form(

@@ -162,8 +162,16 @@ def _render(value, newline: str, out: list[str]) -> None:
         raise TypeError(f"{type(value).__name__} is not a report value")
 
 
-def _not_applicable(reason: str) -> dict:
-    return {"applicable": False, "reason": reason}
+# The sections that do not apply for each reason, in report order.
+_INVALID_KEYS = ("kaehler", "fixpoint_images", "triangle_family", "manifold_model",
+                 "diffeo_type", "xray", "atiyah_cross_check")
+_TRIANGLE_KEYS = ("triangle_family", "manifold_model", "diffeo_type")
+_WALL_KEYS = ("fixpoint_boundary_check", "atiyah_cross_check", "xray")
+
+
+def _not_applicable(doc: dict, keys: tuple[str, ...], reason: str) -> None:
+    for key in keys:
+        doc[key] = {"applicable": False, "reason": reason}
 
 
 def _params(obj) -> dict:
@@ -217,14 +225,7 @@ def full_report(points: list[RationalPoint]) -> dict:
     }
 
     if not report.valid:
-        reason = "polytope is not a valid momentum polytope"
-        doc["kaehler"] = _not_applicable(reason)
-        doc["fixpoint_images"] = _not_applicable(reason)
-        doc["triangle_family"] = _not_applicable(reason)
-        doc["manifold_model"] = _not_applicable(reason)
-        doc["diffeo_type"] = _not_applicable(reason)
-        doc["xray"] = _not_applicable(reason)
-        doc["atiyah_cross_check"] = _not_applicable(reason)
+        _not_applicable(doc, _INVALID_KEYS, "polytope is not a valid momentum polytope")
         return doc
 
     verdict, witness = is_kaehlerizable(analysis)
@@ -257,29 +258,25 @@ def full_report(points: list[RationalPoint]) -> dict:
         else:
             doc["diffeo_type"] = {"type": fam.diffeo.value}
     else:
-        reason = "triangle families apply to triangles only"
-        doc["triangle_family"] = _not_applicable(reason)
-        doc["manifold_model"] = _not_applicable(reason)
-        doc["diffeo_type"] = _not_applicable(reason)
+        _not_applicable(doc, _TRIANGLE_KEYS, "triangle families apply to triangles only")
 
+    # Both refuse the same wall-vertex counts, with the same message.
     try:
-        doc["fixpoint_boundary_check"] = fixpoint_boundary_check(analysis)
-        # The cross-check of atiyah_cross_check, on the verdict computed above.
-        doc["atiyah_cross_check"] = verdict == doc["fixpoint_boundary_check"]
-    except UnsupportedPolytopeError as exc:
-        doc["fixpoint_boundary_check"] = _not_applicable(str(exc))
-        doc["atiyah_cross_check"] = _not_applicable(str(exc))
-    try:
+        on_boundary = fixpoint_boundary_check(analysis)
         xray = build_xray(analysis)
-        doc["xray"] = {
-            "strata": [
-                {
-                    "segment": [point_out(s.segment[0]), point_out(s.segment[1])],
-                    "dimension": s.dimension,
-                }
-                for s in xray.strata
-            ],
-        }
     except UnsupportedPolytopeError as exc:
-        doc["xray"] = _not_applicable(str(exc))
+        _not_applicable(doc, _WALL_KEYS, str(exc))
+        return doc
+    doc["fixpoint_boundary_check"] = on_boundary
+    # The cross-check of atiyah_cross_check, on the verdict computed above.
+    doc["atiyah_cross_check"] = verdict == on_boundary
+    doc["xray"] = {
+        "strata": [
+            {
+                "segment": [point_out(s.segment[0]), point_out(s.segment[1])],
+                "dimension": s.dimension,
+            }
+            for s in xray.strata
+        ],
+    }
     return doc

@@ -347,7 +347,7 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     kinds = []
     vertex_kind = census.vertex_kind
     for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
-                         (classify, "hull_of_form")):
+                         (classify, "convex_hull")):
         monkeypatch.setattr(module, name, lambda *args: pytest.fail("a hull was taken"))
     monkeypatch.setattr(census, "vertex_kind",
                         lambda *args: kinds.append(args) or vertex_kind(*args))

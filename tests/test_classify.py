@@ -40,7 +40,7 @@ from mompoly.errors import (
     InvalidPolytopeError,
     UnsupportedPolytopeError,
 )
-from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable
+from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable, positive_edges
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
@@ -314,6 +314,90 @@ def test_verdicts_invariant_under_shift_and_scale(data, s0, t0, s, t):
     polygon = data.draw(st.sampled_from(_valid_polygons())).transform(s0, t0)
     assert _verdicts(polygon)[0] is True
     assert _verdicts(polygon.transform(s, t)) == _verdicts(polygon)
+
+
+def _dual_report_point(out):
+    """sigma(x, y) = (-y, -x) of a report point [x, y]."""
+    x, y = (Fraction(c) for c in out)
+    return RationalPoint(-y, -x)
+
+
+def _report_point(out):
+    return RationalPoint(*(Fraction(c) for c in out))
+
+
+_DUAL_PATTERN = {"half_refl_plus": "half_refl_minus", "half_refl_minus": "half_refl_plus",
+                 "wall_edge_plus": "wall_edge_minus", "wall_edge_minus": "wall_edge_plus",
+                 "reflection": "reflection"}
+
+
+def _dual_vertex(va):
+    """The image under sigma of a report's vertex analysis.  sigma reverses
+    orientation, so the rays to the next and previous vertex swap."""
+    (a1, b1), (a2, b2) = va["rays"]
+    wt = va["wall_type"]
+    if wt is not None:
+        name = _DUAL_PATTERN[wt["name"]]
+        wt = {"name": name, "k": -wt["k"] - 1} if "k" in wt else {"name": name, "j": wt["j"]}
+    return _vertex(dict(va, rays=[[-b2, -a2], [-b1, -a1]], wall_type=wt), _dual_report_point)
+
+
+def _vertex(va, point=_report_point):
+    """A report's vertex analysis as a hashable tuple, its vertex read by `point`."""
+    wt = va["wall_type"]
+    return (point(va["vertex"]), tuple(map(tuple, va["rays"])), va["on_wall"], va["kind"],
+            wt and tuple(wt.items()), va["reason"])
+
+
+def _check_dual_reports(polygon):
+    dual_points = [RationalPoint(-v.y, -v.x) for v in polygon.vertices]
+    doc, dual = full_report(list(polygon.vertices)), full_report(dual_points)
+
+    assert doc["valid"] is dual["valid"] is True
+    assert doc["conditions"] == dual["conditions"]
+    assert Counter(map(_dual_vertex, doc["vertex_analyses"])) == Counter(
+        map(_vertex, dual["vertex_analyses"]))
+    assert Counter((_dual_report_point(f["point"]), f["multiplicity"])
+                   for f in doc["fixpoint_images"]) == Counter(
+        (_report_point(f["point"]), f["multiplicity"]) for f in dual["fixpoint_images"])
+
+    if "strata" in doc["xray"]:
+        assert Counter((frozenset(map(_dual_report_point, s["segment"])), s["dimension"])
+                       for s in doc["xray"]["strata"]) == Counter(
+            (frozenset(map(_report_point, s["segment"])), s["dimension"])
+            for s in dual["xray"]["strata"])
+    else:
+        assert doc["xray"] == dual["xray"]
+    for key in ("fixpoint_boundary_check", "atiyah_cross_check", "diffeo_type"):
+        assert doc[key] == dual[key], key
+    # The half-reflection family tags are the names of their patterns.
+    family = doc["triangle_family"].get("family")
+    assert dual["triangle_family"].get("family") == _DUAL_PATTERN.get(family, family)
+
+    verdict = doc["kaehler"]["verdict"]
+    assert dual["kaehler"]["verdict"] is verdict
+    if not verdict:
+        (wall,) = [_report_point(va["vertex"]) for va in dual["vertex_analyses"] if va["on_wall"]]
+        violating = {frozenset((e.tail, e.head)) for e in positive_edges(convex_hull(dual_points))
+                     if wall not in (e.tail, e.head)}
+        assert frozenset(map(_dual_report_point, doc["kaehler"]["witness_edge"])) in violating
+
+
+@settings(max_examples=10, deadline=None)
+@given(_shifts, _scales)
+def test_full_report_is_dual_under_minus_w0(s0, t0):
+    """sigma(x, y) = (-y, -x), the map lambda -> -w0(lambda), keeps the
+    chamber and the lattice and reverses orientation.  The report of
+    sigma(P) is the image of P's: each vertex's verdict with its two rays
+    swapped, HalfReflPlus(j) <-> HalfReflMinus(j), WallEdgePlus(k) <->
+    WallEdgeMinus(-k-1) and Reflection(j) fixed; the fixpoint images and
+    x-ray strata as multisets; the family tag with half_refl_plus <->
+    half_refl_minus; the same diffeomorphism type and Kaehler verdict, with
+    sigma of a witness edge violating the criterion on sigma(P).  (s0, t0)
+    first moves every valid integral polygon to a rational one: only 4 of
+    them are not Kaehler."""
+    for polygon in _valid_polygons():
+        _check_dual_reports(polygon.transform(s0, t0))
 
 
 def _at_origin(wt):
@@ -603,4 +687,6 @@ class TestAnalysis:
         woodward = P((0, 0), (1, 0), (0, -1), (3, -1))
         svg = render_svg(woodward, ("xray", "fixpoints"))
         assert "<circle" in svg and 'stroke="crimson"' in svg
+        with pytest.raises(ValueError, match="unknown overlay"):
+            render_svg(woodward, ("xray", "shading"))
         assert len(checks) == 1

@@ -284,6 +284,8 @@ class TestEnumerateCommand:
         assert calls == [(19, 1), (5, 1)]
         with pytest.raises(GeometryError):
             census.run_census(6, shape="all")
+        with pytest.raises(GeometryError, match="unknown shape"):
+            census.run_census(1, shape="squares")
         assert calls == [(19, 1), (5, 1)]
 
 
@@ -297,6 +299,9 @@ class TestPlotCommand:
         svg = capsys.readouterr().out
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "circle" in svg and "dasharray" in svg
+        for vertices in ([[0, 0], [2, 1]], [[1, 0]]):  # a segment and a point
+            assert main(["plot", write_doc(tmp_path, vertices)]) == 0
+            assert "<polyline" in capsys.readouterr().out
 
     def test_deterministic(self, tmp_path):
         path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1]])

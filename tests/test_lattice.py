@@ -27,6 +27,7 @@ weights = st.builds(Weight, st.integers(-20, 20), st.integers(-20, 20))
 def test_constants():
     assert ALPHA == Weight(1, -1)
     assert EPS1 + EPS2 == Weight(1, 1)
+    assert (EPS1 - EPS2 - ALPHA).is_zero() and not ALPHA.is_zero()
 
 
 def test_coroot_pairing_examples():
@@ -53,6 +54,7 @@ def test_reflection_preserves_type():
 @given(points, points)
 def test_cross_antisymmetric(p, q):
     assert cross(p, q) == -cross(q, p)
+    assert cross(q, -p) == cross(p + q, q) == cross(p, q)
 
 
 @given(points)

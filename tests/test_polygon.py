@@ -46,6 +46,13 @@ def test_hull_degenerate():
     assert seg.dimension() == 1
     assert seg.contains(RationalPoint.of("1/2", "1/2"))
     assert not seg.contains(RationalPoint.of(4, 4))
+    for degenerate in (single, seg):
+        with pytest.raises(GeometryError, match="2-dimensional"):
+            degenerate.rays
+        with pytest.raises(GeometryError, match="2-dimensional"):
+            degenerate.normals
+        with pytest.raises(GeometryError, match="2-dimensional"):
+            degenerate.boundary_contains(RationalPoint.of(1, 1))
 
 
 def test_hull_drops_edge_midpoints():
