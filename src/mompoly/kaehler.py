@@ -11,18 +11,22 @@ The queries read the validity report and the polygon by index; the
 verdict builds an Edge only for its witness.  The fixpoint images are
 `Analysis.fixpoints`, tested on the T-polytope's grid; fixpoint_images
 and XRay.fixpoints build a fresh Counter of them on every call or read.
+The T-polytope and the x-ray are built on the polygon's int pairs, where
+the Weyl reflection swaps a pair: the boundary check takes the int-pair
+hull `t_hull`, and a Stratum keeps the int pairs of its ends.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import ALPHA, RationalPoint, coroot_pairing, weyl_reflect
-from .polygon import Edge, on_boundary
+from .lattice import ALPHA, RationalPoint, coroot_pairing
+from .polygon import Edge, IntPair, on_boundary, t_hull
 
 
 def positive_edges(polygon: PolygonLike) -> list[Edge]:
@@ -77,7 +81,7 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     """
     analysis = require_valid(polygon)
     _wall_vertex(analysis)
-    xy = analysis.polygon.t_polytope().xy
+    xy = t_hull(analysis.polygon.xy)
     return all(on_boundary(xy, q) for q, _, _ in analysis.fixpoints)
 
 
@@ -91,8 +95,19 @@ def atiyah_cross_check(polygon: PolygonLike) -> bool:
 
 @dataclass(frozen=True)
 class Stratum:
-    segment: tuple[RationalPoint, RationalPoint]
+    """A segment of the x-ray as the int pairs xy of its ends on the
+    polygon's grid, whose coordinates are integers over scale."""
+
+    xy: tuple[IntPair, IntPair]
+    scale: int
     dimension: int  # 2 or 4
+
+    @property
+    def segment(self) -> tuple[RationalPoint, RationalPoint]:
+        """The ends as points, built on every read."""
+        scale = self.scale
+        return tuple([RationalPoint(Fraction(x, scale), Fraction(y, scale))
+                      for x, y in self.xy])
 
 
 @dataclass(frozen=True)
@@ -133,33 +148,36 @@ def build_xray(polygon: PolygonLike) -> XRay:
     i0 = _wall_vertex(analysis)
     rule = analysis.report.vertex_data[i0].wall_type.xray
 
-    # Clockwise labels from the wall vertex (vertices are stored CCW).  The
-    # second ray at a vertex points to the next label, so parallel[j] says
-    # whether the edge (labels[j], labels[j + 1]) is parallel to alpha.
+    # Clockwise labels from the wall vertex (vertices are stored CCW), as
+    # int pairs on the polygon's grid: the reflection v' of a label v is the
+    # swapped pair v[::-1].  The second ray at a vertex points to the next
+    # label, so parallel[j] says whether the edge (labels[j], labels[j + 1])
+    # is parallel to alpha.
     n_total = len(polygon)
     at = [(i0 - t) % n_total for t in range(n_total)]
-    labels = [polygon.vertices[i] for i in at]
+    labels = [polygon.xy[i] for i in at]
     parallel = [polygon.rays[i][1] in (ALPHA, -ALPHA) for i in at]
     n = n_total - 1
+    scale = polygon.scale
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):
         v = labels[j]
         dim = 4 if parallel[j - 1] or parallel[j] else 2
-        strata.append(Stratum((v, weyl_reflect(v)), dim))
+        strata.append(Stratum((v, v[::-1]), scale, dim))
 
     edge_range = range(0, n_total) if rule == "all_edges" else range(1, n)
-    boundary: list[tuple[RationalPoint, RationalPoint]] = []
+    boundary: list[tuple[IntPair, IntPair]] = []
     for j in edge_range:
         if not parallel[j]:
             boundary.append((labels[j], labels[(j + 1) % n_total]))
     for a, b in boundary:
-        strata.append(Stratum((a, b), 2))
+        strata.append(Stratum((a, b), scale, 2))
     for a, b in boundary:
-        strata.append(Stratum((weyl_reflect(a), weyl_reflect(b)), 2))
+        strata.append(Stratum((a[::-1], b[::-1]), scale, 2))
 
     if rule == "inner_edges_and_cross":
-        strata.append(Stratum((labels[n], weyl_reflect(labels[1])), 2))
-        strata.append(Stratum((labels[1], weyl_reflect(labels[n])), 2))
+        strata.append(Stratum((labels[n], labels[1][::-1]), scale, 2))
+        strata.append(Stratum((labels[1], labels[n][::-1]), scale, 2))
 
     return XRay(tuple(strata), analysis)

@@ -15,7 +15,10 @@ common denominator `scale` of its coordinates and its vertices times
 `scale` as int pairs `xy`, and reads those facts from it with integer
 arithmetic.  A point tested against a polygon joins its vertices on
 one grid through integer_form; int pairs that already lie on the
-polygon's grid are tested with on_boundary.
+polygon's grid are tested with on_boundary.  Hulls are taken on int
+pairs by int_hull, the one monotone chain: convex_hull runs it on the
+integer form of its points, and t_hull on a polygon's int pairs and
+their swaps, the int pairs of its T-polytope.
 
 The tuples a polygon keeps are built from lists, not from generators.
 CPython builds a tuple from a generator by resizing it, so when it is
@@ -176,11 +179,12 @@ class Polygon:
 
     def t_polytope(self) -> "Polygon":
         """Hull of the polygon together with its Weyl reflection, on the
-        polygon's scale: the reflection swaps the int pairs."""
-        pts = list(self.vertices) + [weyl_reflect(v) for v in self.vertices]
-        xy = list(self.xy) + [(y, x) for x, y in self.xy]
-        vertices, hull = hull_of_form(pts, xy)
-        return Polygon._from_form(vertices, self.scale, hull)
+        polygon's scale: the t_hull of its int pairs."""
+        hull = t_hull(self.xy)
+        at = dict(zip(self.xy, self.vertices))
+        return Polygon._from_form(
+            tuple([at[q] if q in at else weyl_reflect(at[q[::-1]]) for q in hull]),
+            self.scale, hull)
 
     def transform(self, s: RationalLike, t: RationalLike) -> "Polygon":
         """Vertex-wise map v -> s*(eps1+eps2) + t*v; t must be positive."""
@@ -194,15 +198,22 @@ class Polygon:
 def hull_of_form(
     points: Sequence[RationalPoint], xy: Sequence[IntPair],
 ) -> tuple[tuple[RationalPoint, ...], tuple[IntPair, ...]]:
-    """The convex hull of points whose integer form on some scale is xy
-    (the monotone chain): the hull's vertices, counterclockwise from the
-    lexicographically smallest, and their int pairs."""
+    """The convex hull of points whose integer form on some scale is xy:
+    the hull's vertices, counterclockwise from the lexicographically
+    smallest, and their int pairs (see int_hull)."""
     at = dict(zip(xy, points))
-    pts = sorted(at)
+    hull = int_hull(at)
+    return tuple([at[q] for q in hull]), hull
+
+
+def int_hull(xy: Iterable[IntPair]) -> tuple[IntPair, ...]:
+    """The convex hull of distinct int pairs by the monotone chain: its
+    vertices, counterclockwise from the lexicographically smallest."""
+    pts = sorted(xy)
     if not pts:
         raise GeometryError("convex hull of an empty point set")
     if len(pts) == 1:
-        return (at[pts[0]],), (pts[0],)
+        return (pts[0],)
 
     def chain(seq):
         out: list[IntPair] = []
@@ -216,10 +227,14 @@ def hull_of_form(
     upper = chain(reversed(pts))
     if len(lower) == 2 and len(upper) == 2:
         # Collinear input: keep the two endpoints.
-        hull = (pts[0], pts[-1])
-    else:
-        hull = tuple(lower[:-1] + upper[:-1])
-    return tuple([at[q] for q in hull]), hull
+        return (pts[0], pts[-1])
+    return tuple(lower[:-1] + upper[:-1])
+
+
+def t_hull(xy: Sequence[IntPair]) -> tuple[IntPair, ...]:
+    """The int pairs of the T-polytope of a polygon whose int pairs are xy:
+    the int_hull of xy and of its Weyl reflection, the swapped pairs."""
+    return int_hull({*xy, *[(y, x) for x, y in xy]})
 
 
 def on_boundary(xy: Sequence[IntPair], q: IntPair) -> bool:

@@ -6,6 +6,9 @@ Reports mirror the full analysis with a fixed key order so output is
 byte-identical across runs.  The module renders them with its own
 renderer, whose text is byte-identical to json.dumps(indent=2), and
 lists the fixpoint images in the order that their integer form gives.
+A report prints its points from the integer form of its input: each int
+coordinate is formatted once, and every point list is read from that
+table by int pairs, the same text that point_out writes for the point.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .kaehler import (
     is_kaehlerizable,
 )
 from .lattice import RationalPoint, Weight
-from .polygon import convex_hull
+from .polygon import Polygon, hull_of_form, integer_form
 
 
 class DocumentError(ValueError):
@@ -37,7 +40,7 @@ def format_rational(q: Fraction) -> str:
 
 
 # The only coordinate strings accepted: an integer or a fraction p/q.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Reports print integers with up to about four times the digits of the input
 # coordinates (the rays of an edge multiply numerators by denominators), so
@@ -52,14 +55,20 @@ def parse_rational(value: Union[int, str]) -> Fraction:
     # Error messages quote at most the first 40 characters of a bad value.
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise DocumentError(f"coordinate {value!r:.40} is not an integer or fraction string")
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise DocumentError(f"coordinate {value!r:.40} is not of the form n or p/q")
-    try:
+    if isinstance(value, int):
         q = Fraction(value)
-    except ZeroDivisionError as exc:
-        raise DocumentError(f"cannot parse coordinate {value!r:.40}: {exc}") from None
-    except ValueError:  # a numerator or denominator past the str -> int digit limit
-        raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits") from None
+    else:
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise DocumentError(f"coordinate {value!r:.40} is not of the form n or p/q")
+        # Built from the checked parts: Fraction(str) would parse the text again.
+        num, den = match.groups()
+        try:
+            q = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except ZeroDivisionError as exc:
+            raise DocumentError(f"cannot parse coordinate {value!r:.40}: {exc}") from None
+        except ValueError:  # a numerator or denominator past the str -> int digit limit
+            raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits") from None
     if max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
         raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits")
     return q
@@ -183,22 +192,35 @@ def _params(obj) -> dict:
     return out
 
 
+def _scalar(c: int, scale: int) -> Union[int, str]:
+    """The coordinate c / scale as a report writes it: point_out's int or "p/q"."""
+    g = math.gcd(c, scale)
+    return c // scale if g == scale else f"{c // g}/{scale // g}"
+
+
 def full_report(points: list[RationalPoint]) -> dict:
     """Complete classification report for the convex hull of the input points.
 
     Sections that do not apply (e.g. a triangle family for a quadrilateral,
     or an x-ray with two wall vertices) carry an explicit reason instead.
     Raises ChamberError for polytopes leaving the chamber.
+
+    Every point the report prints but the Kähler witness is an input point
+    or the reflection of a hull vertex, so it is read by its int pair on the
+    input's grid from one table that formats each int coordinate once.
     """
-    polygon = convex_hull(points)
+    scale, input_xy = integer_form(points)
+    vertices, xy = hull_of_form(points, input_xy)
+    polygon = Polygon._from_form(vertices, scale, xy)
     analysis = analyze(polygon)
     report = analysis.report
+    coord = {c: _scalar(c, scale) for c in {c for p in input_xy for c in p}}
 
     failures = report.failures
     failed = {cid for cid, _ in failures}
     doc = {
-        "input": polytope_document(points),
-        "hull_vertices": [point_out(v) for v in polygon.vertices],
+        "input": {"vertices": [[coord[x], coord[y]] for x, y in input_xy]},
+        "hull_vertices": [[coord[x], coord[y]] for x, y in polygon.xy],
         "valid": report.valid,
         "conditions": {
             "1_dimension_two": 1 not in failed,
@@ -209,7 +231,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         "failures": [{"condition": cid, "reason": msg} for cid, msg in failures],
         "vertex_analyses": [
             {
-                "vertex": point_out(va.vertex),
+                "vertex": [coord[x], coord[y]],
                 "rays": [weight_out(r) for r in va.rays],
                 "on_wall": va.on_wall,
                 "kind": va.kind,
@@ -220,7 +242,7 @@ def full_report(points: list[RationalPoint]) -> dict:
                 ),
                 "reason": va.reason,
             }
-            for va in report.vertex_data
+            for va, (x, y) in zip(report.vertex_data, polygon.xy)
         ],
     }
 
@@ -236,7 +258,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         ),
     }
     doc["fixpoint_images"] = [
-        {"point": point_out(p), "multiplicity": m} for _, p, m in analysis.fixpoints
+        {"point": [coord[x], coord[y]], "multiplicity": m} for (x, y), _, m in analysis.fixpoints
     ]
 
     if len(polygon) == 3:
@@ -273,7 +295,7 @@ def full_report(points: list[RationalPoint]) -> dict:
     doc["xray"] = {
         "strata": [
             {
-                "segment": [point_out(s.segment[0]), point_out(s.segment[1])],
+                "segment": [[coord[x], coord[y]] for x, y in s.xy],
                 "dimension": s.dimension,
             }
             for s in xray.strata

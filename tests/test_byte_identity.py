@@ -9,7 +9,11 @@ reports.rational digest before reports were rendered by their own
 renderer and their fixpoint images ordered on the integer form, the
 svg.rational digest before the analysis kept its fixpoints in one
 integer-ordered tuple, the census-all-3 digests before the census judged
-`--shape all` candidates on their enumeration chains).
+`--shape all` candidates on their enumeration chains, the
+reports.redundant and svg.rational-xray digests before reports printed
+their points from the integer form and the x-ray was built on int pairs;
+the woodward digests, which the CI step checks on the installed console
+script, at the same commit).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -50,12 +54,16 @@ EXPECTED = {
     "census-all-3.stream": "bf627dbfd3eca28aba017ce2729fe25b362d1473bbe7389e625e1e28157bedcf",
     "census-all-2-d2.summary": "2767981347e218cb78ab2b877d85e55cf7587a3434e81e47f727734a8095116c",
     "census-all-2-d2.stream": "8ab3340c46ee96784d969cbc49cb4c647e5dd3d51e6ff9bcb05d1517990e399e",
+    "woodward.report": "574d60f837a5dfae7bdd97d9537b2e4639f8ff8c22037849a2be115b30cdd538",
+    "woodward.svg": "be284b7d2418c385feda5a60c0b345ff0e5824d6a4685e3225767487e74f8a86",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
     "reports.rational": "99743ab99a9ed1f617dbbdfd5465555819180d8e2a7151cc3b0a797c09d93002",
+    "reports.redundant": "b18f8a0be7dcc92e9cbe6d8431a1b08be5fab522daf7f1dd49c7d3086739530a",
     "reports.sweep": "b67e5df076a6474832c245afc271940330cc6df5adc79fd139a2b4964da58b61",
     "svg.figures": "74d82aa1a56d795e1476c815b34ad65e47b9889ff207c37a737af976d7b2a1b9",
     "svg.rational": "c2370fa8f442ef37ae0971f01decff6b43bf1e6db936e4235564e9429efd726f",
+    "svg.rational-xray": "f725fb52493c117f18d8ac05d48f89560795021c74d6e27256b440f128e604dc",
 }
 
 FIGURES = (
@@ -101,6 +109,20 @@ def rational_inputs():
             for c in FIXTURES + FIGURES for s, t in MOVES]
 
 
+def redundant_inputs():
+    """Each rational input reversed, with every edge's midpoint, the
+    vertices' centroid and its first vertex again: collinear, interior and
+    duplicate points whose denominators differ from the vertices'."""
+    out = []
+    for points in rational_inputs():
+        n = len(points)
+        mids = [RationalPoint((a.x + b.x) / 2, (a.y + b.y) / 2)
+                for a, b in zip(points, points[1:] + points[:1])]
+        centroid = RationalPoint(sum(p.x for p in points) / n, sum(p.y for p in points) / n)
+        out.append([*reversed(points), *mids, centroid, points[0]])
+    return out
+
+
 def _sha(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -119,6 +141,25 @@ def _census(max_coord: int, denominator: int, shape: str, tmp: str) -> tuple[str
         return _sha([out.getvalue()]), _sha([fh.read()])
 
 
+# The README's Woodward document, as the CI step writes it for the installed
+# console script.
+WOODWARD = '{"vertices": [[0,0],[1,0],[0,-1],[3,-1]]}\n'
+
+
+def _woodward(tmp: str) -> tuple[str, str]:
+    """The classify report and the x-ray and fixpoints plot of WOODWARD."""
+    doc = os.path.join(tmp, "woodward.json")
+    svg = os.path.join(tmp, "woodward.svg")
+    with open(doc, "w", encoding="utf-8") as fh:
+        fh.write(WOODWARD)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["classify", doc]) == 0
+    assert main(["plot", doc, "--overlay", "xray", "--overlay", "fixpoints", "--output", svg]) == 0
+    with open(svg, encoding="utf-8") as fh:
+        return _sha([out.getvalue()]), _sha([fh.read()])
+
+
 def compute_digests() -> dict:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -134,12 +175,15 @@ def compute_digests() -> dict:
             summary, stream = _census(max_coord, denominator, shape, tmp)
             digests[f"{name}.summary"] = summary
             digests[f"{name}.stream"] = stream
+        digests["woodward.report"], digests["woodward.svg"] = _woodward(tmp)
     digests["reports.fixtures"] = _sha(
         render_document(full_report(_points(c))) for c in FIXTURES)
     digests["reports.figures"] = _sha(
         render_document(full_report(_points(c))) for c in FIGURES)
     digests["reports.rational"] = _sha(
         render_document(full_report(points)) for points in rational_inputs())
+    digests["reports.redundant"] = _sha(
+        render_document(full_report(points)) for points in redundant_inputs())
     digests["reports.sweep"] = _sha(
         render_document(full_report(list(fam.triangle().vertices)))
         for fam in _sweep_families())
@@ -149,6 +193,11 @@ def compute_digests() -> dict:
     digests["svg.rational"] = _sha(
         render_svg(hull, ("fixpoints",)) for hull in map(convex_hull, rational_inputs())
         if analyze(hull).report.valid)
+    # The xray overlay needs a valid polygon with one wall vertex.
+    digests["svg.rational-xray"] = _sha(
+        render_svg(hull, ("xray",)) for hull in map(convex_hull, rational_inputs())
+        if (report := analyze(hull).report).valid
+        and sum(va.on_wall for va in report.vertex_data) == 1)
     return digests
 
 

@@ -13,6 +13,7 @@ import mompoly.classify
 import mompoly.difftype
 import mompoly.kaehler
 import mompoly.polygon
+import mompoly.report
 from mompoly.census import enumerate_convex, grid_points, run_census
 from mompoly.classify import (
     DelzantFamily,
@@ -589,33 +590,57 @@ class TestAnalysis:
 
             monkeypatch.setattr(Polygon, name, counting)
 
-        def counting_rays(a, b, _original=mompoly.polygon.primitive_int_ray):
-            calls["edge_rays"] += 1
-            return _original(a, b)
+        def counter(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
 
-        def counting_boundary(xy, q, _original=mompoly.kaehler.on_boundary):
-            calls["on_boundary"] += 1
-            return _original(xy, q)
-
-        monkeypatch.setattr(mompoly.polygon, "primitive_int_ray", counting_rays)
-        monkeypatch.setattr(mompoly.kaehler, "on_boundary", counting_boundary)
-        # (coordinates, boundary tests): the Woodward quadrilateral's fourth
-        # image in their order is the first one off the T-polytope's
-        # boundary; all five images of the triangle lie on it.
-        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4)
-        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5)
-        for coords, tests in (woodward, one_wall_triangle):
+        monkeypatch.setattr(mompoly.polygon, "primitive_int_ray",
+                            counter("edge_rays", mompoly.polygon.primitive_int_ray))
+        monkeypatch.setattr(mompoly.kaehler, "on_boundary",
+                            counter("on_boundary", mompoly.kaehler.on_boundary))
+        monkeypatch.setattr(mompoly.kaehler, "t_hull", counter("t_hull", mompoly.kaehler.t_hull))
+        monkeypatch.setattr(mompoly.polygon, "int_hull",
+                            counter("int_hull", mompoly.polygon.int_hull))
+        monkeypatch.setattr(RationalPoint, "__init__",
+                            counter("points_built", RationalPoint.__init__))
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mompoly" and hasattr(module, "weyl_reflect"):
+                monkeypatch.setattr(module, "weyl_reflect",
+                                    counter("weyl_reflect", module.weyl_reflect))
+        formatted = []
+        scalar = mompoly.report._scalar
+        monkeypatch.setattr(mompoly.report, "_scalar",
+                            lambda c, scale: formatted.append(c) or scalar(c, scale))
+        # (coordinates, boundary tests, interior vertices): the Woodward
+        # quadrilateral's fourth image in their order is the first one off
+        # the T-polytope's boundary; all five images of the triangle lie on it.
+        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4, 3)
+        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5, 2)
+        for coords, tests, interior in (woodward, one_wall_triangle):
+            points = [RationalPoint.of(x, y) for x, y in coords]
             calls.clear()
-            full_report([RationalPoint.of(x, y) for x, y in coords])
+            formatted.clear()
+            doc = full_report(points)
+            assert doc["xray"]["strata"], coords
             n = len(coords)
-            # One T-polytope, the primitive ray of each edge once, one
-            # boundary test per image until the first one off the boundary.
-            # The validity check, the positive edges and the x-ray read the
-            # rays and normals by index; vertex_rays is asked only by the
-            # mod-3 residue at one vertex of a triangle.
-            assert [calls[m] for m in methods] == [1, int(n == 3), 0], coords
+            # One T-hull, on int pairs, besides the polygon's own hull; the
+            # primitive ray of each edge once; one boundary test per image
+            # until the first one off the boundary.  The validity check, the
+            # positive edges and the x-ray read the rays and normals by
+            # index; vertex_rays is asked only by the mod-3 residue at one
+            # vertex of a triangle.
+            assert [calls[m] for m in methods] == [0, int(n == 3), 0], coords
+            assert (calls["t_hull"], calls["int_hull"]) == (1, 2), coords
             assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords
+            # The only points built are the reflections of the interior
+            # vertices among the fixpoint images: none for the T-hull or
+            # the x-ray.
+            assert calls["weyl_reflect"] == calls["points_built"] == interior, coords
+            # The coordinate table formats each distinct coordinate once.
+            assert sorted(formatted) == sorted({c for xy in coords for c in xy}), coords
 
     def test_full_report_computes_mod3_residue_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -52,6 +53,23 @@ class TestDocuments:
         assert parse_rational(int(at_cap)) == int(at_cap)
         for value in ("1" + at_cap, f"1/1{at_cap}", 10**MAX_DIGITS):
             with pytest.raises(DocumentError):
+                parse_rational(value)
+
+    def test_parse_rational_from_checked_parts(self):
+        from mompoly.report import DocumentError
+
+        # A matched string is parsed once: the fraction is built from the
+        # ints of its parts, with the errors Fraction(str) gave.
+        assert parse_rational("007/010") == Fraction(7, 10)
+        assert parse_rational("-0") == parse_rational("0/5") == 0
+        cap = f"a coordinate has more than {MAX_DIGITS} digits"
+        for value, message in (("1/0", "cannot parse coordinate '1/0': Fraction(1, 0)"),
+                               ("1" * 4301, cap),
+                               ("1/" + "1" * 1001, cap),
+                               ("\u0661\u0662", "coordinate '\u0661\u0662' is not of the form"),
+                               ("1/\uff13", "coordinate '1/\uff13' is not of the form"),
+                               (True, "coordinate True is not an integer or fraction string")):
+            with pytest.raises(DocumentError, match="^" + re.escape(message)):
                 parse_rational(value)
 
     def test_parse_errors(self):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mompoly.polygon
 import mompoly.report
@@ -27,7 +29,7 @@ from mompoly.kaehler import (
 )
 from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
-from mompoly.report import full_report, point_out
+from mompoly.report import full_report, point_out, polytope_document
 
 from test_acceptance import _sweep_families
 from test_byte_identity import FIGURES, FIXTURES, rational_inputs
@@ -359,3 +361,46 @@ class TestBuildXray:
         xray = build_xray(FIG_REFL_LEFT)
         assert xray.fixpoints == fixpoint_images(FIG_REFL_LEFT)
         assert isinstance(xray.strata[0], Stratum)
+
+
+_coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_BASES = tuple(tuple(P(*c).vertices) for c in FIXTURES + FIGURES)
+
+
+@st.composite
+def _report_inputs(draw):
+    """A list of chamber points: the vertices of a fixture or figure moved
+    by v -> s(eps1+eps2) + t*v, or one to four random points, with up to
+    four points of segments between two of them added (duplicates, points
+    on edges and interior points) and the order shuffled."""
+    if draw(st.booleans()):
+        s = draw(_coords)
+        t = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+        points = list(convex_hull(draw(st.sampled_from(_BASES))).transform(s, t).vertices)
+    else:
+        pairs = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=4))
+        points = [RationalPoint(max(a, b), min(a, b)) for a, b in pairs]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        w = draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+        points.append(RationalPoint(a.x + w * (b.x - a.x), a.y + w * (b.y - a.y)))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_inputs())
+def test_report_points_are_point_out(points):
+    """A report prints its points from a table of its int coordinates;
+    each point list equals point_out of the report's points."""
+    doc = full_report(points)
+    analysis = analyze(convex_hull(points))
+    assert doc["input"]["vertices"] == polytope_document(points)["vertices"]
+    assert doc["hull_vertices"] == [point_out(v) for v in analysis.polygon.vertices]
+    assert [va["vertex"] for va in doc["vertex_analyses"]] == [
+        point_out(va.vertex) for va in analysis.report.vertex_data]
+    if doc["valid"]:
+        assert doc["fixpoint_images"] == [
+            {"point": point_out(p), "multiplicity": m} for _, p, m in analysis.fixpoints]
+    if "strata" in doc["xray"]:
+        assert [s["segment"] for s in doc["xray"]["strata"]] == [
+            [point_out(p) for p in s.segment] for s in build_xray(analysis).strata]
