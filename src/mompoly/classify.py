@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
@@ -26,7 +25,6 @@ from .lattice import (
     Weight,
     coroot_pairing,
     is_lattice_basis,
-    weyl_reflect,
 )
 from .polygon import IntPair, Polygon, convex_hull
 
@@ -454,22 +452,22 @@ class Analysis:
         }
 
     @cached_property
-    def fixpoints(self) -> tuple[tuple[IntPair, RationalPoint, int], ...]:
-        """(int pair, image, multiplicity) of each distinct T-fixpoint image:
-        an interior vertex and its reflection once each, a wall vertex
-        `fixpoints` times for its type.  The int pairs are on the polygon's
-        grid, which is its T-polytope's too, and sorted: the positive scale
-        keeps the order of the images."""
+    def fixpoints(self) -> tuple[tuple[IntPair, int], ...]:
+        """(int pair, multiplicity) of each distinct T-fixpoint image: an
+        interior vertex and its reflection, the swapped pair, once each, a
+        wall vertex `fixpoints` times for its type.  The int pairs are on
+        the polygon's grid, which is its T-polytope's too, and sorted: the
+        positive scale keeps the order of the images.  No two are equal,
+        since a reflection leaves the chamber."""
         require_valid(self)
         out = []
-        polygon = self.polygon
-        for v, (x, y), va in zip(polygon.vertices, polygon.xy, self.report.vertex_data):
+        for (x, y), va in zip(self.polygon.xy, self.report.vertex_data):
             wt = va.wall_type
             if wt is None:
-                out += (((x, y), v, 1), ((y, x), weyl_reflect(v), 1))
+                out += (((x, y), 1), ((y, x), 1))
             elif wt.fixpoints:
-                out.append(((x, y), v, wt.fixpoints))
-        out.sort(key=itemgetter(0))
+                out.append(((x, y), wt.fixpoints))
+        out.sort()
         return tuple(out)
 
     @cached_property

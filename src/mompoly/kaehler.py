@@ -9,24 +9,24 @@ x-ray of the torus action are computed as independent data.
 
 The queries read the validity report and the polygon by index; the
 verdict builds an Edge only for its witness.  The fixpoint images are
-`Analysis.fixpoints`, tested on the T-polytope's grid; fixpoint_images
-and XRay.fixpoints build a fresh Counter of them on every call or read.
-The T-polytope and the x-ray are built on the polygon's int pairs, where
-the Weyl reflection swaps a pair: the boundary check takes the int-pair
-hull `t_hull`, and a Stratum keeps the int pairs of its ends.
+`Analysis.fixpoints`, int pairs on the polygon's grid with their
+multiplicities; fixpoint_images and XRay.fixpoints build a fresh Counter
+of their points on every call or read.  The T-polytope and the x-ray are
+built on the polygon's int pairs, where the Weyl reflection swaps a
+pair: the boundary check tests the images' int pairs against the linear
+int-pair hull `t_hull`, and a Stratum keeps the int pairs of its ends.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import ALPHA, RationalPoint, coroot_pairing
-from .polygon import Edge, IntPair, on_boundary, t_hull
+from .lattice import RationalPoint, coroot_pairing
+from .polygon import Edge, IntPair, form_point, on_boundary, t_hull
 
 
 def positive_edges(polygon: PolygonLike) -> list[Edge]:
@@ -59,9 +59,12 @@ def fixpoint_images(polygon: PolygonLike) -> Counter:
 
     Interior vertices contribute themselves and their reflection; wall
     vertices contribute `fixpoints` of their type: wall-edge once,
-    half-reflection twice, reflection not at all.
+    half-reflection twice, reflection not at all.  The points are built
+    from the int pairs of `Analysis.fixpoints` on every call.
     """
-    return Counter({p: m for _, p, m in analyze(polygon).fixpoints})
+    analysis = analyze(polygon)
+    scale = analysis.polygon.scale
+    return Counter({form_point(q, scale): m for q, m in analysis.fixpoints})
 
 
 def _wall_vertex(analysis: Analysis) -> int:
@@ -82,7 +85,7 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     analysis = require_valid(polygon)
     _wall_vertex(analysis)
     xy = t_hull(analysis.polygon.xy)
-    return all(on_boundary(xy, q) for q, _, _ in analysis.fixpoints)
+    return all(on_boundary(xy, q) for q, _ in analysis.fixpoints)
 
 
 def atiyah_cross_check(polygon: PolygonLike) -> bool:
@@ -105,9 +108,7 @@ class Stratum:
     @property
     def segment(self) -> tuple[RationalPoint, RationalPoint]:
         """The ends as points, built on every read."""
-        scale = self.scale
-        return tuple([RationalPoint(Fraction(x, scale), Fraction(y, scale))
-                      for x, y in self.xy])
+        return tuple([form_point(q, self.scale) for q in self.xy])
 
 
 @dataclass(frozen=True)
@@ -152,11 +153,12 @@ def build_xray(polygon: PolygonLike) -> XRay:
     # int pairs on the polygon's grid: the reflection v' of a label v is the
     # swapped pair v[::-1].  The second ray at a vertex points to the next
     # label, so parallel[j] says whether the edge (labels[j], labels[j + 1])
-    # is parallel to alpha.
+    # is parallel to alpha: a primitive ray is +-alpha iff a + b == 0.
     n_total = len(polygon)
     at = [(i0 - t) % n_total for t in range(n_total)]
     labels = [polygon.xy[i] for i in at]
-    parallel = [polygon.rays[i][1] in (ALPHA, -ALPHA) for i in at]
+    rays = polygon.rays
+    parallel = [rays[i][1].a + rays[i][1].b == 0 for i in at]
     n = n_total - 1
     scale = polygon.scale
 

@@ -16,9 +16,11 @@ common denominator `scale` of its coordinates and its vertices times
 arithmetic.  A point tested against a polygon joins its vertices on
 one grid through integer_form; int pairs that already lie on the
 polygon's grid are tested with on_boundary.  Hulls are taken on int
-pairs by int_hull, the one monotone chain: convex_hull runs it on the
-integer form of its points, and t_hull on a polygon's int pairs and
-their swaps, the int pairs of its T-polytope.
+pairs by int_hull, the one monotone chain, which convex_hull runs on the
+integer form of its points.  The T-polytope, the hull of a polygon and
+its Weyl reflection, is taken by t_hull in linear time: on a
+counterclockwise cycle of int pairs in the chamber, it joins the arc
+facing away from the wall to its mirror image, the swapped pairs.
 
 The tuples a polygon keeps are built from lists, not from generators.
 CPython builds a tuple from a generator by resizing it, so when it is
@@ -179,12 +181,12 @@ class Polygon:
 
     def t_polytope(self) -> "Polygon":
         """Hull of the polygon together with its Weyl reflection, on the
-        polygon's scale: the t_hull of its int pairs."""
-        hull = t_hull(self.xy)
-        at = dict(zip(self.xy, self.vertices))
-        return Polygon._from_form(
-            tuple([at[q] if q in at else weyl_reflect(at[q[::-1]]) for q in hull]),
-            self.scale, hull)
+        polygon's scale.  Each vertex or its reflection lies in the
+        chamber, and the hull of those folded int pairs has the same
+        T-polytope, its t_hull."""
+        hull = t_hull(int_hull({(max(q), min(q)) for q in self.xy}))
+        scale = self.scale
+        return Polygon._from_form(tuple([form_point(q, scale) for q in hull]), scale, hull)
 
     def transform(self, s: RationalLike, t: RationalLike) -> "Polygon":
         """Vertex-wise map v -> s*(eps1+eps2) + t*v; t must be positive."""
@@ -232,9 +234,33 @@ def int_hull(xy: Iterable[IntPair]) -> tuple[IntPair, ...]:
 
 
 def t_hull(xy: Sequence[IntPair]) -> tuple[IntPair, ...]:
-    """The int pairs of the T-polytope of a polygon whose int pairs are xy:
-    the int_hull of xy and of its Weyl reflection, the swapped pairs."""
-    return int_hull({*xy, *[(y, x) for x, y in xy]})
+    """The int pairs of the T-polytope of a polygon whose int pairs xy are
+    a counterclockwise cycle in the chamber x >= y, as int_hull returns
+    them: the int_hull of xy and of its Weyl reflection, the swapped
+    pairs, in O(n) time.
+
+    The T-polytope is symmetric under the swap, so the two edges that
+    cross the wall are chords (v, s v), at lo = the pair of least x + y
+    and hi = the pair of greatest x + y, each the one of greatest x - y
+    among its ties.  Its boundary is the counterclockwise arc of xy from
+    lo to hi and that arc swapped, back from hi to lo; an end on the
+    wall is its own swap and is listed once."""
+    lo = xy.index(min(xy, key=lambda q: (q[0] + q[1], q[1] - q[0])))
+    hi = xy.index(max(xy, key=lambda q: (q[0] + q[1], q[0] - q[1])))
+    arc = list(xy[lo:hi + 1] if lo <= hi else xy[lo:] + xy[:hi + 1])
+    mirror = [(y, x) for x, y in reversed(arc)]
+    if mirror[0] == arc[-1]:
+        del mirror[0]
+    if mirror and mirror[-1] == arc[0]:
+        mirror.pop()
+    hull = arc + mirror
+    start = hull.index(min(hull))
+    return tuple(hull[start:] + hull[:start])
+
+
+def form_point(q: IntPair, scale: int) -> RationalPoint:
+    """The point whose int pair on the grid of `scale` is q."""
+    return RationalPoint(Fraction(q[0], scale), Fraction(q[1], scale))
 
 
 def on_boundary(xy: Sequence[IntPair], q: IntPair) -> bool:

@@ -4,8 +4,11 @@ Polytope documents are JSON objects with a "vertices" list of [x, y]
 pairs; coordinates are integers or exact fraction strings "p/q".
 Reports mirror the full analysis with a fixed key order so output is
 byte-identical across runs.  The module renders them with its own
-renderer, whose text is byte-identical to json.dumps(indent=2), and
-lists the fixpoint images in the order that their integer form gives.
+renderer, whose text is byte-identical to json.dumps(indent=2): it
+writes each str or int item of a list or dict, and each bool or None
+value of a dict, with one append and recurses only into the other
+values.  Reports list the fixpoint images in the order that their
+integer form gives.
 A report prints its points from the integer form of its input: each int
 coordinate is formatted once, and every point list is read from that
 table by int pairs, the same text that point_out writes for the point.
@@ -132,43 +135,76 @@ def render_document(doc: dict) -> str:
 
 
 def _render(value, newline: str, out: list[str]) -> None:
-    """Append the text of value, whose container lines start with newline."""
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
+    """Append the text of value, whose container lines start with newline.
+
+    Lists and dicts are told by their exact type first.  In their loops an
+    item of exact type str or int, and in a dict's loop also True, False
+    and None, is written with one append; only other items recurse.  A
+    subclass of a value type takes the isinstance chain, as json.dumps
+    does."""
+    kind = type(value)
+    if kind is not list and kind is not dict:
+        if isinstance(value, list):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        else:
+            out.append(_leaf(value))
             return
-        inner = newline + "  "
+    if not value:
+        out.append("[]" if kind is list else "{}")
+        return
+    inner = newline + "  "
+    if kind is list:
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _render(item, inner, out)
+            cls = type(item)
+            if cls is str:
+                out.append(sep + _encode_str(item))
+            elif cls is int:
+                out.append(sep + repr(item))
+            else:
+                out.append(sep)
+                _render(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            out.append(sep + _encode_str(key) + ": ")
+        return
+    sep = "{" + inner
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        head = sep + _encode_str(key) + ": "
+        cls = type(item)
+        if cls is str:
+            out.append(head + _encode_str(item))
+        elif cls is int:
+            out.append(head + repr(item))
+        elif item is True:
+            out.append(head + "true")
+        elif item is False:
+            out.append(head + "false")
+        elif item is None:
+            out.append(head + "null")
+        else:
+            out.append(head)
             _render(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"{type(value).__name__} is not a report value")
+        sep = "," + inner
+    out.append(newline + "}")
+
+
+def _leaf(value) -> str:
+    """The text of a value that is no list or dict."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 # The sections that do not apply for each reason, in report order.
@@ -258,7 +294,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         ),
     }
     doc["fixpoint_images"] = [
-        {"point": [coord[x], coord[y]], "multiplicity": m} for (x, y), _, m in analysis.fixpoints
+        {"point": [coord[x], coord[y]], "multiplicity": m} for (x, y), m in analysis.fixpoints
     ]
 
     if len(polygon) == 3:

@@ -15,7 +15,7 @@ from .classify import analyze
 from .errors import GeometryError
 from .kaehler import build_xray
 from .lattice import RationalPoint
-from .polygon import Polygon
+from .polygon import Polygon, form_point
 
 _SCALE = 40
 _MARGIN = Fraction(1)
@@ -128,8 +128,8 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
             )
 
     if "fixpoints" in overlays:
-        for _, point, mult in analysis.fixpoints:
-            cx, cy = canvas.map(point)
+        for q, mult in analysis.fixpoints:
+            cx, cy = canvas.map(form_point(q, polygon.scale))
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
             parts.append(
                 f'<text x="{cx}" y="{cy}" dx="6" dy="-6" font-size="12">{mult}</text>'

@@ -5,8 +5,10 @@ Deliberately shares no code with the package: its own hull (Jarvis
 march), its own primitive-vector reduction, a literal transcription
 of the four validity conditions, with the five wall patterns matched by
 enumerating the parameter over a coordinate-bounded range, a literal
-transcription of the positive-edge rule, and the five triangle families
-generated from their parameters rather than recognized.
+transcription of the positive-edge rule, the five triangle families
+generated from their parameters rather than recognized, and the
+T-fixpoints with their tangent weights, read off the local model at
+each vertex, for the Atiyah-Bott-Berline-Vergne localization sums.
 """
 
 from fractions import Fraction
@@ -167,3 +169,78 @@ def oracle_family_triangles(max_coord, denominator=1):
                 if out.setdefault(key, tag) != tag:
                     raise AssertionError(f"{sorted(key)} is generated as {out[key]} and {tag}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Localization of the fixpoint data
+# ---------------------------------------------------------------------------
+
+_ALPHA, _NEG_ALPHA = (1, -1), (-1, 1)
+
+
+def _swap(w):
+    return (w[1], w[0])
+
+
+def oracle_fixpoints(points):
+    """The T-fixpoints of the multiplicity free U(2)-manifold whose
+    momentum polytope is the hull of the points, assumed valid, as
+    (image, weights) pairs: the image a pair of Fractions, the tangent
+    weights a triple of int pairs.  They are read off each vertex's two
+    primitive rays and whether it lies on the wall, with s the swap:
+
+      - an interior vertex v with rays r1, r2: v with weights
+        {r1, r2, -alpha} and s v with {s r1, s r2, alpha};
+      - a wall vertex with the ray alpha and another ray e: v twice, with
+        {alpha, -alpha, e} and {alpha, -alpha, s e};
+      - a wall vertex with the ray +-(eps1+eps2) and another ray o: v once,
+        with {o, s o, +-(eps1+eps2)};
+      - any other wall vertex: none.
+    """
+    hull = _jarvis_hull([(Fraction(x), Fraction(y)) for x, y in points])
+    n = len(hull)
+    out = []
+    for i, v in enumerate(hull):
+        rays = [_prim(w[0] - v[0], w[1] - v[1]) for w in (hull[i - 1], hull[(i + 1) % n])]
+        if v[0] != v[1]:
+            r1, r2 = rays
+            out += [(v, (r1, r2, _NEG_ALPHA)), (_swap(v), (_swap(r1), _swap(r2), _ALPHA))]
+        elif _ALPHA in rays:
+            (e,) = [r for r in rays if r != _ALPHA]
+            out += [(v, (_ALPHA, _NEG_ALPHA, e)), (v, (_ALPHA, _NEG_ALPHA, _swap(e)))]
+        else:
+            for d in ((1, 1), (-1, -1)):
+                if d in rays:
+                    (o,) = [r for r in rays if r != d]
+                    out.append((v, (o, _swap(o), d)))
+    return out
+
+
+def localization_sums(fixpoints):
+    """For k = 0..3, the sum over the fixpoints p of
+    <mu(p), X>^k / prod_w <-w, X>, at X = (1, m) with m past every weight
+    entry, so that X pairs nonzero with every weight.  By
+    Atiyah-Bott-Berline-Vergne the sums vanish for k < 3, and the k = 3
+    sum is 3! times the symplectic volume (see oracle_volume)."""
+    m = 1 + max(abs(c) for _, weights in fixpoints for w in weights for c in w)
+    sums = [Fraction(0)] * 4
+    for (x, y), weights in fixpoints:
+        den = 1
+        for a, b in weights:
+            den *= -(a + b * m)
+        pairing = x + y * m
+        for k in range(4):
+            sums[k] += pairing**k / den
+    return sums
+
+
+def oracle_volume(points):
+    """The symplectic volume of the manifold over the hull P of the
+    points: the integral of x - y over P, since the coadjoint orbit through
+    (x, y) has area proportional to its coroot pairing x - y."""
+    hull = _jarvis_hull([(Fraction(x), Fraction(y)) for x, y in points])
+    total = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        total += (x0 * y1 - x1 * y0) * (x0 + x1 - y0 - y1)
+    # The Jarvis hull is clockwise, which negates the shoelace sum.
+    return -total / 6

@@ -613,32 +613,32 @@ class TestAnalysis:
         scalar = mompoly.report._scalar
         monkeypatch.setattr(mompoly.report, "_scalar",
                             lambda c, scale: formatted.append(c) or scalar(c, scale))
-        # (coordinates, boundary tests, interior vertices): the Woodward
-        # quadrilateral's fourth image in their order is the first one off
-        # the T-polytope's boundary; all five images of the triangle lie on it.
-        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4, 3)
-        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5, 2)
-        for coords, tests, interior in (woodward, one_wall_triangle):
+        # (coordinates, boundary tests): the Woodward quadrilateral's fourth
+        # image in their order is the first one off the T-polytope's
+        # boundary; all five images of the triangle lie on it.
+        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4)
+        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5)
+        for coords, tests in (woodward, one_wall_triangle):
             points = [RationalPoint.of(x, y) for x, y in coords]
             calls.clear()
             formatted.clear()
             doc = full_report(points)
             assert doc["xray"]["strata"], coords
             n = len(coords)
-            # One T-hull, on int pairs, besides the polygon's own hull; the
-            # primitive ray of each edge once; one boundary test per image
+            # One T-hull, on int pairs, which takes no second monotone chain
+            # besides the polygon's own hull; the primitive ray of each edge
+            # once; one boundary test per image
             # until the first one off the boundary.  The validity check, the
             # positive edges and the x-ray read the rays and normals by
             # index; vertex_rays is asked only by the mod-3 residue at one
             # vertex of a triangle.
             assert [calls[m] for m in methods] == [0, int(n == 3), 0], coords
-            assert (calls["t_hull"], calls["int_hull"]) == (1, 2), coords
+            assert (calls["t_hull"], calls["int_hull"]) == (1, 1), coords
             assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords
-            # The only points built are the reflections of the interior
-            # vertices among the fixpoint images: none for the T-hull or
-            # the x-ray.
-            assert calls["weyl_reflect"] == calls["points_built"] == interior, coords
+            # No point is built: the fixpoint images, the T-hull and the
+            # x-ray are int pairs.
+            assert calls["weyl_reflect"] == calls["points_built"] == 0, coords
             # The coordinate table formats each distinct coordinate once.
             assert sorted(formatted) == sorted({c for xy in coords for c in xy}), coords
 

@@ -83,18 +83,39 @@ class TestDocuments:
                 parse_polytope_document(text)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
 # Report-shaped trees: the leaves are every value type a report holds, with
 # strings of any code point (quotes, backslashes, control characters, lone
-# surrogates) and ints of up to several hundred digits.
+# surrogates) and ints of up to several hundred digits.  Subclasses of str,
+# int, list and dict, which json.dumps renders as their base types, appear
+# as leaves, keys and containers.
+_text = st.text(st.characters(blacklist_categories=()))
 _leaves = (st.none() | st.booleans() | st.integers()
            | st.integers(min_value=-10**700, max_value=10**700)
-           | st.text(st.characters(blacklist_categories=()))
-           | st.text('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\U0001d11e'))
+           | _text
+           | st.text('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\U0001d11e')
+           | st.builds(_Str, _text) | st.builds(_Int, st.integers()))
 _trees = st.recursive(
     _leaves,
     lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(st.text(st.characters(blacklist_categories=())),
-                                        children, max_size=4)),
+                      | st.dictionaries(_text | st.builds(_Str, _text), children, max_size=4)
+                      | st.lists(children, max_size=4).map(_List)
+                      | st.dictionaries(_text, children, max_size=4).map(_Dict)),
     max_leaves=40,
 )
 

@@ -31,6 +31,7 @@ from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
 from mompoly.report import full_report, point_out, polytope_document
 
+from oracle import localization_sums, oracle_fixpoints, oracle_volume
 from test_acceptance import _sweep_families
 from test_byte_identity import FIGURES, FIXTURES, rational_inputs
 
@@ -215,6 +216,34 @@ class TestFixpointImages:
             checked += 1
         assert checked == 60
 
+    def test_localization_identities(self):
+        """The oracle's T-fixpoints, with the tangent weights of the local
+        models, satisfy the Atiyah-Bott-Berline-Vergne localization on every
+        valid census item, and their images with multiplicity are the
+        engine's fixpoints."""
+        valid = []
+        for max_coord, shape in ((4, "triangles"), (2, "all")):
+            run_census(max_coord, shape=shape,
+                       on_item=lambda item: item.valid and valid.append(item))
+        euler = {}
+        for item in valid:
+            points = [(p.x, p.y) for p in item.vertices]
+            fixpoints = oracle_fixpoints(points)
+            sums = localization_sums(fixpoints)
+            assert sums[:3] == [0, 0, 0], points
+            assert sums[3] == 6 * oracle_volume(points), points
+            analysis = analyze(convex_hull(item.vertices))
+            scale = analysis.polygon.scale
+            assert Counter(image for image, _ in fixpoints) == Counter(
+                {(Fraction(x, scale), Fraction(y, scale)): m for (x, y), m in analysis.fixpoints}
+            ), points
+            if item.diff_type is not None:
+                euler.setdefault(item.diff_type, set()).add(len(fixpoints))
+        assert len(valid) == 1413
+        # The Euler characteristic is the number of fixpoints.
+        assert euler == {"projective_space_4": {4}, "oriented_grassmannian": {4},
+                         "trivial_p2_bundle": {6}, "nontrivial_p2_bundle": {6}}
+
 
 class TestFixpointBoundaryCheck:
     def test_figure_fixtures(self):
@@ -266,11 +295,11 @@ class TestFixpointBoundaryCheck:
         images = len(doc["fixpoint_images"])
         assert images == 2 * n - 1
         # Per image: at most three segment tests and a binary search over
-        # the T-polytope's at most 2n vertices.  Per hull (of the n input
-        # points and of the 2n points of the T-polytope): at most two turns
-        # per point and chain.
+        # the T-polytope's at most 2n vertices.  The hull of the n input
+        # points: at most two turns per point and chain.  The T-hull walks
+        # the polygon's cycle and takes no turns.
         assert calls["_on_segment"] <= 3 * images
-        assert calls["_turn"] <= images * (2 * n).bit_length() + 4 * (n + 2 * n)
+        assert calls["_turn"] <= images * (2 * n).bit_length() + 4 * n
 
 
 class TestAtiyahCrossCheck:
@@ -399,8 +428,11 @@ def test_report_points_are_point_out(points):
     assert [va["vertex"] for va in doc["vertex_analyses"]] == [
         point_out(va.vertex) for va in analysis.report.vertex_data]
     if doc["valid"]:
+        scale = analysis.polygon.scale
         assert doc["fixpoint_images"] == [
-            {"point": point_out(p), "multiplicity": m} for _, p, m in analysis.fixpoints]
+            {"point": point_out(RationalPoint(Fraction(x, scale), Fraction(y, scale))),
+             "multiplicity": m}
+            for (x, y), m in analysis.fixpoints]
     if "strata" in doc["xray"]:
         assert [s["segment"] for s in doc["xray"]["strata"]] == [
             [point_out(p) for p in s.segment] for s in build_xray(analysis).strata]

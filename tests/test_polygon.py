@@ -1,13 +1,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
 from mompoly.classify import analyze, require_chamber
-from mompoly.polygon import Edge, Polygon, _on_segment, convex_hull, on_boundary, triangle
+from mompoly.polygon import (
+    Edge,
+    Polygon,
+    _on_segment,
+    convex_hull,
+    int_hull,
+    on_boundary,
+    t_hull,
+    triangle,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -112,6 +121,36 @@ def test_t_polytope_example():
 def test_t_polytope_symmetric(pts):
     tp = convex_hull(pts).t_polytope()
     assert sorted(tp.reflected().vertices) == sorted(tp.vertices)
+
+
+def test_t_polytope_is_hull_with_reflection():
+    # t_polytope folds any polygon into the chamber before its T-hull.
+    for coords in (((0, 0), (1, 0), (0, -1), (3, -1)), ((0, 1), (1, 0), (0, 0)),
+                   ((-2, 1), (1, 3)), ((0, 3),), ((1, 1),), ((0, 0), (2, 2))):
+        hull = P(*coords)
+        reflected = [RationalPoint(v.y, v.x) for v in hull.vertices]
+        assert hull.t_polytope().vertices == convex_hull([*hull.vertices, *reflected]).vertices
+
+
+# int_hulls of pairs folded into the chamber x >= y.  On a small grid,
+# wall vertices, edges perpendicular to the wall, ties of x + y and
+# collinear sets are common.
+_chamber_hulls = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=1, max_size=9).map(
+    lambda pairs: int_hull({(max(q), min(q)) for q in pairs}))
+
+
+@given(_chamber_hulls)
+@example(((0, 0),))                                        # one pair on the wall
+@example(((3, -1),))                                       # one pair off it
+@example(int_hull({(0, 0), (2, 2)}))                       # a segment on the wall
+@example(int_hull({(1, -1), (3, -3)}))                     # a segment across it
+@example(int_hull({(1, 1), (4, -1)}))                      # a segment from it
+@example(int_hull({(0, 0), (1, 0), (2, 0)}))               # collinear pairs
+@example(int_hull({(-1, -1), (0, -2), (4, -2), (3, 1), (2, 2)}))  # ties at lo and hi
+def test_t_hull_is_int_hull_with_swaps(xy):
+    """The linear T-hull equals the monotone chain of the pairs and their swaps."""
+    assert t_hull(xy) == int_hull({*xy, *[(y, x) for x, y in xy]})
 
 
 def test_transform():
