@@ -27,7 +27,7 @@ from .classify import (
     classify_wall_rays,
     manifold_model,
 )
-from .difftype import DiffType, chern_mod3_at_vertex, diffeo_type, line_bundle_chern
+from .difftype import DiffType, chern_mod3_at_vertex, diffeo_type
 from .errors import (
     ChamberError,
     GeometryError,
@@ -41,7 +41,6 @@ from .kaehler import (
     fixpoint_boundary_check,
     fixpoint_images,
     is_kaehlerizable,
-    positive_edges,
 )
 from .lattice import (
     ALPHA,

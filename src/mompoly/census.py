@@ -42,6 +42,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
 from .classify import (
@@ -60,7 +61,7 @@ from .classify import (
 from .difftype import diffeo_type
 from .errors import GeometryError
 from .kaehler import is_kaehlerizable
-from .lattice import RationalPoint, Weight, primitive_int_ray
+from .lattice import RationalPoint, Weight
 from .polygon import Polygon, integer_form
 
 
@@ -224,13 +225,19 @@ class _Grid:
         self.scale, self.xy = integer_form(points)
         require_chamber(self.xy)
         self.on_wall = [x == y for x, y in self.xy]
-        ids: dict[Weight, int] = {}
+        # Ray ids are keyed by reduced int pairs, in first-seen order; a
+        # Weight is built once per direction.
+        ids: dict[tuple[int, int], int] = {}
+
+        def ray_id(a: int, b: int) -> int:
+            g = gcd(a, b)
+            return ids.setdefault((a // g, b // g), len(ids))
+
         self.rays = [
-            [None if i == j else ids.setdefault(primitive_int_ray(qx - px, qy - py), len(ids))
-             for j, (qx, qy) in enumerate(self.xy)]
+            [None if i == j else ray_id(qx - px, qy - py) for j, (qx, qy) in enumerate(self.xy)]
             for i, (px, py) in enumerate(self.xy)
         ]
-        self.dirs = list(ids)
+        self.dirs = [Weight(a, b) for a, b in ids]
         verdicts = {w: _Verdicts(w, self.dirs) for w in (False, True)}
         self.verdicts = [verdicts[w] for w in self.on_wall]
         # passed[m] is the verdict on ccw[m] of the candidate of length

@@ -13,16 +13,6 @@ from .errors import GeometryError, UnsupportedPolytopeError
 from .lattice import RationalPoint
 
 
-def line_bundle_chern(k1: int, k2: int) -> int:
-    """First Chern number of the line bundle glued from fiber weights k1, k2.
-
-    The invariant is defined up to sign; this fixes the convention
-    k1 - k2.  Only divisibility by 3 is consumed downstream, which is
-    sign-independent.
-    """
-    return k1 - k2
-
-
 def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
     """Residue (a1 + a2 - b1 - b2) mod 3 of the primitive rays
     a_i*eps1 + b_i*eps2 at the vertex v.

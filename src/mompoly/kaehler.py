@@ -29,12 +29,6 @@ from .lattice import RationalPoint, coroot_pairing
 from .polygon import Edge, IntPair, form_point, on_boundary, t_hull
 
 
-def positive_edges(polygon: PolygonLike) -> list[Edge]:
-    """Edges whose inward primitive normal pairs positively with the coroot."""
-    polygon = require_valid(polygon).polygon
-    return [e for e, n in zip(polygon.edges(), polygon.normals) if coroot_pairing(n) > 0]
-
-
 def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
     """Kähler verdict with a violating positive edge as witness when false.
 

@@ -153,20 +153,6 @@ class Polygon:
         # Interior lies to the left of every counterclockwise edge.
         return tuple([Weight(-d.b, d.a) for d, _ in self.rays])
 
-    def inward_primitive_normal(self, e: Edge) -> Weight:
-        """Primitive lattice vector perpendicular to e pointing into the polygon."""
-        normals = self.normals
-        try:
-            return normals[self._edges.index(e)]
-        except ValueError:
-            raise GeometryError(f"{e} is not an edge") from None
-
-    def boundary_contains(self, p: RationalPoint) -> bool:
-        if self.dimension() != 2:
-            raise GeometryError("boundary test needs a 2-dimensional polygon")
-        _, (*xy, q) = integer_form([*self.vertices, p])
-        return on_boundary(xy, q)
-
     def contains(self, p: RationalPoint) -> bool:
         """Membership in the (closed) convex hull, any dimension."""
         if len(self.vertices) == 1:

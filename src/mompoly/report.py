@@ -7,7 +7,10 @@ byte-identical across runs.  The module renders them with its own
 renderer, whose text is byte-identical to json.dumps(indent=2): it
 writes each str or int item of a list or dict, and each bool or None
 value of a dict, with one append and recurses only into the other
-values.  Reports list the fixpoint images in the order that their
+values.  It walks a document by depth levels that hold the text each
+depth fixes, built once and kept for later containers and documents:
+levels to depth 16, each with the heads of at most 1,024 keys of at most
+64 characters.  Reports list the fixpoint images in the order that their
 integer form gives.
 A report prints its points from the integer form of its input: each int
 coordinate is formatted once, and every point list is read from that
@@ -121,6 +124,53 @@ def polytope_document(points: list[RationalPoint]) -> dict:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# Caps on the level tables, which hold only text that a depth and a key fix
+# and so never change what is rendered: levels are kept to depth
+# _KEPT_DEPTH, deeper ones only while the container above them renders, and
+# each level memoises the heads of at most _MAX_HEADS exact str keys of at
+# most _MAX_KEY characters.
+_KEPT_DEPTH, _MAX_HEADS, _MAX_KEY = 16, 1024, 64
+
+
+class _Level:
+    """The text that one depth of a document fixes: the strings that open a
+    list or dict, separate its items and close it, and by exact str key the
+    heads open_dict + key + ": " of first keys and sep + key + ": " of later
+    keys.  child, the level of the next depth, is built on first use."""
+
+    __slots__ = ("depth", "open_list", "open_dict", "sep", "close_list", "close_dict",
+                 "first", "later", "child")
+
+    def __init__(self, depth: int):
+        newline = "\n" + "  " * depth
+        inner = newline + "  "
+        self.depth, self.child = depth, None
+        self.open_list, self.open_dict, self.sep = "[" + inner, "{" + inner, "," + inner
+        self.close_list, self.close_dict = newline + "]", newline + "}"
+        self.first: dict[str, str] = {}
+        self.later: dict[str, str] = {}
+
+    def descend(self) -> _Level:
+        """The level of the next depth, kept as child to _KEPT_DEPTH."""
+        child = _Level(self.depth + 1)
+        if self.depth != _KEPT_DEPTH:
+            self.child = child
+        return child
+
+    def head(self, key, heads: dict[str, str]) -> str:
+        """The head of a key that heads, first or later, does not hold;
+        memoised there within the caps."""
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        head = (self.open_dict if heads is self.first else self.sep) + _encode_str(key) + ": "
+        if (type(key) is str and len(key) <= _MAX_KEY
+                and len(self.first) + len(self.later) < _MAX_HEADS):
+            heads[key] = head
+        return head
+
+
+_ROOT = _Level(0)
+
 
 def render_document(doc: dict) -> str:
     """The document as json.dumps(doc, indent=2) writes it, byte for byte,
@@ -129,19 +179,19 @@ def render_document(doc: dict) -> str:
     dicts with str keys, lists, str, int, bool and None; any other value
     raises TypeError."""
     out: list[str] = []
-    _render(doc, "\n", out)
+    _render(doc, _ROOT, out)
     out.append("\n")
     return "".join(out)
 
 
-def _render(value, newline: str, out: list[str]) -> None:
-    """Append the text of value, whose container lines start with newline.
+def _render(value, level: _Level, out: list[str]) -> None:
+    """Append the text of value, which lies at the depth of level.
 
     Lists and dicts are told by their exact type first.  In their loops an
     item of exact type str or int, and in a dict's loop also True, False
     and None, is written with one append; only other items recurse.  A
     subclass of a value type takes the isinstance chain, as json.dumps
-    does."""
+    does; a key head is looked up for exact str keys only."""
     kind = type(value)
     if kind is not list and kind is not dict:
         if isinstance(value, list):
@@ -154,9 +204,8 @@ def _render(value, newline: str, out: list[str]) -> None:
     if not value:
         out.append("[]" if kind is list else "{}")
         return
-    inner = newline + "  "
     if kind is list:
-        sep = "[" + inner
+        sep, later = level.open_list, level.sep
         for item in value:
             cls = type(item)
             if cls is str:
@@ -165,15 +214,15 @@ def _render(value, newline: str, out: list[str]) -> None:
                 out.append(sep + repr(item))
             else:
                 out.append(sep)
-                _render(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
+                _render(item, level.child or level.descend(), out)
+            sep = later
+        out.append(level.close_list)
         return
-    sep = "{" + inner
+    heads, later = level.first, level.later
     for key, item in value.items():
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be str, not {type(key).__name__}")
-        head = sep + _encode_str(key) + ": "
+        head = heads.get(key) if type(key) is str else None
+        if head is None:
+            head = level.head(key, heads)
         cls = type(item)
         if cls is str:
             out.append(head + _encode_str(item))
@@ -187,9 +236,9 @@ def _render(value, newline: str, out: list[str]) -> None:
             out.append(head + "null")
         else:
             out.append(head)
-            _render(item, inner, out)
-        sep = "," + inner
-    out.append(newline + "}")
+            _render(item, level.child or level.descend(), out)
+        heads = later
+    out.append(level.close_dict)
 
 
 def _leaf(value) -> str:

@@ -8,7 +8,8 @@ enumerating the parameter over a coordinate-bounded range, a literal
 transcription of the positive-edge rule, the five triangle families
 generated from their parameters rather than recognized, and the
 T-fixpoints with their tangent weights, read off the local model at
-each vertex, for the Atiyah-Bott-Berline-Vergne localization sums.
+each vertex, for the Atiyah-Bott-Berline-Vergne localization sums, and
+reference copies of four helpers the package retired.
 """
 
 from fractions import Fraction
@@ -244,3 +245,52 @@ def oracle_volume(points):
         total += (x0 * y1 - x1 * y0) * (x0 + x1 - y0 - y1)
     # The Jarvis hull is clockwise, which negates the shoelace sum.
     return -total / 6
+
+
+# ---------------------------------------------------------------------------
+# References for helpers the package retired
+# ---------------------------------------------------------------------------
+# No engine code called these four, so the package dropped them; tests keep
+# them as second routes.  They read a polygon, edge or point of the package
+# only through its vertices, its edges and their coordinates.
+
+
+def line_bundle_chern(k1, k2):
+    """First Chern number of the line bundle glued from fiber weights k1 and
+    k2, with the sign convention k1 - k2 (only its residue mod 3 is read)."""
+    return k1 - k2
+
+
+def _edge_vector(e):
+    return e.head.x - e.tail.x, e.head.y - e.tail.y
+
+
+def inward_primitive_normal(polygon, e):
+    """The primitive normal of the edge e of the counterclockwise polygon
+    that points into it, (-dy, dx) reduced, as an int pair."""
+    if e not in polygon.edges():
+        raise ValueError(f"{e} is not an edge")
+    dx, dy = _edge_vector(e)
+    return _prim(-dy, dx)
+
+
+def positive_edges(polygon):
+    """The edges of a valid polygon whose inward normal pairs positively
+    with the coroot: -dy - dx > 0 for an edge (dx, dy)."""
+    if not oracle_is_valid([(v.x, v.y) for v in polygon.vertices]):
+        raise ValueError("the polygon is not a valid momentum polytope")
+    return [e for e in polygon.edges() if sum(_edge_vector(e)) < 0]
+
+
+def boundary_contains(polygon, p):
+    """True iff the point p lies on an edge of the 2-dimensional polygon:
+    on the edge's line and between its ends."""
+    vs = polygon.vertices
+    if len(vs) < 3:
+        raise ValueError("boundary test needs a 2-dimensional polygon")
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        if ((b.x - a.x) * (p.y - a.y) == (b.y - a.y) * (p.x - a.x)
+                and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+                and min(a.y, b.y) <= p.y <= max(a.y, b.y)):
+            return True
+    return False

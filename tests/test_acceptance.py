@@ -43,7 +43,7 @@ from mompoly.lattice import (
 )
 from mompoly.polygon import convex_hull
 
-from oracle import oracle_is_valid
+from oracle import inward_primitive_normal, oracle_is_valid
 
 
 def P(*coords):
@@ -71,7 +71,8 @@ def test_criterion_1_woodward_obstruction():
         verdict, witness = is_kaehlerizable(polygon)
         assert verdict is False
         assert witness is not None
-        assert coroot_pairing(polygon.inward_primitive_normal(witness)) > 0
+        a, b = inward_primitive_normal(polygon, witness)
+        assert a - b > 0  # the coroot pairing of the inward normal
         assert not witness.contains(origin)
     _report("1 (Woodward obstruction)")
 

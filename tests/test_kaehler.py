@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from mompoly.classify import (
     analyze,
     check_momentum_polytope,
 )
+from mompoly.difftype import diffeo_type
 from mompoly.errors import InvalidPolytopeError, UnsupportedPolytopeError
 from mompoly.kaehler import (
     Stratum,
@@ -25,13 +27,18 @@ from mompoly.kaehler import (
     fixpoint_boundary_check,
     fixpoint_images,
     is_kaehlerizable,
-    positive_edges,
 )
 from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
 from mompoly.report import full_report, point_out, polytope_document
 
-from oracle import localization_sums, oracle_fixpoints, oracle_volume
+from oracle import (
+    boundary_contains,
+    localization_sums,
+    oracle_fixpoints,
+    oracle_volume,
+    positive_edges,
+)
 from test_acceptance import _sweep_families
 from test_byte_identity import FIGURES, FIXTURES, rational_inputs
 
@@ -94,7 +101,7 @@ class TestPositiveEdges:
         assert e.contains(pt(0, 0))
 
     def test_invalid_input(self):
-        with pytest.raises(InvalidPolytopeError):
+        with pytest.raises(ValueError):
             positive_edges(P((1, 0), (3, 1), (2, -1)))
 
 
@@ -104,7 +111,7 @@ def _first_violating_edge(analysis):
     wall = [va.vertex for va in analysis.report.vertex_data if va.on_wall]
     if len(wall) != 1:
         return True, None
-    for e in positive_edges(analysis):
+    for e in positive_edges(analysis.polygon):
         if wall[0] not in (e.tail, e.head):
             return False, e
     return True, None
@@ -142,6 +149,33 @@ class TestIsKaehlerizable:
             ReflectionFamily(Fraction(0), Fraction(2)),
         ]:
             assert is_kaehlerizable(fam.triangle()) == (True, None)
+
+
+@functools.cache
+def _valid_census_items():
+    """The valid items of the triangles max-coord 4 and `--shape all`
+    max-coord 2 censuses."""
+    valid = []
+    for max_coord, shape in ((4, "triangles"), (2, "all")):
+        run_census(max_coord, shape=shape, on_item=lambda item: item.valid and valid.append(item))
+    return tuple(valid)
+
+
+def _assert_localization(analysis):
+    """The oracle's T-fixpoints of a valid polygon, after checking that
+    their localization sums vanish for k < 3, that the k = 3 sum is six
+    times the oracle's volume and that their images with multiplicity are
+    the engine's Analysis.fixpoints."""
+    points = [(p.x, p.y) for p in analysis.polygon.vertices]
+    fixpoints = oracle_fixpoints(points)
+    sums = localization_sums(fixpoints)
+    assert sums[:3] == [0, 0, 0], points
+    assert sums[3] == 6 * oracle_volume(points), points
+    scale = analysis.polygon.scale
+    assert Counter(image for image, _ in fixpoints) == Counter(
+        {(Fraction(x, scale), Fraction(y, scale)): m for (x, y), m in analysis.fixpoints}
+    ), points
+    return fixpoints
 
 
 class TestFixpointImages:
@@ -221,22 +255,10 @@ class TestFixpointImages:
         models, satisfy the Atiyah-Bott-Berline-Vergne localization on every
         valid census item, and their images with multiplicity are the
         engine's fixpoints."""
-        valid = []
-        for max_coord, shape in ((4, "triangles"), (2, "all")):
-            run_census(max_coord, shape=shape,
-                       on_item=lambda item: item.valid and valid.append(item))
+        valid = _valid_census_items()
         euler = {}
         for item in valid:
-            points = [(p.x, p.y) for p in item.vertices]
-            fixpoints = oracle_fixpoints(points)
-            sums = localization_sums(fixpoints)
-            assert sums[:3] == [0, 0, 0], points
-            assert sums[3] == 6 * oracle_volume(points), points
-            analysis = analyze(convex_hull(item.vertices))
-            scale = analysis.polygon.scale
-            assert Counter(image for image, _ in fixpoints) == Counter(
-                {(Fraction(x, scale), Fraction(y, scale)): m for (x, y), m in analysis.fixpoints}
-            ), points
+            fixpoints = _assert_localization(analyze(convex_hull(item.vertices)))
             if item.diff_type is not None:
                 euler.setdefault(item.diff_type, set()).add(len(fixpoints))
         assert len(valid) == 1413
@@ -264,7 +286,7 @@ class TestFixpointBoundaryCheck:
             if not analysis.report.valid or len(analysis.wall_types) != 1:
                 continue
             pt = polygon.t_polytope()
-            expected = all(pt.boundary_contains(p) for p in fixpoint_images(analysis))
+            expected = all(boundary_contains(pt, p) for p in fixpoint_images(analysis))
             assert fixpoint_boundary_check(analysis) == expected, polygon.vertices
             verdicts[expected] += 1
         assert verdicts == {True: 102, False: 16}
@@ -436,3 +458,24 @@ def test_report_points_are_point_out(points):
     if "strata" in doc["xray"]:
         assert [s["segment"] for s in doc["xray"]["strata"]] == [
             [point_out(p) for p in s.segment] for s in build_xray(analysis).strata]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _coords,
+       st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
+def test_localization_under_affine_moves(data, s, t):
+    """v -> s(eps1+eps2) + t*v with t > 0 moves a valid census item to a
+    polygon on which the localization identities still hold, with the
+    engine's fixpoints as the oracle's images, and with the item's
+    validity, family tag, Kähler verdict and diff type."""
+    item = data.draw(st.sampled_from(_valid_census_items()))
+    analysis = analyze(convex_hull(item.vertices).transform(s, t))
+    assert analysis.report.valid
+    _assert_localization(analysis)
+    kaehler, _ = is_kaehlerizable(analysis)
+    if len(analysis.polygon) == 3:
+        fam = analysis.family
+        facts = (fam.tag, kaehler, diffeo_type(fam, analysis).value)
+    else:
+        facts = (None, kaehler, None)
+    assert facts == (item.family_tag, item.kaehler, item.diff_type), (item.vertices, s, t)
