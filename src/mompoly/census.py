@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple, Optional
@@ -321,18 +320,29 @@ class _Grid:
         require_rebuild(tag, vertices, xy, cone_points(bx, by, u, r1, r2))
 
 
-@dataclass
 class CensusSummary:
-    shape: str
-    max_coord: int
-    denominator: int
-    total: int = 0
-    valid: int = 0
-    invalid: int = 0
-    kaehler_true: int = 0
-    kaehler_false: int = 0
-    by_family: Counter = field(default_factory=Counter)
-    by_diff_type: Counter = field(default_factory=Counter)
+    """The arguments of a census and its counters, which `add` updates."""
+
+    def __init__(self, shape: str, max_coord: int, denominator: int, total: int = 0,
+                 valid: int = 0, invalid: int = 0, kaehler_true: int = 0,
+                 kaehler_false: int = 0, by_family: Optional[Counter] = None,
+                 by_diff_type: Optional[Counter] = None):
+        self.shape, self.max_coord, self.denominator = shape, max_coord, denominator
+        self.total, self.valid, self.invalid = total, valid, invalid
+        self.kaehler_true, self.kaehler_false = kaehler_true, kaehler_false
+        self.by_family = Counter() if by_family is None else by_family
+        self.by_diff_type = Counter() if by_diff_type is None else by_diff_type
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"CensusSummary({fields})"
 
     def add(self, item: ItemResult) -> None:
         self.total += 1

@@ -11,7 +11,7 @@ parameters reconstruct the triangle exactly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -22,6 +22,7 @@ from .lattice import (
     EPS1,
     EPS2,
     RationalPoint,
+    Value,
     Weight,
     coroot_pairing,
     is_lattice_basis,
@@ -42,13 +43,11 @@ _ONE = Weight(1, 1)
 # `family(s, t)`: the triangle family whose base s(eps1+eps2) has this
 # pattern, with edges of scale t there.
 
-@dataclass(frozen=True)
-class _WallEdge:
+class _WallEdge(Value, namedtuple("_WallEdge", "k")):
     """Rays {sign(eps1+eps2), k(eps1+eps2)+eps1}: the wall edge at the vertex
     leaves it in direction sign(eps1+eps2)."""
 
-    k: int
-
+    __slots__ = ()
     fixpoints = 1
 
     def rays(self) -> frozenset:
@@ -61,30 +60,28 @@ class _WallEdge:
         return WallEdgeFamily(s, t, self.k, self.sign)
 
 
-@dataclass(frozen=True)
 class WallEdgePlus(_WallEdge):
     """Rays {eps1+eps2, k(eps1+eps2)+eps1}."""
 
+    __slots__ = ()
     name = "wall_edge_plus"
     sign = 1
 
 
-@dataclass(frozen=True)
 class WallEdgeMinus(_WallEdge):
     """Rays {-(eps1+eps2), k(eps1+eps2)+eps1}."""
 
+    __slots__ = ()
     name = "wall_edge_minus"
     sign = -1
 
 
-@dataclass(frozen=True)
-class _HalfRefl:
+class _HalfRefl(Value, namedtuple("_HalfRefl", "j")):
     """Rays {alpha, j*alpha+e}, for the eps-term e = eps1 or -eps2 of the
     subclass: the two patterns are dual under -w0, which fixes alpha and
     maps eps1 to -eps2."""
 
-    j: int
-
+    __slots__ = ()
     fixpoints = 2
     xray = "all_edges"
 
@@ -98,28 +95,26 @@ class _HalfRefl:
         return _HALF_REFL_FAMILY[type(self)](s, t, self.j)
 
 
-@dataclass(frozen=True)
 class HalfReflPlus(_HalfRefl):
     """Rays {alpha, j*alpha+eps1}."""
 
+    __slots__ = ()
     name = "half_refl_plus"
     eps, eps_text = EPS1, "+eps1"
 
 
-@dataclass(frozen=True)
 class HalfReflMinus(_HalfRefl):
     """Rays {alpha, j*alpha-eps2}."""
 
+    __slots__ = ()
     name = "half_refl_minus"
     eps, eps_text = -EPS2, "-eps2"
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(Value, namedtuple("Reflection", "j")):
     """Rays {j*alpha+eps1, j*alpha-eps2}."""
 
-    j: int
-
+    __slots__ = ()
     name = "reflection"
     fixpoints = 0
     xray = "inner_edges_and_cross"
@@ -167,13 +162,12 @@ def classify_wall_rays(r1: Weight, r2: Weight) -> Optional[WallVertexType]:
 # Validity report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexAnalysis:
-    vertex: RationalPoint
-    rays: tuple[Weight, Weight]
-    on_wall: bool
-    kind: str  # "interior_delzant" | "wall" | "invalid"
-    wall_type: Optional[WallVertexType] = None
+class VertexAnalysis(Value, namedtuple("VertexAnalysis", "vertex rays on_wall kind wall_type",
+                                       defaults=(None,))):
+    """A vertex, its two primitive rays, whether it lies on the wall, its
+    kind ("interior_delzant", "wall" or "invalid") and its wall type."""
+
+    __slots__ = ()
 
     @property
     def reason(self) -> Optional[str]:
@@ -185,14 +179,12 @@ class VertexAnalysis:
         return f"interior vertex {self.vertex} has non-unimodular rays {self.rays}"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Value, namedtuple("ClassificationReport",
+                                             "valid dimension vertex_data")):
     """The facts of the validity check.  The rejection reasons are formatted
     from them when they are read."""
 
-    valid: bool
-    dimension: int
-    vertex_data: tuple[VertexAnalysis, ...]
+    __slots__ = ()
 
     @property
     def failures(self) -> tuple[tuple[int, str], ...]:
@@ -285,19 +277,11 @@ def _cone_triangle(cone: Cone) -> Polygon:
                         RationalPoint(x + t * r2.a, y + t * r2.b)])
 
 
-@dataclass(frozen=True)
-class DelzantFamily:
+class DelzantFamily(Value, namedtuple("DelzantFamily", "r s t a1 b1 a2 b2")):
     """r(-eps2) + s(eps1+eps2) + t*conv(0, d1, d2) with d_i = a_i(-eps2)+b_i*eps1,
     a1*b2 - a2*b1 = 1 and a_i + b_i >= 0."""
 
-    r: Fraction
-    s: Fraction
-    t: Fraction
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-
+    __slots__ = ()
     tag = "delzant"
     diffeo = None
 
@@ -320,14 +304,12 @@ class DelzantFamily:
         return total, f"GL(2) x_B- P(C + C_-{_wfmt(d1)} + C_-{_wfmt(d2)})"
 
 
-@dataclass(frozen=True)
 class _WallFamily:
     """A family whose triangles have the wall vertex s(eps1+eps2) with cone
     pattern p = wall_types()[0]: s(eps1+eps2) + t*conv(0, r1, r2) for the
-    rays r1, r2 of p."""
+    rays r1, r2 of p.  A mixin: the family declares the fields s, t."""
 
-    s: Fraction
-    t: Fraction
+    __slots__ = ()
 
     def cone(self) -> Cone:
         """(x, y, t, r1, r2): the triangle is (x, y) + t*conv(0, r1, r2)."""
@@ -337,13 +319,10 @@ class _WallFamily:
         return _cone_triangle(self.cone())
 
 
-@dataclass(frozen=True)
-class WallEdgeFamily(_WallFamily):
+class WallEdgeFamily(_WallFamily, Value, namedtuple("WallEdgeFamily", "s t k l")):
     """s(eps1+eps2) + t*conv(0, l(eps1+eps2), k(eps1+eps2)+eps1), l in {+1,-1}."""
 
-    k: int
-    l: int
-
+    __slots__ = ()
     tag = "wall_edge"
     diffeo = DiffType.PROJECTIVE_SPACE_4
 
@@ -366,15 +345,13 @@ class WallEdgeFamily(_WallFamily):
         return total, f"P((C^2 (x) det^-{k + 1}) + det^{-l} + C)"
 
 
-@dataclass(frozen=True)
-class _HalfReflFamily(_WallFamily):
+class _HalfReflFamily(_WallFamily, Value, namedtuple("_HalfReflFamily", "s t j")):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha+e) for the eps-term e of the
     subclass's `pattern`.  Its manifold is a P(F + C_-j*alpha)-bundle whose
     fiber F is C^2 (weights eps1, eps2) for e = eps1 and the dual (C^2)*
     (weights -eps1, -eps2) for e = -eps2."""
 
-    j: int
-
+    __slots__ = ()
     diffeo = None
 
     def wall_types(self) -> tuple[WallVertexType, ...]:
@@ -388,19 +365,19 @@ class _HalfReflFamily(_WallFamily):
         return total, f"GL(2) x_B- P({self.fiber} + C_-{self.j}*alpha)"
 
 
-@dataclass(frozen=True)
 class HalfReflPlusFamily(_HalfReflFamily):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha+eps1)."""
 
+    __slots__ = ()
     tag = "half_refl_plus"
     pattern = HalfReflPlus
     fiber, sign = "C^2", 1
 
 
-@dataclass(frozen=True)
 class HalfReflMinusFamily(_HalfReflFamily):
     """s(eps1+eps2) + t*conv(0, alpha, j*alpha-eps2)."""
 
+    __slots__ = ()
     tag = "half_refl_minus"
     pattern = HalfReflMinus
     fiber, sign = "(C^2)*", -1
@@ -410,10 +387,10 @@ class HalfReflMinusFamily(_HalfReflFamily):
 _HALF_REFL_FAMILY = {fam.pattern: fam for fam in (HalfReflPlusFamily, HalfReflMinusFamily)}
 
 
-@dataclass(frozen=True)
-class ReflectionFamily(_WallFamily):
+class ReflectionFamily(_WallFamily, Value, namedtuple("ReflectionFamily", "s t")):
     """s(eps1+eps2) + t*conv(0, eps1, -eps2)."""
 
+    __slots__ = ()
     tag = "reflection"
     diffeo = DiffType.ORIENTED_GRASSMANNIAN
 
@@ -433,14 +410,11 @@ TriangleFamily = Union[
 # One analysis per polygon
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Value, namedtuple("Analysis", "polygon report")):
     """A polygon with its validity report.  The facts derived from them are
-    computed on first use and kept as long as the Analysis is, each in one
-    form only: the T-fixpoint images as `fixpoints`, in their order."""
-
-    polygon: Polygon
-    report: ClassificationReport
+    computed on first use and kept, in its __dict__, as long as the Analysis
+    is, each in one form only: the T-fixpoint images as `fixpoints`, in
+    their order."""
 
     @cached_property
     def wall_types(self) -> dict[RationalPoint, WallVertexType]:
@@ -564,20 +538,21 @@ def classify_triangle(polygon: PolygonLike) -> TriangleFamily:
 # Manifold models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TotalSpace:
-    """Structured description of the total space realizing a triangle family."""
+class TotalSpace(Value, namedtuple("TotalSpace", "kind weights")):
+    """Structured description of the total space realizing a triangle family:
+    its kind, "projective_bundle_over_sphere", "projective_space" or
+    "oriented_grassmannian", and its fiber weights, representation weights
+    or ()."""
 
-    kind: str  # "projective_bundle_over_sphere" | "projective_space" | "oriented_grassmannian"
-    weights: tuple[Weight, ...]  # fiber weights, or representation weights, or ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
-    family: TriangleFamily
-    total_space: TotalSpace
-    gl2_variety_label: str
-    local_models: tuple[tuple[WallVertexType, str], ...]
+class ManifoldModel(Value, namedtuple("ManifoldModel",
+                                      "family total_space gl2_variety_label local_models")):
+    """A triangle family's total space, GL(2)-variety label and the local
+    model of each wall type."""
+
+    __slots__ = ()
 
 
 def _wfmt(w: Weight) -> str:

@@ -19,13 +19,12 @@ int-pair hull `t_hull`, and a Stratum keeps the int pairs of its ends.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Optional
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import RationalPoint, coroot_pairing
+from .lattice import RationalPoint, Value, coroot_pairing
 from .polygon import Edge, IntPair, form_point, on_boundary, t_hull
 
 
@@ -90,14 +89,12 @@ def atiyah_cross_check(polygon: PolygonLike) -> bool:
     return verdict == fixpoint_boundary_check(analysis)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Value, namedtuple("Stratum", "xy scale dimension")):
     """A segment of the x-ray as the int pairs xy of its ends on the
-    polygon's grid, whose coordinates are integers over scale."""
+    polygon's grid, whose coordinates are integers over scale; its
+    dimension is 2 or 4."""
 
-    xy: tuple[IntPair, IntPair]
-    scale: int
-    dimension: int  # 2 or 4
+    __slots__ = ()
 
     @property
     def segment(self) -> tuple[RationalPoint, RationalPoint]:
@@ -105,15 +102,19 @@ class Stratum:
         return tuple([form_point(q, self.scale) for q in self.xy])
 
 
-@dataclass(frozen=True)
-class XRay:
-    strata: tuple[Stratum, ...]
-    _analysis: Analysis = field(repr=False)
+class XRay(Value, namedtuple("XRay", "strata analysis")):
+    """The strata of an x-ray and the Analysis of its polygon, which its
+    repr leaves out."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"XRay(strata={self.strata!r})"
 
     @property
     def fixpoints(self) -> Counter:
         """fixpoint_images of the polygon, a fresh Counter on every read."""
-        return fixpoint_images(self._analysis)
+        return fixpoint_images(self.analysis)
 
 
 def build_xray(polygon: PolygonLike) -> XRay:

@@ -8,7 +8,7 @@ coordinates.  All values are immutable; every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -17,12 +17,34 @@ from typing import Union
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Value(tuple):
+    """Base of the package's value types, each declared as
+    `class X(Value, namedtuple("X", "fields"))`: an immutable tuple of its
+    fields, with the namedtuple's repr and keyword construction and the
+    tuple's hash and order.  A value equals only a value of its own class
+    with equal fields, never a plain tuple or another class's value."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(Value, namedtuple("Weight", "a b")):
     """Integer lattice vector a*eps1 + b*eps2."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
@@ -42,12 +64,9 @@ class Weight:
         return self.a == 0 and self.b == 0
 
 
-@dataclass(frozen=True, order=True)
-class RationalPoint:
-    """Exact rational point x*eps1 + y*eps2 in t*."""
-
-    x: Fraction
-    y: Fraction
+class RationalPoint(Value, namedtuple("RationalPoint", "x y")):
+    """Exact rational point x*eps1 + y*eps2 in t*.  It keeps a __dict__
+    for its cached json."""
 
     @classmethod
     def of(cls, x: RationalLike, y: RationalLike) -> "RationalPoint":
@@ -80,18 +99,13 @@ EPS1 = Weight(1, 0)
 EPS2 = Weight(0, 1)
 ALPHA = EPS1 - EPS2
 
+# Either kind of vector unpacks as its two coordinates.
 Vector = Union[Weight, RationalPoint]
-
-
-def _coords(v: Vector) -> tuple:
-    if isinstance(v, Weight):
-        return (v.a, v.b)
-    return (v.x, v.y)
 
 
 def coroot_pairing(v: Vector):
     """Pairing of v with the simple coroot: x - y in (eps1, eps2) coordinates."""
-    x, y = _coords(v)
+    x, y = v
     return x - y
 
 
@@ -104,8 +118,7 @@ def weyl_reflect(v: Vector) -> Vector:
 
 def cross(u: Vector, v: Vector):
     """2D cross product u_x*v_y - u_y*v_x."""
-    ux, uy = _coords(u)
-    vx, vy = _coords(v)
+    (ux, uy), (vx, vy) = u, v
     return ux * vy - uy * vx
 
 
@@ -122,7 +135,7 @@ def primitive_ray(v: Vector) -> Weight:
     Clears denominators and divides by the gcd; the direction of v is
     preserved.  Raises ValueError on the zero vector.
     """
-    x, y = _coords(v)
+    x, y = v
     if x == 0 and y == 0:
         raise ValueError("the zero vector does not span a ray")
     x, y = Fraction(x), Fraction(y)

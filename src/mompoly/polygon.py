@@ -33,13 +33,13 @@ peak memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GeometryError
-from .lattice import RationalLike, RationalPoint, Weight, primitive_int_ray, weyl_reflect
+from .lattice import RationalPoint, Value, Weight, primitive_int_ray, weyl_reflect
 
 IntPair = tuple[int, int]
 
@@ -64,34 +64,30 @@ def _on_segment(a: IntPair, b: IntPair, p: IntPair) -> bool:
     return dx * wy - dy * wx == 0 and 0 <= dx * wx + dy * wy <= dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value, namedtuple("Edge", "tail head")):
     """Directed edge between consecutive vertices (counterclockwise)."""
 
-    tail: RationalPoint
-    head: RationalPoint
+    __slots__ = ()
 
     def contains(self, p: RationalPoint) -> bool:
         _, (a, b, q) = integer_form((self.tail, self.head, p))
         return _on_segment(a, b, q)
 
 
-@dataclass(frozen=True)
 class Polygon:
-    vertices: tuple[RationalPoint, ...]
-    # The integer form (see the module docstring).
-    scale: int = field(init=False, repr=False, compare=False)
-    xy: tuple[IntPair, ...] = field(init=False, repr=False, compare=False)
+    """An immutable polygon, equal to another by its vertices alone.  It
+    keeps its integer form (see the module docstring) as `scale` and `xy`."""
 
-    def __post_init__(self):
-        hull = convex_hull(self.vertices)
-        if hull.vertices != tuple(self.vertices):
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
+
+    def __init__(self, vertices: tuple[RationalPoint, ...]):
+        hull = convex_hull(vertices)
+        if hull.vertices != tuple(vertices):
             raise GeometryError(
                 "vertices are not the extreme points of a convex polytope in counterclockwise "
                 "order from the lexicographically smallest one"
             )
-        object.__setattr__(self, "scale", hull.scale)
-        object.__setattr__(self, "xy", hull.xy)
+        self.__dict__.update(vertices=vertices, scale=hull.scale, xy=hull.xy)
 
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
@@ -104,6 +100,17 @@ class Polygon:
         if rays is not None:
             polygon.__dict__["rays"] = rays
         return polygon
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash((self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"Polygon(vertices={self.vertices!r})"
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -173,14 +180,6 @@ class Polygon:
         hull = t_hull(int_hull({(max(q), min(q)) for q in self.xy}))
         scale = self.scale
         return Polygon._from_form(tuple([form_point(q, scale) for q in hull]), scale, hull)
-
-    def transform(self, s: RationalLike, t: RationalLike) -> "Polygon":
-        """Vertex-wise map v -> s*(eps1+eps2) + t*v; t must be positive."""
-        s, t = Fraction(s), Fraction(t)
-        if t <= 0:
-            raise GeometryError("scale factor must be positive")
-        # A positive scaling keeps the vertex order, so this hull is the image.
-        return convex_hull([RationalPoint(s + t * v.x, s + t * v.y) for v in self.vertices])
 
 
 def hull_of_form(

@@ -118,10 +118,6 @@ def parse_polytope_document(text: str) -> list[RationalPoint]:
     return points
 
 
-def polytope_document(points: list[RationalPoint]) -> dict:
-    return {"vertices": [point_out(p) for p in points]}
-
-
 _encode_str = json.encoder.encode_basestring_ascii
 
 # Caps on the level tables, which hold only text that a depth and a key fix
@@ -271,7 +267,7 @@ def _not_applicable(doc: dict, keys: tuple[str, ...], reason: str) -> None:
 def _params(obj) -> dict:
     """The fields of a wall type or family, fractions written as strings."""
     out = {}
-    for name in obj.__dataclass_fields__:
+    for name in obj._fields:
         value = getattr(obj, name)
         out[name] = format_rational(value) if isinstance(value, Fraction) else value
     return out

@@ -9,7 +9,7 @@ transcription of the positive-edge rule, the five triangle families
 generated from their parameters rather than recognized, and the
 T-fixpoints with their tangent weights, read off the local model at
 each vertex, for the Atiyah-Bott-Berline-Vergne localization sums, and
-reference copies of four helpers the package retired.
+reference copies of six helpers the package retired.
 """
 
 from fractions import Fraction
@@ -250,7 +250,7 @@ def oracle_volume(points):
 # ---------------------------------------------------------------------------
 # References for helpers the package retired
 # ---------------------------------------------------------------------------
-# No engine code called these four, so the package dropped them; tests keep
+# No engine code called these six, so the package dropped them; tests keep
 # them as second routes.  They read a polygon, edge or point of the package
 # only through its vertices, its edges and their coordinates.
 
@@ -294,3 +294,24 @@ def boundary_contains(polygon, p):
                 and min(a.y, b.y) <= p.y <= max(a.y, b.y)):
             return True
     return False
+
+
+def transform(polygon, s, t):
+    """The polygon under v -> s*(eps1+eps2) + t*v for t > 0, built by the
+    polygon's own class from the moved vertices in their order: a shift
+    along eps1+eps2 and a positive scaling keep the counterclockwise order
+    and the lexicographically smallest vertex first."""
+    s, t = Fraction(s), Fraction(t)
+    if t <= 0:
+        raise ValueError("scale factor must be positive")
+    return type(polygon)(tuple([type(v)(s + t * v.x, s + t * v.y) for v in polygon.vertices]))
+
+
+def _coordinate(q):
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def polytope_document(points):
+    """The input document of the points: a "vertices" list of [x, y] pairs,
+    an integral coordinate as a number and any other as a "p/q" string."""
+    return {"vertices": [[_coordinate(p.x), _coordinate(p.y)] for p in points]}

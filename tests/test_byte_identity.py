@@ -37,6 +37,7 @@ from mompoly.polygon import convex_hull
 from mompoly.report import full_report, render_document
 from mompoly.svgplot import OVERLAYS, render_svg
 
+from oracle import transform
 from test_acceptance import _sweep_families
 
 EXPECTED = {
@@ -105,7 +106,7 @@ def _points(coords):
 
 def rational_inputs():
     """The vertices of every fixture and figure polygon moved by each of MOVES."""
-    return [list(convex_hull(_points(c)).transform(s, t).vertices)
+    return [list(transform(convex_hull(_points(c)), s, t).vertices)
             for c in FIXTURES + FIGURES for s, t in MOVES]
 
 

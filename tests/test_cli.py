@@ -20,11 +20,12 @@ from mompoly.report import (
     full_report,
     parse_polytope_document,
     parse_rational,
-    polytope_document,
     render_document,
 )
-from mompoly.lattice import RationalPoint
+from mompoly.lattice import RationalPoint, Weight
 from fractions import Fraction
+
+from oracle import polytope_document
 
 
 def write_doc(tmp_path, vertices, name="poly.json"):
@@ -127,8 +128,11 @@ def test_render_document_is_json_dumps_indent_2(doc):
     assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
+# Weights and points are tuples, which json.dumps writes as lists; the
+# renderer refuses them like any other tuple.
 @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1, 2}, object(), {1: "a"},
-                                   (1, 2), [[{"a": 1.0}]]])
+                                   (1, 2), [[{"a": 1.0}]], Weight(1, 2), [Weight(1, 2)],
+                                   RationalPoint.of(1, "1/2")])
 def test_render_document_refuses_other_types(value):
     with pytest.raises(TypeError):
         render_document({"value": value})

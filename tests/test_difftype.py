@@ -24,7 +24,7 @@ from mompoly.errors import GeometryError, UnsupportedPolytopeError
 from mompoly.lattice import RationalPoint
 from mompoly.polygon import convex_hull
 
-from oracle import line_bundle_chern
+from oracle import line_bundle_chern, transform
 
 
 def P(*coords):
@@ -106,7 +106,7 @@ def test_diffeo_type_mismatch():
 
 def test_scale_invariance():
     tri = HalfReflPlusFamily(Fraction(0), Fraction(1), 1).triangle()
-    moved = tri.transform(3, Fraction(5, 2))
+    moved = transform(tri, 3, Fraction(5, 2))
     assert diffeo_type(classify_triangle(moved), moved) == diffeo_type(
         classify_triangle(tri), tri
     )

@@ -1,8 +1,12 @@
 """Every name that a module of the package imports is used in that module.
 The package's __init__ imports names only to re-export them, so it is not
-checked."""
+checked.  The engine imports without `dataclasses`, whose import pulls in
+`inspect` and `ast`, and whose decorators exec generated methods for every
+class."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,26 @@ def test_unused_imports_finds_each_kind_of_import():
                          ids=lambda p: p.name)
 def test_modules_use_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that the module text imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_engine_imports_without_dataclasses_or_inspect():
+    """A classify or enumerate process pays for its imports; the value
+    types are built on namedtuple, which needs neither module."""
+    for path in sorted(SRC.glob("*.py")):
+        assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8")), path.name
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mompoly.cli, mompoly.report; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -30,14 +30,16 @@ from mompoly.kaehler import (
 )
 from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
-from mompoly.report import full_report, point_out, polytope_document
+from mompoly.report import full_report, point_out
 
 from oracle import (
     boundary_contains,
     localization_sums,
     oracle_fixpoints,
     oracle_volume,
+    polytope_document,
     positive_edges,
+    transform,
 )
 from test_acceptance import _sweep_families
 from test_byte_identity import FIGURES, FIXTURES, rational_inputs
@@ -427,7 +429,7 @@ def _report_inputs(draw):
     if draw(st.booleans()):
         s = draw(_coords)
         t = draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6))
-        points = list(convex_hull(draw(st.sampled_from(_BASES))).transform(s, t).vertices)
+        points = list(transform(convex_hull(draw(st.sampled_from(_BASES))), s, t).vertices)
     else:
         pairs = draw(st.lists(st.tuples(_coords, _coords), min_size=1, max_size=4))
         points = [RationalPoint(max(a, b), min(a, b)) for a, b in pairs]
@@ -469,7 +471,7 @@ def test_localization_under_affine_moves(data, s, t):
     engine's fixpoints as the oracle's images, and with the item's
     validity, family tag, Kähler verdict and diff type."""
     item = data.draw(st.sampled_from(_valid_census_items()))
-    analysis = analyze(convex_hull(item.vertices).transform(s, t))
+    analysis = analyze(transform(convex_hull(item.vertices), s, t))
     assert analysis.report.valid
     _assert_localization(analysis)
     kaehler, _ = is_kaehlerizable(analysis)

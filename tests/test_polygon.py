@@ -18,7 +18,7 @@ from mompoly.polygon import (
     triangle,
 )
 
-from oracle import boundary_contains, inward_primitive_normal
+from oracle import boundary_contains, inward_primitive_normal, transform
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 points = st.builds(RationalPoint, rationals, rationals)
@@ -157,14 +157,14 @@ def test_t_hull_is_int_hull_with_swaps(xy):
 
 def test_transform():
     hull = P((0, 0), (1, 0), (0, -1))
-    out = hull.transform(1, Fraction(1, 2))
+    out = transform(hull, 1, Fraction(1, 2))
     assert set(out.vertices) == {
         RationalPoint.of(1, 1),
         RationalPoint.of("3/2", 1),
         RationalPoint.of(1, "1/2"),
     }
-    with pytest.raises(GeometryError):
-        hull.transform(0, 0)
+    with pytest.raises(ValueError, match="positive"):
+        transform(hull, 0, 0)
 
 
 def test_boundary_contains():

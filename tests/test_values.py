@@ -1,0 +1,146 @@
+"""The value types keep the behaviour they had as frozen dataclasses: the
+same repr, a hash that is the hash of the field tuple, equality only
+within one class, keyword construction and immutability."""
+
+import itertools
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from mompoly.census import CensusSummary
+from mompoly.classify import (
+    Analysis,
+    ClassificationReport,
+    DelzantFamily,
+    HalfReflMinus,
+    HalfReflMinusFamily,
+    HalfReflPlus,
+    HalfReflPlusFamily,
+    ManifoldModel,
+    Reflection,
+    ReflectionFamily,
+    TotalSpace,
+    VertexAnalysis,
+    WallEdgeFamily,
+    WallEdgeMinus,
+    WallEdgePlus,
+)
+from mompoly.kaehler import Stratum, XRay
+from mompoly.lattice import RationalPoint, Weight
+from mompoly.polygon import Edge, Polygon
+
+P0, P1 = RationalPoint.of(0, 0), RationalPoint.of("1/2", -1)
+P0_TEXT = "RationalPoint(x=Fraction(0, 1), y=Fraction(0, 1))"
+P1_TEXT = "RationalPoint(x=Fraction(1, 2), y=Fraction(-1, 1))"
+SEGMENT = Polygon((P0, P1))
+SEGMENT_TEXT = f"Polygon(vertices=({P0_TEXT}, {P1_TEXT}))"
+REPORT = ClassificationReport(False, 1, ())
+REPORT_TEXT = "ClassificationReport(valid=False, dimension=1, vertex_data=())"
+STRATUM = Stratum(((0, 0), (1, -1)), 2, 4)
+STRATUM_TEXT = "Stratum(xy=((0, 0), (1, -1)), scale=2, dimension=4)"
+REFLECTION_FAMILY = ReflectionFamily(F(0), F(1))
+GRASSMANNIAN = TotalSpace("oriented_grassmannian", ())
+GRASSMANNIAN_TEXT = "TotalSpace(kind='oriented_grassmannian', weights=())"
+
+# (class, fields, the repr that the frozen dataclass gave).
+VALUES = [
+    (Weight, (1, -2), "Weight(a=1, b=-2)"),
+    (RationalPoint, (F(1, 2), F(-1)), P1_TEXT),
+    (Edge, (P0, P1), f"Edge(tail={P0_TEXT}, head={P1_TEXT})"),
+    (WallEdgePlus, (2,), "WallEdgePlus(k=2)"),
+    (WallEdgeMinus, (1,), "WallEdgeMinus(k=1)"),
+    (HalfReflPlus, (0,), "HalfReflPlus(j=0)"),
+    (HalfReflMinus, (3,), "HalfReflMinus(j=3)"),
+    (Reflection, (1,), "Reflection(j=1)"),
+    (VertexAnalysis, (P1, (Weight(1, 0), Weight(0, 1)), False, "interior_delzant", None),
+     f"VertexAnalysis(vertex={P1_TEXT}, rays=(Weight(a=1, b=0), Weight(a=0, b=1)), "
+     "on_wall=False, kind='interior_delzant', wall_type=None)"),
+    (ClassificationReport, (False, 1, ()), REPORT_TEXT),
+    (DelzantFamily, (F(1), F(0), F(1, 2), 0, 1, -1, 0),
+     "DelzantFamily(r=Fraction(1, 1), s=Fraction(0, 1), t=Fraction(1, 2), a1=0, b1=1, a2=-1, b2=0)"),
+    (WallEdgeFamily, (F(0), F(1), 2, 1),
+     "WallEdgeFamily(s=Fraction(0, 1), t=Fraction(1, 1), k=2, l=1)"),
+    (HalfReflPlusFamily, (F(0), F(1), 1),
+     "HalfReflPlusFamily(s=Fraction(0, 1), t=Fraction(1, 1), j=1)"),
+    (HalfReflMinusFamily, (F(1, 3), F(2), 0),
+     "HalfReflMinusFamily(s=Fraction(1, 3), t=Fraction(2, 1), j=0)"),
+    (ReflectionFamily, (F(0), F(1)), "ReflectionFamily(s=Fraction(0, 1), t=Fraction(1, 1))"),
+    (Analysis, (SEGMENT, REPORT), f"Analysis(polygon={SEGMENT_TEXT}, report={REPORT_TEXT})"),
+    (TotalSpace, ("oriented_grassmannian", ()), GRASSMANNIAN_TEXT),
+    (ManifoldModel, (REFLECTION_FAMILY, GRASSMANNIAN, "SO(5,C)/P", ()),
+     "ManifoldModel(family=ReflectionFamily(s=Fraction(0, 1), t=Fraction(1, 1)), "
+     f"total_space={GRASSMANNIAN_TEXT}, gl2_variety_label='SO(5,C)/P', local_models=())"),
+    (Stratum, (((0, 0), (1, -1)), 2, 4), STRATUM_TEXT),
+    # The x-ray's repr leaves out its Analysis.
+    (XRay, ((STRATUM,), Analysis(SEGMENT, REPORT)), f"XRay(strata=({STRATUM_TEXT},))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUES, ids=[cls.__name__ for cls, _, _ in VALUES])
+def test_value_type(cls, fields, text):
+    value = cls(*fields)
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    assert value == cls(*fields) and not value != cls(*fields)
+    assert value == cls(**dict(zip(value._fields, fields)))
+    assert value != fields and fields != value and not value == fields
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in value._fields) == fields
+
+
+def test_vertex_analysis_has_no_wall_type_by_default():
+    assert VertexAnalysis(P0, (Weight(1, 0), Weight(0, 1)), False, "invalid").wall_type is None
+
+
+@pytest.mark.parametrize("values", [
+    (WallEdgePlus(1), WallEdgeMinus(1)),
+    (HalfReflPlus(1), HalfReflMinus(1), Reflection(1)),
+    (HalfReflPlusFamily(F(0), F(1), 1), HalfReflMinusFamily(F(0), F(1), 1)),
+    (Weight(1, 2), RationalPoint(1, 2), (1, 2)),
+], ids=["wall_edges", "one_parameter_patterns", "half_reflection_families", "weight"])
+def test_values_of_other_classes_differ(values):
+    """Equal fields give equal hashes, but a value equals no value of
+    another class and no plain tuple, from either side."""
+    for a, b in itertools.permutations(values, 2):
+        assert a != b and not a == b
+        assert hash(a) == hash(b)
+    assert len(set(values)) == len(values)
+
+
+def test_points_and_weights_order_by_their_coordinates():
+    assert sorted([Weight(2, -1), Weight(1, 5), Weight(1, -3)]) == [
+        Weight(1, -3), Weight(1, 5), Weight(2, -1)]
+    assert RationalPoint.of("1/2", 9) < RationalPoint.of(1, -9) < RationalPoint.of(1, "-1/2")
+
+
+def test_polygon_equals_by_its_vertices():
+    assert repr(SEGMENT) == SEGMENT_TEXT
+    assert hash(SEGMENT) == hash(((P0, P1),))
+    assert SEGMENT == Polygon(vertices=(P0, P1)) and not SEGMENT != Polygon((P0, P1))
+    assert SEGMENT != Polygon((P0,)) and SEGMENT != (P0, P1)
+    for name in ("vertices", "scale", "xy", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(SEGMENT, name, None)
+        with pytest.raises(AttributeError):
+            delattr(SEGMENT, name)
+
+
+def test_census_summary_is_a_mutable_record():
+    summary = CensusSummary("all", 2, 1, 5, 3, 2, 1, 2, Counter({"delzant": 1}))
+    assert repr(summary) == (
+        "CensusSummary(shape='all', max_coord=2, denominator=1, total=5, valid=3, invalid=2, "
+        "kaehler_true=1, kaehler_false=2, by_family=Counter({'delzant': 1}), "
+        "by_diff_type=Counter())")
+    empty = CensusSummary("all", 2, 1)
+    assert empty != summary
+    empty.total, empty.valid, empty.invalid = 5, 3, 2
+    empty.kaehler_true, empty.kaehler_false = 1, 2
+    empty.by_family["delzant"] += 1
+    assert empty == summary
+    with pytest.raises(TypeError):
+        hash(summary)
