@@ -268,24 +268,25 @@ class _Grid:
         """
         vertices, ccw = candidate
         n = len(ccw)
+        # tuple.__new__ builds an ItemResult without its Python-level __new__.
         if n < 3:
-            return ItemResult(vertices, False, None, None, None)
+            return tuple.__new__(ItemResult, (vertices, False, None, None, None))
         rays, verdicts, passed = self.rays, self.verdicts, self.passed
         s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
         rs, rc, rp = rays[s], rays[c], rays[p]
         ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if passed[n - 3] else None
         if not (ok and verdicts[p][rp[s], rp[c]] and verdicts[s][rs[ccw[1]], rs[p]]):
-            return ItemResult(vertices, False, None, None, None)
+            return tuple.__new__(ItemResult, (vertices, False, None, None, None))
 
         on_wall = self.on_wall
-        key = tuple([(on_wall[k], rays[k][ccw[(m + 1) % n]], rays[k][ccw[m - 1]])
-                     for m, k in enumerate(ccw)])
+        key = tuple([(on_wall[k], rays[k][j], rays[k][i])
+                     for k, j, i in zip(ccw, ccw[1:] + ccw[:1], ccw[-1:] + ccw[:-1])])
         fields = self.fields.get(key)
         if fields is None:
             fields = self.fields[key] = self.analyse(ccw, key)
         elif n == 3:
             self.rebuild(vertices, ccw, key, fields)
-        return ItemResult(vertices, True, *fields[:3])
+        return tuple.__new__(ItemResult, (vertices, True, fields[0], fields[1], fields[2]))
 
     def analyse(self, ccw: tuple[int, ...], key: tuple) -> _Fields:
         """The fields of a valid candidate with signature `key` from its
@@ -313,7 +314,9 @@ class _Grid:
         scale with the cone rays of that signature's family must rebuild
         it.  The check runs on the grid's int pairs."""
         tag, _, _, (r1, r2) = fields
-        xy = [self.xy[k] for k in ccw]
+        a, b, c = ccw
+        grid_xy = self.xy
+        xy = (grid_xy[a], grid_xy[b], grid_xy[c])
         i = base_vertex(xy)
         bx, by = xy[i]
         u = edge_scale(xy, i, self.dirs[key[i][1]])
@@ -321,7 +324,9 @@ class _Grid:
 
 
 class CensusSummary:
-    """The arguments of a census and its counters, which `add` updates."""
+    """The arguments of a census and its counters.  `add` counts a valid
+    item; run_census sets `total` and `invalid` from the number of
+    candidates when the census ends, so valid + invalid == total."""
 
     def __init__(self, shape: str, max_coord: int, denominator: int, total: int = 0,
                  valid: int = 0, invalid: int = 0, kaehler_true: int = 0,
@@ -345,10 +350,6 @@ class CensusSummary:
         return f"CensusSummary({fields})"
 
     def add(self, item: ItemResult) -> None:
-        self.total += 1
-        if not item.valid:
-            self.invalid += 1
-            return
         self.valid += 1
         if item.kaehler:
             self.kaehler_true += 1
@@ -392,9 +393,15 @@ def run_census(
     enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
 
     summary = CensusSummary(shape, max_coord, denominator)
-    for candidate in enumerate_candidates(points):
-        item = grid.item(candidate)
-        summary.add(item)
-        if on_item is not None:
+    judge, add, total = grid.item, summary.add, 0
+    if on_item is None:
+        for total, candidate in enumerate(enumerate_candidates(points), 1):
+            if (item := judge(candidate)).valid:
+                add(item)
+    else:
+        for total, candidate in enumerate(enumerate_candidates(points), 1):
+            if (item := judge(candidate)).valid:
+                add(item)
             on_item(item)
+    summary.total, summary.invalid = total, total - summary.valid
     return summary

@@ -478,7 +478,9 @@ def base_vertex(xy: Sequence[IntPair]) -> int:
     coroot pairing, ties broken lexicographically.  With wall vertices that
     is the lowest one, so that a wall edge always points in the
     +(eps1+eps2) direction (l = +1)."""
-    return min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
+    (ax, ay), (bx, by), (cx, cy) = xy
+    keys = [(ax - ay, ax, ay), (bx - by, bx, by), (cx - cy, cx, cy)]
+    return keys.index(min(keys))
 
 
 def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight) -> int:

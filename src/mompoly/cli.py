@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 
 from .census import check_census, run_census
 from .errors import GeometryError
@@ -107,14 +108,18 @@ class _ValidTails(dict):
 
 
 _VALID_TAILS = _ValidTails()
+_point_json = attrgetter("json")
 
 
-def _stream_line(item) -> str:
-    """The census stream's JSON line of an ItemResult."""
-    head = '{"vertices": [' + ", ".join([v.json for v in item.vertices])
-    if not item.valid:
-        return head + _INVALID_TAIL
-    return head + _VALID_TAILS[item.family_tag, item.kaehler, item.diff_type]
+def _stream_writer(write):
+    """The census's on_item for a stream: it passes `write` the JSON line of
+    each ItemResult, its vertices' cached json texts and then its tail.  The
+    one closure is the only Python frame the stream adds per item."""
+    def on_item(item) -> None:
+        write('{"vertices": [' + ", ".join(map(_point_json, item.vertices)) + (
+            _VALID_TAILS[item.family_tag, item.kaehler, item.diff_type] if item.valid
+            else _INVALID_TAIL))
+    return on_item
 
 
 def _cmd_enumerate(args) -> int:
@@ -128,7 +133,7 @@ def _cmd_enumerate(args) -> int:
             args.max_coord,
             denominator=args.denominator,
             shape=args.shape,
-            on_item=None if stream is None else lambda item: stream.write(_stream_line(item)),
+            on_item=None if stream is None else _stream_writer(stream.write),
         )
     finally:
         if stream is not None:

@@ -8,8 +8,9 @@ enumerating the parameter over a coordinate-bounded range, a literal
 transcription of the positive-edge rule, the five triangle families
 generated from their parameters rather than recognized, and the
 T-fixpoints with their tangent weights, read off the local model at
-each vertex, for the Atiyah-Bott-Berline-Vergne localization sums, and
-reference copies of six helpers the package retired.
+each vertex, for the Atiyah-Bott-Berline-Vergne localization sums,
+reference copies of six helpers the package retired, and the key-function
+form of the base vertex choice.
 """
 
 from fractions import Fraction
@@ -245,6 +246,13 @@ def oracle_volume(points):
         total += (x0 * y1 - x1 * y0) * (x0 + x1 - y0 - y1)
     # The Jarvis hull is clockwise, which negates the shoelace sum.
     return -total / 6
+
+
+def oracle_base_vertex(xy):
+    """The index of a triangle's base vertex among its int pairs xy, as a
+    key function: minimal x - y, ties broken by the pair (x, y), the first
+    such vertex if two pairs are equal."""
+    return min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,25 @@ def test_census_hands_on_item_item_results(max_coord, shape):
             item.valid = not item.valid
 
 
+@pytest.mark.parametrize("denominator", [1, 2])
+@pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
+def test_census_summary_is_the_same_with_and_without_on_item(max_coord, shape, denominator):
+    """run_census has one loop for on_item=None and one for a callback; both
+    give the same summary, whose total is the number of candidates the
+    enumerator yields and whose valid and invalid counts add up to it."""
+    items = []
+    with_callback = run_census(max_coord, denominator, shape, on_item=items.append)
+    without = run_census(max_coord, denominator, shape)
+    assert with_callback == without
+    enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
+    candidates = sum(1 for _ in enumerate_candidates(grid_points(max_coord, denominator)))
+    assert without.total == len(items) == candidates
+    assert without.valid + without.invalid == without.total
+    assert without.valid == sum(item.valid for item in items) > 0
+    assert without.by_family == Counter(item.family_tag for item in items
+                                        if item.family_tag is not None)
+
+
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
 def test_enumerators_yield_the_grid_points_themselves(enumerate_candidates):
     """The stream writes each grid point's own cached text."""

@@ -47,7 +47,7 @@ from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
-from oracle import oracle_family_triangles, positive_edges, transform
+from oracle import oracle_base_vertex, oracle_family_triangles, positive_edges, transform
 
 
 def P(*coords):
@@ -247,6 +247,31 @@ class TestClassifyTriangle:
         assert moved == HalfReflPlusFamily(
             5 + Fraction(3, 2) * fam.s, Fraction(3, 2) * fam.t, fam.j
         )
+
+
+_INT_PAIRS = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def _int_triangles(draw):
+    """Three distinct int pairs in any order; half the time two of them lie
+    on the wall x = y, so that x - y ties."""
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2, unique=True))
+        c = draw(_INT_PAIRS.filter(lambda p: p[0] != p[1]))
+        return tuple(draw(st.permutations([(a, a), (b, b), c])))
+    return tuple(draw(st.lists(_INT_PAIRS, min_size=3, max_size=3, unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_triangles(), st.integers(-5, 5), st.integers(1, 5))
+def test_base_vertex_is_the_key_function_minimum(xy, s, t):
+    """base_vertex picks the vertex the key function (x - y, (x, y)) picks,
+    also when two wall vertices tie on x - y; v -> s(eps1+eps2) + t*v with
+    t > 0 keeps both x - y and (x, y) in order, so it keeps the choice."""
+    moved = tuple((s + t * x, s + t * y) for x, y in xy)
+    assert base_vertex(xy) == oracle_base_vertex(xy)
+    assert base_vertex(moved) == oracle_base_vertex(moved) == base_vertex(xy)
 
 
 _UNIMODULAR = tuple(

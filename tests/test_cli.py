@@ -343,6 +343,31 @@ class TestEnumerateCommand:
         assert summary["total"] == len(lines)
         assert summary["valid"] + summary["invalid"] == summary["total"]
 
+    @pytest.mark.parametrize("max_coord, denominator, shape", [
+        (3, 1, "triangles"), (3, 3, "triangles"), (2, 2, "all"),
+    ])
+    def test_stream_lines_are_json_dumps_of_the_items(self, tmp_path, capsys, max_coord,
+                                                       denominator, shape):
+        # Each stream line is json.dumps of the item's fields, its vertices
+        # as point_out writes them, in the census order; with a denominator
+        # some of them are "p/q" strings.
+        stream = tmp_path / "items.jsonl"
+        assert main(["enumerate", "--max-coord", str(max_coord), "--denominator",
+                     str(denominator), "--shape", shape, "--output", str(stream)]) == 0
+        capsys.readouterr()
+        items = []
+        census.run_census(max_coord, denominator, shape, on_item=items.append)
+        lines = stream.read_bytes().decode("utf-8").splitlines(keepends=True)
+        assert lines == [json.dumps({
+            "vertices": [report.point_out(v) for v in item.vertices],
+            "valid": item.valid,
+            "family": item.family_tag,
+            "kaehler": item.kaehler,
+            "diff_type": item.diff_type,
+        }) + "\n" for item in items]
+        assert any(item.valid for item in items)
+        assert any("/" in line for line in lines) == (denominator > 1)
+
     def test_threads_byte_identical(self, tmp_path, capsys):
         out = []
         for threads in ("1", "8"):
