@@ -324,8 +324,8 @@ class _Grid:
 
 
 class CensusSummary:
-    """The arguments of a census and its counters.  `add` counts a valid
-    item; run_census sets `total` and `invalid` from the number of
+    """The arguments of a census and its counters.  `add_valid` counts a
+    valid item; run_census sets `total` and `invalid` from the number of
     candidates when the census ends, so valid + invalid == total."""
 
     def __init__(self, shape: str, max_coord: int, denominator: int, total: int = 0,
@@ -349,7 +349,8 @@ class CensusSummary:
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"CensusSummary({fields})"
 
-    def add(self, item: ItemResult) -> None:
+    def add_valid(self, item: ItemResult) -> None:
+        """Count a valid item.  It leaves `total` and `invalid` alone."""
         self.valid += 1
         if item.kaehler:
             self.kaehler_true += 1
@@ -393,15 +394,11 @@ def run_census(
     enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
 
     summary = CensusSummary(shape, max_coord, denominator)
-    judge, add, total = grid.item, summary.add, 0
-    if on_item is None:
-        for total, candidate in enumerate(enumerate_candidates(points), 1):
-            if (item := judge(candidate)).valid:
-                add(item)
-    else:
-        for total, candidate in enumerate(enumerate_candidates(points), 1):
-            if (item := judge(candidate)).valid:
-                add(item)
+    judge, add_valid, total = grid.item, summary.add_valid, 0
+    for total, candidate in enumerate(enumerate_candidates(points), 1):
+        if (item := judge(candidate)).valid:
+            add_valid(item)
+        if on_item is not None:
             on_item(item)
     summary.total, summary.invalid = total, total - summary.valid
     return summary

@@ -210,9 +210,9 @@ def test_census_hands_on_item_item_results(max_coord, shape):
 @pytest.mark.parametrize("denominator", [1, 2])
 @pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
 def test_census_summary_is_the_same_with_and_without_on_item(max_coord, shape, denominator):
-    """run_census has one loop for on_item=None and one for a callback; both
-    give the same summary, whose total is the number of candidates the
-    enumerator yields and whose valid and invalid counts add up to it."""
+    """run_census gives the same summary with on_item=None and with a
+    callback; its total is the number of candidates the enumerator yields
+    and its valid and invalid counts add up to it."""
     items = []
     with_callback = run_census(max_coord, denominator, shape, on_item=items.append)
     without = run_census(max_coord, denominator, shape)
