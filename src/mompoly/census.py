@@ -39,6 +39,7 @@ the grid's int pairs.
 from __future__ import annotations
 
 import itertools
+import types
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -57,7 +58,7 @@ from .classify import (
     require_rebuild,
     vertex_kind,
 )
-from .difftype import diffeo_type
+from .difftype import diffeo
 from .errors import GeometryError
 from .kaehler import is_kaehlerizable
 from .lattice import RationalPoint, Weight
@@ -305,7 +306,7 @@ class _Grid:
         if len(ccw) != 3:
             return None, kaehler, None, None
         fam = classify_triangle(analysis)
-        return fam.tag, kaehler, diffeo_type(fam, analysis).value, fam.cone()[3:]
+        return fam.tag, kaehler, diffeo(analysis)[0].value, fam.cone()[3:]
 
     def rebuild(self, vertices: tuple[RationalPoint, ...], ccw: tuple[int, ...], key: tuple,
                 fields: _Fields) -> None:
@@ -323,31 +324,17 @@ class _Grid:
         require_rebuild(tag, vertices, xy, cone_points(bx, by, u, r1, r2))
 
 
-class CensusSummary:
-    """The arguments of a census and its counters.  `add_valid` counts a
-    valid item; run_census sets `total` and `invalid` from the number of
-    candidates when the census ends, so valid + invalid == total."""
+class CensusSummary(types.SimpleNamespace):
+    """The arguments of a census and its counters.  SimpleNamespace gives
+    the repr, the equality of fields (also with a plain SimpleNamespace of
+    the same fields) and no hash.  `add_valid` counts a valid item;
+    run_census sets `total` and `invalid` from the number of candidates when
+    the census ends, so valid + invalid == total."""
 
-    def __init__(self, shape: str, max_coord: int, denominator: int, total: int = 0,
-                 valid: int = 0, invalid: int = 0, kaehler_true: int = 0,
-                 kaehler_false: int = 0, by_family: Optional[Counter] = None,
-                 by_diff_type: Optional[Counter] = None):
-        self.shape, self.max_coord, self.denominator = shape, max_coord, denominator
-        self.total, self.valid, self.invalid = total, valid, invalid
-        self.kaehler_true, self.kaehler_false = kaehler_true, kaehler_false
-        self.by_family = Counter() if by_family is None else by_family
-        self.by_diff_type = Counter() if by_diff_type is None else by_diff_type
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"CensusSummary({fields})"
+    def __init__(self, shape: str, max_coord: int, denominator: int):
+        super().__init__(shape=shape, max_coord=max_coord, denominator=denominator,
+                         total=0, valid=0, invalid=0, kaehler_true=0, kaehler_false=0,
+                         by_family=Counter(), by_diff_type=Counter())
 
     def add_valid(self, item: ItemResult) -> None:
         """Count a valid item.  It leaves `total` and `invalid` alone."""
@@ -362,18 +349,10 @@ class CensusSummary:
             self.by_diff_type[item.diff_type] += 1
 
     def as_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "max_coord": self.max_coord,
-            "denominator": self.denominator,
-            "total": self.total,
-            "valid": self.valid,
-            "invalid": self.invalid,
-            "kaehler_true": self.kaehler_true,
-            "kaehler_false": self.kaehler_false,
-            "by_family": dict(sorted(self.by_family.items())),
-            "by_diff_type": dict(sorted(self.by_diff_type.items())),
-        }
+        """The summary document.  The record holds exactly its ten fields, in
+        summary order, so the counters are the only fields rewritten."""
+        return {**vars(self), "by_family": dict(sorted(self.by_family.items())),
+                "by_diff_type": dict(sorted(self.by_diff_type.items()))}
 
 
 def run_census(

@@ -80,8 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_plot.add_argument("--output", help="SVG destination (default stdout)")
 
-    p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+    sub.add_parser("selftest", help="run the built-in invariant suites")
     return parser
 
 

@@ -4,11 +4,15 @@ Four types occur: the projective space P(C^4), the oriented
 Grassmannian of 2-planes in R^5, and the trivial/nontrivial
 P(C^3)-bundle over the 2-sphere.  The bundle dichotomy is decided by a
 mod-3 residue computed from the primitive edge directions at any vertex.
+`diffeo` is the one place that dispatches on the family: the report and
+the census read the type, and the residue where it decides it, from it.
 """
 
 from __future__ import annotations
 
-from .classify import DiffType, PolygonLike, TriangleFamily, analyze, classify_triangle
+from typing import Optional
+
+from .classify import DiffType, PolygonLike, TriangleFamily, analyze
 from .errors import GeometryError, UnsupportedPolytopeError
 from .lattice import RationalPoint
 
@@ -22,7 +26,7 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
     detects the trivial bundle (residue 0).
     """
     analysis = analyze(polygon)
-    fam = classify_triangle(analysis)
+    fam = analysis.family
     if fam.diffeo is not None:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
@@ -31,14 +35,22 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
     return (r1.a + r2.a - r1.b - r2.b) % 3
 
 
-def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
-    """Diffeomorphism type of the manifold realizing a valid triangle."""
+def diffeo(polygon: PolygonLike) -> tuple[DiffType, Optional[int]]:
+    """Diffeomorphism type of the manifold realizing a valid triangle, and
+    the mod-3 residue at its first vertex where that decides it, else None."""
     analysis = analyze(polygon)
-    if classify_triangle(analysis) != fam:
+    if analysis.family.diffeo is not None:
+        return analysis.family.diffeo, None
+    residue = chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0])
+    return bundle_type(residue), residue
+
+
+def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
+    """Diffeomorphism type of the manifold realizing a valid triangle of family fam."""
+    analysis = analyze(polygon)
+    if analysis.family != fam:
         raise GeometryError("family does not match the polygon")
-    if fam.diffeo is not None:
-        return fam.diffeo
-    return bundle_type(chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0]))
+    return diffeo(analysis)[0]
 
 
 def bundle_type(residue: int) -> DiffType:

@@ -26,14 +26,14 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import analyze, classify_triangle, manifold_model
-from .difftype import bundle_type, chern_mod3_at_vertex
+from .difftype import diffeo
 from .errors import UnsupportedPolytopeError
 from .kaehler import (
     build_xray,
     fixpoint_boundary_check,
     is_kaehlerizable,
 )
-from .lattice import RationalPoint, Weight
+from .lattice import RationalPoint
 from .polygon import Polygon, hull_of_form, integer_form
 
 
@@ -86,10 +86,6 @@ def _coord_out(q: Fraction) -> Union[int, str]:
 
 def point_out(p: RationalPoint) -> list:
     return [_coord_out(p.x), _coord_out(p.y)]
-
-
-def weight_out(w: Weight) -> list[int]:
-    return [w.a, w.b]
 
 
 def parse_polytope_document(text: str) -> list[RationalPoint]:
@@ -313,7 +309,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         "vertex_analyses": [
             {
                 "vertex": [coord[x], coord[y]],
-                "rays": [weight_out(r) for r in va.rays],
+                "rays": [list(r) for r in va.rays],
                 "on_wall": va.on_wall,
                 "kind": va.kind,
                 "wall_type": (
@@ -348,18 +344,17 @@ def full_report(points: list[RationalPoint]) -> dict:
         doc["triangle_family"] = {"family": fam.tag, **_params(fam)}
         doc["manifold_model"] = {
             "total_space_kind": model.total_space.kind,
-            "weights": [weight_out(w) for w in model.total_space.weights],
+            "weights": [list(w) for w in model.total_space.weights],
             "gl2_variety": model.gl2_variety_label,
             "local_models": [
                 {"wall_type": {"name": wt.name, **_params(wt)}, "variety": label}
                 for wt, label in model.local_models
             ],
         }
-        if fam.diffeo is None:
-            residue = chern_mod3_at_vertex(analysis, polygon.vertices[0])
-            doc["diffeo_type"] = {"type": bundle_type(residue).value, "chern_mod3": residue}
-        else:
-            doc["diffeo_type"] = {"type": fam.diffeo.value}
+        dtype, residue = diffeo(analysis)
+        doc["diffeo_type"] = {"type": dtype.value}
+        if residue is not None:
+            doc["diffeo_type"]["chern_mod3"] = residue
     else:
         _not_applicable(doc, _TRIANGLE_KEYS, "triangle families apply to triangles only")
 

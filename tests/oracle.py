@@ -8,7 +8,8 @@ enumerating the parameter over a coordinate-bounded range, a literal
 transcription of the positive-edge rule, the five triangle families
 generated from their parameters rather than recognized, and the
 T-fixpoints with their tangent weights, read off the local model at
-each vertex, for the Atiyah-Bott-Berline-Vergne localization sums,
+each vertex, for the Atiyah-Bott-Berline-Vergne localization sums and
+the validity test they give, with the wall vertices they cannot see,
 reference copies of six helpers the package retired, and the key-function
 form of the base vertex choice.
 """
@@ -224,7 +225,7 @@ def localization_sums(fixpoints):
     entry, so that X pairs nonzero with every weight.  By
     Atiyah-Bott-Berline-Vergne the sums vanish for k < 3, and the k = 3
     sum is 3! times the symplectic volume (see oracle_volume)."""
-    m = 1 + max(abs(c) for _, weights in fixpoints for w in weights for c in w)
+    m = 1 + max((abs(c) for _, weights in fixpoints for w in weights for c in w), default=0)
     sums = [Fraction(0)] * 4
     for (x, y), weights in fixpoints:
         den = 1
@@ -246,6 +247,30 @@ def oracle_volume(points):
         total += (x0 * y1 - x1 * y0) * (x0 + x1 - y0 - y1)
     # The Jarvis hull is clockwise, which negates the shoelace sum.
     return -total / 6
+
+
+def localizes(points):
+    """True iff the oracle's T-fixpoints of the hull of the points, a
+    2-dimensional polygon in the chamber, satisfy the localization
+    identities: the sums vanish for k < 3, and the k = 3 sum is six times
+    the volume.  A hull with no fixpoint fails them: its volume is
+    positive."""
+    sums = localization_sums(oracle_fixpoints(points))
+    return sums[:3] == [0, 0, 0] and sums[3] == 6 * oracle_volume(points)
+
+
+def unseen_wall_vertex(points):
+    """True iff the hull of the points has a wall vertex that the
+    localization cannot see: its rays include neither alpha nor
+    +-(eps1+eps2), so it has no fixpoint, and match no wall pattern."""
+    hull = _jarvis_hull([(Fraction(x), Fraction(y)) for x, y in points])
+    n = len(hull)
+    for i, v in enumerate(hull):
+        rays = {_prim(w[0] - v[0], w[1] - v[1]) for w in (hull[i - 1], hull[(i + 1) % n])}
+        if (v[0] == v[1] and not rays & {_ALPHA, (1, 1), (-1, -1)}
+                and not _matches_wall_pattern(rays)):
+            return True
+    return False
 
 
 def oracle_base_vertex(xy):

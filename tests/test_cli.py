@@ -473,12 +473,13 @@ class TestSelftestCommand:
         assert "FAIL census-determinism: census is not reproducible (1 failure(s))" in lines
         assert lines[-1] == "selftest: failures detected"
 
-    def test_thread_counts_agree(self, capsys):
-        assert main(["selftest"]) == 0
-        out1 = capsys.readouterr().out
-        assert main(["selftest", "--threads", "4"]) == 0
-        out4 = capsys.readouterr().out
-        assert out1 == out4
+    def test_threads_option_is_refused(self, capsys):
+        # selftest takes no options; an old command line with --threads is
+        # an input error.
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

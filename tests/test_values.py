@@ -5,6 +5,7 @@ within one class, keyword construction and immutability."""
 import itertools
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -131,7 +132,10 @@ def test_polygon_equals_by_its_vertices():
 
 
 def test_census_summary_is_a_mutable_record():
-    summary = CensusSummary("all", 2, 1, 5, 3, 2, 1, 2, Counter({"delzant": 1}))
+    summary = CensusSummary("all", 2, 1)
+    summary.total, summary.valid, summary.invalid = 5, 3, 2
+    summary.kaehler_true, summary.kaehler_false = 1, 2
+    summary.by_family = Counter({"delzant": 1})
     assert repr(summary) == (
         "CensusSummary(shape='all', max_coord=2, denominator=1, total=5, valid=3, invalid=2, "
         "kaehler_true=1, kaehler_false=2, by_family=Counter({'delzant': 1}), "
@@ -144,3 +148,8 @@ def test_census_summary_is_a_mutable_record():
     assert empty == summary
     with pytest.raises(TypeError):
         hash(summary)
+    # The constructor takes the census arguments only; the record is a
+    # SimpleNamespace, so it equals a plain one with the same fields.
+    with pytest.raises(TypeError):
+        CensusSummary("all", 2, 1, 5)
+    assert summary == SimpleNamespace(**vars(summary))
