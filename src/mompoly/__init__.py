@@ -6,6 +6,8 @@ triangle realization families, Kählerizability, torus fixpoint data,
 x-rays and diffeomorphism types.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     Analysis,
     ClassificationReport,
@@ -54,7 +56,8 @@ from .lattice import (
     primitive_ray,
     weyl_reflect,
 )
-from .polygon import Edge, Polygon, convex_hull, triangle
+from .polygon import Edge, Polygon, convex_hull
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -417,15 +417,6 @@ class Analysis(Value, namedtuple("Analysis", "polygon report")):
     their order."""
 
     @cached_property
-    def wall_types(self) -> dict[RationalPoint, WallVertexType]:
-        """Cone pattern of each wall vertex that matches one."""
-        return {
-            va.vertex: va.wall_type
-            for va in self.report.vertex_data
-            if va.on_wall and va.wall_type is not None
-        }
-
-    @cached_property
     def fixpoints(self) -> tuple[tuple[IntPair, int], ...]:
         """(int pair, multiplicity) of each distinct T-fixpoint image: an
         interior vertex and its reflection, the swapped pair, once each, a

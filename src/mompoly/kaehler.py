@@ -10,11 +10,11 @@ x-ray of the torus action are computed as independent data.
 The queries read the validity report and the polygon by index; the
 verdict builds an Edge only for its witness.  The fixpoint images are
 `Analysis.fixpoints`, int pairs on the polygon's grid with their
-multiplicities; fixpoint_images and XRay.fixpoints build a fresh Counter
-of their points on every call or read.  The T-polytope and the x-ray are
-built on the polygon's int pairs, where the Weyl reflection swaps a
-pair: the boundary check tests the images' int pairs against the linear
-int-pair hull `t_hull`, and a Stratum keeps the int pairs of its ends.
+multiplicities; fixpoint_images builds a fresh Counter of their points
+on every call.  The T-polytope and the x-ray are built on the polygon's
+int pairs, where the Weyl reflection swaps a pair: the boundary check
+tests the images' int pairs against the linear int-pair hull `t_hull`,
+a Stratum keeps the int pairs of its ends, and an XRay only its strata.
 """
 
 from __future__ import annotations
@@ -102,19 +102,10 @@ class Stratum(Value, namedtuple("Stratum", "xy scale dimension")):
         return tuple([form_point(q, self.scale) for q in self.xy])
 
 
-class XRay(Value, namedtuple("XRay", "strata analysis")):
-    """The strata of an x-ray and the Analysis of its polygon, which its
-    repr leaves out."""
+class XRay(Value, namedtuple("XRay", "strata")):
+    """The strata of an x-ray."""
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"XRay(strata={self.strata!r})"
-
-    @property
-    def fixpoints(self) -> Counter:
-        """fixpoint_images of the polygon, a fresh Counter on every read."""
-        return fixpoint_images(self.analysis)
 
 
 def build_xray(polygon: PolygonLike) -> XRay:
@@ -177,4 +168,4 @@ def build_xray(polygon: PolygonLike) -> XRay:
         strata.append(Stratum((labels[n], labels[1][::-1]), scale, 2))
         strata.append(Stratum((labels[1], labels[n][::-1]), scale, 2))
 
-    return XRay(tuple(strata), analysis)
+    return XRay(tuple(strata))

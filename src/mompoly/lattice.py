@@ -60,9 +60,6 @@ class Weight(Value, namedtuple("Weight", "a b")):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 class RationalPoint(Value, namedtuple("RationalPoint", "x y")):
     """Exact rational point x*eps1 + y*eps2 in t*.  It keeps a __dict__
@@ -80,9 +77,6 @@ class RationalPoint(Value, namedtuple("RationalPoint", "x y")):
 
     def __neg__(self) -> "RationalPoint":
         return RationalPoint(-self.x, -self.y)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
 
     @cached_property
     def json(self) -> str:

@@ -69,10 +69,6 @@ class Edge(Value, namedtuple("Edge", "tail head")):
 
     __slots__ = ()
 
-    def contains(self, p: RationalPoint) -> bool:
-        _, (a, b, q) = integer_form((self.tail, self.head, p))
-        return _on_segment(a, b, q)
-
 
 class Polygon:
     """An immutable polygon, equal to another by its vertices alone.  It
@@ -80,9 +76,10 @@ class Polygon:
 
     __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
-    def __init__(self, vertices: tuple[RationalPoint, ...]):
+    def __init__(self, vertices: Iterable[RationalPoint]):
+        vertices = tuple(vertices)
         hull = convex_hull(vertices)
-        if hull.vertices != tuple(vertices):
+        if hull.vertices != vertices:
             raise GeometryError(
                 "vertices are not the extreme points of a convex polytope in counterclockwise "
                 "order from the lexicographically smallest one"
@@ -296,10 +293,3 @@ def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
     scale, xy = integer_form(points)
     vertices, hull = hull_of_form(points, xy)
     return Polygon._from_form(vertices, scale, hull)
-
-
-def triangle(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> Polygon:
-    p = convex_hull([a, b, c])
-    if len(p) != 3:
-        raise GeometryError("points are affinely dependent")
-    return p

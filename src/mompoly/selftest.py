@@ -48,7 +48,7 @@ def check_lattice_invariants() -> list[str]:
             failures.append(f"pairing not antisymmetric under reflection at {p}")
         if cross(p, q) != -cross(q, p):
             failures.append(f"cross product not antisymmetric at {p}, {q}")
-        if not p.is_zero():
+        if p.x or p.y:
             ray = primitive_ray(p)
             if primitive_ray(ray) != ray:
                 failures.append(f"primitive_ray not idempotent at {p}")
@@ -107,7 +107,7 @@ def check_triangle_sweep() -> list[str]:
         verdict, _ = is_kaehlerizable(analysis)
         if not verdict:
             failures.append(f"valid triangle {hull.vertices} reported non-Kähler")
-        if len(analysis.wall_types) == 1:
+        if sum(va.on_wall for va in analysis.report.vertex_data) == 1:
             if not atiyah_cross_check(analysis):
                 failures.append(f"criteria disagree on {hull.vertices}")
         if fam.diffeo is None:

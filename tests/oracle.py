@@ -10,8 +10,9 @@ generated from their parameters rather than recognized, and the
 T-fixpoints with their tangent weights, read off the local model at
 each vertex, for the Atiyah-Bott-Berline-Vergne localization sums and
 the validity test they give, with the wall vertices they cannot see,
-reference copies of six helpers the package retired, and the key-function
-form of the base vertex choice.
+and for the Chern numbers and a mod-3 rule that tells the two
+P(C^3)-bundles apart, reference copies of six helpers the package
+retired, and the key-function form of the base vertex choice.
 """
 
 from fractions import Fraction
@@ -219,22 +220,64 @@ def oracle_fixpoints(points):
     return out
 
 
+def _localize(fixpoints, *integrands):
+    """For each integrand, the sum over the fixpoints p of
+    integrand(h, u) / prod(u), where h = <mu(p), X> and u lists the tangent
+    weights <-w, X>, at X = (1, m) with m past every weight entry, so that
+    X pairs nonzero with every weight.  By Atiyah-Bott-Berline-Vergne, for
+    an integrand that is a polynomial in h and u, symmetric in u, the sum
+    is the integral over the manifold of the class it stands for: h for
+    the equivariant class y of the symplectic form, the elementary
+    symmetric functions of u for the Chern classes."""
+    m = 1 + max((abs(c) for _, weights in fixpoints for w in weights for c in w), default=0)
+    sums = [Fraction(0)] * len(integrands)
+    for (x, y), weights in fixpoints:
+        u = [-(a + b * m) for a, b in weights]
+        h, den = x + y * m, Fraction(u[0] * u[1] * u[2])
+        for i, integrand in enumerate(integrands):
+            sums[i] += integrand(h, u) / den
+    return sums
+
+
 def localization_sums(fixpoints):
-    """For k = 0..3, the sum over the fixpoints p of
-    <mu(p), X>^k / prod_w <-w, X>, at X = (1, m) with m past every weight
-    entry, so that X pairs nonzero with every weight.  By
+    """For k = 0..3, the integral of y^k (see _localize).  By
     Atiyah-Bott-Berline-Vergne the sums vanish for k < 3, and the k = 3
     sum is 3! times the symplectic volume (see oracle_volume)."""
-    m = 1 + max((abs(c) for _, weights in fixpoints for w in weights for c in w), default=0)
-    sums = [Fraction(0)] * 4
-    for (x, y), weights in fixpoints:
-        den = 1
-        for a, b in weights:
-            den *= -(a + b * m)
-        pairing = x + y * m
-        for k in range(4):
-            sums[k] += pairing**k / den
-    return sums
+    return _localize(fixpoints, *[lambda h, u, k=k: h**k for k in range(4)])
+
+
+def chern_numbers(fixpoints):
+    """The Chern numbers (c1 c2, c1^3, c3) of the manifold, by localization:
+    c1, c2 and c3 restrict to a fixpoint as the elementary symmetric
+    functions of its tangent weights, so the integral of c3 is the Euler
+    characteristic, the number of fixpoints."""
+    return tuple(_localize(
+        fixpoints,
+        lambda h, u: sum(u) * (u[0] * u[1] + u[0] * u[2] + u[1] * u[2]),
+        lambda h, u: sum(u) ** 3,
+        lambda h, u: u[0] * u[1] * u[2]))
+
+
+def bundle_is_trivial(fixpoints):
+    """Whether the P(C^3)-bundle over S^2 with these fixpoints is trivial,
+    by the integrals of y^3 and c1 y^2; None when they do not decide it.
+
+    Take a basis h, x of H^2 with h^2 = 0, h x^2 = 1 and x^3 = c; c mod 3
+    tells the bundles apart, 0 for the trivial one.  With y = a h + b x,
+    y^3 = 3 a b^2 + c b^3 = c b (mod 3), and c1 = 3x + k h gives
+    c1 y^2 = k b^2 (mod 3).  So if either integral is nonzero mod 3, then
+    b is too, and the bundle is trivial iff y^3 = 0 (mod 3).
+
+    The rule needs [omega] to be an integral class.  That the class of an
+    integral polygon is integral is observed (every such integral on the
+    census grids is an integer), not proved, so a fractional integral
+    raises ValueError instead of deciding."""
+    y3, c1y2 = _localize(fixpoints, lambda h, u: h**3, lambda h, u: sum(u) * h**2)
+    if y3.denominator != 1 or c1y2.denominator != 1:
+        raise ValueError(f"integrals y^3 = {y3}, c1 y^2 = {c1y2} are not integers")
+    if y3 % 3 == 0 and c1y2 % 3 == 0:
+        return None
+    return y3 % 3 == 0
 
 
 def oracle_volume(points):

@@ -161,7 +161,7 @@ class TestCheckMomentumPolytope:
         assert kinds[RationalPoint.of(0, 0)] == "wall"
         assert kinds[RationalPoint.of(1, 1)] == "wall"
         assert kinds[RationalPoint.of(3, 2)] == "interior_delzant"
-        types = analysis.wall_types
+        types = {va.vertex: va.wall_type for va in report.vertex_data}
         assert types[RationalPoint.of(0, 0)] == WallEdgePlus(2)
         assert types[RationalPoint.of(1, 1)] == WallEdgeMinus(1)
 
@@ -530,7 +530,7 @@ def test_every_type_carries_its_facts(case):
     if origin is not None:
         wt, fixpoints = origin
         zero = RationalPoint.of(0, 0)
-        assert analysis.wall_types[zero] == wt
+        assert {va.vertex: va.wall_type for va in analysis.report.vertex_data}[zero] == wt
         assert fixpoint_images(analysis)[zero] == fixpoints
 
 

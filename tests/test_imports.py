@@ -5,11 +5,15 @@ checked.  The engine imports without `dataclasses`, whose import pulls in
 class."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import mompoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mompoly"
 
@@ -63,3 +67,15 @@ def test_engine_imports_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def test_package_exports_names_not_modules():
+    """`from mompoly import *` binds the engine's public names and none of
+    its modules, which stay reachable as attributes of the package."""
+    assert mompoly.__all__
+    for name in mompoly.__all__:
+        assert not isinstance(getattr(mompoly, name), ModuleType), name
+    namespace: dict = {}
+    exec("from mompoly import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mompoly.__all__)
+    assert importlib.import_module("mompoly.classify") is mompoly.classify

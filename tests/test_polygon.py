@@ -15,7 +15,6 @@ from mompoly.polygon import (
     int_hull,
     on_boundary,
     t_hull,
-    triangle,
 )
 
 from oracle import boundary_contains, inward_primitive_normal, transform
@@ -75,10 +74,18 @@ def test_hull_drops_edge_midpoints():
     )
 
 
-def test_triangle_constructor():
-    assert len(triangle(*P((0, 0), (1, 0), (0, 1)).vertices)) == 3
-    with pytest.raises(GeometryError):
-        triangle(RationalPoint.of(0, 0), RationalPoint.of(1, 1), RationalPoint.of(2, 2))
+def test_polygon_keeps_a_tuple_of_its_own():
+    """A list or a generator of a valid cycle gives the polygon that
+    convex_hull gives, equal and hash-equal, and a later change to the
+    list leaves it as it was."""
+    points = [RationalPoint.of(0, 0), RationalPoint.of(3, 2), RationalPoint.of(1, 1)]
+    hull = convex_hull(points)
+    for polygon in (Polygon(points), Polygon(iter(points))):
+        assert polygon == hull and hash(polygon) == hash(hull)
+        assert type(polygon.vertices) is tuple
+    polygon = Polygon(points)
+    points.append(RationalPoint.of(5, 5))
+    assert polygon.vertices == hull.vertices and len(polygon) == len(polygon.xy) == 3
 
 
 def test_vertex_rays_example():
@@ -100,7 +107,8 @@ def test_inward_normal():
 def test_chamber_and_wall_vertices():
     hull = P((0, 0), (1, 0), (0, -1))
     require_chamber(hull.xy)
-    assert list(analyze(hull).wall_types) == [RationalPoint.of(0, 0)]
+    wall = [va.vertex for va in analyze(hull).report.vertex_data if va.wall_type is not None]
+    assert wall == [RationalPoint.of(0, 0)]
     outside = P((0, 1), (1, 0), (0, 0))
     with pytest.raises(ChamberError):
         require_chamber(outside.xy)

@@ -1,12 +1,20 @@
 """The README's Library block runs, and each comment after a statement in it
 is the repr of the statement's value: of the expression, or of the name an
-assignment binds."""
+assignment binds. Every backticked dotted name in the README resolves."""
 
 import ast
+import importlib
 import io
+import pkgutil
 import re
+import sys
 import tokenize
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+import mompoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,3 +55,51 @@ def test_library_block_values():
         checked += 1
     assert comments == {}, "comments after no statement's last line"
     assert checked >= 5
+
+
+# A backticked dotted name, such as `Analysis.fixpoints` or `fractions.Fraction`.
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(mompoly.__path__)
+                    if not m.name.startswith("_"))
+
+
+def resolve(dotted: str):
+    """The object a dotted README name stands for. Its first part is a
+    `mompoly` attribute, a `mompoly` submodule, a public name of a
+    submodule or a standard-library module, tried in that order; each
+    later part is read with getattr. Raises LookupError or AttributeError
+    when a part does not resolve."""
+    first, *rest = dotted.split(".")
+    modules = [importlib.import_module(f"mompoly.{m}") for m in SUBMODULES]
+    owners = [m for m in modules if not first.startswith("_") and hasattr(m, first)]
+    if hasattr(mompoly, first):
+        obj = getattr(mompoly, first)
+    elif first in SUBMODULES:
+        obj = importlib.import_module(f"mompoly.{first}")
+    elif owners:
+        obj = getattr(owners[0], first)
+    elif first in sys.stdlib_module_names:
+        obj = importlib.import_module(first)
+    else:
+        raise LookupError(f"{first!r} is no name of mompoly or the standard library")
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_dotted_names_resolve():
+    names = sorted(set(DOTTED.findall(README.read_text(encoding="utf-8"))))
+    assert len(names) >= 10
+    for name in names:
+        resolve(name)
+
+
+def test_resolve_fails_on_a_removed_name(monkeypatch):
+    assert resolve("Stratum.segment") is mompoly.kaehler.Stratum.segment
+    assert resolve("fractions.Fraction") is Fraction
+    for retired in ("Edge.contains", "XRay.fixpoints", "Analysis.wall_types", "no_such.name"):
+        with pytest.raises((AttributeError, LookupError)):
+            resolve(retired)
+    monkeypatch.delattr(mompoly.polygon, "t_hull")
+    with pytest.raises(AttributeError):
+        resolve("polygon.t_hull")

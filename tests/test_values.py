@@ -73,8 +73,7 @@ VALUES = [
      "ManifoldModel(family=ReflectionFamily(s=Fraction(0, 1), t=Fraction(1, 1)), "
      f"total_space={GRASSMANNIAN_TEXT}, gl2_variety_label='SO(5,C)/P', local_models=())"),
     (Stratum, (((0, 0), (1, -1)), 2, 4), STRATUM_TEXT),
-    # The x-ray's repr leaves out its Analysis.
-    (XRay, ((STRATUM,), Analysis(SEGMENT, REPORT)), f"XRay(strata=({STRATUM_TEXT},))"),
+    (XRay, ((STRATUM,),), f"XRay(strata=({STRATUM_TEXT},))"),
 ]
 
 
