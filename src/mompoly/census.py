@@ -10,30 +10,31 @@ or fewer (MAX_COORD).
 A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
 per grid: the id of the primitive direction from each grid point to each
-other one (132 distinct directions at max-coord 4).  Both enumerators
-yield each candidate as a pair (vertices, ccw), with ccw its grid indices
-counterclockwise from its smallest vertex, and every candidate is judged
-on that index cycle by one routine (_Grid.item), each vertex from its two
-ray ids: an interior vertex by their determinant, a wall vertex by its
-cone pattern, each verdict memoised on its wall flag and pair of ids.  A
-candidate is rejected at its first failing vertex.  An `--shape all`
-candidate's ccw is the chain enumerate_convex grew it as; the chain's
-newest inner vertex is judged once for every chain that extends it, and
-its verdict is kept by position for them, so a candidate is judged in
-O(1) and takes no hull.  An invalid candidate gets no Polygon and no
-Analysis.
+other one (132 distinct directions at max-coord 4).  A candidate is
+carried as grid indices, never as points: both enumerators yield it as a
+pair (indices, ccw), its grid indices in increasing order and
+counterclockwise from its smallest vertex, and one routine (_Grid.item)
+judges it on the index cycle ccw, each vertex from its two ray ids: an
+interior vertex by their determinant, a wall vertex by its cone pattern,
+each verdict memoised on its wall flag and pair of ids.  A candidate is
+rejected at its first failing vertex.  An `--shape all` candidate's ccw is
+the chain enumerate_convex grew it as; the chain's newest inner vertex is
+judged once for every chain that extends it, and its verdict is kept by
+position for them, so a candidate is judged in O(1) and takes no hull.
+Its ItemResult keeps `indices`, by which the stream writes its points.
 
-The validity criterion and the triangle families are local, so a valid
-candidate's family tag, Kaehler verdict and diff type are functions of
-its ray signature: (on_wall, ray id to the next vertex, ray id to the
-previous vertex) at each vertex along ccw.  The first valid candidate of
-a signature gets an Analysis, handed the report of its vertices' verdicts,
-and its fields are kept on the grid; a later one builds no report, Polygon
-or Analysis (run_census(4) analyses 128 signatures for 1,070 valid
-triangles).  Analysis.family's rebuild check still runs on every valid
-triangle: a later triangle of a signature is rebuilt from its own base
-vertex and edge scale with the cone rays of the signature's family, on
-the grid's int pairs.
+The validity and Kaehler criteria and the triangle families are local,
+so a valid candidate's fields are functions of its ray signature:
+(on_wall, ray id to the next vertex, ray id to the previous vertex) at
+each vertex along ccw.  The first valid candidate of a signature is
+analysed, and its fields are kept on the grid for the later ones.  Its
+Kaehler verdict is kaehler.obstructing_edge on the signature's wall flags
+and edge rays; only a triangle, for its family and diff type, gets an
+Analysis, handed the report of its vertices' verdicts (run_census(4)
+analyses 128 signatures for 1,070 valid triangles).  Analysis.family's
+rebuild check still runs on every valid triangle: a later triangle of a
+signature is rebuilt from its own base vertex and edge scale with the
+cone rays of the signature's family, on the grid's int pairs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .classify import (
 )
 from .difftype import diffeo
 from .errors import GeometryError
-from .kaehler import is_kaehlerizable
+from .kaehler import obstructing_edge
 from .lattice import RationalPoint, Weight
 from .polygon import Polygon, integer_form
 
@@ -99,30 +100,31 @@ def grid_points(max_coord: int, denominator: int = 1) -> list[RationalPoint]:
 
 def enumerate_triangles(
     points: list[RationalPoint],
-) -> Iterator[tuple[tuple[RationalPoint, ...], tuple[int, ...]]]:
-    """All 3-element subsets in convex position, each as a pair (vertices,
-    ccw) as enumerate_convex yields it: `vertices` is the sorted tuple of
-    the three points, and `ccw` holds their indices in sorted(points),
-    counterclockwise from the smallest."""
-    pts = sorted(points)
-    _, xy = integer_form(pts)
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All 3-element subsets in convex position, each as a pair (indices,
+    ccw) as enumerate_convex yields it: the three indices in sorted(points)
+    in increasing order, and the same counterclockwise from the smallest."""
+    _, xy = integer_form(sorted(points))
     for (i, (ax, ay)), (j, (bx, by)), (k, (cx, cy)) in itertools.combinations(enumerate(xy), 3):
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if cross:
-            yield (pts[i], pts[j], pts[k]), ((i, j, k) if cross > 0 else (i, k, j))
+        if cross > 0:
+            ijk = (i, j, k)
+            yield ijk, ijk
+        elif cross:
+            yield (i, j, k), (i, k, j)
 
 
 def enumerate_convex(
     points: list[RationalPoint],
-) -> Iterator[tuple[tuple[RationalPoint, ...], tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All convex polytopes with every chosen point extreme: single points,
-    segments, and convex polygons, each as a pair (vertices, ccw).
+    segments, and convex polygons, each as a pair (indices, ccw) of tuples
+    of indices in sorted(points).  On grid_points, which are sorted, these
+    are grid indices.
 
-    `vertices` is the sorted tuple of the candidate's points.  `ccw` holds
-    their indices in sorted(points): the point's or the segment's indices,
-    and a polygon's hull, counterclockwise from its lexicographically
-    smallest vertex.  On grid_points, which are sorted, these are grid
-    indices.
+    `indices` holds the candidate's indices in increasing order.  `ccw`
+    holds the same: the point's or the segment's indices, and a polygon's
+    hull, counterclockwise from its lexicographically smallest vertex.
 
     Polygons are grown as counterclockwise convex chains anchored at their
     lexicographically smallest vertex, so each polygon appears exactly once.
@@ -140,16 +142,16 @@ def enumerate_convex(
     area k-gons", DCG 1992), so the points that extend a chain are one AND
     of three rows of a bitmask table built in O(n^3).
     """
-    pts = sorted(points)
-    for k, p in enumerate(pts):
-        yield (p,), (k,)
-    for (i, a), (j, b) in itertools.combinations(enumerate(pts), 2):
-        yield (a, b), (i, j)
+    _, xy = integer_form(sorted(points))
+    for k in range(len(xy)):
+        single = (k,)
+        yield single, single
+    for pair in itertools.combinations(range(len(xy)), 2):
+        yield pair, pair
 
     # Scaling by a positive integer keeps the sign of every cross product,
     # so the table is built on integer coordinates.  left[a][b] has bit k
     # set iff point k lies strictly left of the line from point a to point b.
-    _, xy = integer_form(pts)
     left = [[sum([1 << k for k, (x, y) in enumerate(xy)
                   if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0])
              for bx, by in xy]
@@ -169,19 +171,22 @@ def enumerate_convex(
             fits ^= low
             p = low.bit_length() - 1
             ccw = chain + (p,)
-            yield tuple([pts[k] for k in sorted(ccw)]), ccw
+            yield tuple(sorted(ccw)), ccw
             if more := first & lc[p] & ls[p]:
                 yield from extend(ccw, p, first, ls, more)
 
     for s, ls in enumerate(left):
         above = -1 << (s + 1)
-        for j in range(s + 1, len(pts)):
+        for j in range(s + 1, len(xy)):
             first = ls[j] & above
             yield from extend((s, j), j, first, ls, first)
 
 
 class ItemResult(NamedTuple):
-    vertices: tuple[RationalPoint, ...]
+    """A candidate's verdict; `indices` are its vertices' indices in the
+    census's grid_points, in increasing order, which is their points'."""
+
+    indices: tuple[int, ...]
     valid: bool
     family_tag: Optional[str]
     kaehler: Optional[bool]
@@ -209,7 +214,7 @@ class _Verdicts(dict):
         return verdict
 
 
-# The fields of a valid candidate's ItemResult after `vertices` and `valid`
+# The fields of a valid candidate's ItemResult after `indices` and `valid`
 # (family tag, Kaehler verdict, diff type) and, for a triangle, the rays
 # r1, r2 of its family's cone.
 _Fields = tuple[Optional[str], bool, Optional[str], Optional[tuple[Weight, Weight]]]
@@ -247,10 +252,10 @@ class _Grid:
         # The fields of each ray signature analysed so far.
         self.fields: dict[tuple, _Fields] = {}
 
-    def item(self, candidate: tuple[tuple[RationalPoint, ...], tuple[int, ...]]) -> ItemResult:
-        """The ItemResult of a candidate (vertices, ccw) of
+    def item(self, candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
+        """The ItemResult of a candidate (indices, ccw) of
         enumerate_triangles or enumerate_convex on the grid's points, judged
-        on its index cycle ccw = (s, ..., b, c, p).
+        on its index cycle ccw = (s, ..., b, c, p); it keeps `indices`.
 
         Vertex c is judged with its neighbours b and p, which no extension
         of the chain changes, once ccw[1] to b pass: passed[n - 3] holds
@@ -267,17 +272,17 @@ class _Grid:
         candidate of a signature is analysed (analyse); a later triangle of
         it is still held to its family's rebuild check (rebuild).
         """
-        vertices, ccw = candidate
+        indices, ccw = candidate
         n = len(ccw)
         # tuple.__new__ builds an ItemResult without its Python-level __new__.
         if n < 3:
-            return tuple.__new__(ItemResult, (vertices, False, None, None, None))
+            return tuple.__new__(ItemResult, (indices, False, None, None, None))
         rays, verdicts, passed = self.rays, self.verdicts, self.passed
         s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
         rs, rc, rp = rays[s], rays[c], rays[p]
         ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if passed[n - 3] else None
         if not (ok and verdicts[p][rp[s], rp[c]] and verdicts[s][rs[ccw[1]], rs[p]]):
-            return tuple.__new__(ItemResult, (vertices, False, None, None, None))
+            return tuple.__new__(ItemResult, (indices, False, None, None, None))
 
         on_wall = self.on_wall
         key = tuple([(on_wall[k], rays[k][j], rays[k][i])
@@ -286,14 +291,21 @@ class _Grid:
         if fields is None:
             fields = self.fields[key] = self.analyse(ccw, key)
         elif n == 3:
-            self.rebuild(vertices, ccw, key, fields)
-        return tuple.__new__(ItemResult, (vertices, True, fields[0], fields[1], fields[2]))
+            self.rebuild(ccw, key, fields)
+        return tuple.__new__(ItemResult, (indices, True, fields[0], fields[1], fields[2]))
 
     def analyse(self, ccw: tuple[int, ...], key: tuple) -> _Fields:
-        """The fields of a valid candidate with signature `key` from its
-        Analysis, which is handed the report of its vertices' verdicts, read
-        from the verdict tables, so check_momentum_polytope does not run."""
-        points, xy, dirs, verdicts = self.points, self.xy, self.dirs, self.verdicts
+        """The fields of a valid candidate with signature `key`.  The
+        Kaehler verdict is obstructing_edge on the signature's wall flags
+        and the rays along its edges.  A triangle's family and diff type
+        come from its Analysis, which is handed the report of its vertices'
+        verdicts, read from the verdict tables, so check_momentum_polytope
+        does not run; a polygon with more vertices gets no Analysis."""
+        dirs = self.dirs
+        kaehler = obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
+        if len(ccw) != 3:
+            return None, kaehler, None, None
+        points, xy, verdicts = self.points, self.xy, self.verdicts
         hull = tuple([points[k] for k in ccw])
         hull_xy = tuple([xy[k] for k in ccw])
         edge_rays = tuple([(dirs[r1], dirs[r2]) for _, r1, r2 in key])
@@ -302,14 +314,10 @@ class _Grid:
             for k, (w, r1, r2), r in zip(ccw, key, edge_rays)
         ]))
         analysis = Analysis(Polygon._from_form(hull, self.scale, hull_xy, edge_rays), report)
-        kaehler, _ = is_kaehlerizable(analysis)
-        if len(ccw) != 3:
-            return None, kaehler, None, None
         fam = classify_triangle(analysis)
         return fam.tag, kaehler, diffeo(analysis)[0].value, fam.cone()[3:]
 
-    def rebuild(self, vertices: tuple[RationalPoint, ...], ccw: tuple[int, ...], key: tuple,
-                fields: _Fields) -> None:
+    def rebuild(self, ccw: tuple[int, ...], key: tuple, fields: _Fields) -> None:
         """Analysis.family's rebuild check on a valid triangle whose
         signature `key` was analysed before: its own base vertex and edge
         scale with the cone rays of that signature's family must rebuild
@@ -321,7 +329,7 @@ class _Grid:
         i = base_vertex(xy)
         bx, by = xy[i]
         u = edge_scale(xy, i, self.dirs[key[i][1]])
-        require_rebuild(tag, vertices, xy, cone_points(bx, by, u, r1, r2))
+        require_rebuild(tag, xy, self.scale, cone_points(bx, by, u, r1, r2))
 
 
 class CensusSummary(types.SimpleNamespace):

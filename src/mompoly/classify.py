@@ -27,7 +27,7 @@ from .lattice import (
     coroot_pairing,
     is_lattice_basis,
 )
-from .polygon import IntPair, Polygon, convex_hull
+from .polygon import IntPair, Polygon, convex_hull, form_point
 
 _ONE = Weight(1, 1)
 
@@ -460,7 +460,7 @@ class Analysis(Value, namedtuple("Analysis", "polygon report")):
                 a2=-d2.b,
                 b2=d2.a,
             )
-        require_rebuild(fam, polygon.vertices, xy, _cone_form(scale, *fam.cone()))
+        require_rebuild(fam, xy, scale, _cone_form(scale, *fam.cone()))
         return fam
 
 
@@ -482,14 +482,17 @@ def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight) -> int:
     return (nx - bx) // d1.a if d1.a else (ny - by) // d1.b
 
 
-def require_rebuild(family: object, vertices: tuple[RationalPoint, ...],
-                    xy: Sequence[IntPair], form: Optional[Sequence[IntPair]]) -> None:
+def require_rebuild(family: object, xy: Sequence[IntPair], scale: int,
+                    form: Optional[Sequence[IntPair]]) -> None:
     """The family check: `form`, the int pairs of the points
     (x, y) + t*conv(0, r1, r2) that the parameters of `family` give on the
     triangle's grid (None if they are off it), must be the int pairs xy of
-    the triangle `vertices`.  This checks the edge scales and that the
-    edges at the base follow its wall pattern; AssertionError if not."""
+    the triangle's vertices on the grid of `scale`.  This checks the edge
+    scales and that the edges at the base follow its wall pattern;
+    AssertionError if not, naming the vertices as points, which are built
+    only then."""
     if form is None or sorted(form) != sorted(xy):
+        vertices = tuple([form_point(q, scale) for q in xy])
         raise AssertionError(f"{family} does not rebuild the triangle {vertices}")
 
 

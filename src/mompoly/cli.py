@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import attrgetter
 
-from .census import check_census, run_census
+from .census import check_census, grid_points, run_census
 from .errors import GeometryError
 from .polygon import convex_hull
 from .report import (
     DocumentError,
     full_report,
     parse_polytope_document,
+    point_out,
     render_document,
 )
 from .selftest import run_selftest
@@ -107,17 +107,22 @@ class _ValidTails(dict):
 
 
 _VALID_TAILS = _ValidTails()
-_point_json = attrgetter("json")
 
 
-def _stream_writer(write):
-    """The census's on_item for a stream: it passes `write` the JSON line of
-    each ItemResult, its vertices' cached json texts and then its tail.  The
-    one closure is the only Python frame the stream adds per item."""
+def _stream_writer(write, points):
+    """The census's on_item for a stream on the grid `points`: it passes
+    `write` the JSON line of each ItemResult, the texts of the grid points
+    its indices name and then its tail.  Each grid point is formatted once,
+    as a report writes it; the one closure is the only Python frame the
+    stream adds per item, and it looks up no global or attribute."""
+    text = [json.dumps(point_out(p)) for p in points].__getitem__
+    join, tails, invalid_tail = ", ".join, _VALID_TAILS, _INVALID_TAIL
+
     def on_item(item) -> None:
-        write('{"vertices": [' + ", ".join(map(_point_json, item.vertices)) + (
-            _VALID_TAILS[item.family_tag, item.kaehler, item.diff_type] if item.valid
-            else _INVALID_TAIL))
+        # item[0] holds the indices, item[1] the validity and item[2:] the
+        # fields that key the tails.
+        write('{"vertices": [' + join(map(text, item[0])) + (
+            tails[item[2:]] if item[1] else invalid_tail))
     return on_item
 
 
@@ -132,7 +137,8 @@ def _cmd_enumerate(args) -> int:
             args.max_coord,
             denominator=args.denominator,
             shape=args.shape,
-            on_item=None if stream is None else _stream_writer(stream.write),
+            on_item=None if stream is None else _stream_writer(
+                stream.write, grid_points(args.max_coord, args.denominator)),
         )
     finally:
         if stream is not None:

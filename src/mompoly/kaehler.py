@@ -8,7 +8,9 @@ fixpoint images on the boundary of the T-momentum polytope — and the
 x-ray of the torus action are computed as independent data.
 
 The queries read the validity report and the polygon by index; the
-verdict builds an Edge only for its witness.  The fixpoint images are
+verdict builds an Edge only for its witness.  The criterion itself is
+obstructing_edge, on the wall flags and edge rays of the vertices, which
+the census also reads off a ray signature.  The fixpoint images are
 `Analysis.fixpoints`, int pairs on the polygon's grid with their
 multiplicities; fixpoint_images builds a fresh Counter of their points
 on every call.  The T-polytope and the x-ray are built on the polygon's
@@ -20,31 +22,39 @@ a Stratum keeps the int pairs of its ends, and an XRay only its strata.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from typing import Optional
+from typing import Optional, Sequence
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import RationalPoint, Value, coroot_pairing
+from .lattice import RationalPoint, Value, Weight
 from .polygon import Edge, IntPair, form_point, on_boundary, t_hull
 
 
-def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
-    """Kähler verdict with a violating positive edge as witness when false.
+def obstructing_edge(on_wall: Sequence[bool], rays: Sequence[Weight]) -> Optional[int]:
+    """The Kähler criterion on a valid polygon's counterclockwise vertices,
+    with on_wall[k] whether vertex k is on the wall and rays[k] = (a, b) the
+    primitive ray of edge k, from vertex k to vertex k + 1 (mod n): the
+    first positive edge (its inward normal (-b, a) pairs with the coroot
+    as -(a + b) > 0) that does not contain the one wall vertex, or None.  With zero or two wall vertices
+    the criterion is vacuous: None."""
+    if on_wall.count(True) != 1:
+        return None
+    w = on_wall.index(True)
+    n = len(rays)
+    for k, (a, b) in enumerate(rays):
+        if a + b < 0 and w != k and w != (k + 1) % n:
+            return k
+    return None
 
-    With zero or two wall vertices the criterion is vacuous; with one
-    wall vertex w, every positive edge must contain w.
-    """
+
+def is_kaehlerizable(polygon: PolygonLike) -> tuple[bool, Optional[Edge]]:
+    """Kähler verdict with a violating positive edge as witness when false:
+    the edge obstructing_edge names."""
     analysis = require_valid(polygon)
-    try:
-        w = _wall_vertex(analysis)
-    except UnsupportedPolytopeError:
-        return True, None
-    normals = analysis.polygon.normals
-    for k, normal in enumerate(normals):
-        # Edge k runs from vertex k to the next; a vertex lies on it only as an end.
-        if coroot_pairing(normal) > 0 and w not in (k, (k + 1) % len(normals)):
-            return False, analysis.polygon.edges()[k]
-    return True, None
+    polygon = analysis.polygon
+    k = obstructing_edge([va.on_wall for va in analysis.report.vertex_data],
+                         [r for r, _ in polygon.rays])
+    return (True, None) if k is None else (False, polygon.edges()[k])
 
 
 def fixpoint_images(polygon: PolygonLike) -> Counter:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import Union
 
@@ -62,8 +61,9 @@ class Weight(Value, namedtuple("Weight", "a b")):
 
 
 class RationalPoint(Value, namedtuple("RationalPoint", "x y")):
-    """Exact rational point x*eps1 + y*eps2 in t*.  It keeps a __dict__
-    for its cached json."""
+    """Exact rational point x*eps1 + y*eps2 in t*."""
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, x: RationalLike, y: RationalLike) -> "RationalPoint":
@@ -77,15 +77,6 @@ class RationalPoint(Value, namedtuple("RationalPoint", "x y")):
 
     def __neg__(self) -> "RationalPoint":
         return RationalPoint(-self.x, -self.y)
-
-    @cached_property
-    def json(self) -> str:
-        """The point as JSON text, as the census stream writes it: an
-        integral coordinate as a number, any other as a "p/q" string."""
-        return "[" + ", ".join(
-            str(c.numerator) if c.denominator == 1 else f'"{c.numerator}/{c.denominator}"'
-            for c in (self.x, self.y)
-        ) + "]"
 
 
 # Distinguished lattice vectors.

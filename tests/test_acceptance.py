@@ -200,7 +200,8 @@ def test_criterion_6_oracle_census(tmp_path, capsys):
     and `--threads 8`."""
     points = grid_points(4)
     disagreements = 0
-    for triple, _ in enumerate_triangles(points):
+    for indices, _ in enumerate_triangles(points):
+        triple = [points[k] for k in indices]
         hull = convex_hull(triple)
         verdict = check_momentum_polytope(hull).valid
         expected = oracle_is_valid([(p.x, p.y) for p in triple])

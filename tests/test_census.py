@@ -35,7 +35,7 @@ def test_grid_points():
 
 def test_enumerate_triangles_counts():
     pts = grid_points(1)
-    tris = [vertices for vertices, _ in enumerate_triangles(pts)]
+    tris = [indices for indices, _ in enumerate_triangles(pts)]
     # 6 choose 3 = 20 triples, minus the collinear ones.
     assert all(len(t) == 3 for t in tris)
     assert len(tris) == len(set(tris))
@@ -44,7 +44,7 @@ def test_enumerate_triangles_counts():
 
 def test_enumerate_convex_small():
     pts = grid_points(1)
-    items = [vertices for vertices, _ in enumerate_convex(pts)]
+    items = [indices for indices, _ in enumerate_convex(pts)]
     assert len(items) == len(set(items))
     singles = [it for it in items if len(it) == 1]
     pairs = [it for it in items if len(it) == 2]
@@ -65,9 +65,10 @@ def test_enumerate_convex_complete():
         subset = [p for k, p in enumerate(grid) if mask >> k & 1]
         if len(_jarvis_hull(subset)) == len(subset):
             expected.add(frozenset(subset))
-    items = [vertices for vertices, _ in enumerate_convex(grid_points(2))]
+    points = grid_points(2)
+    items = [indices for indices, _ in enumerate_convex(points)]
     assert all(list(it) == sorted(it) for it in items)
-    found = [frozenset((int(p.x), int(p.y)) for p in it) for it in items]
+    found = [frozenset((int(points[k].x), int(points[k].y)) for k in it) for it in items]
     assert len(found) == len(set(found)) == 15 + 105 + 1499
     assert set(found) == expected
 
@@ -79,15 +80,17 @@ def test_enumerate_convex_complete():
 ])
 def test_enumerate_convex_yields_hulls_in_preorder(enumerate_candidates, denominator):
     """Each candidate's ccw is the hull of its vertices, counterclockwise
-    from the smallest, as indices in the sorted points; enumerate_triangles
-    keeps the same contract.  A chain of enumerate_convex of length L >= 4
+    from the smallest, as indices in the sorted points, and its `indices`
+    are the same in increasing order; enumerate_triangles keeps the same
+    contract.  A chain of enumerate_convex of length L >= 4
     follows its prefix, the last chain yielded with length L - 1."""
     points = grid_points(2, denominator)
     _, xy = integer_form(points)
     last = {}
     chains = 0
-    for vertices, ccw in enumerate_candidates(points):
-        assert vertices == tuple(sorted(points[k] for k in ccw))
+    for indices, ccw in enumerate_candidates(points):
+        assert indices == tuple(sorted(ccw))
+        assert [points[k] for k in indices] == sorted(points[k] for k in ccw)
         if len(ccw) <= 2:
             assert list(ccw) == sorted(ccw)
         else:
@@ -107,12 +110,11 @@ def _scan_convex(points):
     """enumerate_convex as a scan, its reference: each chain node tests
     every point left of the first edge (`later`) on its own, where
     enumerate_convex reads the points that pass from its bitmask table."""
-    pts = sorted(points)
-    for k, p in enumerate(pts):
-        yield (p,), (k,)
-    for (i, a), (j, b) in itertools.combinations(enumerate(pts), 2):
-        yield (a, b), (i, j)
-    _, xy = integer_form(pts)
+    _, xy = integer_form(sorted(points))
+    for k in range(len(xy)):
+        yield (k,), (k,)
+    for i, j in itertools.combinations(range(len(xy)), 2):
+        yield (i, j), (i, j)
 
     def extend(chain, later, ux, uy):
         # p must turn left at the chain's newest point c, and have the
@@ -124,7 +126,7 @@ def _scan_convex(points):
             dx, dy = px - cx, py - cy
             if ux * dy - uy * dx > 0 and dx * (sy - py) - dy * (sx - px) > 0:
                 ccw = chain + (j,)
-                yield tuple([pts[k] for k in sorted(ccw)]), ccw
+                yield tuple(sorted(ccw)), ccw
                 yield from extend(ccw, later, dx, dy)
 
     for i, (sx, sy) in enumerate(xy):
@@ -138,7 +140,7 @@ def _scan_convex(points):
 @pytest.mark.parametrize("max_coord", [1, 2, 3])
 @pytest.mark.parametrize("denominator", [1, 2, 3])
 def test_enumerate_convex_matches_the_scan(max_coord, denominator):
-    """The bitmask enumerator yields the scan's (vertices, ccw) pairs, in
+    """The bitmask enumerator yields the scan's (indices, ccw) pairs, in
     the scan's order."""
     points = grid_points(max_coord, denominator)
     assert list(enumerate_convex(points)) == list(_scan_convex(points))
@@ -160,16 +162,17 @@ def test_enumerate_convex_matches_the_scan_on_any_points(points):
     assert list(enumerate_convex(points)) == list(_scan_convex(points))
 
 
-def _classify_via_analysis(vertices):
-    """The ItemResult of the full Analysis of the candidate's hull."""
-    analysis = analyze(convex_hull(vertices))
+def _classify_via_analysis(points, indices):
+    """The ItemResult of the full Analysis of the hull of the candidate's
+    points, points[k] for k in indices."""
+    analysis = analyze(convex_hull([points[k] for k in indices]))
     if not analysis.report.valid:
-        return ItemResult(vertices, False, None, None, None)
+        return ItemResult(indices, False, None, None, None)
     kaehler, _ = is_kaehlerizable(analysis)
     if len(analysis.polygon) != 3:
-        return ItemResult(vertices, True, None, kaehler, None)
+        return ItemResult(indices, True, None, kaehler, None)
     fam = classify_triangle(analysis)
-    return ItemResult(vertices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
+    return ItemResult(indices, True, fam.tag, kaehler, diffeo_type(fam, analysis).value)
 
 
 @pytest.mark.parametrize("max_coord, denominator, shape", [
@@ -186,8 +189,8 @@ def test_census_items_agree_with_analysis(max_coord, denominator, shape):
     run_census(max_coord, denominator, shape, on_item=items.append)
     points = grid_points(max_coord, denominator)
     enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
-    assert items == [_classify_via_analysis(vertices)
-                     for vertices, _ in enumerate_candidates(points)]
+    assert items == [_classify_via_analysis(points, indices)
+                     for indices, _ in enumerate_candidates(points)]
 
 
 @pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
@@ -200,7 +203,7 @@ def test_census_hands_on_item_item_results(max_coord, shape):
     assert any(item.valid for item in items) and not all(item.valid for item in items)
     for item in items:
         assert type(item) is ItemResult
-        assert item == ItemResult(vertices=item.vertices, valid=item.valid,
+        assert item == ItemResult(indices=item.indices, valid=item.valid,
                                   family_tag=item.family_tag, kaehler=item.kaehler,
                                   diff_type=item.diff_type)
         with pytest.raises(AttributeError):
@@ -227,17 +230,23 @@ def test_census_summary_is_the_same_with_and_without_on_item(max_coord, shape, d
 
 
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
-def test_enumerators_yield_the_grid_points_themselves(enumerate_candidates):
-    """The stream writes each grid point's own cached text."""
+def test_enumerators_yield_grid_indices(enumerate_candidates):
+    """A candidate is carried as grid indices, never as points: each yield
+    is a pair of tuples of ints, its indices in increasing order and the
+    same counterclockwise; the stream writes the grid points' texts by
+    index."""
     points = grid_points(2, 2)
-    ids = {id(p) for p in points}
-    candidates = [vertices for vertices, _ in enumerate_candidates(points)]
-    assert candidates and all(id(v) in ids for vertices in candidates for v in vertices)
+    candidates = list(enumerate_candidates(points))
+    assert candidates
+    for indices, ccw in candidates:
+        assert type(indices) is tuple and type(ccw) is tuple
+        assert indices == tuple(sorted(ccw))
+        assert all(type(k) is int and 0 <= k < len(points) for k in indices)
 
 
 def test_census_grid_refuses_chamber_exit():
     vertices = [RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1))]
-    for route in (census._Grid, _classify_via_analysis):
+    for route in (census._Grid, lambda points: _classify_via_analysis(points, (0, 1, 2))):
         with pytest.raises(ChamberError):
             route(vertices)
 
@@ -267,23 +276,27 @@ def _signature(vertices):
     return tuple((va.on_wall, *va.rays) for va in analyze(convex_hull(vertices)).report.vertex_data)
 
 
-def _first_hull_per_signature(valid):
-    """The hull of the first valid item of each signature, in first-seen order."""
+def _first_triangle_per_signature(points, valid):
+    """The hull of the first valid triangle of each signature, in
+    first-seen order, for valid items of a census on the grid `points`."""
     first = {}
     for item in valid:
-        first.setdefault(_signature(item.vertices), item)
-    return [convex_hull(item.vertices).vertices for item in first.values()]
+        if len(item.indices) == 3:
+            vertices = [points[k] for k in item.indices]
+            first.setdefault(_signature(vertices), vertices)
+    return [convex_hull(vertices).vertices for vertices in first.values()]
 
 
 def test_census_analyzes_only_valid_candidates(analyses, monkeypatch):
     """An invalid candidate is rejected from the ray table; a valid one's
     fields are those of its ray signature, and only the first valid
-    candidate of each signature gets an Analysis."""
+    triangle of each signature gets an Analysis."""
     valid = []
     summary = run_census(2, on_item=lambda item: item.valid and valid.append(item))
     monkeypatch.undo()
     assert summary.total > summary.valid == len(valid) > len(analyses) > 0
-    assert [a.polygon.vertices for a in analyses] == _first_hull_per_signature(valid)
+    assert [a.polygon.vertices for a in analyses] == _first_triangle_per_signature(
+        grid_points(2), valid)
 
 
 def test_census_checks_every_valid_triangle_rebuilds(analyses, monkeypatch):
@@ -304,7 +317,8 @@ def test_census_checks_every_valid_triangle_rebuilds(analyses, monkeypatch):
 def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
     """A memo hit rebuilds its triangle from its own base, its own edge
     scale and the cone rays stored for its signature: cone rays that
-    rebuild no triangle fail the census on its first hit."""
+    rebuild no triangle fail the census on its first hit, and the message
+    names that triangle's three vertices as points."""
     analyse = census._Grid.analyse
 
     def wrong_rays(grid, *args):
@@ -315,8 +329,11 @@ def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
         return tag, kaehler, diff_type, cone_rays
 
     monkeypatch.setattr(census._Grid, "analyse", wrong_rays)
-    with pytest.raises(AssertionError, match="does not rebuild"):
+    with pytest.raises(AssertionError, match="does not rebuild the triangle") as excinfo:
         run_census(4)
+    named = [p for p in grid_points(4) if repr(p) in str(excinfo.value)]
+    assert len(named) == 3
+    assert analyze(convex_hull(named)).report.valid
 
 
 @pytest.mark.parametrize("max_coord, denominator, shape", [
@@ -361,8 +378,10 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     valid chain's report.  Each (on_wall, r1, r2) is judged once (65,459
     vertex_kind calls when every candidate's hull was judged from scratch,
     30,240 when a valid chain's vertices were judged again, 19,757 when
-    an interior vertex was judged on every visit, 1,051 now), and only the first
-    valid candidate of each ray signature is handed on to a report."""
+    an interior vertex was judged on every visit, 1,051 now).  Only the
+    first valid triangle of each ray signature is handed on to a report; a
+    valid polygon with four or more vertices (2,664 of the 3,024 valid
+    items) gets none."""
     kinds = []
     vertex_kind = census.vertex_kind
     for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
@@ -373,9 +392,12 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     valid = []
     summary = run_census(3, shape="all", on_item=lambda item: item.valid and valid.append(item))
     monkeypatch.undo()
-    assert summary.total == 46667 and summary.valid == len(valid)
+    assert summary.total == 46667 and summary.valid == len(valid) == 3024
+    assert sum(len(item.indices) >= 4 for item in valid) == 2664
     assert kinds and len(kinds) == len(set(kinds))
-    assert [a.polygon.vertices for a in analyses] == _first_hull_per_signature(valid)
+    assert all(len(a.polygon) == 3 for a in analyses)
+    assert [a.polygon.vertices for a in analyses] == _first_triangle_per_signature(
+        grid_points(3), valid)
 
 
 @pytest.mark.parametrize("max_coord, denominator", [
@@ -407,23 +429,36 @@ def test_census_all_shape():
     assert d["invalid"] >= 6 + 15
 
 
+def _coordinates(points, item):
+    """The (x, y) of the grid points an item's indices name."""
+    return [(points[k].x, points[k].y) for k in item.indices]
+
+
 def test_census_all_agrees_with_oracle():
     items = []
     run_census(2, shape="all", on_item=items.append)
     assert len(items) == 1619
+    points = grid_points(2)
     for item in items:
-        assert item.valid == oracle_is_valid([(p.x, p.y) for p in item.vertices]), item
-    assert any(item.valid and len(item.vertices) >= 4 for item in items)
+        assert item.valid == oracle_is_valid(_coordinates(points, item)), item
+    assert any(item.valid and len(item.indices) >= 4 for item in items)
 
 
 def test_census_kaehler_agrees_with_oracle():
-    items = []
-    run_census(2, shape="all", on_item=items.append)
-    valid = [item for item in items if item.valid]
-    assert len(valid) == 343
-    verdicts = [oracle_kaehler([(p.x, p.y) for p in item.vertices]) for item in valid]
-    assert [item.kaehler for item in valid] == verdicts
-    assert verdicts.count(False) == 4
+    """The census reads a valid candidate's Kaehler verdict off its ray
+    signature; the oracle decides it from the candidate's points.  On the
+    `--shape all` grids of max-coord 2 and 3, every Kaehler-false item has
+    four or more vertices: 4 of 260 and 48 of 2,664."""
+    for max_coord, counts in ((2, (343, 260, 4)), (3, (3024, 2664, 48))):
+        items = []
+        run_census(max_coord, shape="all", on_item=items.append)
+        points = grid_points(max_coord)
+        valid = [item for item in items if item.valid]
+        verdicts = [oracle_kaehler(_coordinates(points, item)) for item in valid]
+        assert [item.kaehler for item in valid] == verdicts
+        polygons = [verdict for item, verdict in zip(valid, verdicts) if len(item.indices) >= 4]
+        assert (len(valid), len(polygons), polygons.count(False)) == counts
+        assert verdicts.count(False) == counts[2]
 
 
 @pytest.mark.parametrize("max_coord, denominator, counts", [
@@ -438,7 +473,8 @@ def test_census_valid_triangles_are_the_family_triangles(max_coord, denominator,
     with the same family tags."""
     items = []
     run_census(max_coord, denominator, on_item=items.append)
-    found = {frozenset((p.x, p.y) for p in item.vertices): item.family_tag
+    points = grid_points(max_coord, denominator)
+    found = {frozenset(_coordinates(points, item)): item.family_tag
              for item in items if item.valid}
     generated = oracle_family_triangles(max_coord, denominator)
     assert found == generated
@@ -458,10 +494,11 @@ def test_census_is_dual_under_minus_w0(max_coord, shape):
     the memo's fields for one signature against those for its image."""
     items = []
     run_census(max_coord, shape=shape, on_item=items.append)
-    by_points = {frozenset(item.vertices): item for item in items}
+    points = grid_points(max_coord)
+    by_points = {frozenset(_coordinates(points, item)): item for item in items}
     assert len(by_points) == len(items)
     for item in items:
-        image = by_points[frozenset(RationalPoint(-p.y, -p.x) for p in item.vertices)]
+        image = by_points[frozenset((-y, -x) for x, y in _coordinates(points, item))]
         assert (image.valid, image.kaehler, image.diff_type) == (
             item.valid, item.kaehler, item.diff_type), item
         assert image.family_tag == _DUAL_TAG.get(item.family_tag, item.family_tag), item

@@ -314,7 +314,9 @@ def test_family_triangle_is_the_fraction_hull(data, s, t):
 def _valid_polygons():
     """The 294 valid triangles and quadrilaterals with vertices in the
     chamber part of [-2, 2]^2."""
-    hulls = (convex_hull(vs) for vs, _ in enumerate_convex(grid_points(2)) if len(vs) in (3, 4))
+    points = grid_points(2)
+    hulls = (convex_hull([points[k] for k in indices])
+             for indices, _ in enumerate_convex(points) if len(indices) in (3, 4))
     return tuple(p for p in hulls if analyze(p).report.valid)
 
 
@@ -654,8 +656,8 @@ class TestAnalysis:
             # besides the polygon's own hull; the primitive ray of each edge
             # once; one boundary test per image
             # until the first one off the boundary.  The validity check, the
-            # positive edges and the x-ray read the rays and normals by
-            # index; vertex_rays is asked only by the mod-3 residue at one
+            # Kaehler verdict and the x-ray read the rays by index;
+            # vertex_rays is asked only by the mod-3 residue at one
             # vertex of a triangle.
             assert [calls[m] for m in methods] == [0, int(n == 3)], coords
             assert (calls["t_hull"], calls["int_hull"]) == (1, 1), coords

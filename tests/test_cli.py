@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mompoly import census, report, selftest
+from mompoly import census, cli, report, selftest
 from mompoly.cli import main
 from mompoly.errors import GeometryError
 from mompoly.report import (
@@ -145,7 +145,8 @@ def test_render_document_on_report_shapes():
     from test_byte_identity import FIGURES, FIXTURES
 
     inputs = [[RationalPoint.of(x, y) for x, y in c] for c in FIXTURES + FIGURES]
-    inputs += [list(vertices) for vertices, _ in census.enumerate_convex(census.grid_points(2))]
+    points = census.grid_points(2)
+    inputs += [[points[k] for k in indices] for indices, _ in census.enumerate_convex(points)]
     docs = [full_report(points) for points in inputs]
     assert len(docs) == len(FIXTURES) + len(FIGURES) + 1619
     for _ in range(2):
@@ -343,13 +344,26 @@ class TestEnumerateCommand:
         assert summary["total"] == len(lines)
         assert summary["valid"] + summary["invalid"] == summary["total"]
 
+    def test_stream_formats_each_grid_point_once(self, tmp_path, capsys, monkeypatch):
+        # The writer formats the texts of the grid's 15 points when it is
+        # built, and each of the 1,619 stream lines joins some of them.
+        formatted = []
+        point_out = report.point_out
+        monkeypatch.setattr(cli, "point_out", lambda p: formatted.append(p) or point_out(p))
+        stream = tmp_path / "items.jsonl"
+        assert main(["enumerate", "--max-coord", "2", "--shape", "all",
+                     "--output", str(stream)]) == 0
+        capsys.readouterr()
+        assert len(stream.read_text().splitlines()) == 1619
+        assert formatted == census.grid_points(2)
+
     @pytest.mark.parametrize("max_coord, denominator, shape", [
         (3, 1, "triangles"), (3, 3, "triangles"), (2, 2, "all"),
     ])
     def test_stream_lines_are_json_dumps_of_the_items(self, tmp_path, capsys, max_coord,
                                                        denominator, shape):
-        # Each stream line is json.dumps of the item's fields, its vertices
-        # as point_out writes them, in the census order; with a denominator
+        # Each stream line is json.dumps of the item's fields, the grid
+        # points its indices name as point_out writes them, in the census order; with a denominator
         # some of them are "p/q" strings.
         stream = tmp_path / "items.jsonl"
         assert main(["enumerate", "--max-coord", str(max_coord), "--denominator",
@@ -357,9 +371,10 @@ class TestEnumerateCommand:
         capsys.readouterr()
         items = []
         census.run_census(max_coord, denominator, shape, on_item=items.append)
+        points = census.grid_points(max_coord, denominator)
         lines = stream.read_bytes().decode("utf-8").splitlines(keepends=True)
         assert lines == [json.dumps({
-            "vertices": [report.point_out(v) for v in item.vertices],
+            "vertices": [report.point_out(points[k]) for k in item.indices],
             "valid": item.valid,
             "family": item.family_tag,
             "kaehler": item.kaehler,

@@ -42,8 +42,9 @@ def test_diff_type_agrees_with_fiber_weights():
     # weights of the family's manifold model, summed mod 3, against the
     # residue of the rays at a vertex of the triangle.
     tags = Counter()
-    for vertices, _ in enumerate_triangles(grid_points(4)):
-        analysis = analyze(convex_hull(vertices))
+    points = grid_points(4)
+    for indices, _ in enumerate_triangles(points):
+        analysis = analyze(convex_hull([points[k] for k in indices]))
         if not analysis.report.valid or analysis.family.diffeo is not None:
             continue
         fam = analysis.family

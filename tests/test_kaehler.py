@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mompoly.polygon
 import mompoly.report
-from mompoly.census import run_census
+from mompoly.census import grid_points, run_census
 from mompoly.classify import (
     HalfReflPlusFamily,
     ReflectionFamily,
@@ -28,8 +28,9 @@ from mompoly.kaehler import (
     fixpoint_boundary_check,
     fixpoint_images,
     is_kaehlerizable,
+    obstructing_edge,
 )
-from mompoly.lattice import RationalPoint, coroot_pairing, weyl_reflect
+from mompoly.lattice import RationalPoint, Weight, coroot_pairing, weyl_reflect
 from mompoly.polygon import convex_hull
 from mompoly.report import full_report, point_out
 
@@ -133,6 +134,9 @@ class TestIsKaehlerizable:
         assert (witness2.tail, witness2.head) == (pt(3, -1), pt(1, 0))
 
     def test_witness_is_first_violating_positive_edge(self):
+        """is_kaehlerizable gives the reference's verdict and witness, and
+        the shared criterion obstructing_edge, on the polygon's wall flags
+        and edge rays, names that witness edge, or None when it is true."""
         polygons = [P(*c) for c in FIXTURES + FIGURES]
         polygons += [convex_hull(points) for points in rational_inputs()]
         witnesses = 0
@@ -141,8 +145,29 @@ class TestIsKaehlerizable:
             if analysis.report.valid:
                 verdict = is_kaehlerizable(analysis)
                 assert verdict == _first_violating_edge(analysis), polygon.vertices
+                k = obstructing_edge([va.on_wall for va in analysis.report.vertex_data],
+                                     [r for r, _ in polygon.rays])
+                assert verdict == ((True, None) if k is None else (False, polygon.edges()[k]))
                 witnesses += verdict[1] is not None
         assert witnesses == 16
+
+    def test_obstructing_edge_rule(self):
+        """Edge k runs from vertex k to vertex k + 1 (mod n) and is positive
+        iff its ray (a, b) has a + b < 0; an edge along alpha (a + b = 0) is
+        not.  On the unit square's rays, edges 2 and 3 are positive."""
+        square = [Weight(1, 0), Weight(0, 1), Weight(-1, 0), Weight(0, -1)]
+        wall = [[k == w for k in range(4)] for w in range(4)]
+        # Edge 3 ends at vertex 0, so it contains it; edge 2 does not.
+        assert obstructing_edge(wall[0], square) == 2
+        assert obstructing_edge(wall[1], square) == 2
+        assert obstructing_edge(wall[2], square) == 3
+        assert obstructing_edge(wall[3], square) is None
+        # Zero or two wall vertices: no obstruction.
+        assert obstructing_edge([False] * 4, square) is None
+        assert obstructing_edge([True, False, True, False], square) is None
+        # Edge 1, along alpha, contains no wall vertex and is not positive.
+        assert obstructing_edge([True, False, False],
+                                [Weight(1, 0), Weight(1, -1), Weight(-2, 1)]) is None
 
     def test_vacuous_without_single_wall_vertex(self):
         assert is_kaehlerizable(P((1, 0), (2, 0), (1, -1), (2, -1))) == (True, None)
@@ -157,14 +182,20 @@ class TestIsKaehlerizable:
             assert is_kaehlerizable(fam.triangle()) == (True, None)
 
 
+def _census_items(max_coord, shape):
+    """The items of a census, each with the grid points its indices name."""
+    items = []
+    run_census(max_coord, shape=shape, on_item=items.append)
+    points = grid_points(max_coord)
+    return [(tuple([points[k] for k in item.indices]), item) for item in items]
+
+
 @functools.cache
 def _valid_census_items():
     """The valid items of the triangles max-coord 4 and `--shape all`
-    max-coord 2 censuses."""
-    valid = []
-    for max_coord, shape in ((4, "triangles"), (2, "all")):
-        run_census(max_coord, shape=shape, on_item=lambda item: item.valid and valid.append(item))
-    return tuple(valid)
+    max-coord 2 censuses, each with its vertices as points."""
+    return tuple([(vertices, item) for max_coord, shape in ((4, "triangles"), (2, "all"))
+                  for vertices, item in _census_items(max_coord, shape) if item.valid])
 
 
 def _assert_localization(analysis):
@@ -261,8 +292,8 @@ class TestFixpointImages:
         engine's fixpoints."""
         valid = _valid_census_items()
         euler = {}
-        for item in valid:
-            fixpoints = _assert_localization(analyze(convex_hull(item.vertices)))
+        for vertices, item in valid:
+            fixpoints = _assert_localization(analyze(convex_hull(vertices)))
             if item.diff_type is not None:
                 euler.setdefault(item.diff_type, set()).add(len(fixpoints))
         assert len(valid) == 1413
@@ -279,17 +310,17 @@ class TestFixpointImages:
         the other three, and the mod-3 rule of bundle_is_trivial, where it
         decides, names the engine's bundle."""
         types, decided = Counter(), Counter()
-        for item in _valid_census_items():
-            fixpoints = oracle_fixpoints([(p.x, p.y) for p in item.vertices])
+        for vertices, item in _valid_census_items():
+            fixpoints = oracle_fixpoints([(p.x, p.y) for p in vertices])
             c1c2, c1_cubed, euler = chern_numbers(fixpoints)
-            assert c1c2 == 24, item.vertices
+            assert c1c2 == 24, vertices
             if item.diff_type is None:  # not a triangle
                 continue
             types[item.diff_type, c1_cubed, euler] += 1
             if euler == 6:
                 trivial = bundle_is_trivial(fixpoints)
                 if trivial is not None:
-                    assert trivial == (item.diff_type == "trivial_p2_bundle"), item.vertices
+                    assert trivial == (item.diff_type == "trivial_p2_bundle"), vertices
                 decided[trivial is not None] += 1
         assert types == {("projective_space_4", 64, 4): 142, ("oriented_grassmannian", 54, 4): 20,
                          ("trivial_p2_bundle", 54, 6): 262, ("nontrivial_p2_bundle", 54, 6): 729}
@@ -303,10 +334,8 @@ class TestFixpointImages:
         matches no wall pattern, which the localization cannot see."""
         unexplained, unseen = [], Counter()
         for max_coord, shape in ((2, "all"), (3, "triangles")):
-            items = []
-            run_census(max_coord, shape=shape, on_item=items.append)
-            for item in items:
-                points = [(p.x, p.y) for p in item.vertices]
+            for vertices, item in _census_items(max_coord, shape):
+                points = [(p.x, p.y) for p in vertices]
                 if len(points) < 3 or localizes(points) == item.valid:
                     continue
                 if not item.valid and unseen_wall_vertex(points):
@@ -451,10 +480,8 @@ class TestBuildXray:
         at a second wall vertex; so build_xray has a rule for every valid
         polytope with one wall vertex, here all 376 of the max-coord 3
         `--shape all` census."""
-        items = []
-        run_census(3, shape="all", on_item=items.append)
-        one_wall = [convex_hull(item.vertices) for item in items
-                    if item.valid and sum(p.x == p.y for p in item.vertices) == 1]
+        one_wall = [convex_hull(vertices) for vertices, item in _census_items(3, "all")
+                    if item.valid and sum(p.x == p.y for p in vertices) == 1]
         assert len(one_wall) == 376
         for polygon in one_wall:
             assert build_xray(polygon).strata
@@ -525,21 +552,21 @@ def test_localization_under_affine_moves(data, s, t, int_s, int_t):
     equivariant extension, so it multiplies y^3 and c1 y^2 by int_t^3 and
     int_t^2: the mod-3 rule decides as before, unless 3 divides int_t,
     when it decides nothing."""
-    item = data.draw(st.sampled_from(_valid_census_items()))
-    hull = convex_hull(item.vertices)
+    vertices, item = data.draw(st.sampled_from(_valid_census_items()))
+    hull = convex_hull(vertices)
     analysis = analyze(transform(hull, s, t))
     assert analysis.report.valid
-    before = oracle_fixpoints([(p.x, p.y) for p in item.vertices])
+    before = oracle_fixpoints([(p.x, p.y) for p in vertices])
     assert chern_numbers(_assert_localization(analysis)) == chern_numbers(before)
     if item.diff_type in ("trivial_p2_bundle", "nontrivial_p2_bundle"):
         moved = transform(hull, int_s, int_t).vertices
         trivial = bundle_is_trivial(oracle_fixpoints([(p.x, p.y) for p in moved]))
         assert (trivial is None) == (bundle_is_trivial(before) is None or int_t % 3 == 0)
-        assert trivial in (None, item.diff_type == "trivial_p2_bundle"), (item.vertices, int_s, int_t)
+        assert trivial in (None, item.diff_type == "trivial_p2_bundle"), (vertices, int_s, int_t)
     kaehler, _ = is_kaehlerizable(analysis)
     if len(analysis.polygon) == 3:
         fam = analysis.family
         facts = (fam.tag, kaehler, diffeo_type(fam, analysis).value)
     else:
         facts = (None, kaehler, None)
-    assert facts == (item.family_tag, item.kaehler, item.diff_type), (item.vertices, s, t)
+    assert facts == (item.family_tag, item.kaehler, item.diff_type), (vertices, s, t)

@@ -17,6 +17,8 @@ from mompoly.lattice import (
     primitive_ray,
     weyl_reflect,
 )
+from mompoly.census import ItemResult
+from mompoly.cli import _stream_writer
 from mompoly.report import point_out
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -96,5 +98,10 @@ def test_basis_implies_primitive(u, v):
 
 @given(points)
 def test_json_text_is_the_report_form(p):
-    # The census stream writes p.json; reports write point_out(p).
-    assert p.json == json.dumps(point_out(p))
+    # The census stream writes a grid point as reports write it,
+    # json.dumps(point_out(p)), from a table the writer formats once per
+    # grid point; the point itself keeps no __dict__ for a cached text.
+    lines = []
+    _stream_writer(lines.append, [p])(ItemResult((0,), False, None, None, None))
+    assert lines[0].startswith('{"vertices": [' + json.dumps(point_out(p)) + '], "valid": ')
+    assert not hasattr(p, "__dict__")
