@@ -13,15 +13,22 @@ per grid: the id of the primitive direction from each grid point to each
 other one (132 distinct directions at max-coord 4).  A candidate is
 carried as grid indices, never as points: both enumerators yield it as a
 pair (indices, ccw), its grid indices in increasing order and
-counterclockwise from its smallest vertex, and one routine (_Grid.item)
-judges it on the index cycle ccw, each vertex from its two ray ids: an
-interior vertex by their determinant, a wall vertex by its cone pattern,
-each verdict memoised on its wall flag and pair of ids.  A candidate is
-rejected at its first failing vertex.  An `--shape all` candidate's ccw is
-the chain enumerate_convex grew it as; the chain's newest inner vertex is
-judged once for every chain that extends it, and its verdict is kept by
-position for them, so a candidate is judged in O(1) and takes no hull.
-Its ItemResult keeps `indices`, by which the stream writes its points.
+counterclockwise from its smallest vertex.  The shape selects the routine
+that judges it on the index cycle ccw: _Grid.triangle for a triangles
+census, _Grid.item for `--shape all`.  Both judge each vertex from its two
+ray ids: an interior vertex by their determinant, a wall vertex by its
+cone pattern, each verdict memoised on its wall flag and pair of ids.  A
+candidate is rejected at its first failing vertex.  An `--shape all`
+candidate's ccw is the chain enumerate_convex grew it as; the chain's
+newest inner vertex is judged once for every chain that extends it, and
+its verdict is kept by position for them, so a candidate is judged in
+O(1) and takes no hull.  Its ItemResult keeps `indices`, by which the
+stream writes its points.
+
+_Grid.triangle is _Grid.item on three vertices less the chain bookkeeping
+and the general signature.  They are selected once per census, not merged:
+a 3-chain of `--shape all` must still keep its verdict for the chains that
+extend it, and a triangle would pay for that on every candidate.
 
 The validity and Kaehler criteria and the triangle families are local,
 so a valid candidate's fields are functions of its ray signature:
@@ -253,9 +260,10 @@ class _Grid:
         self.fields: dict[tuple, _Fields] = {}
 
     def item(self, candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
-        """The ItemResult of a candidate (indices, ccw) of
-        enumerate_triangles or enumerate_convex on the grid's points, judged
-        on its index cycle ccw = (s, ..., b, c, p); it keeps `indices`.
+        """The ItemResult of a candidate (indices, ccw) of enumerate_convex
+        on the grid's points, judged on its index cycle ccw = (s, ..., b,
+        c, p); it keeps `indices`.  A triangles census takes triangle()
+        instead, which gives the same ItemResult.
 
         Vertex c is judged with its neighbours b and p, which no extension
         of the chain changes, once ccw[1] to b pass: passed[n - 3] holds
@@ -291,6 +299,32 @@ class _Grid:
         if fields is None:
             fields = self.fields[key] = self.analyse(ccw, key)
         elif n == 3:
+            self.rebuild(ccw, key, fields)
+        return tuple.__new__(ItemResult, (indices, True, fields[0], fields[1], fields[2]))
+
+    def triangle(self, candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
+        """The ItemResult of a candidate (indices, ccw) of
+        enumerate_triangles, as item() gives it: ccw = (s, c, p) is judged
+        at c, then p, then s, and a valid triangle's signature is read off
+        the six ray ids between its vertices.  A triangle has no chain
+        prefix, so it leaves `passed` alone."""
+        indices, ccw = candidate
+        s, c, p = ccw
+        rays, verdicts = self.rays, self.verdicts
+        rs, rc, rp = rays[s], rays[c], rays[p]
+        # Each id is read when its vertex is judged, so a rejected triangle
+        # reads only the ids of the vertices judged.
+        if not (verdicts[c][(cp := rc[p]), (cs := rc[s])]
+                and verdicts[p][(ps := rp[s]), (pc := rp[c])]
+                and verdicts[s][(sc := rs[c]), (sp := rs[p])]):
+            return tuple.__new__(ItemResult, (indices, False, None, None, None))
+
+        on_wall = self.on_wall
+        key = ((on_wall[s], sc, sp), (on_wall[c], cp, cs), (on_wall[p], ps, pc))
+        fields = self.fields.get(key)
+        if fields is None:
+            fields = self.fields[key] = self.analyse(ccw, key)
+        else:
             self.rebuild(ccw, key, fields)
         return tuple.__new__(ItemResult, (indices, True, fields[0], fields[1], fields[2]))
 
@@ -378,10 +412,13 @@ def run_census(
     # One ray table per grid.  A valid candidate's polygon has the grid's
     # scale, which changes none of its lattice facts.
     grid = _Grid(points)
-    enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
+    if shape == "triangles":
+        enumerate_candidates, judge = enumerate_triangles, grid.triangle
+    else:
+        enumerate_candidates, judge = enumerate_convex, grid.item
 
     summary = CensusSummary(shape, max_coord, denominator)
-    judge, add_valid, total = grid.item, summary.add_valid, 0
+    add_valid, total = summary.add_valid, 0
     for total, candidate in enumerate(enumerate_candidates(points), 1):
         if (item := judge(candidate)).valid:
             add_valid(item)

@@ -109,21 +109,41 @@ class _ValidTails(dict):
 _VALID_TAILS = _ValidTails()
 
 
-def _stream_writer(write, points):
-    """The census's on_item for a stream on the grid `points`: it passes
-    `write` the JSON line of each ItemResult, the texts of the grid points
-    its indices name and then its tail.  Each grid point is formatted once,
-    as a report writes it; the one closure is the only Python frame the
-    stream adds per item, and it looks up no global or attribute."""
-    text = [json.dumps(point_out(p)) for p in points].__getitem__
-    join, tails, invalid_tail = ", ".join, _VALID_TAILS, _INVALID_TAIL
+def _stream_writer(write, points, shape: str):
+    """The census's on_item for a stream of the given shape on the grid
+    `points`: it passes `write` the JSON line of each ItemResult, the texts
+    of the grid points its indices name and then its tail.  Each grid point
+    is formatted once, as a report writes it; the one closure is the only
+    Python frame the stream adds per item, and it looks up no global or
+    attribute.
 
-    def on_item(item) -> None:
-        # item[0] holds the indices, item[1] the validity and item[2:] the
-        # fields that key the tails.
-        write('{"vertices": [' + join(map(text, item[0])) + (
-            tails[item[2:]] if item[1] else invalid_tail))
-    return on_item
+    The shape picks the closure.  A `--shape all` line joins its points'
+    texts.  A triangle (i, j, k) is row[j] + texts[k] + tail, where row[j]
+    is '{"vertices": [' + texts[i] + ", " + texts[j] + ", "; row holds one
+    prefix per grid point and is rebuilt when i changes, which
+    enumerate_triangles makes rare."""
+    texts = [json.dumps(point_out(p)) for p in points]
+    tails, invalid_tail = _VALID_TAILS, _INVALID_TAIL
+    # item[0] holds the indices, item[1] the validity and item[2:] the
+    # fields that key the tails.
+    if shape != "triangles":
+        text, join = texts.__getitem__, ", ".join
+
+        def on_item(item) -> None:
+            write('{"vertices": [' + join(map(text, item[0])) + (
+                tails[item[2:]] if item[1] else invalid_tail))
+        return on_item
+
+    first = row = None
+
+    def on_triangle(item) -> None:
+        nonlocal first, row
+        i, j, k = item[0]
+        if i != first:
+            head = '{"vertices": [' + texts[i] + ", "
+            first, row = i, [head + t + ", " for t in texts]
+        write(row[j] + texts[k] + (tails[item[2:]] if item[1] else invalid_tail))
+    return on_triangle
 
 
 def _cmd_enumerate(args) -> int:
@@ -138,7 +158,7 @@ def _cmd_enumerate(args) -> int:
             denominator=args.denominator,
             shape=args.shape,
             on_item=None if stream is None else _stream_writer(
-                stream.write, grid_points(args.max_coord, args.denominator)),
+                stream.write, grid_points(args.max_coord, args.denominator), args.shape),
         )
     finally:
         if stream is not None:

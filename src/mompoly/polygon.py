@@ -149,14 +149,6 @@ class Polygon:
         except ValueError:
             raise GeometryError(f"{v} is not a vertex") from None
 
-    @cached_property
-    def normals(self) -> tuple[Weight, ...]:
-        """Inward primitive normal of every edge, in edge order."""
-        if self.dimension() != 2:
-            raise GeometryError("normals need a 2-dimensional polygon")
-        # Interior lies to the left of every counterclockwise edge.
-        return tuple([Weight(-d.b, d.a) for d, _ in self.rays])
-
     def contains(self, p: RationalPoint) -> bool:
         """Membership in the (closed) convex hull, any dimension."""
         if len(self.vertices) == 1:

@@ -11,9 +11,10 @@ svg.rational digest before the analysis kept its fixpoints in one
 integer-ordered tuple, the census-all-3 digests before the census judged
 `--shape all` candidates on their enumeration chains, the
 reports.redundant and svg.rational-xray digests before reports printed
-their points from the integer form and the x-ray was built on int pairs;
-the woodward digests, which the CI step checks on the installed console
-script, at the same commit).
+their points from the integer form and the x-ray was built on int pairs,
+the census-tri-6 digests before triangles took their own judge and stream
+writer; the woodward digests, which the CI step checks on the installed
+console script, at the same commit).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -45,6 +46,8 @@ EXPECTED = {
     "census-tri-3.stream": "75d25b1917fdb0cea9132167a0bf2d00e819c79100efc44e88fe4adb0ab8957b",
     "census-tri-4.summary": "c63ec3ae45c8c2220f4976278d87628a1e54422dbeddc9f3971b8773ab26b123",
     "census-tri-4.stream": "876ca508ff9c55aae682511ebfb87f0cbc25ca67ef9c506768d8b5f9fb44498e",
+    "census-tri-6.summary": "6758d118cdb30017f804b245e8ec821efe5545214e8f5787861fc004db3c9da2",
+    "census-tri-6.stream": "10b41b90859281ccabace9ebf7861ad737b736c1c7a5e7ab1a3a56d619fb3d65",
     "census-tri-3-d3.summary": "53eeb214ab87790926125983e64538e51fc9d0ac5bbdaacb6b4ee83d1532ed43",
     "census-tri-3-d3.stream": "4330d0b95c497d2de22bdbd68e3e726b0318ca3bdadb83d2e3103376d2f7b5f2",
     "census-all-1.summary": "990216e89c951aa7c3c4001dc5b9aef1b415d62d8f3c3df6829a41e4e301ee80",
@@ -168,6 +171,7 @@ def compute_digests() -> dict:
         # streams write "p/q" coordinates and their polygons have scale > 1.
         for name, max_coord, denominator, shape in (("census-tri-3", 3, 1, "triangles"),
                                                     ("census-tri-4", 4, 1, "triangles"),
+                                                    ("census-tri-6", 6, 1, "triangles"),
                                                     ("census-tri-3-d3", 3, 3, "triangles"),
                                                     ("census-all-1", 1, 1, "all"),
                                                     ("census-all-2", 2, 1, "all"),

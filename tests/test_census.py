@@ -400,6 +400,22 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
         grid_points(3), valid)
 
 
+@pytest.mark.parametrize("max_coord, denominator", [(3, 1), (2, 2)])
+def test_triangle_and_chain_judges_agree(max_coord, denominator):
+    """A triangles census judges its candidates with _Grid.triangle, an
+    `--shape all` census with _Grid.item.  On the same grid the two give
+    the same ItemResult for every 3-point candidate, valid or not: the same
+    family, Kaehler verdict and diff type, keyed by its indices."""
+    chains = {}
+    run_census(max_coord, denominator, "all",
+               on_item=lambda item: len(item.indices) == 3 and chains.setdefault(item.indices, item))
+    triangles = {}
+    run_census(max_coord, denominator, "triangles",
+               on_item=lambda item: triangles.setdefault(item.indices, item))
+    assert len(triangles) > sum(item.valid for item in triangles.values()) > 0
+    assert triangles == chains
+
+
 @pytest.mark.parametrize("max_coord, denominator", [
     (True, 1), (2.5, 1), (2, True), (2, 1.0), ("2", 1), (None, 1),
 ])

@@ -344,18 +344,22 @@ class TestEnumerateCommand:
         assert summary["total"] == len(lines)
         assert summary["valid"] + summary["invalid"] == summary["total"]
 
-    def test_stream_formats_each_grid_point_once(self, tmp_path, capsys, monkeypatch):
-        # The writer formats the texts of the grid's 15 points when it is
-        # built, and each of the 1,619 stream lines joins some of them.
+    @pytest.mark.parametrize("max_coord, shape, lines", [(2, "all", 1619), (4, "triangles", 13428)])
+    def test_stream_formats_each_grid_point_once(self, tmp_path, capsys, monkeypatch, max_coord,
+                                                 shape, lines):
+        # The writer formats the texts of the grid's points (15 at max-coord
+        # 2, 45 at max-coord 4) when it is built.  Each `--shape all` line
+        # joins some of them; each triangle line reads a row of prefixes
+        # built from them.
         formatted = []
         point_out = report.point_out
         monkeypatch.setattr(cli, "point_out", lambda p: formatted.append(p) or point_out(p))
         stream = tmp_path / "items.jsonl"
-        assert main(["enumerate", "--max-coord", "2", "--shape", "all",
+        assert main(["enumerate", "--max-coord", str(max_coord), "--shape", shape,
                      "--output", str(stream)]) == 0
         capsys.readouterr()
-        assert len(stream.read_text().splitlines()) == 1619
-        assert formatted == census.grid_points(2)
+        assert len(stream.read_text().splitlines()) == lines
+        assert formatted == census.grid_points(max_coord)
 
     @pytest.mark.parametrize("max_coord, denominator, shape", [
         (3, 1, "triangles"), (3, 3, "triangles"), (2, 2, "all"),

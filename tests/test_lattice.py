@@ -102,6 +102,6 @@ def test_json_text_is_the_report_form(p):
     # json.dumps(point_out(p)), from a table the writer formats once per
     # grid point; the point itself keeps no __dict__ for a cached text.
     lines = []
-    _stream_writer(lines.append, [p])(ItemResult((0,), False, None, None, None))
+    _stream_writer(lines.append, [p], "all")(ItemResult((0,), False, None, None, None))
     assert lines[0].startswith('{"vertices": [' + json.dumps(point_out(p)) + '], "valid": ')
     assert not hasattr(p, "__dict__")

@@ -59,8 +59,6 @@ def test_hull_degenerate():
     for degenerate in (single, seg):
         with pytest.raises(GeometryError, match="2-dimensional"):
             degenerate.rays
-        with pytest.raises(GeometryError, match="2-dimensional"):
-            degenerate.normals
         with pytest.raises(ValueError, match="2-dimensional"):
             boundary_contains(degenerate, RationalPoint.of(1, 1))
 
