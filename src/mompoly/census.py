@@ -9,39 +9,37 @@ or fewer (MAX_COORD).
 
 A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
-per grid: the id of the primitive direction from each grid point to each
-other one (132 distinct directions at max-coord 4).  A candidate is
-carried as grid indices, never as points: both enumerators yield it as a
-pair (indices, ccw), its grid indices in increasing order and
-counterclockwise from its smallest vertex.  The shape selects the routine
-that judges it on the index cycle ccw: _Grid.triangle for a triangles
-census, _Grid.item for `--shape all`.  Both judge each vertex from its two
-ray ids: an interior vertex by their determinant, a wall vertex by its
-cone pattern, each verdict memoised on its wall flag and pair of ids.  A
-candidate is rejected at its first failing vertex.  An `--shape all`
-candidate's ccw is the chain enumerate_convex grew it as; the chain's
-newest inner vertex is judged once for every chain that extends it, and
-its verdict is kept by position for them, so a candidate is judged in
-O(1) and takes no hull.  Its ItemResult keeps `indices`, by which the
-stream writes its points.
-
-_Grid.triangle is _Grid.item on three vertices less the chain bookkeeping
-and the general signature.  They are selected once per census, not merged:
-a 3-chain of `--shape all` must still keep its verdict for the chains that
-extend it, and a triangle would pay for that on every candidate.
+per grid, one gcd per pair of grid points: the id of the primitive
+direction from each grid point to each other one (132 distinct directions
+at max-coord 4).  A candidate is carried as grid indices, never as
+points: both enumerators yield it as a pair (indices, ccw), its grid
+indices in increasing order and counterclockwise from its smallest
+vertex.  The shape selects the judge, a closure over the grid's tables
+built once per census: _triangle_judge for a triangles census,
+_chain_judge for `--shape all`, which hands a 3-chain to a triangle
+judge.  Both judge each vertex from its two ray ids in the verdict rows,
+one dict per wall flag and first ray id, which judge each second ray id
+once.  A candidate is rejected at its first failing vertex.  An
+`--shape all` candidate's ccw is the chain enumerate_convex grew it as;
+the chain's newest inner vertex is judged once for every chain that
+extends it, and its verdict is kept by position for them, so a candidate
+is judged in O(1) and takes no hull.  Its ItemResult keeps `indices`, by
+which the stream writes its points.
 
 The validity and Kaehler criteria and the triangle families are local,
 so a valid candidate's fields are functions of its ray signature:
 (on_wall, ray id to the next vertex, ray id to the previous vertex) at
-each vertex along ccw.  The first valid candidate of a signature is
-analysed, and its fields are kept on the grid for the later ones.  Its
-Kaehler verdict is kaehler.obstructing_edge on the signature's wall flags
-and edge rays; only a triangle, for its family and diff type, gets an
-Analysis, handed the report of its vertices' verdicts (run_census(4)
-analyses 128 signatures for 1,070 valid triangles).  Analysis.family's
-rebuild check still runs on every valid triangle: a later triangle of a
-signature is rebuilt from its own base vertex and edge scale with the
-cone rays of the signature's family, on the grid's int pairs.
+each vertex along ccw.  The fields of a signature's first valid
+candidate are kept for the later ones.  Its Kaehler verdict is
+kaehler.obstructing_edge on the signature's wall flags and edge rays.  A
+triangle's family is classify.triangle_family of its base vertex's rays
+and wall type, and its diff type difftype.diff_type of the family and
+the rays of its first vertex, the routines the report reads too; the
+census builds no Polygon, report or Analysis (run_census(4) derives 128
+signatures for 1,070 valid triangles).  triangle_family's rebuild check
+still runs on every valid triangle: a later triangle of a signature is
+rebuilt from its own base vertex and edge scale with the cone rays of
+the signature's family, on the grid's int pairs.
 """
 
 from __future__ import annotations
@@ -54,23 +52,20 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
 from .classify import (
-    Analysis,
-    ClassificationReport,
-    VertexAnalysis,
     WallVertexType,
     base_vertex,
-    classify_triangle,
     cone_points,
     edge_scale,
     require_chamber,
     require_rebuild,
+    triangle_family,
     vertex_kind,
 )
-from .difftype import diffeo
+from .difftype import diff_type
 from .errors import GeometryError
 from .kaehler import obstructing_edge
 from .lattice import RationalPoint, Weight
-from .polygon import Polygon, integer_form
+from .polygon import integer_form
 
 
 # The largest max-coord of a census, by shape.  Each holds a census to about
@@ -204,166 +199,184 @@ class ItemResult(NamedTuple):
 _Verdict = tuple[str, Optional[WallVertexType]]
 
 
-class _Verdicts(dict):
-    """The verdict of a vertex on (on_wall) or off the wall by the pair of
-    ids of its rays in `dirs`, None if it fails its condition; each pair is
-    judged once."""
+class _VerdictRow(dict):
+    """The verdicts of a vertex on (on_wall) or off the wall whose first ray
+    is d1, by the id in `dirs` of its second ray: vertex_kind's verdict, or
+    None if the vertex fails its condition; each id is judged once."""
 
-    def __init__(self, on_wall: bool, dirs: list[Weight]):
+    def __init__(self, on_wall: bool, d1: Weight, dirs: list[Weight]):
         super().__init__()
-        self.on_wall = on_wall
-        self.dirs = dirs
+        self.on_wall, self.d1, self.dirs = on_wall, d1, dirs
 
-    def __missing__(self, ids: tuple[int, int]) -> Optional[_Verdict]:
-        r1, r2 = ids
-        verdict = vertex_kind(self.on_wall, self.dirs[r1], self.dirs[r2])
-        verdict = self[ids] = None if verdict[0] == "invalid" else verdict
+    def __missing__(self, r2: int) -> Optional[_Verdict]:
+        verdict = vertex_kind(self.on_wall, self.d1, self.dirs[r2])
+        verdict = self[r2] = None if verdict[0] == "invalid" else verdict
         return verdict
 
 
-# The fields of a valid candidate's ItemResult after `indices` and `valid`
-# (family tag, Kaehler verdict, diff type) and, for a triangle, the rays
-# r1, r2 of its family's cone.
-_Fields = tuple[Optional[str], bool, Optional[str], Optional[tuple[Weight, Weight]]]
+# The fields of a valid triangle's ItemResult after `indices` and `valid`
+# (family tag, Kaehler verdict, diff type) and the rays r1, r2 of its
+# family's cone.
+_Fields = tuple[str, bool, str, tuple[Weight, Weight]]
 
 
 class _Grid:
-    """A census grid with its ray table: the id of the primitive ray from
-    grid point i to grid point j is rays[i][j], and that ray is dirs[id]."""
+    """A census grid with its tables.  The id of the primitive ray from grid
+    point i to grid point j is rays[i][j], and that ray is dirs[id].  The
+    verdict of a vertex k with rays of ids r1, r2 is verdicts[k][r1][r2]."""
 
     def __init__(self, points: list[RationalPoint]):
         self.points = points
         # Every point of the grid is in the chamber; so is every candidate.
         self.scale, self.xy = integer_form(points)
-        require_chamber(self.xy)
-        self.on_wall = [x == y for x, y in self.xy]
-        # Ray ids are keyed by reduced int pairs, in first-seen order; a
-        # Weight is built once per direction.
+        xy = self.xy
+        require_chamber(xy)
+        self.on_wall = [x == y for x, y in xy]
+        # One gcd per unordered pair i < j.  The ray from j to i is the
+        # negated ray from i to j, so a reduced int pair gets the even id
+        # 2m and its negation 2m + 1 = 2m ^ 1.  On grid_points, which are
+        # sorted, each ray from i to j > i points lexicographically up, so
+        # no direction gets two ids.
         ids: dict[tuple[int, int], int] = {}
+        n = len(xy)
+        self.rays = rays = [[None] * n for _ in range(n)]
+        for i, (px, py) in enumerate(xy):
+            row = rays[i]
+            for j in range(i + 1, n):
+                qx, qy = xy[j]
+                a, b = qx - px, qy - py
+                g = gcd(a, b)
+                row[j] = r = ids.setdefault((a // g, b // g), 2 * len(ids))
+                rays[j][i] = r ^ 1
+        self.dirs = dirs = [w for a, b in ids for w in (Weight(a, b), Weight(-a, -b))]
+        # One verdict row per wall flag and first ray id.
+        rows = {w: [_VerdictRow(w, d1, dirs) for d1 in dirs] for w in (False, True)}
+        self.verdicts = [rows[w] for w in self.on_wall]
 
-        def ray_id(a: int, b: int) -> int:
-            g = gcd(a, b)
-            return ids.setdefault((a // g, b // g), len(ids))
+    def kaehler(self, key: tuple) -> bool:
+        """The Kaehler verdict of a valid candidate with ray signature `key`:
+        obstructing_edge on its wall flags and the rays along its edges."""
+        dirs = self.dirs
+        return obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
 
-        self.rays = [
-            [None if i == j else ray_id(qx - px, qy - py) for j, (qx, qy) in enumerate(self.xy)]
-            for i, (px, py) in enumerate(self.xy)
-        ]
-        self.dirs = [Weight(a, b) for a, b in ids]
-        verdicts = {w: _Verdicts(w, self.dirs) for w in (False, True)}
-        self.verdicts = [verdicts[w] for w in self.on_wall]
-        # passed[m] is the verdict on ccw[m] of the candidate of length
-        # m + 2 that item() judged last, or None unless its ccw[1..m] pass;
-        # passed[0] stands for the empty ccw[1..0], which passes.
-        self.passed = [True] + [None] * len(points)
-        # The fields of each ray signature analysed so far.
-        self.fields: dict[tuple, _Fields] = {}
+    def derive(self, ccw: tuple[int, int, int], key: tuple) -> _Fields:
+        """The fields of a valid triangle ccw with ray signature `key`.  Its
+        family is triangle_family of its base vertex, that vertex's rays and
+        wall type read from the verdict rows, which also runs the rebuild
+        check; its diff type is diff_type of the family and the rays of its
+        first vertex.  No Polygon, report or Analysis is built."""
+        grid_xy, dirs = self.xy, self.dirs
+        xy = (grid_xy[ccw[0]], grid_xy[ccw[1]], grid_xy[ccw[2]])
+        i = base_vertex(xy)
+        k = ccw[i]
+        _, r1, r2 = key[i]
+        fam = triangle_family(self.points[k], xy, self.scale, i, (dirs[r1], dirs[r2]),
+                              self.verdicts[k][r1][r2][1])
+        _, r1, r2 = key[0]
+        diff, _ = diff_type(fam, dirs[r1], dirs[r2])
+        return fam.tag, self.kaehler(key), diff.value, fam.cone()[3:]
 
-    def item(self, candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
-        """The ItemResult of a candidate (indices, ccw) of enumerate_convex
-        on the grid's points, judged on its index cycle ccw = (s, ..., b,
-        c, p); it keeps `indices`.  A triangles census takes triangle()
-        instead, which gives the same ItemResult.
 
-        Vertex c is judged with its neighbours b and p, which no extension
-        of the chain changes, once ccw[1] to b pass: passed[n - 3] holds
-        that, written by the chain's prefix, which enumerate_convex yielded
-        last at its length; a triangle reads passed[0].  The candidate is
-        valid iff c passes and both closing vertices pass: p with
-        neighbours c and s, and s with neighbours ccw[1] and p.  A vertex k
-        with next and previous vertices i and j is judged by
-        verdicts[k][rays[k][i], rays[k][j]].
+def _triangle_judge(grid: _Grid):
+    """The judge of a triangles census on `grid`: the ItemResult of a
+    candidate (indices, ccw) of enumerate_triangles, keeping `indices`.  A
+    closure over the grid's tables, built once per census, so a candidate
+    loads no attribute.
 
-        A valid candidate's ccw is its hull, and its fields are those of
-        its ray signature: (on_wall, id of the ray to the next vertex, id of
-        the ray to the previous one) at each vertex along ccw.  The first
-        candidate of a signature is analysed (analyse); a later triangle of
-        it is still held to its family's rebuild check (rebuild).
-        """
-        indices, ccw = candidate
-        n = len(ccw)
-        # tuple.__new__ builds an ItemResult without its Python-level __new__.
-        if n < 3:
-            return tuple.__new__(ItemResult, (indices, False, None, None, None))
-        rays, verdicts, passed = self.rays, self.verdicts, self.passed
-        s, b, c, p = ccw[0], ccw[-3], ccw[-2], ccw[-1]
-        rs, rc, rp = rays[s], rays[c], rays[p]
-        ok = passed[n - 2] = verdicts[c][rc[p], rc[b]] if passed[n - 3] else None
-        if not (ok and verdicts[p][rp[s], rp[c]] and verdicts[s][rs[ccw[1]], rs[p]]):
-            return tuple.__new__(ItemResult, (indices, False, None, None, None))
+    ccw = (s, c, p) is judged at c, then p, then s; a vertex k with next
+    and previous vertices i and j is judged by verdicts[k][rays[k][i]][
+    rays[k][j]], and the triangle is rejected at its first failing vertex.
+    A valid triangle's fields are those of its ray signature: (on_wall, id
+    of the ray to the next vertex, id of the ray to the previous one) at
+    each vertex along ccw, read off the six ray ids between its vertices.
+    The first triangle of a signature is derived (_Grid.derive); a later
+    one is held to triangle_family's rebuild check: its own base vertex and
+    edge scale with the cone rays of the signature's family must give its
+    two other vertices."""
+    rays, verdicts, on_wall = grid.rays, grid.verdicts, grid.on_wall
+    grid_xy, dirs, scale, derive = grid.xy, grid.dirs, grid.scale, grid.derive
+    new = tuple.__new__
+    fields: dict[tuple, _Fields] = {}
 
-        on_wall = self.on_wall
-        key = tuple([(on_wall[k], rays[k][j], rays[k][i])
-                     for k, j, i in zip(ccw, ccw[1:] + ccw[:1], ccw[-1:] + ccw[:-1])])
-        fields = self.fields.get(key)
-        if fields is None:
-            fields = self.fields[key] = self.analyse(ccw, key)
-        elif n == 3:
-            self.rebuild(ccw, key, fields)
-        return tuple.__new__(ItemResult, (indices, True, fields[0], fields[1], fields[2]))
-
-    def triangle(self, candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
-        """The ItemResult of a candidate (indices, ccw) of
-        enumerate_triangles, as item() gives it: ccw = (s, c, p) is judged
-        at c, then p, then s, and a valid triangle's signature is read off
-        the six ray ids between its vertices.  A triangle has no chain
-        prefix, so it leaves `passed` alone."""
+    def triangle(candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
         indices, ccw = candidate
         s, c, p = ccw
-        rays, verdicts = self.rays, self.verdicts
         rs, rc, rp = rays[s], rays[c], rays[p]
         # Each id is read when its vertex is judged, so a rejected triangle
-        # reads only the ids of the vertices judged.
-        if not (verdicts[c][(cp := rc[p]), (cs := rc[s])]
-                and verdicts[p][(ps := rp[s]), (pc := rp[c])]
-                and verdicts[s][(sc := rs[c]), (sp := rs[p])]):
-            return tuple.__new__(ItemResult, (indices, False, None, None, None))
+        # reads only the ids of the vertices judged.  tuple.__new__ builds an
+        # ItemResult without its Python-level __new__.
+        if not (verdicts[c][(cp := rc[p])][(cs := rc[s])]
+                and verdicts[p][(ps := rp[s])][(pc := rp[c])]
+                and verdicts[s][(sc := rs[c])][(sp := rs[p])]):
+            return new(ItemResult, (indices, False, None, None, None))
 
-        on_wall = self.on_wall
         key = ((on_wall[s], sc, sp), (on_wall[c], cp, cs), (on_wall[p], ps, pc))
-        fields = self.fields.get(key)
-        if fields is None:
-            fields = self.fields[key] = self.analyse(ccw, key)
+        if (f := fields.get(key)) is None:
+            f = fields[key] = derive(ccw, key)
         else:
-            self.rebuild(ccw, key, fields)
-        return tuple.__new__(ItemResult, (indices, True, fields[0], fields[1], fields[2]))
+            xy = (grid_xy[s], grid_xy[c], grid_xy[p])
+            i = base_vertex(xy)
+            bx, by = xy[i]
+            u = edge_scale(xy, i, dirs[key[i][1]])
+            (a1, b1), (a2, b2) = cone = f[3]
+            # The base is its own cone point; the other two vertices,
+            # xy[i - 2] and xy[i - 1], must be the cone's in either order.
+            q1, q2 = (bx + u * a1, by + u * b1), (bx + u * a2, by + u * b2)
+            n1, n2 = xy[i - 2], xy[i - 1]
+            if not (q1 == n1 and q2 == n2 or q1 == n2 and q2 == n1):
+                require_rebuild(f[0], xy, scale, cone_points(bx, by, u, *cone))
+        return new(ItemResult, (indices, True, f[0], f[1], f[2]))
 
-    def analyse(self, ccw: tuple[int, ...], key: tuple) -> _Fields:
-        """The fields of a valid candidate with signature `key`.  The
-        Kaehler verdict is obstructing_edge on the signature's wall flags
-        and the rays along its edges.  A triangle's family and diff type
-        come from its Analysis, which is handed the report of its vertices'
-        verdicts, read from the verdict tables, so check_momentum_polytope
-        does not run; a polygon with more vertices gets no Analysis."""
-        dirs = self.dirs
-        kaehler = obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
-        if len(ccw) != 3:
-            return None, kaehler, None, None
-        points, xy, verdicts = self.points, self.xy, self.verdicts
-        hull = tuple([points[k] for k in ccw])
-        hull_xy = tuple([xy[k] for k in ccw])
-        edge_rays = tuple([(dirs[r1], dirs[r2]) for _, r1, r2 in key])
-        report = ClassificationReport(True, 2, tuple([
-            VertexAnalysis(points[k], r, w, *verdicts[k][r1, r2])
-            for k, (w, r1, r2), r in zip(ccw, key, edge_rays)
-        ]))
-        analysis = Analysis(Polygon._from_form(hull, self.scale, hull_xy, edge_rays), report)
-        fam = classify_triangle(analysis)
-        return fam.tag, kaehler, diffeo(analysis)[0].value, fam.cone()[3:]
+    return triangle
 
-    def rebuild(self, ccw: tuple[int, ...], key: tuple, fields: _Fields) -> None:
-        """Analysis.family's rebuild check on a valid triangle whose
-        signature `key` was analysed before: its own base vertex and edge
-        scale with the cone rays of that signature's family must rebuild
-        it.  The check runs on the grid's int pairs."""
-        tag, _, _, (r1, r2) = fields
-        a, b, c = ccw
-        grid_xy = self.xy
-        xy = (grid_xy[a], grid_xy[b], grid_xy[c])
-        i = base_vertex(xy)
-        bx, by = xy[i]
-        u = edge_scale(xy, i, self.dirs[key[i][1]])
-        require_rebuild(tag, xy, self.scale, cone_points(bx, by, u, r1, r2))
+
+def _chain_judge(grid: _Grid):
+    """The judge of an `--shape all` census on `grid`: the ItemResult of a
+    candidate (indices, ccw) of enumerate_convex, judged on its index cycle
+    ccw = (s, ..., b, c, p) and keeping `indices`.  A closure over the
+    grid's tables, built once per census.
+
+    Vertex c is judged with its neighbours b and p, which no extension of
+    the chain changes, once ccw[1] to b pass: passed[n - 3] holds that,
+    written by the chain's prefix, which enumerate_convex yielded last at
+    its length.  A triangle, once c passes, goes to the triangle judge,
+    which judges c again from its row; a longer chain is valid iff both
+    closing vertices pass too: p with neighbours c and s, and s with
+    neighbours ccw[1] and p.  A valid polygon's fields are a Kaehler
+    verdict per ray signature (_Grid.kaehler), with no family or diff
+    type."""
+    rays, verdicts, on_wall, kaehler = grid.rays, grid.verdicts, grid.on_wall, grid.kaehler
+    triangle, new = _triangle_judge(grid), tuple.__new__
+    # passed[m] is the verdict on ccw[m] of the candidate of length m + 2
+    # judged last, or None unless its ccw[1..m] pass; passed[0] stands for
+    # the empty ccw[1..0], which passes.
+    passed = [True] + [None] * len(grid.points)
+    verdict_of: dict[tuple, bool] = {}
+
+    def chain(candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
+        indices, ccw = candidate
+        n = len(ccw)
+        if n < 3:
+            return new(ItemResult, (indices, False, None, None, None))
+        b, c, p = ccw[-3], ccw[-2], ccw[-1]
+        rc = rays[c]
+        ok = passed[n - 2] = verdicts[c][rc[p]][rc[b]] if passed[n - 3] else None
+        if not ok:
+            return new(ItemResult, (indices, False, None, None, None))
+        if n == 3:
+            return triangle(candidate)
+        s = ccw[0]
+        rs, rp = rays[s], rays[p]
+        if not (verdicts[p][rp[s]][rp[c]] and verdicts[s][rs[ccw[1]]][rs[p]]):
+            return new(ItemResult, (indices, False, None, None, None))
+
+        key = tuple([(on_wall[k], rays[k][j], rays[k][i])
+                     for k, j, i in zip(ccw, ccw[1:] + ccw[:1], ccw[-1:] + ccw[:-1])])
+        if (verdict := verdict_of.get(key)) is None:
+            verdict = verdict_of[key] = kaehler(key)
+        return new(ItemResult, (indices, True, None, verdict, None))
+
+    return chain
 
 
 class CensusSummary(types.SimpleNamespace):
@@ -413,9 +426,9 @@ def run_census(
     # scale, which changes none of its lattice facts.
     grid = _Grid(points)
     if shape == "triangles":
-        enumerate_candidates, judge = enumerate_triangles, grid.triangle
+        enumerate_candidates, judge = enumerate_triangles, _triangle_judge(grid)
     else:
-        enumerate_candidates, judge = enumerate_convex, grid.item
+        enumerate_candidates, judge = enumerate_convex, _chain_judge(grid)
 
     summary = CensusSummary(shape, max_coord, denominator)
     add_valid, total = summary.add_valid, 0

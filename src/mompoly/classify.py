@@ -442,26 +442,37 @@ class Analysis(Value, namedtuple("Analysis", "polygon report")):
         if len(polygon) != 3:
             raise GeometryError("triangle classification needs exactly 3 vertices")
         require_valid(self)
-        xy, scale = polygon.xy, polygon.scale
+        xy = polygon.xy
         i = base_vertex(xy)
-        base = polygon.vertices[i]
         va = self.report.vertex_data[i]
-        d1, d2 = va.rays
-        t = Fraction(edge_scale(xy, i, d1), scale)
-        if va.wall_type is not None:
-            fam = va.wall_type.family(base.x, t)
-        else:
-            fam = DelzantFamily(
-                r=coroot_pairing(base),
-                s=base.x,
-                t=t,
-                a1=-d1.b,
-                b1=d1.a,
-                a2=-d2.b,
-                b2=d2.a,
-            )
-        require_rebuild(fam, xy, scale, _cone_form(scale, *fam.cone()))
-        return fam
+        return triangle_family(polygon.vertices[i], xy, polygon.scale, i, va.rays, va.wall_type)
+
+
+def triangle_family(base: RationalPoint, xy: Sequence[IntPair], scale: int, i: int,
+                    rays: tuple[Weight, Weight],
+                    wall_type: Optional[WallVertexType]) -> TriangleFamily:
+    """The family of a valid triangle with counterclockwise int pairs xy on
+    the grid of `scale`, whose base vertex (base_vertex) is xy[i], the
+    point `base`, with primitive rays `rays` (to the next vertex first) and
+    cone pattern `wall_type` (None off the wall).  The family is checked to
+    rebuild the triangle (require_rebuild).  Analysis.family and the census
+    both take a triangle's family from here."""
+    d1, d2 = rays
+    t = Fraction(edge_scale(xy, i, d1), scale)
+    if wall_type is not None:
+        fam = wall_type.family(base.x, t)
+    else:
+        fam = DelzantFamily(
+            r=coroot_pairing(base),
+            s=base.x,
+            t=t,
+            a1=-d1.b,
+            b1=d1.a,
+            a2=-d2.b,
+            b2=d2.a,
+        )
+    require_rebuild(fam, xy, scale, _cone_form(scale, *fam.cone()))
+    return fam
 
 
 def base_vertex(xy: Sequence[IntPair]) -> int:

@@ -4,8 +4,9 @@ Four types occur: the projective space P(C^4), the oriented
 Grassmannian of 2-planes in R^5, and the trivial/nontrivial
 P(C^3)-bundle over the 2-sphere.  The bundle dichotomy is decided by a
 mod-3 residue computed from the primitive edge directions at any vertex.
-`diffeo` is the one place that dispatches on the family: the report and
-the census read the type, and the residue where it decides it, from it.
+`diff_type` is the one place that dispatches on the family: the report
+(through `diffeo`) and the census read the type, and the residue where it
+decides it, from it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from .classify import DiffType, PolygonLike, TriangleFamily, analyze
 from .errors import GeometryError, UnsupportedPolytopeError
-from .lattice import RationalPoint
+from .lattice import RationalPoint, Weight
 
 
 def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
@@ -31,18 +32,29 @@ def chern_mod3_at_vertex(polygon: PolygonLike, v: RationalPoint) -> int:
         raise UnsupportedPolytopeError(
             f"mod-3 invariant is not defined for the {fam.tag} family"
         )
-    r1, r2 = analysis.polygon.vertex_rays(v)
+    return _chern_mod3(*analysis.polygon.vertex_rays(v))
+
+
+def _chern_mod3(r1: Weight, r2: Weight) -> int:
     return (r1.a + r2.a - r1.b - r2.b) % 3
+
+
+def diff_type(fam: TriangleFamily, r1: Weight, r2: Weight) -> tuple[DiffType, Optional[int]]:
+    """Diffeomorphism type of the manifold realizing a valid triangle of
+    family fam whose first vertex has the primitive rays r1, r2, and the
+    mod-3 residue of those rays where that decides it, else None."""
+    if fam.diffeo is not None:
+        return fam.diffeo, None
+    residue = _chern_mod3(r1, r2)
+    return bundle_type(residue), residue
 
 
 def diffeo(polygon: PolygonLike) -> tuple[DiffType, Optional[int]]:
     """Diffeomorphism type of the manifold realizing a valid triangle, and
-    the mod-3 residue at its first vertex where that decides it, else None."""
+    the mod-3 residue at its first vertex where that decides it, else None
+    (diff_type of its family and first vertex)."""
     analysis = analyze(polygon)
-    if analysis.family.diffeo is not None:
-        return analysis.family.diffeo, None
-    residue = chern_mod3_at_vertex(analysis, analysis.polygon.vertices[0])
-    return bundle_type(residue), residue
+    return diff_type(analysis.family, *analysis.polygon.rays[0])
 
 
 def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:

@@ -35,8 +35,8 @@ def obstructing_edge(on_wall: Sequence[bool], rays: Sequence[Weight]) -> Optiona
     with on_wall[k] whether vertex k is on the wall and rays[k] = (a, b) the
     primitive ray of edge k, from vertex k to vertex k + 1 (mod n): the
     first positive edge (its inward normal (-b, a) pairs with the coroot
-    as -(a + b) > 0) that does not contain the one wall vertex, or None.  With zero or two wall vertices
-    the criterion is vacuous: None."""
+    as -(a + b) > 0) that does not contain the one wall vertex, or None.
+    With zero or two wall vertices the criterion is vacuous: None."""
     if on_wall.count(True) != 1:
         return None
     w = on_wall.index(True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mompoly import census, classify, polygon
+from mompoly import census, classify, difftype, polygon
 from mompoly.census import (
     ItemResult,
     enumerate_convex,
@@ -14,12 +14,13 @@ from mompoly.census import (
     grid_points,
     run_census,
 )
-from mompoly.classify import analyze, classify_triangle
+from mompoly.classify import DiffType, analyze, classify_triangle
 from mompoly.difftype import diffeo_type
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint
-from mompoly.polygon import convex_hull, hull_of_form, integer_form
+from mompoly.polygon import convex_hull, form_point, hull_of_form, integer_form
+from mompoly.report import full_report
 
 from oracle import _jarvis_hull, oracle_family_triangles, oracle_is_valid, oracle_kaehler
 
@@ -252,20 +253,28 @@ def test_census_grid_refuses_chamber_exit():
 
 
 @pytest.fixture
-def analyses(monkeypatch):
-    """Records every Analysis the census builds; check_momentum_polytope
-    must not run."""
+def derived(monkeypatch):
+    """Records the arguments of every triangle_family call of the census
+    and refuses every Analysis, report, Polygon, hull and
+    check_momentum_polytope, wherever it would be built or called."""
     made = []
+    triangle_family = census.triangle_family
 
-    def recording(polygon, report):
-        made.append(analysis := classify.Analysis(polygon, report))
-        return analysis
+    def recording(*args):
+        made.append(args)
+        return triangle_family(*args)
 
-    def refused(polygon):
-        raise AssertionError("the census ran check_momentum_polytope")
+    def refused(*args, **kwargs):
+        raise AssertionError("the census built an Analysis, report, Polygon or hull")
 
-    monkeypatch.setattr(census, "Analysis", recording)
-    monkeypatch.setattr(classify, "check_momentum_polytope", refused)
+    monkeypatch.setattr(census, "triangle_family", recording)
+    for cls in (classify.Analysis, classify.ClassificationReport, classify.VertexAnalysis):
+        monkeypatch.setattr(cls, "__new__", refused)
+    monkeypatch.setattr(polygon.Polygon, "__init__", refused)
+    monkeypatch.setattr(polygon.Polygon, "_from_form", refused)
+    for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
+                         (classify, "convex_hull"), (classify, "check_momentum_polytope")):
+        monkeypatch.setattr(module, name, refused)
     return made
 
 
@@ -287,31 +296,40 @@ def _first_triangle_per_signature(points, valid):
     return [convex_hull(vertices).vertices for vertices in first.values()]
 
 
-def test_census_analyzes_only_valid_candidates(analyses, monkeypatch):
-    """An invalid candidate is rejected from the ray table; a valid one's
+def _derived_triangles(derived):
+    """The vertices of each triangle handed to triangle_family, from its int
+    pairs and scale, in call order."""
+    return [tuple([form_point(q, scale) for q in xy]) for _, xy, scale, *_ in derived]
+
+
+def test_census_analyzes_only_valid_candidates(derived, monkeypatch):
+    """An invalid candidate is rejected from the verdict rows; a valid one's
     fields are those of its ray signature, and only the first valid
-    triangle of each signature gets an Analysis."""
+    triangle of each signature is derived, with no Analysis."""
     valid = []
     summary = run_census(2, on_item=lambda item: item.valid and valid.append(item))
     monkeypatch.undo()
-    assert summary.total > summary.valid == len(valid) > len(analyses) > 0
-    assert [a.polygon.vertices for a in analyses] == _first_triangle_per_signature(
-        grid_points(2), valid)
+    assert summary.total > summary.valid == len(valid) > len(derived) > 0
+    assert _derived_triangles(derived) == _first_triangle_per_signature(grid_points(2), valid)
 
 
-def test_census_checks_every_valid_triangle_rebuilds(analyses, monkeypatch):
-    """run_census(4) analyses 128 signatures of its 1,070 valid triangles,
-    and Analysis.family's rebuild check runs on every one of them: 128
-    times inside Analysis.family, 942 times on the memo's hits."""
-    checked = []
-    require_rebuild = classify.require_rebuild
-    for module in (census, classify):
-        monkeypatch.setattr(module, "require_rebuild",
-                            lambda *args: checked.append(args) or require_rebuild(*args))
+def test_census_checks_every_valid_triangle_rebuilds(derived, monkeypatch):
+    """run_census(4) derives 128 signatures for its 1,070 valid triangles
+    (run_census(6) 284), and the rebuild check runs on every valid
+    triangle: inside triangle_family for the first of a signature, in the
+    judge for the 942 later ones.  Each check starts from the triangle's
+    base vertex, so base_vertex runs once per valid triangle."""
+    bases = []
+    base_vertex = census.base_vertex
+    monkeypatch.setattr(census, "base_vertex", lambda xy: bases.append(xy) or base_vertex(xy))
     summary = run_census(4)
     assert summary.valid == 1070
-    assert len(analyses) == 128
-    assert len(checked) == summary.valid
+    assert len(derived) == 128
+    assert len(bases) == summary.valid
+    assert sorted(bases) == sorted(set(bases))
+    derived.clear()
+    run_census(6)
+    assert len(derived) == 284
 
 
 def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
@@ -319,16 +337,13 @@ def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
     scale and the cone rays stored for its signature: cone rays that
     rebuild no triangle fail the census on its first hit, and the message
     names that triangle's three vertices as points."""
-    analyse = census._Grid.analyse
+    derive = census._Grid.derive
 
     def wrong_rays(grid, *args):
-        tag, kaehler, diff_type, cone_rays = analyse(grid, *args)
-        if cone_rays is not None:
-            r1, r2 = cone_rays
-            cone_rays = (2 * r1, r2)
-        return tag, kaehler, diff_type, cone_rays
+        tag, kaehler, diff_type, (r1, r2) = derive(grid, *args)
+        return tag, kaehler, diff_type, (2 * r1, r2)
 
-    monkeypatch.setattr(census._Grid, "analyse", wrong_rays)
+    monkeypatch.setattr(census._Grid, "derive", wrong_rays)
     with pytest.raises(AssertionError, match="does not rebuild the triangle") as excinfo:
         run_census(4)
     named = [p for p in grid_points(4) if repr(p) in str(excinfo.value)]
@@ -339,54 +354,71 @@ def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
 @pytest.mark.parametrize("max_coord, denominator, shape", [
     (3, 1, "triangles"), (3, 2, "triangles"), (2, 1, "all"),
 ])
-def test_census_hands_over_the_validity_report(analyses, monkeypatch, max_coord, denominator,
+def test_census_hands_over_the_validity_report(derived, monkeypatch, max_coord, denominator,
                                                shape):
-    """The report built from the table's verdicts is the one
-    check_momentum_polytope gives on the candidate's own hull."""
+    """The facts the census hands to triangle_family and diff_type, read
+    from its verdict rows and ray table, are the ones check_momentum_polytope
+    reports on the candidate's own hull: the base vertex, its rays and wall
+    type, and the rays of the first vertex."""
+    first_rays = []
+    diff_type = census.diff_type
+    monkeypatch.setattr(census, "diff_type",
+                        lambda fam, r1, r2: first_rays.append((r1, r2)) or diff_type(fam, r1, r2))
     run_census(max_coord, denominator, shape)
     monkeypatch.undo()
-    assert analyses and all(a.report.valid for a in analyses)
-    for a in analyses:
-        assert a.report == classify.check_momentum_polytope(convex_hull(a.polygon.vertices))
+    assert derived and len(first_rays) == len(derived)
+    for (base, _, _, i, rays, wall_type), vertices, first in zip(
+            derived, _derived_triangles(derived), first_rays):
+        hull = convex_hull(vertices)
+        assert hull.vertices == vertices
+        report = classify.check_momentum_polytope(hull)
+        assert report.valid
+        assert i == classify.base_vertex(hull.xy)
+        va = report.vertex_data[i]
+        assert (base, rays, wall_type) == (va.vertex, va.rays, va.wall_type)
+        assert first == report.vertex_data[0].rays
 
 
 def test_census_reads_rays_from_one_table(monkeypatch):
-    """The max-coord 4 grid has 45 points: its table reduces at most one
-    direction per ordered pair of them (1,980), by the gcd of its int pair,
-    where judging each triangle on its own hull computed 30,917 primitive
-    rays.  Each wall pattern is matched once per pair of ray ids."""
+    """The max-coord 4 grid has 45 points: its table reduces one direction
+    per unordered pair of them (990), by the gcd of its int pair, where
+    judging each triangle on its own hull computed 30,917 primitive rays.
+    Each verdict row judges a pair of ray ids once: 2,270 vertex_kind
+    calls, each wall pattern matched once per pair."""
     rays = []
+    kinds = []
     wall = []
     gcd, primitive_int_ray = census.gcd, polygon.primitive_int_ray
+    vertex_kind = census.vertex_kind
     classify_wall_rays = classify.classify_wall_rays
     monkeypatch.setattr(census, "gcd", lambda a, b: rays.append((a, b)) or gcd(a, b))
     monkeypatch.setattr(polygon, "primitive_int_ray",
                         lambda a, b: rays.append((a, b)) or primitive_int_ray(a, b))
+    monkeypatch.setattr(census, "vertex_kind",
+                        lambda *args: kinds.append(args) or vertex_kind(*args))
     monkeypatch.setattr(classify, "classify_wall_rays",
                         lambda r1, r2: wall.append((r1, r2)) or classify_wall_rays(r1, r2))
     summary = run_census(4)
     assert summary.total == 13428 and summary.valid == 1070
     assert len(grid_points(4)) == 45
-    assert len(rays) <= 45 * 44
+    assert len(rays) == 45 * 44 // 2
+    assert len(kinds) == len(set(kinds)) == 2270
     assert wall and len(wall) == len(set(wall))
 
 
-def test_census_judges_chains_without_hulls(analyses, monkeypatch):
+def test_census_judges_chains_without_hulls(derived, monkeypatch):
     """An `--shape all` census judges each candidate on the chain
-    enumerate_convex grew it as: it takes no hull, judges each chain vertex
-    once for all the chains that extend it and reuses that verdict in a
-    valid chain's report.  Each (on_wall, r1, r2) is judged once (65,459
-    vertex_kind calls when every candidate's hull was judged from scratch,
-    30,240 when a valid chain's vertices were judged again, 19,757 when
-    an interior vertex was judged on every visit, 1,051 now).  Only the
-    first valid triangle of each ray signature is handed on to a report; a
+    enumerate_convex grew it as: it takes no hull and builds no Analysis,
+    judges each chain vertex once for all the chains that extend it and
+    reads each verdict from its row.  Each (on_wall, r1, r2) is judged
+    once (65,459 vertex_kind calls when every candidate's hull was judged
+    from scratch, 30,240 when a valid chain's vertices were judged again,
+    19,757 when an interior vertex was judged on every visit, 1,051 now).
+    Only the first valid triangle of each ray signature is derived; a
     valid polygon with four or more vertices (2,664 of the 3,024 valid
-    items) gets none."""
+    items) gets a Kaehler verdict and no family."""
     kinds = []
     vertex_kind = census.vertex_kind
-    for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
-                         (classify, "convex_hull")):
-        monkeypatch.setattr(module, name, lambda *args: pytest.fail("a hull was taken"))
     monkeypatch.setattr(census, "vertex_kind",
                         lambda *args: kinds.append(args) or vertex_kind(*args))
     valid = []
@@ -394,16 +426,44 @@ def test_census_judges_chains_without_hulls(analyses, monkeypatch):
     monkeypatch.undo()
     assert summary.total == 46667 and summary.valid == len(valid) == 3024
     assert sum(len(item.indices) >= 4 for item in valid) == 2664
-    assert kinds and len(kinds) == len(set(kinds))
-    assert all(len(a.polygon) == 3 for a in analyses)
-    assert [a.polygon.vertices for a in analyses] == _first_triangle_per_signature(
-        grid_points(3), valid)
+    assert len(kinds) == len(set(kinds)) == 1051
+    assert _derived_triangles(derived) == _first_triangle_per_signature(grid_points(3), valid)
+
+
+@pytest.mark.parametrize("name", ["triangle_family", "diff_type"])
+def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
+    """The report and the census take a triangle's family from
+    classify.triangle_family and its diff type from difftype.diff_type: a
+    routine patched to give a wrong value changes both the full report of
+    a triangle and the summary of run_census(3)."""
+    owner = classify if name == "triangle_family" else difftype
+    original = getattr(owner, name)
+    assert getattr(census, name) is original
+
+    def wrong(*args):
+        if name == "diff_type":
+            return DiffType.PROJECTIVE_SPACE_4, None
+        # The same family and cone under another tag.
+        value = original(*args)
+        return type("Wrong", (type(value),), {"__slots__": (), "tag": "wrong"})(*value)
+
+    triangle = [RationalPoint.of(x, y) for x, y in ((1, 0), (2, 0), (1, -1))]
+    report, summary = full_report(triangle), run_census(3).as_dict()
+    assert report["diffeo_type"]["type"] != "projective_space_4"
+    for module in (owner, census):
+        monkeypatch.setattr(module, name, wrong)
+    wrong_report, wrong_summary = full_report(triangle), run_census(3).as_dict()
+    key = "triangle_family" if name == "triangle_family" else "diffeo_type"
+    assert wrong_report[key] != report[key]
+    field = "by_family" if name == "triangle_family" else "by_diff_type"
+    assert wrong_summary[field] != summary[field]
+    assert wrong_summary["valid"] == summary["valid"]
 
 
 @pytest.mark.parametrize("max_coord, denominator", [(3, 1), (2, 2)])
 def test_triangle_and_chain_judges_agree(max_coord, denominator):
-    """A triangles census judges its candidates with _Grid.triangle, an
-    `--shape all` census with _Grid.item.  On the same grid the two give
+    """A triangles census judges its candidates with _triangle_judge, an
+    `--shape all` census with _chain_judge.  On the same grid the two give
     the same ItemResult for every 3-point candidate, valid or not: the same
     family, Kaehler verdict and diff type, keyed by its indices."""
     chains = {}

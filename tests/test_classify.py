@@ -656,10 +656,9 @@ class TestAnalysis:
             # besides the polygon's own hull; the primitive ray of each edge
             # once; one boundary test per image
             # until the first one off the boundary.  The validity check, the
-            # Kaehler verdict and the x-ray read the rays by index;
-            # vertex_rays is asked only by the mod-3 residue at one
-            # vertex of a triangle.
-            assert [calls[m] for m in methods] == [0, int(n == 3)], coords
+            # Kaehler verdict, the x-ray and a triangle's mod-3 residue read
+            # the rays by index, so vertex_rays is not asked.
+            assert [calls[m] for m in methods] == [0, 0], coords
             assert (calls["t_hull"], calls["int_hull"]) == (1, 1), coords
             assert calls["on_boundary"] == tests, coords
             assert calls["edge_rays"] == n, coords
@@ -670,8 +669,10 @@ class TestAnalysis:
             assert sorted(formatted) == sorted({c for xy in coords for c in xy}), coords
 
     def test_full_report_computes_mod3_residue_once(self, monkeypatch):
+        # _chern_mod3 is the one formula of the residue, read by diff_type
+        # and chern_mod3_at_vertex.
         calls = []
-        original = mompoly.difftype.chern_mod3_at_vertex
+        original = mompoly.difftype._chern_mod3
 
         def counting(*args):
             calls.append(args)
@@ -679,9 +680,9 @@ class TestAnalysis:
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "mompoly" and (
-                getattr(module, "chern_mod3_at_vertex", None) is original
+                getattr(module, "_chern_mod3", None) is original
             ):
-                monkeypatch.setattr(module, "chern_mod3_at_vertex", counting)
+                monkeypatch.setattr(module, "_chern_mod3", counting)
         doc = full_report([RationalPoint.of(x, y) for x, y in ((0, 0), (1, -1), (4, -3))])
         assert doc["diffeo_type"] == {"type": "trivial_p2_bundle", "chern_mod3": 0}
         assert len(calls) == 1
