@@ -36,10 +36,11 @@ triangle's family is classify.triangle_family of its base vertex's rays
 and wall type, and its diff type difftype.diff_type of the family and
 the rays of its first vertex, the routines the report reads too; the
 census builds no Polygon, report or Analysis (run_census(4) derives 128
-signatures for 1,070 valid triangles).  triangle_family's rebuild check
-still runs on every valid triangle: a later triangle of a signature is
-rebuilt from its own base vertex and edge scale with the cone rays of
-the signature's family, on the grid's int pairs.
+signatures for 1,070 valid triangles).  The rebuild check,
+classify.require_rebuild, still runs on every valid triangle: inside
+triangle_family for the first of a signature, and on a later one with
+the cone rays of the signature's family, from its own base vertex on
+the grid's int pairs.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from typing import Iterator, NamedTuple, Optional
 from .classify import (
     WallVertexType,
     base_vertex,
-    cone_points,
-    edge_scale,
     require_chamber,
     require_rebuild,
     triangle_family,
@@ -226,7 +225,6 @@ class _Grid:
     verdict of a vertex k with rays of ids r1, r2 is verdicts[k][r1][r2]."""
 
     def __init__(self, points: list[RationalPoint]):
-        self.points = points
         # Every point of the grid is in the chamber; so is every candidate.
         self.scale, self.xy = integer_form(points)
         xy = self.xy
@@ -261,16 +259,17 @@ class _Grid:
 
     def derive(self, ccw: tuple[int, int, int], key: tuple) -> _Fields:
         """The fields of a valid triangle ccw with ray signature `key`.  Its
-        family is triangle_family of its base vertex, that vertex's rays and
-        wall type read from the verdict rows, which also runs the rebuild
-        check; its diff type is diff_type of the family and the rays of its
-        first vertex.  No Polygon, report or Analysis is built."""
+        family is triangle_family of its int pairs and base vertex, with
+        that vertex's rays and wall type read from the verdict rows, which
+        also runs the rebuild check (require_rebuild); its diff type is
+        diff_type of the family and the rays of its first vertex.  No
+        Polygon, report or Analysis is built."""
         grid_xy, dirs = self.xy, self.dirs
         xy = (grid_xy[ccw[0]], grid_xy[ccw[1]], grid_xy[ccw[2]])
         i = base_vertex(xy)
         k = ccw[i]
         _, r1, r2 = key[i]
-        fam = triangle_family(self.points[k], xy, self.scale, i, (dirs[r1], dirs[r2]),
+        fam = triangle_family(xy, self.scale, i, (dirs[r1], dirs[r2]),
                               self.verdicts[k][r1][r2][1])
         _, r1, r2 = key[0]
         diff, _ = diff_type(fam, dirs[r1], dirs[r2])
@@ -290,11 +289,10 @@ def _triangle_judge(grid: _Grid):
     of the ray to the next vertex, id of the ray to the previous one) at
     each vertex along ccw, read off the six ray ids between its vertices.
     The first triangle of a signature is derived (_Grid.derive); a later
-    one is held to triangle_family's rebuild check: its own base vertex and
-    edge scale with the cone rays of the signature's family must give its
-    two other vertices."""
+    one is held to the same rebuild check, require_rebuild, with the cone
+    rays of the signature's family."""
     rays, verdicts, on_wall = grid.rays, grid.verdicts, grid.on_wall
-    grid_xy, dirs, scale, derive = grid.xy, grid.dirs, grid.scale, grid.derive
+    grid_xy, scale, derive = grid.xy, grid.scale, grid.derive
     new = tuple.__new__
     fields: dict[tuple, _Fields] = {}
 
@@ -315,16 +313,7 @@ def _triangle_judge(grid: _Grid):
             f = fields[key] = derive(ccw, key)
         else:
             xy = (grid_xy[s], grid_xy[c], grid_xy[p])
-            i = base_vertex(xy)
-            bx, by = xy[i]
-            u = edge_scale(xy, i, dirs[key[i][1]])
-            (a1, b1), (a2, b2) = cone = f[3]
-            # The base is its own cone point; the other two vertices,
-            # xy[i - 2] and xy[i - 1], must be the cone's in either order.
-            q1, q2 = (bx + u * a1, by + u * b1), (bx + u * a2, by + u * b2)
-            n1, n2 = xy[i - 2], xy[i - 1]
-            if not (q1 == n1 and q2 == n2 or q1 == n2 and q2 == n1):
-                require_rebuild(f[0], xy, scale, cone_points(bx, by, u, *cone))
+            require_rebuild(f[0], xy, scale, base_vertex(xy), f[3])
         return new(ItemResult, (indices, True, f[0], f[1], f[2]))
 
     return triangle
@@ -350,7 +339,7 @@ def _chain_judge(grid: _Grid):
     # passed[m] is the verdict on ccw[m] of the candidate of length m + 2
     # judged last, or None unless its ccw[1..m] pass; passed[0] stands for
     # the empty ccw[1..0], which passes.
-    passed = [True] + [None] * len(grid.points)
+    passed = [True] + [None] * len(grid.xy)
     verdict_of: dict[tuple, bool] = {}
 
     def chain(candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:

@@ -14,6 +14,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ChamberError, GeometryError, InvalidPolytopeError
@@ -24,7 +25,6 @@ from .lattice import (
     RationalPoint,
     Value,
     Weight,
-    coroot_pairing,
     is_lattice_basis,
 )
 from .polygon import IntPair, Polygon, convex_hull, form_point
@@ -251,33 +251,19 @@ class DiffType(enum.Enum):
 Cone = tuple[Fraction, Fraction, Fraction, Weight, Weight]
 
 
-def cone_points(bx: int, by: int, u: int, r1: Weight, r2: Weight) -> list[IntPair]:
-    """The int pairs (bx, by), (bx, by) + u*r1 and (bx, by) + u*r2."""
-    return [(bx, by), (bx + u * r1.a, by + u * r1.b), (bx + u * r2.a, by + u * r2.b)]
+class _Family:
+    """A triangle family whose cone() is (x, y, t, r1, r2): its triangle is
+    (x, y) + t*conv(0, r1, r2).  A mixin for the five families."""
+
+    __slots__ = ()
+
+    def triangle(self) -> Polygon:
+        x, y, t, r1, r2 = self.cone()
+        return convex_hull([RationalPoint(x, y), RationalPoint(x + t * r1.a, y + t * r1.b),
+                            RationalPoint(x + t * r2.a, y + t * r2.b)])
 
 
-def _cone_form(scale: int, x: Fraction, y: Fraction, t: Fraction, r1: Weight,
-               r2: Weight) -> Optional[list[IntPair]]:
-    """The int pairs on `scale` of the points (x, y), (x, y) + t*r1 and
-    (x, y) + t*r2, or None when x, y or t is off that grid.  With r1 and r2
-    primitive, all three points lie on the grid exactly when x, y and t do."""
-    out = []
-    for q in (x, y, t):
-        n, rem = divmod(q.numerator * scale, q.denominator)
-        if rem:
-            return None
-        out.append(n)
-    return cone_points(*out, r1, r2)
-
-
-def _cone_triangle(cone: Cone) -> Polygon:
-    """The triangle (x, y) + t*conv(0, r1, r2) of cone = (x, y, t, r1, r2)."""
-    x, y, t, r1, r2 = cone
-    return convex_hull([RationalPoint(x, y), RationalPoint(x + t * r1.a, y + t * r1.b),
-                        RationalPoint(x + t * r2.a, y + t * r2.b)])
-
-
-class DelzantFamily(Value, namedtuple("DelzantFamily", "r s t a1 b1 a2 b2")):
+class DelzantFamily(_Family, Value, namedtuple("DelzantFamily", "r s t a1 b1 a2 b2")):
     """r(-eps2) + s(eps1+eps2) + t*conv(0, d1, d2) with d_i = a_i(-eps2)+b_i*eps1,
     a1*b2 - a2*b1 = 1 and a_i + b_i >= 0."""
 
@@ -295,16 +281,13 @@ class DelzantFamily(Value, namedtuple("DelzantFamily", "r s t a1 b1 a2 b2")):
         """(x, y, t, r1, r2): the triangle is (x, y) + t*conv(0, r1, r2)."""
         return (self.s, self.s - self.r, self.t, *self.deltas())
 
-    def triangle(self) -> Polygon:
-        return _cone_triangle(self.cone())
-
     def model(self) -> tuple[TotalSpace, str]:
         d1, d2 = self.deltas()
         total = TotalSpace("projective_bundle_over_sphere", (Weight(0, 0), -d1, -d2))
         return total, f"GL(2) x_B- P(C + C_-{_wfmt(d1)} + C_-{_wfmt(d2)})"
 
 
-class _WallFamily:
+class _WallFamily(_Family):
     """A family whose triangles have the wall vertex s(eps1+eps2) with cone
     pattern p = wall_types()[0]: s(eps1+eps2) + t*conv(0, r1, r2) for the
     rays r1, r2 of p.  A mixin: the family declares the fields s, t."""
@@ -314,9 +297,6 @@ class _WallFamily:
     def cone(self) -> Cone:
         """(x, y, t, r1, r2): the triangle is (x, y) + t*conv(0, r1, r2)."""
         return (self.s, self.s, self.t, *self.wall_types()[0].rays())
-
-    def triangle(self) -> Polygon:
-        return _cone_triangle(self.cone())
 
 
 class WallEdgeFamily(_WallFamily, Value, namedtuple("WallEdgeFamily", "s t k l")):
@@ -445,33 +425,31 @@ class Analysis(Value, namedtuple("Analysis", "polygon report")):
         xy = polygon.xy
         i = base_vertex(xy)
         va = self.report.vertex_data[i]
-        return triangle_family(polygon.vertices[i], xy, polygon.scale, i, va.rays, va.wall_type)
+        return triangle_family(xy, polygon.scale, i, va.rays, va.wall_type)
 
 
-def triangle_family(base: RationalPoint, xy: Sequence[IntPair], scale: int, i: int,
-                    rays: tuple[Weight, Weight],
+def triangle_family(xy: Sequence[IntPair], scale: int, i: int, rays: tuple[Weight, Weight],
                     wall_type: Optional[WallVertexType]) -> TriangleFamily:
     """The family of a valid triangle with counterclockwise int pairs xy on
-    the grid of `scale`, whose base vertex (base_vertex) is xy[i], the
-    point `base`, with primitive rays `rays` (to the next vertex first) and
-    cone pattern `wall_type` (None off the wall).  The family is checked to
-    rebuild the triangle (require_rebuild).  Analysis.family and the census
-    both take a triangle's family from here."""
-    d1, d2 = rays
-    t = Fraction(edge_scale(xy, i, d1), scale)
+    the grid of `scale`, whose base vertex (base_vertex) is xy[i], with
+    primitive rays `rays` (to the next vertex first) and cone pattern
+    `wall_type` (None off the wall).  The family's cone() must start at
+    the base with t = u/scale, u the base edge's lattice length
+    (edge_scale), and its rays must rebuild the triangle (require_rebuild);
+    AssertionError if not.  Analysis.family and the census both take a
+    triangle's family from here."""
+    (bx, by), u = xy[i], edge_scale(xy, i)
+    s, t = Fraction(bx, scale), Fraction(u, scale)
     if wall_type is not None:
-        fam = wall_type.family(base.x, t)
+        fam = wall_type.family(s, t)
     else:
-        fam = DelzantFamily(
-            r=coroot_pairing(base),
-            s=base.x,
-            t=t,
-            a1=-d1.b,
-            b1=d1.a,
-            a2=-d2.b,
-            b2=d2.a,
-        )
-    require_rebuild(fam, xy, scale, _cone_form(scale, *fam.cone()))
+        d1, d2 = rays
+        fam = DelzantFamily(r=Fraction(bx - by, scale), s=s, t=t,
+                            a1=-d1.b, b1=d1.a, a2=-d2.b, b2=d2.a)
+    x, y, ft, r1, r2 = fam.cone()
+    if (x, y, ft) != (s, Fraction(by, scale), t):
+        raise _not_rebuilt(fam, xy, scale)
+    require_rebuild(fam, xy, scale, i, (r1, r2))
     return fam
 
 
@@ -485,26 +463,35 @@ def base_vertex(xy: Sequence[IntPair]) -> int:
     return keys.index(min(keys))
 
 
-def edge_scale(xy: Sequence[IntPair], i: int, d1: Weight) -> int:
+def edge_scale(xy: Sequence[IntPair], i: int) -> int:
     """u: the lattice length, on the grid of the int pairs xy, of the edge
-    from vertex i of a counterclockwise triangle, along its primitive ray
-    d1, to the next vertex."""
-    (bx, by), (nx, ny) = xy[i], xy[(i + 1) % 3]
-    return (nx - bx) // d1.a if d1.a else (ny - by) // d1.b
+    from vertex i of a counterclockwise triangle to the next vertex, the
+    gcd of its int pair."""
+    (bx, by), (nx, ny) = xy[i], xy[i - 2]
+    return gcd(nx - bx, ny - by)
 
 
-def require_rebuild(family: object, xy: Sequence[IntPair], scale: int,
-                    form: Optional[Sequence[IntPair]]) -> None:
-    """The family check: `form`, the int pairs of the points
-    (x, y) + t*conv(0, r1, r2) that the parameters of `family` give on the
-    triangle's grid (None if they are off it), must be the int pairs xy of
-    the triangle's vertices on the grid of `scale`.  This checks the edge
-    scales and that the edges at the base follow its wall pattern;
-    AssertionError if not, naming the vertices as points, which are built
-    only then."""
-    if form is None or sorted(form) != sorted(xy):
-        vertices = tuple([form_point(q, scale) for q in xy])
-        raise AssertionError(f"{family} does not rebuild the triangle {vertices}")
+def require_rebuild(family: object, xy: Sequence[IntPair], scale: int, i: int,
+                    rays: tuple[Weight, Weight]) -> None:
+    """The rebuild check of a triangle's family, on int pairs: with u the
+    lattice length of the base edge (edge_scale), xy[i] + u*r1 and
+    xy[i] + u*r2 for the family's cone rays r1, r2 must be the triangle's
+    other two vertices, in either order.  This checks the edge scales and
+    that the edges at the base follow its wall pattern; AssertionError if
+    not, naming the vertices as points, which are built only then."""
+    (bx, by), n1, n2 = xy[i], xy[i - 2], xy[i - 1]
+    u = edge_scale(xy, i)
+    (a1, b1), (a2, b2) = rays
+    q1, q2 = (bx + u * a1, by + u * b1), (bx + u * a2, by + u * b2)
+    if not (q1 == n1 and q2 == n2 or q1 == n2 and q2 == n1):
+        raise _not_rebuilt(family, xy, scale)
+
+
+def _not_rebuilt(family: object, xy: Sequence[IntPair], scale: int) -> AssertionError:
+    """The error of a family that does not rebuild the triangle with int
+    pairs xy on the grid of `scale`."""
+    vertices = tuple([form_point(q, scale) for q in xy])
+    return AssertionError(f"{family} does not rebuild the triangle {vertices}")
 
 
 PolygonLike = Union[Polygon, Analysis]

@@ -88,14 +88,12 @@ class Polygon:
 
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
-                   xy: tuple[IntPair, ...], rays=None) -> "Polygon":
+                   xy: tuple[IntPair, ...]) -> "Polygon":
         """The polygon of vertices that hull_of_form has put in the
-        required order, with their integer form on any common scale and,
-        if given, the int_rays of xy as its rays; nothing is checked again."""
+        required order, with their integer form on any common scale;
+        nothing is checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
-        if rays is not None:
-            polygon.__dict__["rays"] = rays
         return polygon
 
     def __eq__(self, other):
@@ -117,18 +115,14 @@ class Polygon:
         n = len(self.vertices)
         return min(n - 1, 2)
 
-    @cached_property
-    def _edges(self) -> tuple[Edge, ...]:
+    def edges(self) -> tuple[Edge, ...]:
+        """Counterclockwise boundary edges (empty for points, one for segments)."""
         vs = self.vertices
         if len(vs) == 1:
             return ()
         if len(vs) == 2:
             return (Edge(vs[0], vs[1]),)
         return tuple([Edge(a, b) for a, b in zip(vs, vs[1:] + vs[:1])])
-
-    def edges(self) -> tuple[Edge, ...]:
-        """Counterclockwise boundary edges (empty for points, one for segments)."""
-        return self._edges
 
     @cached_property
     def rays(self) -> tuple[tuple[Weight, Weight], ...]:

@@ -299,7 +299,7 @@ def _first_triangle_per_signature(points, valid):
 def _derived_triangles(derived):
     """The vertices of each triangle handed to triangle_family, from its int
     pairs and scale, in call order."""
-    return [tuple([form_point(q, scale) for q in xy]) for _, xy, scale, *_ in derived]
+    return [tuple([form_point(q, scale) for q in xy]) for xy, scale, *_ in derived]
 
 
 def test_census_analyzes_only_valid_candidates(derived, monkeypatch):
@@ -315,21 +315,25 @@ def test_census_analyzes_only_valid_candidates(derived, monkeypatch):
 
 def test_census_checks_every_valid_triangle_rebuilds(derived, monkeypatch):
     """run_census(4) derives 128 signatures for its 1,070 valid triangles
-    (run_census(6) 284), and the rebuild check runs on every valid
-    triangle: inside triangle_family for the first of a signature, in the
-    judge for the 942 later ones.  Each check starts from the triangle's
-    base vertex, so base_vertex runs once per valid triangle."""
-    bases = []
-    base_vertex = census.base_vertex
-    monkeypatch.setattr(census, "base_vertex", lambda xy: bases.append(xy) or base_vertex(xy))
-    summary = run_census(4)
-    assert summary.valid == 1070
-    assert len(derived) == 128
-    assert len(bases) == summary.valid
-    assert sorted(bases) == sorted(set(bases))
-    derived.clear()
-    run_census(6)
-    assert len(derived) == 284
+    (run_census(6) 284 for 5,203), and the one rebuild check,
+    classify.require_rebuild, runs once on every valid triangle: inside
+    triangle_family for the first of a signature, in the judge for the
+    later ones."""
+    checked = []
+    require_rebuild = classify.require_rebuild
+
+    def recording(family, xy, *args):
+        checked.append(xy)
+        return require_rebuild(family, xy, *args)
+
+    for module in (classify, census):
+        monkeypatch.setattr(module, "require_rebuild", recording)
+    for max_coord, valid, signatures in ((4, 1070, 128), (6, 5203, 284)):
+        checked.clear()
+        derived.clear()
+        assert run_census(max_coord).valid == valid
+        assert len(derived) == signatures
+        assert len(checked) == len(set(checked)) == valid
 
 
 def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
@@ -358,8 +362,8 @@ def test_census_hands_over_the_validity_report(derived, monkeypatch, max_coord, 
                                                shape):
     """The facts the census hands to triangle_family and diff_type, read
     from its verdict rows and ray table, are the ones check_momentum_polytope
-    reports on the candidate's own hull: the base vertex, its rays and wall
-    type, and the rays of the first vertex."""
+    reports on the candidate's own hull: the base vertex's index, its rays
+    and wall type, and the rays of the first vertex."""
     first_rays = []
     diff_type = census.diff_type
     monkeypatch.setattr(census, "diff_type",
@@ -367,7 +371,7 @@ def test_census_hands_over_the_validity_report(derived, monkeypatch, max_coord, 
     run_census(max_coord, denominator, shape)
     monkeypatch.undo()
     assert derived and len(first_rays) == len(derived)
-    for (base, _, _, i, rays, wall_type), vertices, first in zip(
+    for (_, _, i, rays, wall_type), vertices, first in zip(
             derived, _derived_triangles(derived), first_rays):
         hull = convex_hull(vertices)
         assert hull.vertices == vertices
@@ -375,7 +379,7 @@ def test_census_hands_over_the_validity_report(derived, monkeypatch, max_coord, 
         assert report.valid
         assert i == classify.base_vertex(hull.xy)
         va = report.vertex_data[i]
-        assert (base, rays, wall_type) == (va.vertex, va.rays, va.wall_type)
+        assert (rays, wall_type) == (va.rays, va.wall_type)
         assert first == report.vertex_data[0].rays
 
 
@@ -430,17 +434,21 @@ def test_census_judges_chains_without_hulls(derived, monkeypatch):
     assert _derived_triangles(derived) == _first_triangle_per_signature(grid_points(3), valid)
 
 
-@pytest.mark.parametrize("name", ["triangle_family", "diff_type"])
+@pytest.mark.parametrize("name", ["triangle_family", "diff_type", "require_rebuild"])
 def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
     """The report and the census take a triangle's family from
-    classify.triangle_family and its diff type from difftype.diff_type: a
-    routine patched to give a wrong value changes both the full report of
-    a triangle and the summary of run_census(3)."""
-    owner = classify if name == "triangle_family" else difftype
+    classify.triangle_family, its diff type from difftype.diff_type and its
+    rebuild check from classify.require_rebuild: a routine patched to give
+    a wrong value changes both the full report of a triangle and the
+    summary of run_census(3), and a rebuild check patched to refuse every
+    family fails both."""
+    owner = difftype if name == "diff_type" else classify
     original = getattr(owner, name)
     assert getattr(census, name) is original
 
     def wrong(*args):
+        if name == "require_rebuild":
+            raise AssertionError("refused")
         if name == "diff_type":
             return DiffType.PROJECTIVE_SPACE_4, None
         # The same family and cone under another tag.
@@ -452,6 +460,11 @@ def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
     assert report["diffeo_type"]["type"] != "projective_space_4"
     for module in (owner, census):
         monkeypatch.setattr(module, name, wrong)
+    if name == "require_rebuild":
+        for run in (lambda: full_report(triangle), lambda: run_census(3)):
+            with pytest.raises(AssertionError, match="refused"):
+                run()
+        return
     wrong_report, wrong_summary = full_report(triangle), run_census(3).as_dict()
     key = "triangle_family" if name == "triangle_family" else "diffeo_type"
     assert wrong_report[key] != report[key]

@@ -218,10 +218,10 @@ class TestClassifyTriangle:
             classify_triangle(P((0, 0), (1, -1), (4, -3)))
 
     def test_edge_scale_measures_the_base_edge(self):
-        # Over every family triangle of the max-coord 3 grid, edge_scale's u
-        # times the primitive ray d1 at the base is the edge from the base
-        # to the next vertex counterclockwise, and u over the grid's scale
-        # is the family's t.
+        # Over every family triangle of the max-coord 3 grid, edge_scale's u,
+        # the gcd of the base edge, times the primitive ray d1 at the base is
+        # the edge from the base to the next vertex counterclockwise, and u
+        # over the grid's scale is the family's t.
         triangles = oracle_family_triangles(3)
         assert len(triangles) == 360
         for points in triangles:
@@ -229,7 +229,7 @@ class TestClassifyTriangle:
             xy = analysis.polygon.xy
             i = base_vertex(xy)
             d1 = analysis.report.vertex_data[i].rays[0]
-            u = edge_scale(xy, i, d1)
+            u = edge_scale(xy, i)
             (bx, by), (nx, ny) = xy[i], xy[(i + 1) % 3]
             assert u >= 1 and (u * d1.a, u * d1.b) == (nx - bx, ny - by)
             assert Fraction(u, analysis.polygon.scale) == classify_triangle(analysis).t
