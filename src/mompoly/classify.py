@@ -225,8 +225,10 @@ def check_momentum_polytope(polygon: Polygon) -> ClassificationReport:
         return ClassificationReport(False, dim, ())
 
     # Tuples are built from lists: see the polygon module's docstring.
+    # tuple.__new__ builds each VertexAnalysis without its Python-level __new__.
+    new = tuple.__new__
     data = tuple([
-        VertexAnalysis(v, rays, x == y, *vertex_kind(x == y, *rays))
+        new(VertexAnalysis, (v, rays, x == y, *vertex_kind(x == y, *rays)))
         for v, (x, y), rays in zip(polygon.vertices, polygon.xy, polygon.rays)
     ])
     valid = all(va.kind != "invalid" for va in data)

@@ -27,13 +27,23 @@ from .selftest import run_selftest
 from .svgplot import OVERLAYS, render_svg
 
 
+# The most bytes of a document that classify and plot read.  Memory grows by
+# up to about 35 bytes per input byte, so this bounds the growth near 35 MiB.
+MAX_DOCUMENT_BYTES = 1 << 20
+
+
 def _read_input(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for "-"."""
+    """The UTF-8 text of a file, or of stdin for "-", of at most
+    MAX_DOCUMENT_BYTES bytes: no more than one byte past the cap is read."""
+    if path == "-":
+        data = sys.stdin.buffer.read(MAX_DOCUMENT_BYTES + 1)
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise DocumentError(f"input is longer than the cap of {MAX_DOCUMENT_BYTES} bytes")
     try:
-        if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DocumentError(f"input is not UTF-8: {exc.reason}") from None
 

@@ -16,6 +16,7 @@ multiplicities; fixpoint_images builds a fresh Counter of their points
 on every call.  The T-polytope and the x-ray are built on the polygon's
 int pairs, where the Weyl reflection swaps a pair: the boundary check
 tests the images' int pairs against the linear int-pair hull `t_hull`,
+looking each up among the hull's corners before any binary search,
 a Stratum keeps the int pairs of its ends, and an XRay only its strata.
 """
 
@@ -83,12 +84,15 @@ def fixpoint_boundary_check(polygon: PolygonLike) -> bool:
     """True iff every fixpoint image lies on the boundary of the T-polytope.
 
     Requires a valid polytope with exactly one wall vertex; equivalent to
-    Kählerizability in that case (see atiyah_cross_check).
+    Kählerizability in that case (see atiyah_cross_check).  An image at a
+    corner of the T-polytope lies on its boundary, so only the others
+    are tested with on_boundary.
     """
     analysis = require_valid(polygon)
     _wall_vertex(analysis)
     xy = t_hull(analysis.polygon.xy)
-    return all(on_boundary(xy, q) for q, _ in analysis.fixpoints)
+    corners = set(xy)
+    return all(q in corners or on_boundary(xy, q) for q, _ in analysis.fixpoints)
 
 
 def atiyah_cross_check(polygon: PolygonLike) -> bool:
@@ -156,13 +160,13 @@ def build_xray(polygon: PolygonLike) -> XRay:
     rays = polygon.rays
     parallel = [rays[i][1].a + rays[i][1].b == 0 for i in at]
     n = n_total - 1
-    scale = polygon.scale
+    scale, new = polygon.scale, tuple.__new__
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):
         v = labels[j]
         dim = 4 if parallel[j - 1] or parallel[j] else 2
-        strata.append(Stratum((v, v[::-1]), scale, dim))
+        strata.append(new(Stratum, ((v, v[::-1]), scale, dim)))
 
     edge_range = range(0, n_total) if rule == "all_edges" else range(1, n)
     boundary: list[tuple[IntPair, IntPair]] = []
@@ -170,12 +174,12 @@ def build_xray(polygon: PolygonLike) -> XRay:
         if not parallel[j]:
             boundary.append((labels[j], labels[(j + 1) % n_total]))
     for a, b in boundary:
-        strata.append(Stratum((a, b), scale, 2))
+        strata.append(new(Stratum, ((a, b), scale, 2)))
     for a, b in boundary:
-        strata.append(Stratum((a[::-1], b[::-1]), scale, 2))
+        strata.append(new(Stratum, ((a[::-1], b[::-1]), scale, 2)))
 
     if rule == "inner_edges_and_cross":
-        strata.append(Stratum((labels[n], labels[1][::-1]), scale, 2))
-        strata.append(Stratum((labels[1], labels[n][::-1]), scale, 2))
+        strata.append(new(Stratum, ((labels[n], labels[1][::-1]), scale, 2)))
+        strata.append(new(Stratum, ((labels[1], labels[n][::-1]), scale, 2)))
 
     return XRay(tuple(strata))

@@ -14,6 +14,7 @@ from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
+_new = tuple.__new__  # _new(Weight, (a, b)) is Weight(a, b), with no Python-level __new__
 
 
 class Value(tuple):
@@ -52,7 +53,8 @@ class Weight(Value, namedtuple("Weight", "a b")):
         return Weight(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "Weight":
-        return Weight(-self.a, -self.b)
+        a, b = self
+        return _new(Weight, (-a, -b))
 
     def __mul__(self, n: int) -> "Weight":
         return Weight(self.a * n, self.b * n)
@@ -111,7 +113,7 @@ def primitive_int_ray(a: int, b: int) -> Weight:
     """Primitive lattice vector spanning the ray R>=0 * (a, b), for integers
     a, b not both zero."""
     g = gcd(a, b)
-    return Weight(a // g, b // g)
+    return _new(Weight, (a // g, b // g))
 
 
 def primitive_ray(v: Vector) -> Weight:

@@ -46,10 +46,10 @@ IntPair = tuple[int, int]
 
 def integer_form(points: Sequence[RationalPoint]) -> tuple[int, list[IntPair]]:
     """The lcm of the points' denominators, and the points times it as int pairs."""
-    scale = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    scale = math.lcm(*[c.denominator for xy in points for c in xy])
     return scale, [
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in points
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in points
     ]
 
 
@@ -186,9 +186,14 @@ def int_hull(xy: Iterable[IntPair]) -> tuple[IntPair, ...]:
         return (pts[0],)
 
     def chain(seq):
+        # Pops the last pair while out[-2], out[-1], p do not turn left (_turn).
         out: list[IntPair] = []
         for p in seq:
-            while len(out) > 1 and _turn(out[-2], out[-1], p) <= 0:
+            px, py = p
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

@@ -1,7 +1,9 @@
 """Input documents and classification reports.
 
 Polytope documents are JSON objects with a "vertices" list of [x, y]
-pairs; coordinates are integers or exact fraction strings "p/q".
+pairs; coordinates are integers or exact fraction strings "p/q".  Only
+strings longer than MAX_DIGITS characters and JSON integers have their
+value compared with the digit cap: a shorter string is under it.
 Reports mirror the full analysis with a fixed key order so output is
 byte-identical across runs.  The module renders them with its own
 renderer, whose text is byte-identical to json.dumps(indent=2): it
@@ -59,11 +61,7 @@ _DIGIT_BOUND = 10**MAX_DIGITS
 
 def parse_rational(value: Union[int, str]) -> Fraction:
     # Error messages quote at most the first 40 characters of a bad value.
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentError(f"coordinate {value!r:.40} is not an integer or fraction string")
-    if isinstance(value, int):
-        q = Fraction(value)
-    else:
+    if type(value) is str or isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match is None:
             raise DocumentError(f"coordinate {value!r:.40} is not of the form n or p/q")
@@ -75,6 +73,14 @@ def parse_rational(value: Union[int, str]) -> Fraction:
             raise DocumentError(f"cannot parse coordinate {value!r:.40}: {exc}") from None
         except ValueError:  # a numerator or denominator past the str -> int digit limit
             raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits") from None
+        # The length rule: p and q, and so their reduced forms, have at most
+        # len(value) digits, so a text of at most MAX_DIGITS characters is in bound.
+        if len(value) <= MAX_DIGITS:
+            return q
+    elif isinstance(value, int) and not isinstance(value, bool):
+        q = Fraction(value)
+    else:
+        raise DocumentError(f"coordinate {value!r:.40} is not an integer or fraction string")
     if max(abs(q.numerator), q.denominator) >= _DIGIT_BOUND:
         raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits")
     return q
@@ -101,16 +107,16 @@ def parse_polytope_document(text: str) -> list[RationalPoint]:
     if not isinstance(raw, list) or not raw:
         raise DocumentError('"vertices" must be a non-empty list')
     points = []
-    scale = 1
+    scale, new = 1, tuple.__new__
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentError(f"vertex {entry!r:.40} is not an [x, y] pair")
-        p = RationalPoint(parse_rational(entry[0]), parse_rational(entry[1]))
-        scale = math.lcm(scale, p.x.denominator, p.y.denominator)
+        x, y = parse_rational(entry[0]), parse_rational(entry[1])
+        scale = math.lcm(scale, x.denominator, y.denominator)
         if scale >= _DIGIT_BOUND:
             raise DocumentError(
                 f"the coordinates' common denominator has more than {MAX_DIGITS} digits")
-        points.append(p)
+        points.append(new(RationalPoint, (x, y)))
     return points
 
 
@@ -309,7 +315,7 @@ def full_report(points: list[RationalPoint]) -> dict:
         "vertex_analyses": [
             {
                 "vertex": [coord[x], coord[y]],
-                "rays": [list(r) for r in va.rays],
+                "rays": [[a1, b1], [a2, b2]],
                 "on_wall": va.on_wall,
                 "kind": va.kind,
                 "wall_type": (
@@ -320,6 +326,7 @@ def full_report(points: list[RationalPoint]) -> dict:
                 "reason": va.reason,
             }
             for va, (x, y) in zip(report.vertex_data, polygon.xy)
+            for (a1, b1), (a2, b2) in [va.rays]  # an assignment, not a loop
         ],
     }
 
@@ -371,10 +378,10 @@ def full_report(points: list[RationalPoint]) -> dict:
     doc["xray"] = {
         "strata": [
             {
-                "segment": [[coord[x], coord[y]] for x, y in s.xy],
-                "dimension": s.dimension,
+                "segment": [[coord[x1], coord[y1]], [coord[x2], coord[y2]]],
+                "dimension": dimension,
             }
-            for s in xray.strata
+            for ((x1, y1), (x2, y2)), _, dimension in xray.strata
         ],
     }
     return doc

@@ -640,11 +640,13 @@ class TestAnalysis:
         scalar = mompoly.report._scalar
         monkeypatch.setattr(mompoly.report, "_scalar",
                             lambda c, scale: formatted.append(c) or scalar(c, scale))
-        # (coordinates, boundary tests): the Woodward quadrilateral's fourth
-        # image in their order is the first one off the T-polytope's
-        # boundary; all five images of the triangle lie on it.
-        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 4)
-        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 5)
+        # (coordinates, boundary tests): an image at a corner of the
+        # T-polytope needs no test.  The Woodward quadrilateral's fourth
+        # image in their order is the first one at no corner, and it lies
+        # off the boundary; of the triangle's five images only the wall
+        # vertex is at no corner.
+        woodward = ([(0, 0), (1, 0), (0, -1), (3, -1)], 1)
+        one_wall_triangle = ([(0, 0), (1, -1), (4, -3)], 1)
         for coords, tests in (woodward, one_wall_triangle):
             points = [RationalPoint.of(x, y) for x, y in coords]
             calls.clear()
@@ -654,8 +656,8 @@ class TestAnalysis:
             n = len(coords)
             # One T-hull, on int pairs, which takes no second monotone chain
             # besides the polygon's own hull; the primitive ray of each edge
-            # once; one boundary test per image
-            # until the first one off the boundary.  The validity check, the
+            # once; one boundary test per image at no corner until the
+            # first one off the boundary.  The validity check, the
             # Kaehler verdict, the x-ray and a triangle's mod-3 residue read
             # the rays by index, so vertex_rays is not asked.
             assert [calls[m] for m in methods] == [0, 0], coords

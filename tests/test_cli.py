@@ -34,7 +34,71 @@ def write_doc(tmp_path, vertices, name="poly.json"):
     return str(path)
 
 
+# A reference for parse_rational with no length rule: the value of the
+# groups of the coordinate form, then the bound on the reduced fraction,
+# read for every input.
+_REFERENCE_FORM = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _reference_parse_rational(value) -> Fraction:
+    from mompoly.report import DocumentError
+
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise DocumentError(f"coordinate {value!r:.40} is not an integer or fraction string")
+    if isinstance(value, int):
+        q = Fraction(value)
+    else:
+        match = _REFERENCE_FORM.fullmatch(value)
+        if match is None:
+            raise DocumentError(f"coordinate {value!r:.40} is not of the form n or p/q")
+        p, d = match.groups()
+        if d is not None and int(d) == 0:
+            raise DocumentError(f"cannot parse coordinate {value!r:.40}: Fraction({int(p)}, 0)")
+        q = Fraction(int(p), int(d or 1))
+    if max(abs(q.numerator), q.denominator) >= 10**MAX_DIGITS:
+        raise DocumentError(f"a coordinate has more than {MAX_DIGITS} digits")
+    return q
+
+
+@st.composite
+def _coordinate_texts(draw) -> str:
+    """Texts of 1 to MAX_DIGITS + 2 characters, often of a length near the
+    cap: an optional sign, leading zeros, a numerator and an optional
+    denominator, which may be zero; now and then the digits include
+    non-ASCII ones."""
+    size = draw(st.integers(1, MAX_DIGITS + 2) | st.integers(MAX_DIGITS - 1, MAX_DIGITS + 2))
+    digits = draw(st.sampled_from(["0123456789"] * 3 + ["0123456789\u0661\uff13\U0001d7ce"]))
+
+    def run(max_size):
+        n = draw(st.integers(1, max_size))
+        return draw(st.text(st.sampled_from(digits), min_size=n, max_size=n))
+
+    text = draw(st.sampled_from(["", "-"])) + "0" * draw(st.integers(0, 2)) + run(size)
+    if draw(st.booleans()):
+        text += "/" + (run(size) if draw(st.booleans()) else "0" * draw(st.integers(1, 2)))
+    return text[:size]
+
+
+def _near_bound(sign: int) -> st.SearchStrategy:
+    return st.integers(-3, 3).map(lambda d: sign * 10**MAX_DIGITS + d)
+
+
 class TestDocuments:
+    @settings(max_examples=400, deadline=None)
+    @given(_coordinate_texts() | _near_bound(1) | _near_bound(-1) | st.integers()
+           | st.booleans() | st.none() | st.floats() | st.lists(st.integers(), max_size=2))
+    def test_parse_rational_matches_a_reference(self, value):
+        from mompoly.report import DocumentError
+
+        def outcome(parse):
+            try:
+                q = parse(value)
+            except DocumentError as exc:
+                return "error", str(exc)
+            return type(q), q
+
+        assert outcome(parse_rational) == outcome(_reference_parse_rational)
+
     def test_rational_round_trip(self):
         for q in [Fraction(3), Fraction(-7, 2), Fraction(0), Fraction(5, 3)]:
             assert parse_rational(format_rational(q)) == q
@@ -476,6 +540,52 @@ class TestPlotCommand:
     def test_xray_overlay_refused_for_two_wall_vertices(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0, 0], [1, 1], [3, 2]])
         assert main(["plot", path, "--overlay", "xray"]) == 2
+
+
+_WOODWARD = b'{"vertices": [[0, 0], [1, 0], [0, -1], [3, -1]]}'
+
+
+def _input_arg(tmp_path, monkeypatch, source, data: bytes) -> str:
+    """The input argument under which main reads data from a file or from stdin."""
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        return "-"
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("command", ["classify", "plot"])
+class TestDocumentCap:
+    def test_one_byte_over_the_cap_is_refused_unparsed(self, tmp_path, capsys, monkeypatch,
+                                                       command, source):
+        def loads(*args, **kwargs):
+            raise AssertionError("json.loads was called")
+
+        data = _WOODWARD.ljust(cli.MAX_DOCUMENT_BYTES + 1)
+        arg = _input_arg(tmp_path, monkeypatch, source, data)
+        monkeypatch.setattr(report.json, "loads", loads)
+        assert main([command, arg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: input is longer than the cap of {cli.MAX_DOCUMENT_BYTES} bytes\n")
+
+    def test_document_padded_to_the_cap_is_read(self, tmp_path, capsys, monkeypatch,
+                                                command, source):
+        assert main([command, _input_arg(tmp_path, monkeypatch, "file", _WOODWARD)]) == 0
+        expected = capsys.readouterr().out
+        data = _WOODWARD.ljust(cli.MAX_DOCUMENT_BYTES)
+        assert len(data) == cli.MAX_DOCUMENT_BYTES
+        assert main([command, _input_arg(tmp_path, monkeypatch, source, data)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["classify", "plot"])
+def test_reads_one_byte_past_the_cap(tmp_path, monkeypatch, command):
+    # Of a stream twice the cap, one byte more than the cap is read.
+    data = _WOODWARD.ljust(2 * cli.MAX_DOCUMENT_BYTES)
+    assert main([command, _input_arg(tmp_path, monkeypatch, "stdin", data)]) == 2
+    assert sys.stdin.buffer.tell() == cli.MAX_DOCUMENT_BYTES + 1
 
 
 class TestSelftestCommand:

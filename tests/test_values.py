@@ -3,8 +3,10 @@ same repr, a hash that is the hash of the field tuple, equality only
 within one class, keyword construction and immutability."""
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -26,10 +28,13 @@ from mompoly.classify import (
     WallEdgeFamily,
     WallEdgeMinus,
     WallEdgePlus,
+    analyze,
+    classify_triangle,
 )
-from mompoly.kaehler import Stratum, XRay
+from mompoly.kaehler import Stratum, XRay, build_xray
 from mompoly.lattice import RationalPoint, Weight
-from mompoly.polygon import Edge, Polygon
+from mompoly.polygon import Edge, Polygon, convex_hull
+from mompoly.report import format_rational, full_report, parse_polytope_document
 
 P0, P1 = RationalPoint.of(0, 0), RationalPoint.of("1/2", -1)
 P0_TEXT = "RationalPoint(x=Fraction(0, 1), y=Fraction(0, 1))"
@@ -152,3 +157,76 @@ def test_census_summary_is_a_mutable_record():
     with pytest.raises(TypeError):
         CensusSummary("all", 2, 1, 5)
     assert summary == SimpleNamespace(**vars(summary))
+
+
+# The Woodward trapezoid, the four figure polygons and one rational triangle
+# of each family, as document vertices.
+def _triangle_vertices(family) -> list:
+    return [[format_rational(p.x), format_rational(p.y)] for p in family.triangle().vertices]
+
+
+C_BUILT_DOCUMENTS = {
+    "woodward": [[0, 0], [1, 0], [0, -1], [3, -1]],
+    "refl_left": [[2, 2], [5, 2], [5, 1], [2, 1]],
+    "refl_right": [[2, 2], [3, 2], [5, 1], [2, 1]],
+    "half_left": [[2, 2], [5, 2], [5, 0], [4, 0]],
+    "half_right": [[2, 2], [3, 2], [5, 1], [3, 1]],
+    **{fam.tag: _triangle_vertices(fam) for fam in (
+        DelzantFamily(F(1, 2), F(-1, 3), F(3, 2), 1, 0, 0, 1),
+        WallEdgeFamily(F(2, 3), F(1, 2), 1, 1),
+        HalfReflPlusFamily(F(-1, 2), F(5, 3), 2),
+        HalfReflMinusFamily(F(1, 4), F(2, 3), 1),
+        ReflectionFamily(F(3, 5), F(7, 2)),
+    )},
+}
+
+
+def _same_value(value, built) -> None:
+    """value is indistinguishable from built, which its class's constructor made."""
+    assert type(value) is type(built)
+    assert value._fields == built._fields
+    assert repr(value) == repr(built)
+    assert hash(value) == hash(built)
+    assert value == built and built == value and not value != built
+
+
+@pytest.mark.parametrize("name", C_BUILT_DOCUMENTS)
+def test_values_built_in_c_match_constructed_ones(name):
+    """Points, rays, vertex analyses and strata that the engine builds with
+    tuple.__new__ equal those built through their classes; the rays also
+    equal the primitive vectors along each edge, computed here."""
+    points = parse_polytope_document(json.dumps({"vertices": C_BUILT_DOCUMENTS[name]}))
+    for p in points:
+        _same_value(p, RationalPoint(p.x, p.y))
+    analysis = analyze(convex_hull(points))
+    assert analysis.report.valid
+    if len(points) == 3:
+        assert classify_triangle(analysis).tag == name
+    vertices = analysis.polygon.vertices
+    for k, (r1, r2) in enumerate(analysis.polygon.rays):
+        here = vertices[k]
+        for w, there in ((r1, vertices[(k + 1) % len(vertices)]), (r2, vertices[k - 1])):
+            dx, dy = there.x - here.x, there.y - here.y
+            scale = dx.denominator * dy.denominator
+            a, b = int(dx * scale), int(dy * scale)
+            g = gcd(a, b)
+            _same_value(w, Weight(a // g, b // g))
+    for va in analysis.report.vertex_data:
+        _same_value(va, VertexAnalysis(*va))
+    if sum(va.on_wall for va in analysis.report.vertex_data) == 1:
+        strata = build_xray(analysis).strata
+        assert strata
+        for s in strata:
+            _same_value(s, Stratum(s.xy, s.scale, s.dimension))
+
+
+def test_rejection_reasons_keep_their_bytes():
+    # The reasons format the reprs of a point and of rays.
+    doc = full_report(parse_polytope_document('{"vertices": [[0,0],[0,-3],[2,-1]]}'))
+    assert doc["failures"] == [
+        {"condition": 3, "reason": "interior vertex RationalPoint(x=Fraction(2, 1), "
+         "y=Fraction(-1, 1)) has non-unimodular rays (Weight(a=-2, b=1), Weight(a=-1, b=-1))"},
+        {"condition": 4, "reason": "wall vertex RationalPoint(x=Fraction(0, 1), "
+         "y=Fraction(0, 1)) has rays (Weight(a=0, b=-1), Weight(a=2, b=-1)) matching no "
+         "wall pattern"},
+    ]
