@@ -37,7 +37,6 @@ from .errors import (
     UnsupportedPolytopeError,
 )
 from .kaehler import (
-    XRay,
     atiyah_cross_check,
     build_xray,
     fixpoint_boundary_check,

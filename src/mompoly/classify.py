@@ -450,7 +450,7 @@ def triangle_family(xy: Sequence[IntPair], scale: int, i: int, rays: tuple[Weigh
                             a1=-d1.b, b1=d1.a, a2=-d2.b, b2=d2.a)
     x, y, ft, r1, r2 = fam.cone()
     if (x, y, ft) != (s, Fraction(by, scale), t):
-        raise _not_rebuilt(fam, xy, scale)
+        raise _not_rebuilt(fam, xy, scale, (r1, r2))
     require_rebuild(fam, xy, scale, i, (r1, r2))
     return fam
 
@@ -480,20 +480,22 @@ def require_rebuild(family: object, xy: Sequence[IntPair], scale: int, i: int,
     xy[i] + u*r2 for the family's cone rays r1, r2 must be the triangle's
     other two vertices, in either order.  This checks the edge scales and
     that the edges at the base follow its wall pattern; AssertionError if
-    not, naming the vertices as points, which are built only then."""
+    not, naming the vertices as points and the rays, formatted only then."""
     (bx, by), n1, n2 = xy[i], xy[i - 2], xy[i - 1]
     u = edge_scale(xy, i)
     (a1, b1), (a2, b2) = rays
     q1, q2 = (bx + u * a1, by + u * b1), (bx + u * a2, by + u * b2)
     if not (q1 == n1 and q2 == n2 or q1 == n2 and q2 == n1):
-        raise _not_rebuilt(family, xy, scale)
+        raise _not_rebuilt(family, xy, scale, rays)
 
 
-def _not_rebuilt(family: object, xy: Sequence[IntPair], scale: int) -> AssertionError:
-    """The error of a family that does not rebuild the triangle with int
-    pairs xy on the grid of `scale`."""
+def _not_rebuilt(family: object, xy: Sequence[IntPair], scale: int,
+                 rays: tuple[Weight, Weight]) -> AssertionError:
+    """The error of a family that, with the cone rays `rays`, does not
+    rebuild the triangle with int pairs xy on the grid of `scale`."""
     vertices = tuple([form_point(q, scale) for q in xy])
-    return AssertionError(f"{family} does not rebuild the triangle {vertices}")
+    return AssertionError(
+        f"{family} does not rebuild the triangle {vertices} with the cone rays {rays}")
 
 
 PolygonLike = Union[Polygon, Analysis]

@@ -34,8 +34,12 @@ MAX_DOCUMENT_BYTES = 1 << 20
 
 def _read_input(path: str) -> str:
     """The UTF-8 text of a file, or of stdin for "-", of at most
-    MAX_DOCUMENT_BYTES bytes: no more than one byte past the cap is read."""
+    MAX_DOCUMENT_BYTES bytes: no more than one byte past the cap is read.
+    A closed stdin (sys.stdin is None) cannot be read, as a missing file
+    cannot: OSError."""
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("cannot read stdin: it is closed")
         data = sys.stdin.buffer.read(MAX_DOCUMENT_BYTES + 1)
     else:
         with open(path, "rb") as fh:

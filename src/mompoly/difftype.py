@@ -5,8 +5,8 @@ Grassmannian of 2-planes in R^5, and the trivial/nontrivial
 P(C^3)-bundle over the 2-sphere.  The bundle dichotomy is decided by a
 mod-3 residue computed from the primitive edge directions at any vertex.
 `diff_type` is the one place that dispatches on the family: the report
-(through `diffeo`) and the census read the type, and the residue where it
-decides it, from it.
+and the census call it on a triangle's family and the rays of its first
+vertex, and read the type, and the residue where it decides it, from it.
 """
 
 from __future__ import annotations
@@ -42,19 +42,13 @@ def _chern_mod3(r1: Weight, r2: Weight) -> int:
 def diff_type(fam: TriangleFamily, r1: Weight, r2: Weight) -> tuple[DiffType, Optional[int]]:
     """Diffeomorphism type of the manifold realizing a valid triangle of
     family fam whose first vertex has the primitive rays r1, r2, and the
-    mod-3 residue of those rays where that decides it, else None."""
+    mod-3 residue of those rays where that decides it, else None.  The
+    residue decides the P(C^3)-bundle over S^2: the trivial one for 0."""
     if fam.diffeo is not None:
         return fam.diffeo, None
     residue = _chern_mod3(r1, r2)
-    return bundle_type(residue), residue
-
-
-def diffeo(polygon: PolygonLike) -> tuple[DiffType, Optional[int]]:
-    """Diffeomorphism type of the manifold realizing a valid triangle, and
-    the mod-3 residue at its first vertex where that decides it, else None
-    (diff_type of its family and first vertex)."""
-    analysis = analyze(polygon)
-    return diff_type(analysis.family, *analysis.polygon.rays[0])
+    bundle = DiffType.TRIVIAL_P2_BUNDLE if residue == 0 else DiffType.NONTRIVIAL_P2_BUNDLE
+    return bundle, residue
 
 
 def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
@@ -62,10 +56,4 @@ def diffeo_type(fam: TriangleFamily, polygon: PolygonLike) -> DiffType:
     analysis = analyze(polygon)
     if analysis.family != fam:
         raise GeometryError("family does not match the polygon")
-    return diffeo(analysis)[0]
-
-
-def bundle_type(residue: int) -> DiffType:
-    """The P(C^3)-bundle over S^2 that a mod-3 residue stands for: the
-    trivial one for residue 0."""
-    return DiffType.TRIVIAL_P2_BUNDLE if residue == 0 else DiffType.NONTRIVIAL_P2_BUNDLE
+    return diff_type(fam, *analysis.polygon.rays[0])[0]

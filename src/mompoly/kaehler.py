@@ -17,7 +17,9 @@ on every call.  The T-polytope and the x-ray are built on the polygon's
 int pairs, where the Weyl reflection swaps a pair: the boundary check
 tests the images' int pairs against the linear int-pair hull `t_hull`,
 looking each up among the hull's corners before any binary search,
-a Stratum keeps the int pairs of its ends, and an XRay only its strata.
+and build_xray returns a plain tuple of Stratum, the int pairs of a
+segment's ends and its dimension, as a fixpoint image is an int pair and
+its multiplicity.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 from .classify import Analysis, PolygonLike, analyze, require_valid
 from .errors import UnsupportedPolytopeError
-from .lattice import RationalPoint, Value, Weight
+from .lattice import Value, Weight
 from .polygon import Edge, IntPair, form_point, on_boundary, t_hull
 
 
@@ -103,28 +105,16 @@ def atiyah_cross_check(polygon: PolygonLike) -> bool:
     return verdict == fixpoint_boundary_check(analysis)
 
 
-class Stratum(Value, namedtuple("Stratum", "xy scale dimension")):
+class Stratum(Value, namedtuple("Stratum", "xy dimension")):
     """A segment of the x-ray as the int pairs xy of its ends on the
-    polygon's grid, whose coordinates are integers over scale; its
-    dimension is 2 or 4."""
-
-    __slots__ = ()
-
-    @property
-    def segment(self) -> tuple[RationalPoint, RationalPoint]:
-        """The ends as points, built on every read."""
-        return tuple([form_point(q, self.scale) for q in self.xy])
-
-
-class XRay(Value, namedtuple("XRay", "strata")):
-    """The strata of an x-ray."""
+    polygon's grid; its dimension is 2 or 4."""
 
     __slots__ = ()
 
 
-def build_xray(polygon: PolygonLike) -> XRay:
-    """X-ray of the maximal-torus action for a valid polytope with exactly
-    one wall vertex v0.
+def build_xray(polygon: PolygonLike) -> tuple[Stratum, ...]:
+    """The strata of the x-ray of the maximal-torus action for a valid
+    polytope with exactly one wall vertex v0.
 
     Vertices are labeled v0..vn clockwise from the wall vertex; v' denotes
     the reflected point.  Strata:
@@ -160,13 +150,13 @@ def build_xray(polygon: PolygonLike) -> XRay:
     rays = polygon.rays
     parallel = [rays[i][1].a + rays[i][1].b == 0 for i in at]
     n = n_total - 1
-    scale, new = polygon.scale, tuple.__new__
+    new = tuple.__new__
 
     strata: list[Stratum] = []
     for j in range(1, n + 1):
         v = labels[j]
         dim = 4 if parallel[j - 1] or parallel[j] else 2
-        strata.append(new(Stratum, ((v, v[::-1]), scale, dim)))
+        strata.append(new(Stratum, ((v, v[::-1]), dim)))
 
     edge_range = range(0, n_total) if rule == "all_edges" else range(1, n)
     boundary: list[tuple[IntPair, IntPair]] = []
@@ -174,12 +164,12 @@ def build_xray(polygon: PolygonLike) -> XRay:
         if not parallel[j]:
             boundary.append((labels[j], labels[(j + 1) % n_total]))
     for a, b in boundary:
-        strata.append(new(Stratum, ((a, b), scale, 2)))
+        strata.append(new(Stratum, ((a, b), 2)))
     for a, b in boundary:
-        strata.append(new(Stratum, ((a[::-1], b[::-1]), scale, 2)))
+        strata.append(new(Stratum, ((a[::-1], b[::-1]), 2)))
 
     if rule == "inner_edges_and_cross":
-        strata.append(new(Stratum, ((labels[n], labels[1][::-1]), scale, 2)))
-        strata.append(new(Stratum, ((labels[1], labels[n][::-1]), scale, 2)))
+        strata.append(new(Stratum, ((labels[n], labels[1][::-1]), 2)))
+        strata.append(new(Stratum, ((labels[1], labels[n][::-1]), 2)))
 
-    return XRay(tuple(strata))
+    return tuple(strata)

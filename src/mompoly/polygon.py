@@ -261,7 +261,7 @@ def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:
     """Yield the primitive rays of the cone at each vertex of a
     counterclockwise cycle of three or more int pairs, in vertex order:
     the first along the edge to the next vertex, the second along the edge
-    to the previous one.  A caller that stops early computes no more."""
+    to the previous one.  Polygon.rays keeps them all."""
     (px, py), (cx, cy) = xy[-1], xy[0]
     # Each edge's ray is computed once: the last vertex's first ray is the
     # first vertex's second one, reversed.

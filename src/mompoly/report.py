@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 from .classify import analyze, classify_triangle, manifold_model
-from .difftype import diffeo
+from .difftype import diff_type
 from .errors import UnsupportedPolytopeError
 from .kaehler import (
     build_xray,
@@ -358,7 +358,7 @@ def full_report(points: list[RationalPoint]) -> dict:
                 for wt, label in model.local_models
             ],
         }
-        dtype, residue = diffeo(analysis)
+        dtype, residue = diff_type(fam, *polygon.rays[0])
         doc["diffeo_type"] = {"type": dtype.value}
         if residue is not None:
             doc["diffeo_type"]["chern_mod3"] = residue
@@ -368,7 +368,7 @@ def full_report(points: list[RationalPoint]) -> dict:
     # Both refuse the same wall-vertex counts, with the same message.
     try:
         on_boundary = fixpoint_boundary_check(analysis)
-        xray = build_xray(analysis)
+        strata = build_xray(analysis)
     except UnsupportedPolytopeError as exc:
         _not_applicable(doc, _WALL_KEYS, str(exc))
         return doc
@@ -381,7 +381,7 @@ def full_report(points: list[RationalPoint]) -> dict:
                 "segment": [[coord[x1], coord[y1]], [coord[x2], coord[y2]]],
                 "dimension": dimension,
             }
-            for ((x1, y1), (x2, y2)), _, dimension in xray.strata
+            for ((x1, y1), (x2, y2)), dimension in strata
         ],
     }
     return doc

@@ -116,13 +116,13 @@ def render_svg(polygon: Polygon, overlays: tuple[str, ...] = ()) -> str:
         analysis = analyze(polygon)
 
     if "xray" in overlays:
-        for stratum in build_xray(analysis).strata:
-            width_attr = "3" if stratum.dimension == 4 else "1.5"
+        for (a, b), dimension in build_xray(analysis):
+            width_attr = "3" if dimension == 4 else "1.5"
             parts.append(
                 _line(
                     canvas,
-                    stratum.segment[0],
-                    stratum.segment[1],
+                    form_point(a, polygon.scale),
+                    form_point(b, polygon.scale),
                     f'stroke="crimson" stroke-width="{width_attr}"',
                 )
             )

@@ -14,7 +14,8 @@ reports.redundant and svg.rational-xray digests before reports printed
 their points from the integer form and the x-ray was built on int pairs,
 the census-tri-6 digests before triangles took their own judge and stream
 writer; the woodward digests, which the CI step checks on the installed
-console script, at the same commit).
+console script, at the same commit; the halfrefl.svg digest, which it
+checks too, before x-ray strata dropped their scale).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -60,6 +61,7 @@ EXPECTED = {
     "census-all-2-d2.stream": "8ab3340c46ee96784d969cbc49cb4c647e5dd3d51e6ff9bcb05d1517990e399e",
     "woodward.report": "574d60f837a5dfae7bdd97d9537b2e4639f8ff8c22037849a2be115b30cdd538",
     "woodward.svg": "be284b7d2418c385feda5a60c0b345ff0e5824d6a4685e3225767487e74f8a86",
+    "halfrefl.svg": "3a53fd6967a3d48927b3ef8ff3e8b9484bd1ec1d0f5771c538a1bde82c12d46c",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
     "reports.rational": "99743ab99a9ed1f617dbbdfd5465555819180d8e2a7151cc3b0a797c09d93002",
@@ -149,19 +151,34 @@ def _census(max_coord: int, denominator: int, shape: str, tmp: str) -> tuple[str
 # console script.
 WOODWARD = '{"vertices": [[0,0],[1,0],[0,-1],[3,-1]]}\n'
 
+# A rational quadrilateral on scale 2 whose one wall vertex is HalfReflPlus(j=0):
+# its x-ray takes the all_edges rule, Woodward's the inner_edges_and_cross one.
+HALFREFL = '{"vertices": [[0,0],["1/2","-1/2"],["3/2","-1/2"],[1,0]]}\n'
+
+
+def _document(tmp: str, name: str, text: str) -> str:
+    doc = os.path.join(tmp, f"{name}.json")
+    with open(doc, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return doc
+
+
+def _plot(tmp: str, doc: str, *overlays: str) -> str:
+    """The digest of `mompoly plot doc` with the given overlays."""
+    svg = os.path.join(tmp, "plot.svg")
+    args = [arg for name in overlays for arg in ("--overlay", name)]
+    assert main(["plot", doc, *args, "--output", svg]) == 0
+    with open(svg, encoding="utf-8") as fh:
+        return _sha([fh.read()])
+
 
 def _woodward(tmp: str) -> tuple[str, str]:
     """The classify report and the x-ray and fixpoints plot of WOODWARD."""
-    doc = os.path.join(tmp, "woodward.json")
-    svg = os.path.join(tmp, "woodward.svg")
-    with open(doc, "w", encoding="utf-8") as fh:
-        fh.write(WOODWARD)
+    doc = _document(tmp, "woodward", WOODWARD)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["classify", doc]) == 0
-    assert main(["plot", doc, "--overlay", "xray", "--overlay", "fixpoints", "--output", svg]) == 0
-    with open(svg, encoding="utf-8") as fh:
-        return _sha([out.getvalue()]), _sha([fh.read()])
+    return _sha([out.getvalue()]), _plot(tmp, doc, "xray", "fixpoints")
 
 
 def compute_digests() -> dict:
@@ -181,6 +198,8 @@ def compute_digests() -> dict:
             digests[f"{name}.summary"] = summary
             digests[f"{name}.stream"] = stream
         digests["woodward.report"], digests["woodward.svg"] = _woodward(tmp)
+        digests["halfrefl.svg"] = _plot(tmp, _document(tmp, "halfrefl", HALFREFL),
+                                        "reflection", "xray", "fixpoints")
     digests["reports.fixtures"] = _sha(
         render_document(full_report(_points(c))) for c in FIXTURES)
     digests["reports.figures"] = _sha(

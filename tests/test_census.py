@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mompoly.report
 from mompoly import census, classify, difftype, polygon
 from mompoly.census import (
     ItemResult,
@@ -340,19 +341,26 @@ def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
     """A memo hit rebuilds its triangle from its own base, its own edge
     scale and the cone rays stored for its signature: cone rays that
     rebuild no triangle fail the census on its first hit, and the message
-    names that triangle's three vertices as points."""
+    names that triangle's three vertices as points, the signature's family
+    tag and the cone rays checked, the doubled one among them."""
     derive = census._Grid.derive
+    stored = []
 
     def wrong_rays(grid, *args):
         tag, kaehler, diff_type, (r1, r2) = derive(grid, *args)
-        return tag, kaehler, diff_type, (2 * r1, r2)
+        rays = (2 * r1, r2)
+        stored.append((tag, rays))
+        return tag, kaehler, diff_type, rays
 
     monkeypatch.setattr(census._Grid, "derive", wrong_rays)
     with pytest.raises(AssertionError, match="does not rebuild the triangle") as excinfo:
         run_census(4)
-    named = [p for p in grid_points(4) if repr(p) in str(excinfo.value)]
+    message = str(excinfo.value)
+    named = [p for p in grid_points(4) if repr(p) in message]
     assert len(named) == 3
     assert analyze(convex_hull(named)).report.valid
+    assert any(message.startswith(f"{tag} does not rebuild")
+               and message.endswith(f" with the cone rays {rays}") for tag, rays in stored)
 
 
 @pytest.mark.parametrize("max_coord, denominator, shape", [
@@ -439,12 +447,17 @@ def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
     """The report and the census take a triangle's family from
     classify.triangle_family, its diff type from difftype.diff_type and its
     rebuild check from classify.require_rebuild: a routine patched to give
-    a wrong value changes both the full report of a triangle and the
-    summary of run_census(3), and a rebuild check patched to refuse every
-    family fails both."""
-    owner = difftype if name == "diff_type" else classify
-    original = getattr(owner, name)
-    assert getattr(census, name) is original
+    a wrong value, in every module that binds it, changes both the full
+    report of a triangle and the summary of run_census(3), and a rebuild
+    check patched to refuse every family fails both.  The report and the
+    census bind diff_type by name, as difftype's own diffeo_type reads it."""
+    if name == "diff_type":
+        assert mompoly.report.diff_type is census.diff_type is difftype.diff_type
+        owners = (difftype, census, mompoly.report)
+    else:
+        owners = (classify, census)
+    original = getattr(owners[0], name)
+    assert all(getattr(module, name) is original for module in owners)
 
     def wrong(*args):
         if name == "require_rebuild":
@@ -458,7 +471,7 @@ def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
     triangle = [RationalPoint.of(x, y) for x, y in ((1, 0), (2, 0), (1, -1))]
     report, summary = full_report(triangle), run_census(3).as_dict()
     assert report["diffeo_type"]["type"] != "projective_space_4"
-    for module in (owner, census):
+    for module in owners:
         monkeypatch.setattr(module, name, wrong)
     if name == "require_rebuild":
         for run in (lambda: full_report(triangle), lambda: run_census(3)):

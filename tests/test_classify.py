@@ -528,7 +528,7 @@ def test_every_type_carries_its_facts(case):
         with pytest.raises(UnsupportedPolytopeError, match=f"wall vertex, {xray}"):
             build_xray(analysis)
     else:
-        assert [s.dimension for s in build_xray(analysis).strata] == xray
+        assert [s.dimension for s in build_xray(analysis)] == xray
     if origin is not None:
         wt, fixpoints = origin
         zero = RationalPoint.of(0, 0)

@@ -588,6 +588,17 @@ def test_reads_one_byte_past_the_cap(tmp_path, monkeypatch, command):
     assert sys.stdin.buffer.tell() == cli.MAX_DOCUMENT_BYTES + 1
 
 
+@pytest.mark.parametrize("command", ["classify", "plot"])
+def test_closed_stdin_is_an_input_error(monkeypatch, capsys, command):
+    # A process started with stdin closed has sys.stdin None; "-" then cannot
+    # be read, as a missing file cannot: one error line and exit 2.
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main([command, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read stdin: it is closed\n"
+
+
 class TestSelftestCommand:
     def test_passes(self, capsys):
         assert main(["selftest"]) == 0

@@ -16,7 +16,6 @@ from mompoly.classify import (
 from mompoly.census import enumerate_triangles, grid_points
 from mompoly.difftype import (
     DiffType,
-    bundle_type,
     chern_mod3_at_vertex,
     diffeo_type,
 )
@@ -49,7 +48,9 @@ def test_diff_type_agrees_with_fiber_weights():
             continue
         fam = analysis.family
         residue = sum(line_bundle_chern(w.a, w.b) for w in manifold_model(fam).total_space.weights)
-        assert bundle_type(residue % 3) == diffeo_type(fam, analysis), vertices
+        expected = (DiffType.TRIVIAL_P2_BUNDLE if residue % 3 == 0
+                    else DiffType.NONTRIVIAL_P2_BUNDLE)
+        assert diffeo_type(fam, analysis) == expected, analysis.polygon.vertices
         tags[fam.tag] += 1
     assert tags == {"delzant": 874, "half_refl_plus": 31, "half_refl_minus": 31}
 

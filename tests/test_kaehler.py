@@ -22,7 +22,6 @@ from mompoly.difftype import diffeo_type
 from mompoly.errors import InvalidPolytopeError, UnsupportedPolytopeError
 from mompoly.kaehler import (
     Stratum,
-    XRay,
     atiyah_cross_check,
     build_xray,
     fixpoint_boundary_check,
@@ -31,7 +30,7 @@ from mompoly.kaehler import (
     obstructing_edge,
 )
 from mompoly.lattice import RationalPoint, Weight, coroot_pairing, weyl_reflect
-from mompoly.polygon import convex_hull
+from mompoly.polygon import convex_hull, form_point
 from mompoly.report import full_report, point_out
 
 from oracle import (
@@ -421,10 +420,16 @@ class TestAtiyahCrossCheck:
                 assert atiyah_cross_check(hull)
 
 
+def _segment(polygon, stratum):
+    """The ends of a stratum of polygon's x-ray as points on its grid."""
+    return frozenset(form_point(q, polygon.scale) for q in stratum.xy)
+
+
 class TestBuildXray:
     def test_reflection_triangle(self):
-        xray = build_xray(P((0, 0), (1, 0), (0, -1)))
-        segments = {frozenset(s.segment) for s in xray.strata}
+        polygon = P((0, 0), (1, 0), (0, -1))
+        xray = build_xray(polygon)
+        segments = {_segment(polygon, s) for s in xray}
         assert segments == {
             frozenset((pt(1, 0), pt(0, 1))),
             frozenset((pt(0, -1), pt(-1, 0))),
@@ -433,11 +438,11 @@ class TestBuildXray:
             frozenset((pt(0, -1), pt(0, 1))),
             frozenset((pt(1, 0), pt(-1, 0))),
         }
-        assert all(s.dimension == 2 for s in xray.strata)
+        assert all(s.dimension == 2 for s in xray)
 
     def test_half_refl_left_figure(self):
         xray = build_xray(FIG_HALF_LEFT)
-        by_seg = {frozenset(s.segment): s.dimension for s in xray.strata}
+        by_seg = {_segment(FIG_HALF_LEFT, s): s.dimension for s in xray}
         assert by_seg[frozenset((pt(4, 0), pt(0, 4)))] == 4
         assert by_seg[frozenset((pt(5, 2), pt(2, 5)))] == 2
         assert by_seg[frozenset((pt(5, 0), pt(0, 5)))] == 2
@@ -447,11 +452,11 @@ class TestBuildXray:
         assert frozenset((pt(5, 0), pt(4, 0))) in by_seg
         assert frozenset((pt(2, 2), pt(2, 5))) in by_seg
         assert frozenset((pt(4, 0), pt(2, 2))) not in by_seg
-        assert len(xray.strata) == 9
+        assert len(xray) == 9
 
     def test_reflection_left_figure(self):
         xray = build_xray(FIG_REFL_LEFT)
-        segments = {frozenset(s.segment) for s in xray.strata}
+        segments = {_segment(FIG_REFL_LEFT, s) for s in xray}
         drawn = {
             frozenset((pt(2, 1), pt(1, 2))),
             frozenset((pt(2, 1), pt(2, 5))),
@@ -484,12 +489,13 @@ class TestBuildXray:
                     if item.valid and sum(p.x == p.y for p in vertices) == 1]
         assert len(one_wall) == 376
         for polygon in one_wall:
-            assert build_xray(polygon).strata
+            assert build_xray(polygon)
 
     def test_holds_only_its_strata(self):
         xray = build_xray(FIG_REFL_LEFT)
-        assert xray == XRay(xray.strata)
-        assert isinstance(xray.strata[0], Stratum)
+        assert type(xray) is tuple
+        assert all(isinstance(s, Stratum) for s in xray)
+        assert Stratum._fields == ("xy", "dimension")
 
 
 _coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -535,7 +541,7 @@ def test_report_points_are_point_out(points):
             for (x, y), m in analysis.fixpoints]
     if "strata" in doc["xray"]:
         assert [s["segment"] for s in doc["xray"]["strata"]] == [
-            [point_out(p) for p in s.segment] for s in build_xray(analysis).strata]
+            [point_out(form_point(q, scale)) for q in s.xy] for s in build_xray(analysis)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,9 +95,11 @@ def test_readme_dotted_names_resolve():
 
 
 def test_resolve_fails_on_a_removed_name(monkeypatch):
-    assert resolve("Stratum.segment") is mompoly.kaehler.Stratum.segment
+    assert resolve("Stratum.dimension") is mompoly.kaehler.Stratum.dimension
     assert resolve("fractions.Fraction") is Fraction
-    for retired in ("Edge.contains", "XRay.fixpoints", "Analysis.wall_types", "no_such.name"):
+    for retired in ("Edge.contains", "XRay.fixpoints", "Analysis.wall_types", "no_such.name",
+                    "XRay", "Stratum.segment", "Stratum.scale", "difftype.diffeo",
+                    "difftype.bundle_type"):
         with pytest.raises((AttributeError, LookupError)):
             resolve(retired)
     monkeypatch.delattr(mompoly.polygon, "t_hull")
