@@ -11,7 +11,9 @@ A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
 per grid, one gcd per pair of grid points: the id of the primitive
 direction from each grid point to each other one (132 distinct directions
-at max-coord 4).  A candidate is carried as grid indices, never as
+at max-coord 4).  An `--shape all` census also builds, before its first
+chain, enumerate_convex's table of half-plane bitmasks: n(n - 1)/2 scans
+of the grid's n points.  A candidate is carried as grid indices, never as
 points: both enumerators yield it as a pair (indices, ccw), its grid
 indices in increasing order and counterclockwise from its smallest
 vertex.  The shape selects the judge, a closure over the grid's tables
@@ -115,6 +117,37 @@ def enumerate_triangles(
             yield (i, j, k), (i, k, j)
 
 
+def _half_planes(xy: list[tuple[int, int]]) -> list[list[int]]:
+    """The half-plane table of the int pairs xy: left[a][b] has bit k set iff
+    point k lies strictly left of the line from point a to point b.
+
+    Point k is left of a -> b iff it is right of b -> a, so one scan per
+    pair a < b fills both masks: the sign of c = dx*y - dy*x, on coordinates
+    relative to a, sends bit k to left[a][b] (c > 0) or left[b][a] (c < 0).
+    A point on the line, a and b among them, has c == 0 and goes to
+    neither, so left[a][a] == 0.  Scaling by a positive integer keeps the
+    sign of every cross product, so the table is exact on a grid's integer
+    form.  n(n - 1)/2 scans of n points.
+    """
+    n = len(xy)
+    left = [[0] * n for _ in range(n)]
+    for a, (ax, ay) in enumerate(xy):
+        rel = [(1 << k, x - ax, y - ay) for k, (x, y) in enumerate(xy)]
+        la = left[a]
+        for b in range(a + 1, n):
+            _, dx, dy = rel[b]
+            ab = ba = 0
+            for bit, x, y in rel:
+                c = dx * y - dy * x
+                if c > 0:
+                    ab |= bit
+                elif c:
+                    ba |= bit
+            la[b] = ab
+            left[b][a] = ba
+    return left
+
+
 def enumerate_convex(
     points: list[RationalPoint],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -127,21 +160,23 @@ def enumerate_convex(
     holds the same: the point's or the segment's indices, and a polygon's
     hull, counterclockwise from its lexicographically smallest vertex.
 
+    After the points and segments, and before the first chain, it builds a
+    table of half-plane bitmasks, _half_planes: n(n - 1)/2 scans of the n
+    points, whatever the output.  Each test on a new point is a strict
+    half-plane (the view of convex chains of Eppstein, Overmars, Rote and
+    Woeginger, "Finding minimum area k-gons", DCG 1992), so the points that
+    extend a chain are one AND of three rows of that table.
+
     Polygons are grown as counterclockwise convex chains anchored at their
     lexicographically smallest vertex, so each polygon appears exactly once.
     A chain is extended only by a point that keeps it closable, so every
-    chain of three or more points is yielded and the work grows with the
-    output.  The search is depth first and yields each chain before its
-    extensions (preorder), in increasing order of the new point's index:
-    the chain most recently yielded with length L - 1 is the prefix of a
-    chain of length L >= 4.  When p is appended after c, c's two neighbours
-    are fixed for every chain that extends it, which is what lets
-    run_census judge c once for them all.
-
-    Each test on a new point is a strict half-plane (the view of convex
-    chains of Eppstein, Overmars, Rote and Woeginger, "Finding minimum
-    area k-gons", DCG 1992), so the points that extend a chain are one AND
-    of three rows of a bitmask table built in O(n^3).
+    chain of three or more points is yielded and the search's work grows
+    with the output.  The search is depth first and yields each chain
+    before its extensions (preorder), in increasing order of the new
+    point's index: the chain most recently yielded with length L - 1 is the
+    prefix of a chain of length L >= 4.  When p is appended after c, c's
+    two neighbours are fixed for every chain that extends it, which is what
+    lets run_census judge c once for them all.
     """
     _, xy = integer_form(sorted(points))
     for k in range(len(xy)):
@@ -150,13 +185,7 @@ def enumerate_convex(
     for pair in itertools.combinations(range(len(xy)), 2):
         yield pair, pair
 
-    # Scaling by a positive integer keeps the sign of every cross product,
-    # so the table is built on integer coordinates.  left[a][b] has bit k
-    # set iff point k lies strictly left of the line from point a to point b.
-    left = [[sum([1 << k for k, (x, y) in enumerate(xy)
-                  if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0])
-             for bx, by in xy]
-            for ax, ay in xy]
+    left = _half_planes(xy)
 
     def extend(chain, c, first, ls, fits):
         # `chain` indexes a counterclockwise strictly convex chain from s to c.

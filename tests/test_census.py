@@ -164,6 +164,75 @@ def test_enumerate_convex_matches_the_scan_on_any_points(points):
     assert list(enumerate_convex(points)) == list(_scan_convex(points))
 
 
+def _half_planes_by_cross_products(xy):
+    """census._half_planes by its definition, its reference: bit k of
+    left[a][b] is set iff the cross product of b - a and k - a is positive,
+    each of the n^2 masks from its own n cross products."""
+    return [[sum([1 << k for k, (x, y) in enumerate(xy)
+                  if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0])
+             for bx, by in xy]
+            for ax, ay in xy]
+
+
+def _assert_half_planes(xy):
+    """_half_planes gives its reference's table, and for each pair a, b
+    its two masks split the points off the line ab between them."""
+    left = census._half_planes(xy)
+    assert left == _half_planes_by_cross_products(xy)
+    for a, (ax, ay) in enumerate(xy):
+        assert left[a][a] == 0
+        for b, (bx, by) in enumerate(xy):
+            off_line = sum(1 << k for k, (x, y) in enumerate(xy)
+                           if (bx - ax) * (y - ay) != (by - ay) * (x - ax))
+            assert left[a][b] & left[b][a] == 0
+            assert left[a][b] | left[b][a] == off_line
+
+
+@pytest.mark.parametrize("max_coord", [1, 2, 3, 4])
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+def test_half_planes_match_the_cross_products(max_coord, denominator):
+    _, xy = integer_form(grid_points(max_coord, denominator))
+    _assert_half_planes(xy)
+
+
+@st.composite
+def _int_point_sets(draw):
+    """Up to 20 int pairs: scattered points and whole collinear runs, some
+    of them repeated, in any order."""
+    coord = st.integers(-6, 6)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        (x, y), (dx, dy) = draw(st.tuples(coord, coord)), draw(st.tuples(coord, coord))
+        points += [(x + t * dx, y + t * dy) for t in range(draw(st.integers(2, 5)))]
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=20 - len(points)))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_point_sets())
+def test_half_planes_match_the_cross_products_on_any_points(xy):
+    _assert_half_planes(xy)
+
+
+def test_census_builds_the_half_plane_table_once(monkeypatch):
+    """A drained enumerate_convex and an `--shape all` census each build one
+    half-plane table; a triangles census builds none."""
+    calls = []
+    half_planes = census._half_planes
+    monkeypatch.setattr(census, "_half_planes", lambda xy: calls.append(xy) or half_planes(xy))
+    points = grid_points(2)
+    _, xy = integer_form(points)
+    assert sum(1 for _ in enumerate_convex(points)) == 1619
+    assert calls == [xy]
+    calls.clear()
+    run_census(2, shape="all")
+    assert calls == [xy]
+    calls.clear()
+    run_census(2)
+    assert calls == []
+
+
 def _classify_via_analysis(points, indices):
     """The ItemResult of the full Analysis of the hull of the candidate's
     points, points[k] for k in indices."""
