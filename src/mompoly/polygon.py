@@ -20,7 +20,9 @@ pairs by int_hull, the one monotone chain, which convex_hull runs on the
 integer form of its points.  The T-polytope, the hull of a polygon and
 its Weyl reflection, is taken by t_hull in linear time: on a
 counterclockwise cycle of int pairs in the chamber, it joins the arc
-facing away from the wall to its mirror image, the swapped pairs.
+facing away from the wall to its mirror image, the swapped pairs.  A
+polygon's reflection and its T-polytope keep its scale, so their int
+pairs lie on its grid.
 
 The tuples a polygon keeps are built from lists, not from generators.
 CPython builds a tuple from a generator by resizing it, so when it is
@@ -39,7 +41,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GeometryError
-from .lattice import RationalPoint, Value, Weight, primitive_int_ray, weyl_reflect
+from .lattice import RationalPoint, Value, Weight, primitive_int_ray
 
 IntPair = tuple[int, int]
 
@@ -89,9 +91,9 @@ class Polygon:
     @classmethod
     def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
                    xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon of vertices that hull_of_form has put in the
-        required order, with their integer form on any common scale;
-        nothing is checked again."""
+        """The polygon of vertices that hull_of_form or int_hull has put
+        in the required order, with their integer form on any common
+        scale; nothing is checked again."""
         polygon = object.__new__(cls)
         polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
         return polygon
@@ -153,16 +155,23 @@ class Polygon:
         return all(_turn(a, b, q) >= 0 for a, b in zip(xy, xy[1:] + xy[:1]))
 
     def reflected(self) -> "Polygon":
-        return convex_hull([weyl_reflect(v) for v in self.vertices])
+        """The Weyl reflection of the polygon: the int_hull of its swapped
+        int pairs.  Like t_polytope, it is built on the polygon's scale,
+        so its xy lies on the polygon's grid."""
+        return self._on_grid(int_hull([(y, x) for x, y in self.xy]))
 
     def t_polytope(self) -> "Polygon":
         """Hull of the polygon together with its Weyl reflection, on the
         polygon's scale.  Each vertex or its reflection lies in the
         chamber, and the hull of those folded int pairs has the same
         T-polytope, its t_hull."""
-        hull = t_hull(int_hull({(max(q), min(q)) for q in self.xy}))
+        return self._on_grid(t_hull(int_hull({(max(q), min(q)) for q in self.xy})))
+
+    def _on_grid(self, xy: tuple[IntPair, ...]) -> "Polygon":
+        """The polygon whose int pairs on this polygon's scale are xy, as
+        int_hull orders them."""
         scale = self.scale
-        return Polygon._from_form(tuple([form_point(q, scale) for q in hull]), scale, hull)
+        return Polygon._from_form(tuple([form_point(q, scale) for q in xy]), scale, xy)
 
 
 def hull_of_form(

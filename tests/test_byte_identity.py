@@ -17,7 +17,9 @@ writer; the woodward digests, which the CI step checks on the installed
 console script, at the same commit; the halfrefl.svg digest, which it
 checks too, before x-ray strata dropped their scale; the census-all-4
 digests of CI_ONLY before enumerate_convex built its half-plane table in
-one scan per pair of points).
+one scan per pair of points; the svg.shapes digest, and the segment.svg and
+offchamber.svg digests that the CI step checks, before plot drew from int
+pairs and Polygon.reflected kept the polygon's scale).
 
 A refactor of the engine must not change a single output byte.  When a
 change alters an output on purpose, record the new digests by running
@@ -64,6 +66,8 @@ EXPECTED = {
     "woodward.report": "574d60f837a5dfae7bdd97d9537b2e4639f8ff8c22037849a2be115b30cdd538",
     "woodward.svg": "be284b7d2418c385feda5a60c0b345ff0e5824d6a4685e3225767487e74f8a86",
     "halfrefl.svg": "3a53fd6967a3d48927b3ef8ff3e8b9484bd1ec1d0f5771c538a1bde82c12d46c",
+    "segment.svg": "819d627aa1bc324495887ec27727cde24538865b3758f353a388925e3d57e96d",
+    "offchamber.svg": "e7859c091ee933e46758da759cfccb656d4ae387e5c9e20b33eb058f33bc0b1d",
     "reports.fixtures": "c4866ab59ac2935a79656f60ec560808f2fb57986960ea57dde426b901b42b22",
     "reports.figures": "712be223ea584a5e575f533ca0f20e218e49caf66152792faf14ea0ea64d00ce",
     "reports.rational": "99743ab99a9ed1f617dbbdfd5465555819180d8e2a7151cc3b0a797c09d93002",
@@ -72,6 +76,7 @@ EXPECTED = {
     "svg.figures": "74d82aa1a56d795e1476c815b34ad65e47b9889ff207c37a737af976d7b2a1b9",
     "svg.rational": "c2370fa8f442ef37ae0971f01decff6b43bf1e6db936e4235564e9429efd726f",
     "svg.rational-xray": "f725fb52493c117f18d8ac05d48f89560795021c74d6e27256b440f128e604dc",
+    "svg.shapes": "e0d1526939a1db5c6db25e907423cc1d59060ea13a077dfb4bdd9fb97bbf76ae",
 }
 
 # Digests that only the CI step checks, on the installed console script:
@@ -104,6 +109,12 @@ FIXTURES = (
     ((0, 0), (2, 1), (2, -1)),                               # condition 4 fails
     ((1, 0), (2, 0), (1, -1), (2, -1)),                      # no wall vertex
     ((0, 0), (1, 1), (3, 2), (2, 0)),                        # two wall vertices
+)
+
+# A point off the wall, and a triangle that leaves the chamber.
+SHAPES = (
+    ((3, -1),),
+    ((0, 0), (2, 0), ("1/2", "3/2")),
 )
 
 # Maps v -> s(eps1+eps2) + t*v with mixed denominators.  On the moved
@@ -166,6 +177,11 @@ WOODWARD = '{"vertices": [[0,0],[1,0],[0,-1],[3,-1]]}\n'
 # its x-ray takes the all_edges rule, Woodward's the inner_edges_and_cross one.
 HALFREFL = '{"vertices": [[0,0],["1/2","-1/2"],["3/2","-1/2"],[1,0]]}\n'
 
+# The condition-1 segment of FIXTURES, drawn as a polyline, and the triangle
+# of SHAPES that leaves the chamber.
+SEGMENT = '{"vertices": [[0,0],[2,2]]}\n'
+OFFCHAMBER = '{"vertices": [[0,0],[2,0],["1/2","3/2"]]}\n'
+
 
 def _document(tmp: str, name: str, text: str) -> str:
     doc = os.path.join(tmp, f"{name}.json")
@@ -211,6 +227,9 @@ def compute_digests() -> dict:
         digests["woodward.report"], digests["woodward.svg"] = _woodward(tmp)
         digests["halfrefl.svg"] = _plot(tmp, _document(tmp, "halfrefl", HALFREFL),
                                         "reflection", "xray", "fixpoints")
+        digests["segment.svg"] = _plot(tmp, _document(tmp, "segment", SEGMENT), "reflection")
+        digests["offchamber.svg"] = _plot(tmp, _document(tmp, "offchamber", OFFCHAMBER),
+                                          "reflection")
     digests["reports.fixtures"] = _sha(
         render_document(full_report(_points(c))) for c in FIXTURES)
     digests["reports.figures"] = _sha(
@@ -233,6 +252,13 @@ def compute_digests() -> dict:
         render_svg(hull, ("xray",)) for hull in map(convex_hull, rational_inputs())
         if (report := analyze(hull).report).valid
         and sum(va.on_wall for va in report.vertex_data) == 1)
+    # Plain and reflected drawings of polygons of any dimension, valid or
+    # not, in the chamber or not.
+    digests["svg.shapes"] = _sha(
+        render_svg(hull, overlays)
+        for hull in [*(convex_hull(_points(c)) for c in FIXTURES + SHAPES),
+                     *map(convex_hull, redundant_inputs())]
+        for overlays in ((), ("reflection",)))
     return digests
 
 

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mompoly.errors import ChamberError, GeometryError
-from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross
+from mompoly.lattice import RationalPoint, Weight, coroot_pairing, cross, weyl_reflect
 from mompoly.classify import analyze, require_chamber
 from mompoly.polygon import (
     Edge,
@@ -138,6 +138,32 @@ def test_t_polytope_is_hull_with_reflection():
         hull = P(*coords)
         reflected = [RationalPoint(v.y, v.x) for v in hull.vertices]
         assert hull.t_polytope().vertices == convex_hull([*hull.vertices, *reflected]).vertices
+
+
+@st.composite
+def _redundant_point_lists(draw):
+    """Points with a repeat, the points a third of the way along each hull
+    edge and the centroid: duplicate, collinear and interior points whose
+    denominators differ from the others'."""
+    pts = draw(point_lists)
+    vs = convex_hull(pts).vertices
+    thirds = [RationalPoint(a.x + (b.x - a.x) / 3, a.y + (b.y - a.y) / 3)
+              for a, b in zip(vs, vs[1:] + vs[:1])]
+    centroid = RationalPoint(sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts))
+    return draw(st.permutations([*pts, *thirds, centroid, pts[0]]))
+
+
+@given(_redundant_point_lists())
+@example([RationalPoint.of("1/2", "1/3"), RationalPoint.of(1, 1), RationalPoint.of("3/4", "2/3")])
+def test_reflected_is_the_hull_of_the_reflected_vertices(pts):
+    """reflected() has the vertices of the hull of the reflected vertices,
+    and its int pairs on the polygon's own grid."""
+    polygon = convex_hull(pts)
+    reflected = polygon.reflected()
+    assert reflected.vertices == convex_hull([weyl_reflect(v) for v in polygon.vertices]).vertices
+    assert reflected.scale == polygon.scale
+    assert reflected.xy == int_hull([(y, x) for x, y in polygon.xy])
+    assert reflected.reflected().xy == polygon.xy
 
 
 # int_hulls of pairs folded into the chamber x >= y.  On a small grid,
