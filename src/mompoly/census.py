@@ -41,8 +41,9 @@ census builds no Polygon, report or Analysis (run_census(4) derives 128
 signatures for 1,070 valid triangles).  The rebuild check,
 classify.require_rebuild, still runs on every valid triangle: inside
 triangle_family for the first of a signature, and on a later one with
-the cone rays of the signature's family, from its own base vertex on
-the grid's int pairs.
+the base rays of the signature's first triangle, which that check has
+shown to be its family's cone rays (they are primitive), from its own
+base vertex on the grid's int pairs.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ class _VerdictRow(dict):
 
 
 # The fields of a valid triangle's ItemResult after `indices` and `valid`
-# (family tag, Kaehler verdict, diff type) and the rays r1, r2 of its
-# family's cone.
+# (family tag, Kaehler verdict, diff type) and the rays r1, r2 at the base
+# vertex of the signature's first triangle, its family's cone rays.
 _Fields = tuple[str, bool, str, tuple[Weight, Weight]]
 
 
@@ -298,11 +299,11 @@ class _Grid:
         i = base_vertex(xy)
         k = ccw[i]
         _, r1, r2 = key[i]
-        fam = triangle_family(xy, self.scale, i, (dirs[r1], dirs[r2]),
-                              self.verdicts[k][r1][r2][1])
+        rays = (dirs[r1], dirs[r2])
+        fam = triangle_family(xy, self.scale, i, rays, self.verdicts[k][r1][r2][1])
         _, r1, r2 = key[0]
         diff, _ = diff_type(fam, dirs[r1], dirs[r2])
-        return fam.tag, self.kaehler(key), diff.value, fam.cone()[3:]
+        return fam.tag, self.kaehler(key), diff.value, rays
 
 
 def _triangle_judge(grid: _Grid):
@@ -318,8 +319,8 @@ def _triangle_judge(grid: _Grid):
     of the ray to the next vertex, id of the ray to the previous one) at
     each vertex along ccw, read off the six ray ids between its vertices.
     The first triangle of a signature is derived (_Grid.derive); a later
-    one is held to the same rebuild check, require_rebuild, with the cone
-    rays of the signature's family."""
+    one is held to the same rebuild check, require_rebuild, with the base
+    rays of the signature's first triangle, its family's cone rays."""
     rays, verdicts, on_wall = grid.rays, grid.verdicts, grid.on_wall
     grid_xy, scale, derive = grid.xy, grid.scale, grid.derive
     new = tuple.__new__

@@ -1,9 +1,9 @@
 """Exact convex polygon computations in t*.
 
 A Polygon stores its extreme points only, in counterclockwise order,
-starting at the lexicographically smallest vertex: the constructor
-accepts a vertex tuple exactly when convex_hull, the one hull entry
-point, returns it unchanged.
+starting at the lexicographically smallest vertex.  Every Polygon is
+built by Polygon._hull; the constructor, which checks its vertex tuple,
+accepts it exactly when convex_hull returns it unchanged.
 Degenerate hulls (a single point or a segment) are permitted;
 operations that need a 2-dimensional polygon say so.
 
@@ -16,8 +16,10 @@ common denominator `scale` of its coordinates and its vertices times
 arithmetic.  A point tested against a polygon joins its vertices on
 one grid through integer_form; int pairs that already lie on the
 polygon's grid are tested with on_boundary.  Hulls are taken on int
-pairs by int_hull, the one monotone chain, which convex_hull runs on the
-integer form of its points.  The T-polytope, the hull of a polygon and
+pairs by int_hull, the one monotone chain, which Polygon._hull runs on
+the int pairs of points on a common grid: convex_hull's and a report's
+on the integer form of their points, a reflection's and a T-polytope's
+on the polygon's own grid.  The T-polytope, the hull of a polygon and
 its Weyl reflection, is taken by t_hull in linear time: on a
 counterclockwise cycle of int pairs in the chamber, it joins the arc
 facing away from the wall to its mirror image, the swapped pairs.  A
@@ -89,13 +91,15 @@ class Polygon:
         self.__dict__.update(vertices=vertices, scale=hull.scale, xy=hull.xy)
 
     @classmethod
-    def _from_form(cls, vertices: tuple[RationalPoint, ...], scale: int,
-                   xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon of vertices that hull_of_form or int_hull has put
-        in the required order, with their integer form on any common
-        scale; nothing is checked again."""
+    def _hull(cls, points: Sequence[RationalPoint], scale: int,
+              xy: Sequence[IntPair]) -> "Polygon":
+        """The convex hull of points whose int pairs on the grid of `scale`
+        are xy: the int_hull of xy, with the caller's own points as its
+        vertices.  It is the one builder that checks nothing again."""
+        at = dict(zip(xy, points))
+        hull = int_hull(at)
         polygon = object.__new__(cls)
-        polygon.__dict__.update(vertices=vertices, scale=scale, xy=xy)
+        polygon.__dict__.update(vertices=tuple([at[q] for q in hull]), scale=scale, xy=hull)
         return polygon
 
     def __eq__(self, other):
@@ -155,10 +159,10 @@ class Polygon:
         return all(_turn(a, b, q) >= 0 for a, b in zip(xy, xy[1:] + xy[:1]))
 
     def reflected(self) -> "Polygon":
-        """The Weyl reflection of the polygon: the int_hull of its swapped
-        int pairs.  Like t_polytope, it is built on the polygon's scale,
-        so its xy lies on the polygon's grid."""
-        return self._on_grid(int_hull([(y, x) for x, y in self.xy]))
+        """The Weyl reflection of the polygon: the hull of its swapped int
+        pairs.  Like t_polytope, it is built on the polygon's scale, so its
+        xy lies on the polygon's grid."""
+        return self._on_grid([(y, x) for x, y in self.xy])
 
     def t_polytope(self) -> "Polygon":
         """Hull of the polygon together with its Weyl reflection, on the
@@ -167,22 +171,11 @@ class Polygon:
         T-polytope, its t_hull."""
         return self._on_grid(t_hull(int_hull({(max(q), min(q)) for q in self.xy})))
 
-    def _on_grid(self, xy: tuple[IntPair, ...]) -> "Polygon":
-        """The polygon whose int pairs on this polygon's scale are xy, as
-        int_hull orders them."""
+    def _on_grid(self, xy: Sequence[IntPair]) -> "Polygon":
+        """The hull, by Polygon._hull, of the int pairs xy on this polygon's
+        scale."""
         scale = self.scale
-        return Polygon._from_form(tuple([form_point(q, scale) for q in xy]), scale, xy)
-
-
-def hull_of_form(
-    points: Sequence[RationalPoint], xy: Sequence[IntPair],
-) -> tuple[tuple[RationalPoint, ...], tuple[IntPair, ...]]:
-    """The convex hull of points whose integer form on some scale is xy:
-    the hull's vertices, counterclockwise from the lexicographically
-    smallest, and their int pairs (see int_hull)."""
-    at = dict(zip(xy, points))
-    hull = int_hull(at)
-    return tuple([at[q] for q in hull]), hull
+        return Polygon._hull([form_point(q, scale) for q in xy], scale, xy)
 
 
 def int_hull(xy: Iterable[IntPair]) -> tuple[IntPair, ...]:
@@ -286,10 +279,8 @@ def int_rays(xy: Sequence[IntPair]) -> Iterator[tuple[Weight, Weight]]:
 def convex_hull(points: Iterable[RationalPoint]) -> Polygon:
     """Convex hull, counterclockwise from the lexicographically smallest
     vertex, with its integer form.  Duplicates and non-extreme points
-    (including interior points of edges) are dropped.  The hull is taken
+    (including interior points of edges) are dropped.  It is Polygon._hull
     on the integer form of the points, whose scaling keeps their
-    lexicographic order, and its vertices are the caller's own points."""
+    lexicographic order, so its vertices are the caller's own points."""
     points = list(points)
-    scale, xy = integer_form(points)
-    vertices, hull = hull_of_form(points, xy)
-    return Polygon._from_form(vertices, scale, hull)
+    return Polygon._hull(points, *integer_form(points))

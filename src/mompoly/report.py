@@ -36,7 +36,7 @@ from .kaehler import (
     is_kaehlerizable,
 )
 from .lattice import RationalPoint
-from .polygon import Polygon, hull_of_form, integer_form
+from .polygon import Polygon, integer_form
 
 
 class DocumentError(ValueError):
@@ -293,8 +293,7 @@ def full_report(points: list[RationalPoint]) -> dict:
     input's grid from one table that formats each int coordinate once.
     """
     scale, input_xy = integer_form(points)
-    vertices, xy = hull_of_form(points, input_xy)
-    polygon = Polygon._from_form(vertices, scale, xy)
+    polygon = Polygon._hull(points, scale, input_xy)
     analysis = analyze(polygon)
     report = analysis.report
     coord = {c: _scalar(c, scale) for c in {c for p in input_xy for c in p}}

@@ -7,11 +7,10 @@ suites use a fixed seed, so the output is identical across runs.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .census import run_census
+from .census import enumerate_triangles, grid_points, run_census
 from .classify import analyze, classify_triangle
 from .difftype import chern_mod3_at_vertex
 from .kaehler import atiyah_cross_check, fixpoint_images, is_kaehlerizable
@@ -87,16 +86,9 @@ def check_triangle_sweep() -> list[str]:
     """Every small valid triangle round-trips through its family and is
     Kählerizable; the mod-3 residue is vertex-independent."""
     failures = []
-    points = [
-        RationalPoint(Fraction(i), Fraction(j))
-        for i in range(-3, 4)
-        for j in range(-3, 4)
-        if i >= j
-    ]
-    for triple in itertools.combinations(points, 3):
-        hull = convex_hull(triple)
-        if len(hull) != 3:
-            continue
+    points = grid_points(3)
+    for _, ccw in enumerate_triangles(points):
+        hull = convex_hull([points[k] for k in ccw])
         analysis = analyze(hull)
         if not analysis.report.valid:
             continue

@@ -20,7 +20,7 @@ from mompoly.difftype import diffeo_type
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.kaehler import is_kaehlerizable
 from mompoly.lattice import RationalPoint
-from mompoly.polygon import convex_hull, form_point, hull_of_form, integer_form
+from mompoly.polygon import convex_hull, form_point, int_hull, integer_form
 from mompoly.report import full_report
 
 from oracle import _jarvis_hull, oracle_family_triangles, oracle_is_valid, oracle_kaehler
@@ -96,8 +96,8 @@ def test_enumerate_convex_yields_hulls_in_preorder(enumerate_candidates, denomin
         if len(ccw) <= 2:
             assert list(ccw) == sorted(ccw)
         else:
-            hull, _ = hull_of_form(list(ccw), [xy[k] for k in ccw])
-            assert ccw == hull
+            pairs = tuple([xy[k] for k in ccw])
+            assert int_hull(pairs) == pairs
         if len(ccw) >= 4:
             assert last[len(ccw) - 1] == ccw[:-1]
             chains += 1
@@ -341,9 +341,9 @@ def derived(monkeypatch):
     for cls in (classify.Analysis, classify.ClassificationReport, classify.VertexAnalysis):
         monkeypatch.setattr(cls, "__new__", refused)
     monkeypatch.setattr(polygon.Polygon, "__init__", refused)
-    monkeypatch.setattr(polygon.Polygon, "_from_form", refused)
-    for module, name in ((polygon, "hull_of_form"), (polygon, "convex_hull"),
-                         (classify, "convex_hull"), (classify, "check_momentum_polytope")):
+    monkeypatch.setattr(polygon.Polygon, "_hull", refused)
+    for module, name in ((polygon, "convex_hull"), (classify, "convex_hull"),
+                         (classify, "check_momentum_polytope")):
         monkeypatch.setattr(module, name, refused)
     return made
 

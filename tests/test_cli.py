@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mompoly import census, cli, report, selftest
+from mompoly import census, classify, cli, report, selftest
 from mompoly.cli import main
 from mompoly.errors import GeometryError
 from mompoly.report import (
@@ -23,6 +23,7 @@ from mompoly.report import (
     render_document,
 )
 from mompoly.lattice import RationalPoint, Weight
+from mompoly.polygon import convex_hull
 from fractions import Fraction
 
 from oracle import polytope_document
@@ -612,6 +613,24 @@ class TestSelftestCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL census-determinism: census is not reproducible (1 failure(s))" in lines
         assert lines[-1] == "selftest: failures detected"
+
+    def test_triangle_sweep_sees_every_triangle_and_can_fail(self, monkeypatch):
+        # The sweep analyzes each of the 3,036 non-collinear triples of the
+        # max-coord 3 grid once and finds the census's valid triangles.
+        analyzed = []
+        analyze = selftest.analyze
+        monkeypatch.setattr(selftest, "analyze",
+                            lambda hull: analyzed.append(analyze(hull)) or analyzed[-1])
+        assert selftest.check_triangle_sweep() == []
+        assert len(analyzed) == 3036
+        assert sum(a.report.valid for a in analyzed) == census.run_census(3).valid == 360
+        # A family whose triangle is one grid step off fails the sweep.
+        triangle = classify._Family.triangle
+        monkeypatch.setattr(classify._Family, "triangle", lambda fam: convex_hull(
+            [RationalPoint(v.x + 1, v.y) for v in triangle(fam).vertices]))
+        failures = selftest.check_triangle_sweep()
+        assert len(failures) == 360
+        assert all(" does not reconstruct " in f for f in failures)
 
     def test_threads_option_is_refused(self, capsys):
         # selftest takes no options; an old command line with --threads is

@@ -13,6 +13,7 @@ from mompoly.polygon import (
     _on_segment,
     convex_hull,
     int_hull,
+    integer_form,
     on_boundary,
     t_hull,
 )
@@ -164,6 +165,21 @@ def test_reflected_is_the_hull_of_the_reflected_vertices(pts):
     assert reflected.scale == polygon.scale
     assert reflected.xy == int_hull([(y, x) for x, y in polygon.xy])
     assert reflected.reflected().xy == polygon.xy
+
+
+@given(_redundant_point_lists(), st.integers(1, 6))
+def test_hull_keeps_the_callers_points_on_any_common_grid(pts, k):
+    """Polygon._hull on the points' integer form scaled by k is their
+    convex_hull, with the caller's own point objects as its vertices and
+    the int_hull of their distinct int pairs as its xy."""
+    scale, xy = integer_form(pts)
+    pairs = [(k * x, k * y) for x, y in xy]
+    polygon = Polygon._hull(pts, k * scale, pairs)
+    assert polygon.vertices == convex_hull(pts).vertices
+    assert all(any(v is p for p in pts) for v in polygon.vertices)
+    assert polygon.scale == k * scale
+    assert polygon.xy == int_hull(set(pairs))
+    assert list(polygon.xy) == [(v.x * k * scale, v.y * k * scale) for v in polygon.vertices]
 
 
 # int_hulls of pairs folded into the chamber x >= y.  On a small grid,

@@ -99,7 +99,7 @@ def test_resolve_fails_on_a_removed_name(monkeypatch):
     assert resolve("fractions.Fraction") is Fraction
     for retired in ("Edge.contains", "XRay.fixpoints", "Analysis.wall_types", "no_such.name",
                     "XRay", "Stratum.segment", "Stratum.scale", "difftype.diffeo",
-                    "difftype.bundle_type"):
+                    "difftype.bundle_type", "polygon.hull_of_form", "Polygon._from_form"):
         with pytest.raises((AttributeError, LookupError)):
             resolve(retired)
     monkeypatch.delattr(mompoly.polygon, "t_hull")
