@@ -1,29 +1,14 @@
-"""Byte-identity guard: sha256 digests of census streams, classify reports
-and SVG drawings, recorded from the engine before its analysis refactor
-(the census-all-2 digests before the integer rewrite of enumerate_convex,
-the census-tri-4 digests before the integer form of polygons, the
-census-all-2-d2 digests before the census rejected candidates on the
-integer hull, the census-tri-3-d3 digests before the census read its
-grid's integer form and wrote stream lines from cached point texts, the
-reports.rational digest before reports were rendered by their own
-renderer and their fixpoint images ordered on the integer form, the
-svg.rational digest before the analysis kept its fixpoints in one
-integer-ordered tuple, the census-all-3 digests before the census judged
-`--shape all` candidates on their enumeration chains, the
-reports.redundant and svg.rational-xray digests before reports printed
-their points from the integer form and the x-ray was built on int pairs,
-the census-tri-6 digests before triangles took their own judge and stream
-writer; the woodward digests, which the CI step checks on the installed
-console script, at the same commit; the halfrefl.svg digest, which it
-checks too, before x-ray strata dropped their scale; the census-all-4
-digests of CI_ONLY before enumerate_convex built its half-plane table in
-one scan per pair of points; the svg.shapes digest, and the segment.svg and
-offchamber.svg digests that the CI step checks, before plot drew from int
-pairs and Polygon.reflected kept the polygon's scale).
+"""Byte-identity guard: sha256 digests of census streams and summaries,
+classify reports and SVG drawings.
 
-A refactor of the engine must not change a single output byte.  When a
-change alters an output on purpose, record the new digests by running
-this file as a script and say so in the change description:
+A refactor of the engine must not change a single output byte.  The
+digests are checked on two routes: `compute_digests` runs the command lines
+of COMMANDS through `cli.main` in-process, with the report and SVG
+renderers of the library, and `check_console_script`, which CI calls, runs
+every row of COMMANDS through the installed `mompoly` script.  When a change
+alters an output on purpose, record the new digests, those of CI_ONLY
+included, by running this file as a script and say so in the change
+description:
 
     PYTHONPATH=src python tests/test_byte_identity.py
 """
@@ -32,9 +17,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from mompoly.classify import analyze
 from mompoly.cli import main
@@ -79,10 +67,8 @@ EXPECTED = {
     "svg.shapes": "e0d1526939a1db5c6db25e907423cc1d59060ea13a077dfb4bdd9fb97bbf76ae",
 }
 
-# Digests that only the CI step checks, on the installed console script:
-# `enumerate --max-coord 4 --shape all` writes a 145 MB stream, too much for
-# compute_digests.  Record them with sha256sum of the command's summary
-# (its stdout) and stream.
+# Digests that only check_console_script checks: `enumerate --max-coord 4
+# --shape all` writes a 145 MB stream, too much for Tier-1.
 CI_ONLY = {
     "census-all-4.summary": "2413d348955e0bb4da883f104b956dad51b119f6238e95e073e8155958456513",
     "census-all-4.stream": "b5c82fd024bbcc0e2ed0b7a542e787dcdf3359a8f5d7215ecec93c30801e1577",
@@ -158,78 +144,111 @@ def _sha(parts) -> str:
     return h.hexdigest()
 
 
-def _census(max_coord: int, denominator: int, shape: str, tmp: str) -> tuple[str, str]:
-    stream = os.path.join(tmp, f"{shape}-{max_coord}-{denominator}.jsonl")
+# The documents the command lines of COMMANDS read.
+DOCUMENTS = {
+    # The README's Woodward document.
+    "woodward.json": '{"vertices": [[0,0],[1,0],[0,-1],[3,-1]]}\n',
+    # A rational quadrilateral on scale 2 whose one wall vertex is HalfReflPlus(j=0):
+    # its x-ray takes the all_edges rule, Woodward's the inner_edges_and_cross one.
+    "halfrefl.json": '{"vertices": [[0,0],["1/2","-1/2"],["3/2","-1/2"],[1,0]]}\n',
+    # The condition-1 segment of FIXTURES, drawn as a polyline, and the
+    # triangle of SHAPES that leaves the chamber.
+    "segment.json": '{"vertices": [[0,0],[2,2]]}\n',
+    "offchamber.json": '{"vertices": [[0,0],[2,0],["1/2","3/2"]]}\n',
+}
+
+# Every mompoly command line with a digest: its arguments, the digest name
+# of its stdout and the digest name of the file it writes with --output.
+COMMANDS = (
+    ("classify woodward.json", "woodward.report", None),
+    ("plot woodward.json --overlay xray --overlay fixpoints", None, "woodward.svg"),
+    ("plot halfrefl.json --overlay reflection --overlay xray --overlay fixpoints",
+     None, "halfrefl.svg"),
+    ("plot segment.json --overlay reflection", None, "segment.svg"),
+    ("plot offchamber.json --overlay reflection", None, "offchamber.svg"),
+    ("enumerate --max-coord 3", "census-tri-3.summary", "census-tri-3.stream"),
+    # Most valid triangles reuse the fields of an earlier ray signature.
+    ("enumerate --max-coord 4", "census-tri-4.summary", "census-tri-4.stream"),
+    # The largest triangle grid checked: 117,471 candidates, 284 signatures.
+    ("enumerate --max-coord 6", "census-tri-6.summary", "census-tri-6.stream"),
+    # This denominator and census-all-2-d2's give fractional vertices: their
+    # streams write "p/q" coordinates and their polygons have scale > 1.
+    ("enumerate --max-coord 3 --denominator 3",
+     "census-tri-3-d3.summary", "census-tri-3-d3.stream"),
+    ("enumerate --max-coord 1 --shape all", "census-all-1.summary", "census-all-1.stream"),
+    ("enumerate --max-coord 2 --shape all", "census-all-2.summary", "census-all-2.stream"),
+    # The census-all workload's command line as perfbench runs it: the same bytes.
+    ("enumerate --max-coord 2 --shape all --threads 1",
+     "census-all-2.summary", "census-all-2.stream"),
+    # enumerate_convex's chains grow deeper.
+    ("enumerate --max-coord 3 --shape all", "census-all-3.summary", "census-all-3.stream"),
+    # The largest `--shape all` grid checked: 1,066,962 candidates.
+    ("enumerate --max-coord 4 --shape all", "census-all-4.summary", "census-all-4.stream"),
+    ("enumerate --max-coord 2 --shape all --denominator 2",
+     "census-all-2-d2.summary", "census-all-2-d2.stream"),
+)
+
+
+def _file_sha(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def run_commands(run, names) -> list[tuple[str, str]]:
+    """The (name, digest) pairs of the outputs of each COMMANDS row that
+    writes one of names, run in a temporary directory by run(argv), which
+    returns the command's stdout as bytes."""
+    pairs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for doc, text in DOCUMENTS.items():
+            with open(os.path.join(tmp, doc), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for args, stdout, output in COMMANDS:
+            if stdout not in names and output not in names:
+                continue
+            argv = [os.path.join(tmp, arg) if arg in DOCUMENTS else arg for arg in args.split()]
+            if output:
+                argv += ["--output", os.path.join(tmp, output)]
+            out = run(argv)
+            if stdout:
+                pairs.append((stdout, hashlib.sha256(out).hexdigest()))
+            if output:
+                pairs.append((output, _file_sha(os.path.join(tmp, output))))
+    return pairs
+
+
+def _in_process(argv) -> bytes:
     out = io.StringIO()
     with redirect_stdout(out):
-        rc = main(["enumerate", "--max-coord", str(max_coord), "--denominator", str(denominator),
-                   "--shape", shape, "--output", stream])
-    assert rc == 0
-    with open(stream, encoding="utf-8") as fh:
-        return _sha([out.getvalue()]), _sha([fh.read()])
+        assert main(argv) == 0, argv
+    return out.getvalue().encode("utf-8")
 
 
-# The README's Woodward document, as the CI step writes it for the installed
-# console script.
-WOODWARD = '{"vertices": [[0,0],[1,0],[0,-1],[3,-1]]}\n'
-
-# A rational quadrilateral on scale 2 whose one wall vertex is HalfReflPlus(j=0):
-# its x-ray takes the all_edges rule, Woodward's the inner_edges_and_cross one.
-HALFREFL = '{"vertices": [[0,0],["1/2","-1/2"],["3/2","-1/2"],[1,0]]}\n'
-
-# The condition-1 segment of FIXTURES, drawn as a polyline, and the triangle
-# of SHAPES that leaves the chamber.
-SEGMENT = '{"vertices": [[0,0],[2,2]]}\n'
-OFFCHAMBER = '{"vertices": [[0,0],[2,0],["1/2","3/2"]]}\n'
+def _console(command):
+    """A runner for run_commands: the command line through the console
+    script `command`, such as ("mompoly",), in a subprocess."""
+    return lambda argv: subprocess.run([*command, *argv], stdout=subprocess.PIPE,
+                                       check=True).stdout
 
 
-def _document(tmp: str, name: str, text: str) -> str:
-    doc = os.path.join(tmp, f"{name}.json")
-    with open(doc, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return doc
-
-
-def _plot(tmp: str, doc: str, *overlays: str) -> str:
-    """The digest of `mompoly plot doc` with the given overlays."""
-    svg = os.path.join(tmp, "plot.svg")
-    args = [arg for name in overlays for arg in ("--overlay", name)]
-    assert main(["plot", doc, *args, "--output", svg]) == 0
-    with open(svg, encoding="utf-8") as fh:
-        return _sha([fh.read()])
-
-
-def _woodward(tmp: str) -> tuple[str, str]:
-    """The classify report and the x-ray and fixpoints plot of WOODWARD."""
-    doc = _document(tmp, "woodward", WOODWARD)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(["classify", doc]) == 0
-    return _sha([out.getvalue()]), _plot(tmp, doc, "xray", "fixpoints")
+def check_console_script(command) -> int:
+    """Run every COMMANDS row through `command`, print which outputs match
+    EXPECTED or CI_ONLY, and return 1 when one differs, else 0."""
+    expected = {**EXPECTED, **CI_ONLY}
+    pairs = run_commands(_console(command), expected)
+    bad = [name for name, digest in pairs if digest != expected[name]]
+    print("digests differ:" if bad else "digests match:", *(bad or (name for name, _ in pairs)))
+    return int(bool(bad))
 
 
 def compute_digests() -> dict:
     digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        # census-tri-3-d3 and census-all-2-d2 have fractional vertices: their
-        # streams write "p/q" coordinates and their polygons have scale > 1.
-        for name, max_coord, denominator, shape in (("census-tri-3", 3, 1, "triangles"),
-                                                    ("census-tri-4", 4, 1, "triangles"),
-                                                    ("census-tri-6", 6, 1, "triangles"),
-                                                    ("census-tri-3-d3", 3, 3, "triangles"),
-                                                    ("census-all-1", 1, 1, "all"),
-                                                    ("census-all-2", 2, 1, "all"),
-                                                    ("census-all-3", 3, 1, "all"),
-                                                    ("census-all-2-d2", 2, 2, "all")):
-            summary, stream = _census(max_coord, denominator, shape, tmp)
-            digests[f"{name}.summary"] = summary
-            digests[f"{name}.stream"] = stream
-        digests["woodward.report"], digests["woodward.svg"] = _woodward(tmp)
-        digests["halfrefl.svg"] = _plot(tmp, _document(tmp, "halfrefl", HALFREFL),
-                                        "reflection", "xray", "fixpoints")
-        digests["segment.svg"] = _plot(tmp, _document(tmp, "segment", SEGMENT), "reflection")
-        digests["offchamber.svg"] = _plot(tmp, _document(tmp, "offchamber", OFFCHAMBER),
-                                          "reflection")
+    for name, digest in run_commands(_in_process, EXPECTED):
+        # Both census-all-2 rows must give the same bytes.
+        assert digests.setdefault(name, digest) == digest, name
     digests["reports.fixtures"] = _sha(
         render_document(full_report(_points(c))) for c in FIXTURES)
     digests["reports.figures"] = _sha(
@@ -266,5 +285,24 @@ def test_outputs_byte_identical():
     assert compute_digests() == EXPECTED
 
 
+def test_commands_write_every_digest():
+    written = {name for _, stdout, output in COMMANDS for name in (stdout, output) if name}
+    assert set(CI_ONLY) <= written
+    assert written <= set(EXPECTED) | set(CI_ONLY)
+
+
+def test_console_route_on_the_cheap_rows(monkeypatch):
+    """The classify and plot rows, census-tri-3 and both census-all-2 rows
+    through `python -m mompoly` subprocesses.  Tier-1's PYTHONPATH=src
+    holds only in the checkout's root, so theirs is absolute."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"))
+    cheap = ("woodward.report", "woodward.svg", "halfrefl.svg", "segment.svg", "offchamber.svg",
+             "census-tri-3.summary", "census-tri-3.stream",
+             "census-all-2.summary", "census-all-2.stream")
+    pairs = run_commands(_console((sys.executable, "-m", "mompoly")), cheap)
+    assert len(pairs) == 11
+    assert pairs == [(name, EXPECTED[name]) for name, _ in pairs]
+
+
 if __name__ == "__main__":
-    print(json.dumps(compute_digests(), indent=4))
+    print(json.dumps({**compute_digests(), **dict(run_commands(_in_process, CI_ONLY))}, indent=4))
