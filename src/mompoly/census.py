@@ -9,15 +9,18 @@ or fewer (MAX_COORD).
 
 A vertex's condition depends only on whether it lies on the wall and on
 the primitive rays to its two neighbours, so a census builds one ray table
-per grid, one gcd per pair of grid points: the id of the primitive
-direction from each grid point to each other one (132 distinct directions
-at max-coord 4).  An `--shape all` census also builds, before its first
-chain, enumerate_convex's table of half-plane bitmasks: n(n - 1)/2 scans
-of the grid's n points.  A candidate is carried as grid indices, never as
-points: both enumerators yield it as a pair (indices, ccw), its grid
-indices in increasing order and counterclockwise from its smallest
-vertex.  The shape selects the judge, a closure over the grid's tables
-built once per census: _triangle_judge for a triangles census,
+per grid: the id of the primitive direction from each grid point to each
+other one, read by the points' difference vector from a flat list with
+one gcd per difference vector (108 difference vectors between the 990
+pairs of points and 132 distinct directions at max-coord 4).  A wall
+vertex's pattern is integer tests on its rays' coordinates,
+classify.classify_wall_rays.  An `--shape all` census also builds,
+before its first chain, enumerate_convex's table of half-plane bitmasks:
+n(n - 1)/2 scans of the grid's n points.  A candidate is carried as grid
+indices, never as points: both enumerators yield it as a pair (indices,
+ccw), its grid indices in increasing order and counterclockwise from its
+smallest vertex.  The shape selects the judge, a closure over the grid's
+tables built once per census: _triangle_judge for a triangles census,
 _chain_judge for `--shape all`, which hands a 3-chain to a triangle
 judge.  Both judge each vertex from its two ray ids in the verdict rows,
 one dict per wall flag and first ray id, which judge each second ray id
@@ -107,15 +110,22 @@ def enumerate_triangles(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All 3-element subsets in convex position, each as a pair (indices,
     ccw) as enumerate_convex yields it: the three indices in sorted(points)
-    in increasing order, and the same counterclockwise from the smallest."""
+    in increasing order, and the same counterclockwise from the smallest.
+
+    Triples i < j < k come in lexicographic order.  For each anchor i the
+    later points are taken relative to it once, so a triple's turn is one
+    cross product of two relative int pairs."""
     _, xy = integer_form(sorted(points))
-    for (i, (ax, ay)), (j, (bx, by)), (k, (cx, cy)) in itertools.combinations(enumerate(xy), 3):
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        if cross > 0:
-            ijk = (i, j, k)
-            yield ijk, ijk
-        elif cross:
-            yield (i, j, k), (i, k, j)
+    for i, (ax, ay) in enumerate(xy):
+        rel = [(j, x - ax, y - ay) for j, (x, y) in enumerate(xy[i + 1:], i + 1)]
+        for m, (j, bx, by) in enumerate(rel, 1):
+            for k, cx, cy in rel[m:]:
+                cross = bx * cy - by * cx
+                if cross > 0:
+                    ijk = (i, j, k)
+                    yield ijk, ijk
+                elif cross:
+                    yield (i, j, k), (i, k, j)
 
 
 def _half_planes(xy: list[tuple[int, int]]) -> list[list[int]]:
@@ -233,6 +243,8 @@ class _VerdictRow(dict):
     is d1, by the id in `dirs` of its second ray: vertex_kind's verdict, or
     None if the vertex fails its condition; each id is judged once."""
 
+    __slots__ = ("on_wall", "d1", "dirs")
+
     def __init__(self, on_wall: bool, d1: Weight, dirs: list[Weight]):
         super().__init__()
         self.on_wall, self.d1, self.dirs = on_wall, d1, dirs
@@ -260,21 +272,31 @@ class _Grid:
         xy = self.xy
         require_chamber(xy)
         self.on_wall = [x == y for x, y in xy]
-        # One gcd per unordered pair i < j.  The ray from j to i is the
-        # negated ray from i to j, so a reduced int pair gets the even id
-        # 2m and its negation 2m + 1 = 2m ^ 1.  On grid_points, which are
-        # sorted, each ray from i to j > i points lexicographically up, so
-        # no direction gets two ids.
+        # One gcd per unordered pair i < j with a new difference vector: the
+        # ray from i to j depends only on that vector, so its id is kept in
+        # a flat list, at slot[key[j] - key[i] + off] for key = x*width + y,
+        # where width and off give each difference vector its own slot.  The
+        # ray from j to i is the negated ray from i to j, so a reduced int
+        # pair gets the even id 2m and its negation 2m + 1 = 2m ^ 1.  On
+        # grid_points, which are sorted, each ray from i to j > i points
+        # lexicographically up, so no direction gets two ids.
+        xs, ys = [x for x, _ in xy] or [0], [y for _, y in xy] or [0]
+        width = 2 * (max(ys) - min(ys)) + 1
+        off = (max(xs) - min(xs)) * width + width // 2
+        keys = [x * width + y for x, y in xy]
+        slot: list[Optional[int]] = [None] * (2 * off + 1)
         ids: dict[tuple[int, int], int] = {}
         n = len(xy)
         self.rays = rays = [[None] * n for _ in range(n)]
         for i, (px, py) in enumerate(xy):
-            row = rays[i]
+            row, shift = rays[i], off - keys[i]
             for j in range(i + 1, n):
-                qx, qy = xy[j]
-                a, b = qx - px, qy - py
-                g = gcd(a, b)
-                row[j] = r = ids.setdefault((a // g, b // g), 2 * len(ids))
+                if (r := slot[d := keys[j] + shift]) is None:
+                    qx, qy = xy[j]
+                    a, b = qx - px, qy - py
+                    g = gcd(a, b)
+                    r = slot[d] = ids.setdefault((a // g, b // g), 2 * len(ids))
+                row[j] = r
                 rays[j][i] = r ^ 1
         self.dirs = dirs = [w for a, b in ids for w in (Weight(a, b), Weight(-a, -b))]
         # One verdict row per wall flag and first ray id.

@@ -135,26 +135,38 @@ WallVertexType = Union[WallEdgePlus, WallEdgeMinus, HalfReflPlus, HalfReflMinus,
 def classify_wall_rays(r1: Weight, r2: Weight) -> Optional[WallVertexType]:
     """Match an unordered pair of primitive rays against the five wall
     patterns.  Returns None when no pattern matches; the patterns are
-    mutually exclusive."""
-    pair = {r1, r2}
-    if len(pair) != 2:
+    mutually exclusive.
+
+    The match is integer tests on the rays' coordinates, in this order:
+    equal rays match nothing, a pair with a ray +-(1, 1) is a wall edge or
+    nothing, then a pair with the ray alpha a half reflection or nothing,
+    and any other pair a reflection or nothing.  Each test that needs the
+    two rays in a pattern's order swaps them into it first."""
+    (a1, b1), (a2, b2) = r1, r2
+    if a1 == a2 and b1 == b2:
         return None
-    for w, cls in ((_ONE, WallEdgePlus), (-_ONE, WallEdgeMinus)):
-        if w in pair:
-            (other,) = pair - {w}
-            if other.a - other.b == 1:
-                return cls(other.b)
+    # Wall edge: rays {sign(1, 1), (k + 1, k)}.
+    if a2 == b2 and (a2 == 1 or a2 == -1):
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    if a1 == b1 and (a1 == 1 or a1 == -1):
+        if a2 - b2 != 1:
             return None
-    if ALPHA in pair:
-        (other,) = pair - {ALPHA}
-        if other.a + other.b == 1 and other.a >= 1:
-            return HalfReflPlus(other.a - 1)
-        if other.a + other.b == -1 and other.a >= 0:
-            return HalfReflMinus(other.a)
+        return WallEdgePlus(b2) if a1 == 1 else WallEdgeMinus(b2)
+    # Half reflection: rays {alpha, (j + 1, -j)} or {alpha, (j, -j - 1)}, j >= 0.
+    if a2 == 1 and b2 == -1:
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    if a1 == 1 and b1 == -1:
+        c = a2 + b2
+        if c == 1 and a2 >= 1:
+            return HalfReflPlus(a2 - 1)
+        if c == -1 and a2 >= 0:
+            return HalfReflMinus(a2)
         return None
-    p, q = sorted(pair, key=lambda w: -(w.a + w.b))
-    if p.a + p.b == 1 and q.a + q.b == -1 and p.a == q.a + 1 and q.a >= 0:
-        return Reflection(q.a)
+    # Reflection: rays {(j + 1, -j), (j, -j - 1)}, j >= 0.
+    if a1 + b1 == -1:
+        a1, b1, a2, b2 = a2, b2, a1, b1
+    if a1 + b1 == 1 and a2 + b2 == -1 and a1 == a2 + 1 and a2 >= 0:
+        return Reflection(a2)
     return None
 
 

@@ -12,7 +12,8 @@ each vertex, for the Atiyah-Bott-Berline-Vergne localization sums and
 the validity test they give, with the wall vertices they cannot see,
 and for the Chern numbers and a mod-3 rule that tells the two
 P(C^3)-bundles apart, reference copies of six helpers the package
-retired, and the key-function form of the base vertex choice.
+retired, the key-function form of the base vertex choice, and the
+set-based form of the wall-pattern matcher.
 """
 
 from fractions import Fraction
@@ -321,6 +322,32 @@ def oracle_base_vertex(xy):
     key function: minimal x - y, ties broken by the pair (x, y), the first
     such vertex if two pairs are equal."""
     return min(range(3), key=lambda k: (xy[k][0] - xy[k][1], xy[k]))
+
+
+def oracle_wall_type(r1, r2):
+    """The wall pattern of the unordered pair of rays r1, r2 (int pairs) as
+    (pattern name, parameter), or None: the package's matcher in its
+    set-based form, with its precedence.  Equal rays match nothing; a pair
+    with +-(1, 1) is a wall edge or nothing, then a pair with alpha a half
+    reflection or nothing, and any other pair a reflection or nothing."""
+    pair = {tuple(r1), tuple(r2)}
+    if len(pair) != 2:
+        return None
+    for w, name in (((1, 1), "wall_edge_plus"), ((-1, -1), "wall_edge_minus")):
+        if w in pair:
+            ((a, b),) = pair - {w}
+            return (name, b) if a - b == 1 else None
+    if _ALPHA in pair:
+        ((a, b),) = pair - {_ALPHA}
+        if a + b == 1 and a >= 1:
+            return "half_refl_plus", a - 1
+        if a + b == -1 and a >= 0:
+            return "half_refl_minus", a
+        return None
+    p, q = sorted(pair, key=lambda w: -(w[0] + w[1]))
+    if sum(p) == 1 and sum(q) == -1 and p[0] == q[0] + 1 and q[0] >= 0:
+        return "reflection", q[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

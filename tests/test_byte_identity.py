@@ -68,10 +68,13 @@ EXPECTED = {
 }
 
 # Digests that only check_console_script checks: `enumerate --max-coord 4
-# --shape all` writes a 145 MB stream, too much for Tier-1.
+# --shape all` writes a 145 MB stream and `enumerate --max-coord 8` a ray
+# table of 153 points, too much for Tier-1.
 CI_ONLY = {
     "census-all-4.summary": "2413d348955e0bb4da883f104b956dad51b119f6238e95e073e8155958456513",
     "census-all-4.stream": "b5c82fd024bbcc0e2ed0b7a542e787dcdf3359a8f5d7215ecec93c30801e1577",
+    "census-tri-8.summary": "c4b407389f687920d0c7625782f5d09bbb4db1f2f3344d25c67280bd8733c342",
+    "census-tri-8.stream": "b5735e67bf1be898afa71fe05009b394fafd61923f8d04cd05468f6589e79e2b",
 }
 
 FIGURES = (
@@ -169,8 +172,11 @@ COMMANDS = (
     ("enumerate --max-coord 3", "census-tri-3.summary", "census-tri-3.stream"),
     # Most valid triangles reuse the fields of an earlier ray signature.
     ("enumerate --max-coord 4", "census-tri-4.summary", "census-tri-4.stream"),
-    # The largest triangle grid checked: 117,471 candidates, 284 signatures.
+    # The largest triangle grid Tier-1 checks: 117,471 candidates, 284 signatures.
     ("enumerate --max-coord 6", "census-tri-6.summary", "census-tri-6.stream"),
+    # The largest triangle grid checked: 153 points, 408 difference vectors,
+    # 572,076 candidates.
+    ("enumerate --max-coord 8", "census-tri-8.summary", "census-tri-8.stream"),
     # This denominator and census-all-2-d2's give fractional vertices: their
     # streams write "p/q" coordinates and their polygons have scale > 1.
     ("enumerate --max-coord 3 --denominator 3",

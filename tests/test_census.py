@@ -19,7 +19,7 @@ from mompoly.classify import DiffType, analyze, classify_triangle
 from mompoly.difftype import diffeo_type
 from mompoly.errors import ChamberError, GeometryError
 from mompoly.kaehler import is_kaehlerizable
-from mompoly.lattice import RationalPoint
+from mompoly.lattice import RationalPoint, primitive_int_ray
 from mompoly.polygon import convex_hull, form_point, int_hull, integer_form
 from mompoly.report import full_report
 
@@ -315,6 +315,40 @@ def test_enumerators_yield_grid_indices(enumerate_candidates):
         assert all(type(k) is int and 0 <= k < len(points) for k in indices)
 
 
+def _assert_ray_table(points):
+    """rays[i][j] is the id of the primitive ray from point i to point j
+    and the negation's id is that id ^ 1; the ids are those of dirs."""
+    grid = census._Grid(points)
+    xy, rays, dirs = grid.xy, grid.rays, grid.dirs
+    assert len(rays) == len(xy)
+    for i, j in itertools.permutations(range(len(xy)), 2):
+        (xi, yi), (xj, yj) = xy[i], xy[j]
+        assert dirs[rays[i][j]] == primitive_int_ray(xj - xi, yj - yi)
+        assert rays[j][i] == rays[i][j] ^ 1
+    assert {r for row in rays for r in row if r is not None} == set(range(len(dirs)))
+    return grid
+
+
+@pytest.mark.parametrize("max_coord, denominator",
+                         [(0, 1)] + [(m, d) for m in range(1, 7) for d in (1, 2)])
+def test_ray_table_gives_each_direction_one_id(max_coord, denominator):
+    """The ray table of a grid, and of an empty one (max-coord 0), in which
+    no direction has two ids."""
+    grid = _assert_ray_table(grid_points(max_coord, denominator) if max_coord else [])
+    assert len(set(grid.dirs)) == len(grid.dirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_ray_table_on_any_chamber_points(points):
+    """The ray table of distinct points in the chamber, in any order, and
+    in lexicographic order, where no direction has two ids."""
+    chamber = list(dict.fromkeys(RationalPoint(max(p), min(p)) for p in points))
+    _assert_ray_table(chamber)
+    grid = _assert_ray_table(sorted(chamber))
+    assert len(set(grid.dirs)) == len(grid.dirs)
+
+
 def test_census_grid_refuses_chamber_exit():
     vertices = [RationalPoint.of(x, y) for x, y in ((0, 0), (1, 0), (0, 1))]
     for route in (census._Grid, lambda points: _classify_via_analysis(points, (0, 1, 2))):
@@ -461,11 +495,13 @@ def test_census_hands_over_the_validity_report(derived, monkeypatch, max_coord, 
 
 
 def test_census_reads_rays_from_one_table(monkeypatch):
-    """The max-coord 4 grid has 45 points: its table reduces one direction
-    per unordered pair of them (990), by the gcd of its int pair, where
-    judging each triangle on its own hull computed 30,917 primitive rays.
-    Each verdict row judges a pair of ray ids once: 2,270 vertex_kind
-    calls, each wall pattern matched once per pair."""
+    """The max-coord 4 grid has 45 points, 990 unordered pairs of them and
+    108 distinct difference vectors between a point and a later one.  Its
+    table reduces each difference vector once, by the gcd of its int pair:
+    108 gcds, where one per pair took 990 and judging each triangle on its
+    own hull computed 30,917 primitive rays.  Each verdict row judges a
+    pair of ray ids once: 2,270 vertex_kind calls, each wall pattern
+    matched once per pair."""
     rays = []
     kinds = []
     wall = []
@@ -482,7 +518,7 @@ def test_census_reads_rays_from_one_table(monkeypatch):
     summary = run_census(4)
     assert summary.total == 13428 and summary.valid == 1070
     assert len(grid_points(4)) == 45
-    assert len(rays) == 45 * 44 // 2
+    assert len(rays) == len(set(rays)) == 108
     assert len(kinds) == len(set(kinds)) == 2270
     assert wall and len(wall) == len(set(wall))
 
@@ -675,3 +711,43 @@ def test_census_is_dual_under_minus_w0(max_coord, shape):
         assert image.family_tag == _DUAL_TAG.get(item.family_tag, item.family_tag), item
     tags = Counter(item.family_tag for item in items if item.valid)
     assert tags["half_refl_plus"] == tags["half_refl_minus"] > 0
+
+
+# The moves of the max-coord 2 grid into a max-coord 4 grid, by the
+# denominator of that grid.
+_MOVES = {
+    2: {"same": lambda x, y: (x, y),
+        "shifted": lambda x, y: (x + Fraction(1, 2), y + Fraction(1, 2))},
+    1: {"doubled": lambda x, y: (2 * x, 2 * y)},
+}
+
+
+@pytest.mark.parametrize("shape, counts", [
+    ("triangles", {"same": 407, "shifted": 105, "doubled": 407}),
+    ("all", {"same": 1619, "shifted": 275, "doubled": 1619}),
+])
+def test_census_is_invariant_under_shift_and_scale(shape, counts):
+    """A shift along eps1+eps2 and a positive scaling keep the chamber, the
+    wall and every lattice fact, so they keep a candidate's fields.  Every
+    item of the max-coord 2 census equals, by points and fields, the item
+    at its points moved: at the same points and at the points shifted by
+    (eps1+eps2)/2 in the max-coord 4 / denominator 2 census (where the
+    shift stays on the grid), and at the doubled points in the max-coord 4
+    census."""
+    items = []
+    run_census(2, shape=shape, on_item=items.append)
+    coarse = grid_points(2)
+    for denominator, moves in _MOVES.items():
+        index = {p: k for k, p in enumerate(grid_points(4, denominator))}
+        images = {}
+        for name, move in moves.items():
+            for item in items:
+                image = [RationalPoint(*move(coarse[k].x, coarse[k].y)) for k in item.indices]
+                if all(p in index for p in image):
+                    images[name, item] = tuple(sorted(index[p] for p in image))
+        wanted, found = set(images.values()), {}
+        run_census(4, denominator, shape, on_item=lambda item: item.indices in wanted
+                   and found.setdefault(item.indices, item[1:]))
+        assert Counter(name for name, _ in images) == {name: counts[name] for name in moves}
+        for (name, item), indices in images.items():
+            assert found[indices] == item[1:], (name, item)

@@ -47,7 +47,13 @@ from mompoly.polygon import Edge, Polygon, convex_hull
 from mompoly.svgplot import render_svg
 from mompoly.report import full_report
 
-from oracle import oracle_base_vertex, oracle_family_triangles, positive_edges, transform
+from oracle import (
+    oracle_base_vertex,
+    oracle_family_triangles,
+    oracle_wall_type,
+    positive_edges,
+    transform,
+)
 
 
 def P(*coords):
@@ -90,7 +96,23 @@ class TestClassifyWallRays:
             Reflection(5),
         ]
         for wt in cases:
-            assert classify_wall_rays(*wt.rays()) == wt
+            r1, r2 = wt.rays()
+            assert classify_wall_rays(r1, r2) == classify_wall_rays(r2, r1) == wt
+
+    def test_matches_the_set_based_oracle(self):
+        # Every ordered pair of primitive rays with coordinates in [-9, 9]:
+        # the integer tests give the pattern and parameter of the set-based
+        # matcher, and a matched pattern's rays() are the pair.
+        rays = [Weight(a, b) for a, b in itertools.product(range(-9, 10), repeat=2)
+                if math.gcd(a, b) == 1]
+        matched = 0
+        for r1, r2 in itertools.product(rays, repeat=2):
+            wt = classify_wall_rays(r1, r2)
+            assert (wt and (wt.name, *wt)) == oracle_wall_type(r1, r2), (r1, r2)
+            if wt is not None:
+                assert wt.rays() == {r1, r2}
+                matched += 1
+        assert (len(rays) ** 2, matched) == (50176, 126)
 
     def test_duality_maps_patterns(self):
         # sigma(x, y) = (-y, -x), the map lambda -> -w0(lambda), keeps the
