@@ -32,21 +32,24 @@ is judged in O(1) and takes no hull.  Its ItemResult keeps `indices`, by
 which the stream writes its points.
 
 The validity and Kaehler criteria and the triangle families are local,
-so a valid candidate's fields are functions of its ray signature:
+so a valid triangle's fields are functions of its ray signature:
 (on_wall, ray id to the next vertex, ray id to the previous vertex) at
-each vertex along ccw.  The fields of a signature's first valid
-candidate are kept for the later ones.  Its Kaehler verdict is
-kaehler.obstructing_edge on the signature's wall flags and edge rays.  A
-triangle's family is classify.triangle_family of its base vertex's rays
-and wall type, and its diff type difftype.diff_type of the family and
-the rays of its first vertex, the routines the report reads too; the
-census builds no Polygon, report or Analysis (run_census(4) derives 128
-signatures for 1,070 valid triangles).  The rebuild check,
-classify.require_rebuild, still runs on every valid triangle: inside
-triangle_family for the first of a signature, and on a later one with
-the base rays of the signature's first triangle, which that check has
-shown to be its family's cone rays (they are primitive), from its own
-base vertex on the grid's int pairs.
+each vertex along ccw.  The fields of a signature's first valid triangle
+are kept for the later ones.  Its family is classify.triangle_family of
+its base vertex's rays and wall type, its diff type difftype.diff_type
+of the family and the rays of its first vertex, and its Kaehler verdict
+kaehler.obstructing_edge on the signature's wall flags and edge rays,
+the routines the report reads too; the census builds no Polygon, report
+or Analysis (run_census(4) derives 128 signatures for 1,070 valid
+triangles).  The rebuild check, classify.require_rebuild, still runs on
+every valid triangle: inside triangle_family for the first of a
+signature, and on a later one with the base rays of the signature's
+first triangle, which that check has shown to be its family's cone rays
+(they are primitive), from its own base vertex on the grid's int pairs.
+A valid polygon with four or more vertices gets only a Kaehler verdict,
+obstructing_edge on its own wall flags and the rays along ccw, and no
+memo: that one pass over its vertices costs less than building and
+hashing its signature to look the verdict up.
 """
 
 from __future__ import annotations
@@ -303,19 +306,14 @@ class _Grid:
         rows = {w: [_VerdictRow(w, d1, dirs) for d1 in dirs] for w in (False, True)}
         self.verdicts = [rows[w] for w in self.on_wall]
 
-    def kaehler(self, key: tuple) -> bool:
-        """The Kaehler verdict of a valid candidate with ray signature `key`:
-        obstructing_edge on its wall flags and the rays along its edges."""
-        dirs = self.dirs
-        return obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
-
     def derive(self, ccw: tuple[int, int, int], key: tuple) -> _Fields:
         """The fields of a valid triangle ccw with ray signature `key`.  Its
         family is triangle_family of its int pairs and base vertex, with
         that vertex's rays and wall type read from the verdict rows, which
         also runs the rebuild check (require_rebuild); its diff type is
-        diff_type of the family and the rays of its first vertex.  No
-        Polygon, report or Analysis is built."""
+        diff_type of the family and the rays of its first vertex, and its
+        Kaehler verdict obstructing_edge on the key's wall flags and edge
+        rays.  No Polygon, report or Analysis is built."""
         grid_xy, dirs = self.xy, self.dirs
         xy = (grid_xy[ccw[0]], grid_xy[ccw[1]], grid_xy[ccw[2]])
         i = base_vertex(xy)
@@ -325,7 +323,8 @@ class _Grid:
         fam = triangle_family(xy, self.scale, i, rays, self.verdicts[k][r1][r2][1])
         _, r1, r2 = key[0]
         diff, _ = diff_type(fam, dirs[r1], dirs[r2])
-        return fam.tag, self.kaehler(key), diff.value, rays
+        kaehler = obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
+        return fam.tag, kaehler, diff.value, rays
 
 
 def _triangle_judge(grid: _Grid):
@@ -383,16 +382,15 @@ def _chain_judge(grid: _Grid):
     its length.  A triangle, once c passes, goes to the triangle judge,
     which judges c again from its row; a longer chain is valid iff both
     closing vertices pass too: p with neighbours c and s, and s with
-    neighbours ccw[1] and p.  A valid polygon's fields are a Kaehler
-    verdict per ray signature (_Grid.kaehler), with no family or diff
-    type."""
-    rays, verdicts, on_wall, kaehler = grid.rays, grid.verdicts, grid.on_wall, grid.kaehler
+    neighbours ccw[1] and p.  A valid polygon gets only a Kaehler verdict,
+    obstructing_edge on its wall flags and the rays along ccw, which no
+    memo keeps (see the module docstring)."""
+    rays, verdicts, on_wall, dirs = grid.rays, grid.verdicts, grid.on_wall, grid.dirs
     triangle, new = _triangle_judge(grid), tuple.__new__
     # passed[m] is the verdict on ccw[m] of the candidate of length m + 2
     # judged last, or None unless its ccw[1..m] pass; passed[0] stands for
     # the empty ccw[1..0], which passes.
     passed = [True] + [None] * len(grid.xy)
-    verdict_of: dict[tuple, bool] = {}
 
     def chain(candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
         indices, ccw = candidate
@@ -411,11 +409,9 @@ def _chain_judge(grid: _Grid):
         if not (verdicts[p][rp[s]][rp[c]] and verdicts[s][rs[ccw[1]]][rs[p]]):
             return new(ItemResult, (indices, False, None, None, None))
 
-        key = tuple([(on_wall[k], rays[k][j], rays[k][i])
-                     for k, j, i in zip(ccw, ccw[1:] + ccw[:1], ccw[-1:] + ccw[:-1])])
-        if (verdict := verdict_of.get(key)) is None:
-            verdict = verdict_of[key] = kaehler(key)
-        return new(ItemResult, (indices, True, None, verdict, None))
+        edge = obstructing_edge([on_wall[k] for k in ccw],
+                                [dirs[rays[k][j]] for k, j in zip(ccw, ccw[1:] + ccw[:1])])
+        return new(ItemResult, (indices, True, None, edge is None, None))
 
     return chain
 

@@ -10,7 +10,8 @@ x-ray of the torus action are computed as independent data.
 The queries read the validity report and the polygon by index; the
 verdict builds an Edge only for its witness.  The criterion itself is
 obstructing_edge, on the wall flags and edge rays of the vertices, which
-the census also reads off a ray signature.  The fixpoint images are
+the census also applies: to a triangle's ray signature, and with no memo
+to a larger polygon's own rays.  The fixpoint images are
 `Analysis.fixpoints`, int pairs on the polygon's grid with their
 multiplicities; fixpoint_images builds a fresh Counter of their points
 on every call.  The T-polytope and the x-ray are built on the polygon's

@@ -6,9 +6,11 @@ digests are checked on two routes: `compute_digests` runs the command lines
 of COMMANDS through `cli.main` in-process, with the report and SVG
 renderers of the library, and `check_console_script`, which CI calls, runs
 every row of COMMANDS through the installed `mompoly` script.  When a change
-alters an output on purpose, record the new digests, those of CI_ONLY
-included, by running this file as a script and say so in the change
-description:
+alters an output on purpose, run this file as a script, record the
+digests it prints and say so in the change description.  It prints
+compute_digests and the digest of every output that a COMMANDS row writes
+and EXPECTED lacks: those of CI_ONLY, and those of a new row that only CI
+checks, before any digest of it is recorded.
 
     PYTHONPATH=src python tests/test_byte_identity.py
 """
@@ -291,8 +293,20 @@ def test_outputs_byte_identical():
     assert compute_digests() == EXPECTED
 
 
+def written_names() -> set[str]:
+    """The digest names of every output that a COMMANDS row writes."""
+    return {name for _, stdout, output in COMMANDS for name in (stdout, output) if name}
+
+
+def recorded_digests() -> dict:
+    """The digests to record: compute_digests, and those of the outputs that
+    a COMMANDS row writes and EXPECTED lacks, run in-process."""
+    return {**compute_digests(),
+            **dict(run_commands(_in_process, written_names() - set(EXPECTED)))}
+
+
 def test_commands_write_every_digest():
-    written = {name for _, stdout, output in COMMANDS for name in (stdout, output) if name}
+    written = written_names()
     assert set(CI_ONLY) <= written
     assert written <= set(EXPECTED) | set(CI_ONLY)
 
@@ -310,5 +324,21 @@ def test_console_route_on_the_cheap_rows(monkeypatch):
     assert pairs == [(name, EXPECTED[name]) for name, _ in pairs]
 
 
+def test_recorded_digests_ask_for_every_unrecorded_name(monkeypatch):
+    """The script records the outputs of a new CI-only row with no
+    placeholder digest: recorded_digests asks run_commands for the names
+    that COMMANDS rows write and EXPECTED lacks.  Both routines are
+    stubbed, so no census runs."""
+    module = sys.modules[__name__]
+    asked = []
+    monkeypatch.setattr(module, "compute_digests", lambda: {"reports.fixtures": "computed"})
+    monkeypatch.setattr(module, "run_commands",
+                        lambda run, names: asked.append(set(names)) or [("new.stream", "run")])
+    monkeypatch.setattr(module, "COMMANDS", COMMANDS + (
+        ("enumerate --max-coord 9", "new.summary", "new.stream"),))
+    assert recorded_digests() == {"reports.fixtures": "computed", "new.stream": "run"}
+    assert asked == [set(CI_ONLY) | {"new.summary", "new.stream"}]
+
+
 if __name__ == "__main__":
-    print(json.dumps({**compute_digests(), **dict(run_commands(_in_process, CI_ONLY))}, indent=4))
+    print(json.dumps(recorded_digests(), indent=4))

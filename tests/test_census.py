@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mompoly.kaehler
 import mompoly.report
 from mompoly import census, classify, difftype, polygon
 from mompoly.census import (
@@ -533,17 +534,25 @@ def test_census_judges_chains_without_hulls(derived, monkeypatch):
     19,757 when an interior vertex was judged on every visit, 1,051 now).
     Only the first valid triangle of each ray signature is derived; a
     valid polygon with four or more vertices (2,664 of the 3,024 valid
-    items) gets a Kaehler verdict and no family."""
+    items) gets a Kaehler verdict and no family.  That verdict is
+    obstructing_edge on the polygon's own rays, once per polygon, and
+    once more per derived triangle: 2,664 + 74 = 2,738 calls, where a
+    memo per ray signature made 538 + 74 = 612."""
     kinds = []
-    vertex_kind = census.vertex_kind
+    edges = []
+    vertex_kind, obstructing_edge = census.vertex_kind, census.obstructing_edge
     monkeypatch.setattr(census, "vertex_kind",
                         lambda *args: kinds.append(args) or vertex_kind(*args))
+    monkeypatch.setattr(census, "obstructing_edge",
+                        lambda *args: edges.append(args) or obstructing_edge(*args))
     valid = []
     summary = run_census(3, shape="all", on_item=lambda item: item.valid and valid.append(item))
+    triangles = len(derived)
     monkeypatch.undo()
     assert summary.total == 46667 and summary.valid == len(valid) == 3024
     assert sum(len(item.indices) >= 4 for item in valid) == 2664
     assert len(kinds) == len(set(kinds)) == 1051
+    assert triangles == 74 and len(edges) == 2664 + triangles
     assert _derived_triangles(derived) == _first_triangle_per_signature(grid_points(3), valid)
 
 
@@ -589,6 +598,27 @@ def test_report_and_census_read_each_fact_from_one_routine(monkeypatch, name):
     field = "by_family" if name == "triangle_family" else "by_diff_type"
     assert wrong_summary[field] != summary[field]
     assert wrong_summary["valid"] == summary["valid"]
+
+
+def test_report_and_census_read_one_kaehler_rule(monkeypatch):
+    """The report and the census take every Kaehler verdict from
+    kaehler.obstructing_edge: patched, in both modules that bind it, to
+    name edge 0 of every polygon, it turns the one-wall Kaehler
+    quadrilateral's report false with edge 0 as witness, and every valid
+    item of run_census(2, shape="all") false, the derived triangles and
+    the larger polygons alike, while validity does not change."""
+    quadrilateral = [RationalPoint.of(x, y) for x, y in ((2, 2), (5, 2), (5, 1), (2, 1))]
+    assert census.obstructing_edge is mompoly.kaehler.obstructing_edge
+    assert full_report(quadrilateral)["kaehler"] == {"verdict": True, "witness_edge": None}
+    summary = run_census(2, shape="all")
+    assert (summary.valid, summary.kaehler_true, summary.kaehler_false) == (343, 339, 4)
+    for module in (mompoly.kaehler, census):
+        monkeypatch.setattr(module, "obstructing_edge", lambda on_wall, rays: 0)
+    # Edge 0 runs from the smallest vertex, (2, 1), counterclockwise.
+    assert full_report(quadrilateral)["kaehler"] == {
+        "verdict": False, "witness_edge": [[2, 1], [5, 1]]}
+    summary = run_census(2, shape="all")
+    assert (summary.valid, summary.kaehler_true, summary.kaehler_false) == (343, 0, 343)
 
 
 @pytest.mark.parametrize("max_coord, denominator", [(3, 1), (2, 2)])

@@ -484,12 +484,32 @@ class TestBuildXray:
         """A lone wall vertex is never a wall-edge vertex, whose wall edge ends
         at a second wall vertex; so build_xray has a rule for every valid
         polytope with one wall vertex, here all 376 of the max-coord 3
-        `--shape all` census."""
+        `--shape all` census, max-coord 2's 64 among them.  Each stratum is
+        an invariant sphere between T-fixpoints: both its ends are images of
+        oracle_fixpoints, and its primitive direction from each end is one
+        of that end's tangent weights (3,271 strata: 2,757 of dimension 2
+        and 514 of dimension 4).  Whether every such sphere is a stratum is
+        not checked."""
         one_wall = [convex_hull(vertices) for vertices, item in _census_items(3, "all")
                     if item.valid and sum(p.x == p.y for p in vertices) == 1]
         assert len(one_wall) == 376
+        dimensions = Counter()
         for polygon in one_wall:
-            assert build_xray(polygon)
+            xray = build_xray(polygon)
+            assert xray
+            scale = polygon.scale
+            weights = {}
+            for (x, y), triple in oracle_fixpoints([(p.x, p.y) for p in polygon.vertices]):
+                weights.setdefault((int(x * scale), int(y * scale)), set()).update(triple)
+            for stratum in xray:
+                (ax, ay), (bx, by) = ends = stratum.xy
+                assert all(end in weights for end in ends), (polygon, stratum)
+                g = gcd(bx - ax, by - ay)
+                direction = ((bx - ax) // g, (by - ay) // g)
+                assert direction in weights[ends[0]], (polygon, stratum)
+                assert (-direction[0], -direction[1]) in weights[ends[1]], (polygon, stratum)
+                dimensions[stratum.dimension] += 1
+        assert dimensions == {2: 2757, 4: 514}
 
     def test_holds_only_its_strata(self):
         xray = build_xray(FIG_REFL_LEFT)

@@ -1,6 +1,7 @@
 """The README's Library block runs, and each comment after a statement in it
 is the repr of the statement's value: of the expression, or of the name an
-assignment binds. Every backticked dotted name in the README resolves."""
+assignment binds. Every backticked dotted name in the README resolves,
+and none has a part that starts with `_`."""
 
 import ast
 import importlib
@@ -88,10 +89,14 @@ def resolve(dotted: str):
 
 
 def test_readme_dotted_names_resolve():
+    """Every backticked dotted name resolves, and none names a private
+    routine: the README speaks of what a user calls, and leaves the
+    engine's inner routines to the module docstrings."""
     names = sorted(set(DOTTED.findall(README.read_text(encoding="utf-8"))))
     assert len(names) >= 10
     for name in names:
         resolve(name)
+    assert [name for name in names if any(part.startswith("_") for part in name.split("."))] == []
 
 
 def test_resolve_fails_on_a_removed_name(monkeypatch):
