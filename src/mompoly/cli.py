@@ -5,11 +5,18 @@ plot (SVG drawing), selftest (built-in invariant suites).  Exit codes:
 0 = completed (the report may still say valid: false), 2 = input error
 (unparseable document, polytope outside the chamber or otherwise
 ill-posed, unreadable file), 1 = internal error.
+
+main(argv) returns the exit code of every outcome but argparse's own: a
+usage error raises SystemExit(2) and --help SystemExit(0).  It may be
+called any number of times in one process.  The first call builds the
+argument parser and every later call reuses it, so a one-shot command
+costs what it did when every call built its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,7 +67,11 @@ def _write_output(path, text: str) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later one; each verb's subparser sets `run` to the verb's handler.
+    Parsing leaves the parser as it was, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="mompoly",
         description="Momentum polytopes of multiplicity free U(2)-manifolds: "
@@ -71,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify one polytope document")
     p_classify.add_argument("input", help="JSON document path, or - for stdin")
     p_classify.add_argument("--output", help="report destination (default stdout)")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_enum = sub.add_parser("enumerate", help="census over a rational grid")
     p_enum.add_argument("--max-coord", type=int, required=True)
@@ -82,19 +94,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a per-item JSON-lines stream to this file, summary to stdout "
         "(- is refused: the summary owns stdout)",
     )
+    p_enum.set_defaults(run=_cmd_enumerate)
 
     p_plot = sub.add_parser("plot", help="SVG drawing of a polytope")
     p_plot.add_argument("input", help="JSON document path, or - for stdin")
+    # No list default: argparse would hand that one list to every call
+    # that gives no --overlay.
     p_plot.add_argument(
         "--overlay",
         action="append",
-        default=[],
         choices=list(OVERLAYS),
         help="repeatable: reflection, xray, fixpoints",
     )
     p_plot.add_argument("--output", help="SVG destination (default stdout)")
+    p_plot.set_defaults(run=_cmd_plot)
 
-    sub.add_parser("selftest", help="run the built-in invariant suites")
+    p_selftest = sub.add_parser("selftest", help="run the built-in invariant suites")
+    p_selftest.set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -184,7 +200,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_plot(args) -> int:
     points = parse_polytope_document(_read_input(args.input))
     polygon = convex_hull(points)
-    svg = render_svg(polygon, tuple(args.overlay))
+    svg = render_svg(polygon, tuple(args.overlay or ()))
     _write_output(args.output, svg)
     return 0
 
@@ -196,15 +212,12 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "classify": _cmd_classify,
-        "enumerate": _cmd_enumerate,
-        "plot": _cmd_plot,
-        "selftest": _cmd_selftest,
-    }
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code.  A usage error raises SystemExit(2) and --help SystemExit(0), as
+    argparse does; every other outcome is returned."""
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (DocumentError, GeometryError, OSError) as exc:
         # GeometryError covers the chamber, empty hulls and overlay preconditions.
         print(f"error: {exc}", file=sys.stderr)

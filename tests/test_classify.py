@@ -600,6 +600,55 @@ class TestManifoldModel:
         }
         assert model.local_models == ()
 
+    # The base point lambda0 of each family's model images, from the
+    # family's parameters as a report writes them.
+    _LAMBDA0 = {
+        "delzant": lambda f: (f["s"], f["s"] - f["r"]),
+        "wall_edge": lambda f: (f["s"], f["s"]),
+        "reflection": lambda f: (f["s"], f["s"]),
+        "half_refl_plus": lambda f: (f["s"] + f["t"], f["s"]),
+        "half_refl_minus": lambda f: (f["s"], f["s"] - f["t"]),
+    }
+
+    def test_model_fixpoints_map_onto_the_report_images(self):
+        """The model named for a valid triangle realizes it, so its
+        T-fixpoints map onto the report's fixpoint_images, multiplicities
+        included.  With lambda0 the family's base point and t its scale, the
+        images are lambda0 - t*w for each weight w of a projective space,
+        the same points and the swapped pair of each for a projective bundle
+        over the sphere, and lambda0 + t*r for the four short roots
+        r = +-eps1, +-eps2 of B2 for the oriented Grassmannian, whose total
+        space lists no weights.  Checked on every valid triangle of the
+        triangles censuses max-coord 4 and max-coord 2 / denominator 2."""
+        tags = Counter()
+        for max_coord, denominator in ((4, 1), (2, 2)):
+            items = []
+            run_census(max_coord, denominator, on_item=items.append)
+            points = grid_points(max_coord, denominator)
+            for item in items:
+                if not item.valid:
+                    continue
+                doc = full_report([points[k] for k in item.indices])
+                params = dict(doc["triangle_family"])
+                tag = params.pop("family")
+                params = {name: Fraction(value) for name, value in params.items()}
+                (x, y), t = self._LAMBDA0[tag](params), params["t"]
+                model = doc["manifold_model"]
+                if model["total_space_kind"] == "oriented_grassmannian":
+                    assert model["weights"] == []
+                    images = [(x + t * a, y + t * b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+                else:
+                    images = [(x - t * a, y - t * b) for a, b in model["weights"]]
+                    if model["total_space_kind"] == "projective_bundle_over_sphere":
+                        images += [(b, a) for a, b in images]
+                assert Counter(images) == Counter({
+                    (Fraction(px), Fraction(py)): image["multiplicity"]
+                    for image in doc["fixpoint_images"] for px, py in [image["point"]]
+                }), doc["hull_vertices"]
+                tags[tag] += 1
+        assert tags == {"delzant": 917, "wall_edge": 142, "half_refl_plus": 37,
+                        "half_refl_minus": 37, "reflection": 20}
+
 
 class TestAnalysis:
     @pytest.fixture

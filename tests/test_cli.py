@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from mompoly.report import (
 )
 from mompoly.lattice import RationalPoint, Weight
 from mompoly.polygon import convex_hull
+from mompoly.svgplot import render_svg
 from fractions import Fraction
 
 from oracle import polytope_document
@@ -639,6 +641,68 @@ class TestSelftestCommand:
             main(["selftest", "--threads", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """main may be called many times in one process: it builds its parser on
+    the first call, and no call sees another's options."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        assert main(["enumerate", "--max-coord", "1"]) == 0
+        first = capsys.readouterr().out
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(self) or init(
+                                self, *args, **kwargs))
+        assert main(["enumerate", "--max-coord", "1"]) == 0
+        assert built == []
+        assert capsys.readouterr().out == first
+
+    def test_calls_carry_no_state(self, tmp_path, capsys):
+        vertices = [[2, 2], [5, 2], [5, 1], [2, 1]]
+        path = write_doc(tmp_path, vertices)
+        plain = render_svg(convex_hull([RationalPoint.of(x, y) for x, y in vertices]), ())
+        assert main(["plot", path, "--overlay", "xray"]) == 0
+        assert capsys.readouterr().out != plain
+        for _ in range(2):
+            assert main(["plot", path]) == 0
+            assert capsys.readouterr().out == plain
+        stream = tmp_path / "items.jsonl"
+        assert main(["enumerate", "--max-coord", "2", "--shape", "all", "--denominator", "2",
+                     "--output", str(stream)]) == 0
+        capsys.readouterr()
+        written = stream.read_bytes()
+        assert main(["enumerate", "--max-coord", "2"]) == 0
+        assert capsys.readouterr().out == render_document(census.run_census(2).as_dict())
+        assert stream.read_bytes() == written
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["enumerate"], 2, "the following arguments are required: --max-coord"),
+        (["selftest", "--threads", "1"], 2, "unrecognized arguments: --threads 1"),
+        (["--help"], 0, "usage: mompoly "),
+    ], ids=["missing-option", "unknown-option", "help"])
+    def test_argparse_exits_on_every_call(self, capsys, argv, code, message):
+        # A usage error writes to stderr and --help to stdout; every other
+        # outcome is returned as the exit code.
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            captured = capsys.readouterr()
+            written, silent = (captured.err, captured.out) if code else (captured.out, captured.err)
+            assert message in written and silent == ""
+
+    def test_import_builds_no_parser(self):
+        probe = ("import argparse, sys; sys.path.insert(0, sys.argv[1]); built = []; "
+                 "init = argparse.ArgumentParser.__init__; "
+                 "argparse.ArgumentParser.__init__ = "
+                 "lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs); "
+                 "import mompoly.cli; print(len(built))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout == "0\n"
 
 
 def test_python_dash_m_runs_the_cli():
