@@ -24,7 +24,10 @@ tables built once per census: _triangle_judge for a triangles census,
 _chain_judge for `--shape all`, which hands a 3-chain to a triangle
 judge.  Both judge each vertex from its two ray ids in the verdict rows,
 one dict per wall flag and first ray id, which judge each second ray id
-once.  A candidate is rejected at its first failing vertex.  An
+once.  The ray from j to i is the negation of the ray from i to j, whose
+id is rays[i][j] ^ 1, so a judge reads each edge's id from the table
+once, and a grid point's row only when that vertex is judged.  A
+candidate is rejected at its first failing vertex.  An
 `--shape all` candidate's ccw is the chain enumerate_convex grew it as;
 the chain's newest inner vertex is judged once for every chain that
 extends it, and its verdict is kept by position for them, so a candidate
@@ -45,11 +48,22 @@ triangles).  The rebuild check, classify.require_rebuild, still runs on
 every valid triangle: inside triangle_family for the first of a
 signature, and on a later one with the base rays of the signature's
 first triangle, which that check has shown to be its family's cone rays
-(they are primitive), from its own base vertex on the grid's int pairs.
-A valid polygon with four or more vertices gets only a Kaehler verdict,
-obstructing_edge on its own wall flags and the rays along ccw, and no
-memo: that one pass over its vertices costs less than building and
-hashing its signature to look the verdict up.
+(they are primitive), on the grid's int pairs, from the base vertex's
+position in ccw kept with the signature's fields.  That is each
+triangle's own base vertex (classify.base_vertex): the triangles of one
+signature have the same edge directions in the same order from their
+smallest vertices, so each is a positive homothety of the first, which
+orders their vertices by base_vertex's key (x - y, x, y) alike, ties
+included.  A valid polygon with four or more vertices gets only a Kaehler
+verdict, obstructing_edge on its own wall flags and the rays along ccw,
+and no memo: that one pass over its vertices costs less than building
+and hashing its signature to look the verdict up.
+
+The census counts each valid item once, in a tally by its fields after
+`valid` (family tag, Kaehler verdict, diff type), which has a handful of
+keys (8 in a triangles census of max-coord 4 or 6, 10 in an `--shape all`
+census of max-coord 3 or 4); when the census ends, CensusSummary.count
+folds the tally into the summary's counters.
 """
 
 from __future__ import annotations
@@ -259,9 +273,10 @@ class _VerdictRow(dict):
 
 
 # The fields of a valid triangle's ItemResult after `indices` and `valid`
-# (family tag, Kaehler verdict, diff type) and the rays r1, r2 at the base
-# vertex of the signature's first triangle, its family's cone rays.
-_Fields = tuple[str, bool, str, tuple[Weight, Weight]]
+# (family tag, Kaehler verdict, diff type), the rays r1, r2 at the base
+# vertex of the signature's first triangle, its family's cone rays, and that
+# vertex's position i in ccw.
+_Fields = tuple[str, bool, str, tuple[Weight, Weight], int]
 
 
 class _Grid:
@@ -313,7 +328,9 @@ class _Grid:
         also runs the rebuild check (require_rebuild); its diff type is
         diff_type of the family and the rays of its first vertex, and its
         Kaehler verdict obstructing_edge on the key's wall flags and edge
-        rays.  No Polygon, report or Analysis is built."""
+        rays.  The base vertex's rays and its position in ccw follow the
+        three ItemResult fields.  No Polygon, report or Analysis is
+        built."""
         grid_xy, dirs = self.xy, self.dirs
         xy = (grid_xy[ccw[0]], grid_xy[ccw[1]], grid_xy[ccw[2]])
         i = base_vertex(xy)
@@ -324,7 +341,7 @@ class _Grid:
         _, r1, r2 = key[0]
         diff, _ = diff_type(fam, dirs[r1], dirs[r2])
         kaehler = obstructing_edge([w for w, _, _ in key], [dirs[r] for _, r, _ in key]) is None
-        return fam.tag, kaehler, diff.value, rays
+        return fam.tag, kaehler, diff.value, rays, i
 
 
 def _triangle_judge(grid: _Grid):
@@ -336,12 +353,16 @@ def _triangle_judge(grid: _Grid):
     ccw = (s, c, p) is judged at c, then p, then s; a vertex k with next
     and previous vertices i and j is judged by verdicts[k][rays[k][i]][
     rays[k][j]], and the triangle is rejected at its first failing vertex.
-    A valid triangle's fields are those of its ray signature: (on_wall, id
-    of the ray to the next vertex, id of the ray to the previous one) at
-    each vertex along ccw, read off the six ray ids between its vertices.
-    The first triangle of a signature is derived (_Grid.derive); a later
-    one is held to the same rebuild check, require_rebuild, with the base
-    rays of the signature's first triangle, its family's cone rays."""
+    Of its six ray ids, three are read from the table, c -> p and c -> s
+    at c and p -> s at p, and the other three are their negations,
+    rays[j][i] == rays[i][j] ^ 1.  A valid triangle's fields are those of
+    its ray signature: (on_wall, id of the ray to the next vertex, id of
+    the ray to the previous one) at each vertex along ccw.  The first
+    triangle of a signature is derived (_Grid.derive); a later one is held
+    to the same rebuild check, require_rebuild, with the base rays of the
+    signature's first triangle, its family's cone rays, from the base
+    vertex's position in ccw stored with them (see the module docstring
+    for why that is its own base vertex)."""
     rays, verdicts, on_wall = grid.rays, grid.verdicts, grid.on_wall
     grid_xy, scale, derive = grid.xy, grid.scale, grid.derive
     new = tuple.__new__
@@ -350,21 +371,21 @@ def _triangle_judge(grid: _Grid):
     def triangle(candidate: tuple[tuple[int, ...], tuple[int, ...]]) -> ItemResult:
         indices, ccw = candidate
         s, c, p = ccw
-        rs, rc, rp = rays[s], rays[c], rays[p]
-        # Each id is read when its vertex is judged, so a rejected triangle
-        # reads only the ids of the vertices judged.  tuple.__new__ builds an
-        # ItemResult without its Python-level __new__.
+        # Three ids come from the table and three are their negations,
+        # rays[j][i] == rays[i][j] ^ 1; a row is loaded only when its vertex
+        # is judged, so a triangle rejected at c reads one row.  tuple.__new__
+        # builds an ItemResult without its Python-level __new__.
+        rc = rays[c]
         if not (verdicts[c][(cp := rc[p])][(cs := rc[s])]
-                and verdicts[p][(ps := rp[s])][(pc := rp[c])]
-                and verdicts[s][(sc := rs[c])][(sp := rs[p])]):
+                and verdicts[p][(ps := rays[p][s])][(pc := cp ^ 1)]
+                and verdicts[s][(sc := cs ^ 1)][(sp := ps ^ 1)]):
             return new(ItemResult, (indices, False, None, None, None))
 
         key = ((on_wall[s], sc, sp), (on_wall[c], cp, cs), (on_wall[p], ps, pc))
         if (f := fields.get(key)) is None:
             f = fields[key] = derive(ccw, key)
         else:
-            xy = (grid_xy[s], grid_xy[c], grid_xy[p])
-            require_rebuild(f[0], xy, scale, base_vertex(xy), f[3])
+            require_rebuild(f[0], (grid_xy[s], grid_xy[c], grid_xy[p]), scale, f[4], f[3])
         return new(ItemResult, (indices, True, f[0], f[1], f[2]))
 
     return triangle
@@ -382,9 +403,11 @@ def _chain_judge(grid: _Grid):
     its length.  A triangle, once c passes, goes to the triangle judge,
     which judges c again from its row; a longer chain is valid iff both
     closing vertices pass too: p with neighbours c and s, and s with
-    neighbours ccw[1] and p.  A valid polygon gets only a Kaehler verdict,
-    obstructing_edge on its wall flags and the rays along ccw, which no
-    memo keeps (see the module docstring)."""
+    neighbours ccw[1] and p.  Their ids p -> c and s -> p are the
+    negations (^ 1) of the ids c -> p and p -> s, so the table is read for
+    c -> p, c -> b, p -> s and s -> ccw[1].  A valid polygon gets only a
+    Kaehler verdict, obstructing_edge on its wall flags and the rays along
+    ccw, which no memo keeps (see the module docstring)."""
     rays, verdicts, on_wall, dirs = grid.rays, grid.verdicts, grid.on_wall, grid.dirs
     triangle, new = _triangle_judge(grid), tuple.__new__
     # passed[m] is the verdict on ccw[m] of the candidate of length m + 2
@@ -399,14 +422,14 @@ def _chain_judge(grid: _Grid):
             return new(ItemResult, (indices, False, None, None, None))
         b, c, p = ccw[-3], ccw[-2], ccw[-1]
         rc = rays[c]
-        ok = passed[n - 2] = verdicts[c][rc[p]][rc[b]] if passed[n - 3] else None
+        ok = passed[n - 2] = verdicts[c][(cp := rc[p])][rc[b]] if passed[n - 3] else None
         if not ok:
             return new(ItemResult, (indices, False, None, None, None))
         if n == 3:
             return triangle(candidate)
         s = ccw[0]
-        rs, rp = rays[s], rays[p]
-        if not (verdicts[p][rp[s]][rp[c]] and verdicts[s][rs[ccw[1]]][rs[p]]):
+        if not (verdicts[p][(ps := rays[p][s])][cp ^ 1]
+                and verdicts[s][rays[s][ccw[1]]][ps ^ 1]):
             return new(ItemResult, (indices, False, None, None, None))
 
         edge = obstructing_edge([on_wall[k] for k in ccw],
@@ -419,26 +442,30 @@ def _chain_judge(grid: _Grid):
 class CensusSummary(types.SimpleNamespace):
     """The arguments of a census and its counters.  SimpleNamespace gives
     the repr, the equality of fields (also with a plain SimpleNamespace of
-    the same fields) and no hash.  `add_valid` counts a valid item;
-    run_census sets `total` and `invalid` from the number of candidates when
-    the census ends, so valid + invalid == total."""
+    the same fields) and no hash.  `count` sets the counters once, when the
+    census ends, from its number of candidates and its tally of valid
+    items, so valid + invalid == total."""
 
     def __init__(self, shape: str, max_coord: int, denominator: int):
         super().__init__(shape=shape, max_coord=max_coord, denominator=denominator,
                          total=0, valid=0, invalid=0, kaehler_true=0, kaehler_false=0,
                          by_family=Counter(), by_diff_type=Counter())
 
-    def add_valid(self, item: ItemResult) -> None:
-        """Count a valid item.  It leaves `total` and `invalid` alone."""
-        self.valid += 1
-        if item.kaehler:
-            self.kaehler_true += 1
-        else:
-            self.kaehler_false += 1
-        if item.family_tag is not None:
-            self.by_family[item.family_tag] += 1
-        if item.diff_type is not None:
-            self.by_diff_type[item.diff_type] += 1
+    def count(self, tally: dict[tuple, int], total: int) -> None:
+        """Set the counters, which start at zero, from the census's `total`
+        candidates and `tally`, the number of valid items by their fields
+        after `valid`: (family tag, Kaehler verdict, diff type)."""
+        for (family, kaehler, diff), n in tally.items():
+            self.valid += n
+            if kaehler:
+                self.kaehler_true += n
+            else:
+                self.kaehler_false += n
+            if family is not None:
+                self.by_family[family] += n
+            if diff is not None:
+                self.by_diff_type[diff] += n
+        self.total, self.invalid = total, total - self.valid
 
     def as_dict(self) -> dict:
         """The summary document.  The record holds exactly its ten fields, in
@@ -454,8 +481,10 @@ def run_census(
     on_item=None,
 ) -> CensusSummary:
     """Classify every candidate and aggregate; `on_item` (if given) receives
-    every ItemResult in the deterministic candidate order.  Raises
-    GeometryError, before the grid is built, for a census that
+    every ItemResult in the deterministic candidate order.  A valid item is
+    counted once, in a tally by item[2:], its fields after `valid`, which
+    CensusSummary.count folds into the summary when the census ends.
+    Raises GeometryError, before the grid is built, for a census that
     check_census refuses."""
     check_census(max_coord, denominator, shape)
     points = grid_points(max_coord, denominator)
@@ -467,12 +496,14 @@ def run_census(
     else:
         enumerate_candidates, judge = enumerate_convex, _chain_judge(grid)
 
-    summary = CensusSummary(shape, max_coord, denominator)
-    add_valid, total = summary.add_valid, 0
+    tally: dict[tuple, int] = {}
+    total = 0
     for total, candidate in enumerate(enumerate_candidates(points), 1):
         if (item := judge(candidate)).valid:
-            add_valid(item)
+            fields = item[2:]
+            tally[fields] = tally.get(fields, 0) + 1
         if on_item is not None:
             on_item(item)
-    summary.total, summary.invalid = total, total - summary.valid
+    summary = CensusSummary(shape, max_coord, denominator)
+    summary.count(tally, total)
     return summary

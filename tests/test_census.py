@@ -265,6 +265,37 @@ def test_census_items_agree_with_analysis(max_coord, denominator, shape):
                      for indices, _ in enumerate_candidates(points)]
 
 
+@st.composite
+def _homothetic_chamber_points(draw):
+    """Up to 12 distinct chamber points in lexicographic order, as
+    grid_points gives them: up to 6 points with denominators 1 to 3 and
+    their image under v -> l*v + t*(eps1+eps2) for some l > 0.  That move
+    keeps the chamber, the wall and the ray signature of each triangle, so
+    a census on these points has memo hits."""
+    coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    base = [RationalPoint(max(p), min(p)) for p in points]
+    l, t = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), 2, 3])), draw(coord)
+    return sorted(dict.fromkeys(base + [RationalPoint(l * x + t, l * y + t) for x, y in base]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_homothetic_chamber_points())
+def test_census_judges_agree_with_analysis_on_any_points(chamber):
+    """Both judges on the ray table of arbitrary distinct chamber points
+    give the items of the full Analysis of each candidate's own hull.  Off
+    a grid the difference vectors are arbitrary, so this holds the ids a
+    judge takes as negations (rays[i][j] ^ 1) and the base vertex a memo
+    hit takes from its signature's first triangle to every candidate the
+    enumerators yield."""
+    grid = census._Grid(chamber)
+    for enumerate_candidates, judge in ((enumerate_triangles, census._triangle_judge(grid)),
+                                        (enumerate_convex, census._chain_judge(grid))):
+        candidates = list(enumerate_candidates(chamber))
+        assert [judge(candidate) for candidate in candidates] == [
+            _classify_via_analysis(chamber, indices) for indices, _ in candidates]
+
+
 @pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
 def test_census_hands_on_item_item_results(max_coord, shape):
     """on_item receives ItemResult objects, read by field name and
@@ -283,11 +314,13 @@ def test_census_hands_on_item_item_results(max_coord, shape):
 
 
 @pytest.mark.parametrize("denominator", [1, 2])
-@pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (2, "all")])
+@pytest.mark.parametrize("max_coord, shape", [(3, "triangles"), (4, "triangles"), (2, "all")])
 def test_census_summary_is_the_same_with_and_without_on_item(max_coord, shape, denominator):
     """run_census gives the same summary with on_item=None and with a
-    callback; its total is the number of candidates the enumerator yields
-    and its valid and invalid counts add up to it."""
+    callback; its total is the number of candidates the enumerator yields.
+    The summary is the fold of the items on_item receives: every counter
+    equals its recount over them, the Kaehler counts by the valid items'
+    `kaehler`."""
     items = []
     with_callback = run_census(max_coord, denominator, shape, on_item=items.append)
     without = run_census(max_coord, denominator, shape)
@@ -295,10 +328,16 @@ def test_census_summary_is_the_same_with_and_without_on_item(max_coord, shape, d
     enumerate_candidates = enumerate_triangles if shape == "triangles" else enumerate_convex
     candidates = sum(1 for _ in enumerate_candidates(grid_points(max_coord, denominator)))
     assert without.total == len(items) == candidates
-    assert without.valid + without.invalid == without.total
-    assert without.valid == sum(item.valid for item in items) > 0
-    assert without.by_family == Counter(item.family_tag for item in items
+    valid = [item for item in items if item.valid]
+    kaehler = Counter(item.kaehler for item in valid)
+    assert 0 < without.valid == len(valid) < without.total
+    assert without.invalid == len(items) - len(valid)
+    assert (without.kaehler_true, without.kaehler_false) == (kaehler[True], kaehler[False])
+    assert set(kaehler) <= {True, False}
+    assert without.by_family == Counter(item.family_tag for item in valid
                                         if item.family_tag is not None)
+    assert without.by_diff_type == Counter(item.diff_type for item in valid
+                                           if item.diff_type is not None)
 
 
 @pytest.mark.parametrize("enumerate_candidates", [enumerate_triangles, enumerate_convex])
@@ -420,25 +459,33 @@ def test_census_analyzes_only_valid_candidates(derived, monkeypatch):
 
 def test_census_checks_every_valid_triangle_rebuilds(derived, monkeypatch):
     """run_census(4) derives 128 signatures for its 1,070 valid triangles
-    (run_census(6) 284 for 5,203), and the one rebuild check,
-    classify.require_rebuild, runs once on every valid triangle: inside
-    triangle_family for the first of a signature, in the judge for the
-    later ones."""
+    (run_census(6) 284 for 5,203, run_census(3, 2) 74 for 360), and the
+    one rebuild check, classify.require_rebuild, runs once on every valid
+    triangle: inside triangle_family for the first of a signature, in the
+    judge for the later ones (942 memo hits at max-coord 4).  Each runs
+    from the triangle's own base vertex, classify.base_vertex of its int
+    pairs, also on a memo hit, which takes the base vertex's position from
+    the signature's first triangle."""
     checked = []
     require_rebuild = classify.require_rebuild
 
-    def recording(family, xy, *args):
-        checked.append(xy)
-        return require_rebuild(family, xy, *args)
+    def recording(module):
+        def check(family, xy, scale, i, rays):
+            checked.append((module, xy, i))
+            return require_rebuild(family, xy, scale, i, rays)
+        return check
 
     for module in (classify, census):
-        monkeypatch.setattr(module, "require_rebuild", recording)
-    for max_coord, valid, signatures in ((4, 1070, 128), (6, 5203, 284)):
+        monkeypatch.setattr(module, "require_rebuild", recording(module))
+    for max_coord, denominator, valid, signatures in (
+            (4, 1, 1070, 128), (6, 1, 5203, 284), (3, 2, 360, 74)):
         checked.clear()
         derived.clear()
-        assert run_census(max_coord).valid == valid
+        assert run_census(max_coord, denominator).valid == valid
         assert len(derived) == signatures
-        assert len(checked) == len(set(checked)) == valid
+        assert len(checked) == len({xy for _, xy, _ in checked}) == valid
+        assert sum(module is census for module, _, _ in checked) == valid - signatures
+        assert all(i == classify.base_vertex(xy) for _, xy, i in checked)
 
 
 def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
@@ -451,10 +498,10 @@ def test_census_memo_hits_run_the_rebuild_check(monkeypatch):
     stored = []
 
     def wrong_rays(grid, *args):
-        tag, kaehler, diff_type, (r1, r2) = derive(grid, *args)
+        tag, kaehler, diff_type, (r1, r2), i = derive(grid, *args)
         rays = (2 * r1, r2)
         stored.append((tag, rays))
-        return tag, kaehler, diff_type, rays
+        return tag, kaehler, diff_type, rays, i
 
     monkeypatch.setattr(census._Grid, "derive", wrong_rays)
     with pytest.raises(AssertionError, match="does not rebuild the triangle") as excinfo:

@@ -420,6 +420,22 @@ class TestAtiyahCrossCheck:
                 assert atiyah_cross_check(hull)
 
 
+@functools.cache
+def _one_wall_census_polytopes():
+    """The valid polytopes with exactly one wall vertex of the max-coord 3
+    `--shape all` census, each with the tangent weights of its
+    oracle_fixpoints by image, an int pair on the polytope's grid."""
+    out = []
+    for vertices, item in _census_items(3, "all"):
+        if item.valid and sum(p.x == p.y for p in vertices) == 1:
+            polygon, weights = convex_hull(vertices), {}
+            for (x, y), triple in oracle_fixpoints([(p.x, p.y) for p in polygon.vertices]):
+                key = (int(x * polygon.scale), int(y * polygon.scale))
+                weights.setdefault(key, set()).update(triple)
+            out.append((polygon, weights))
+    return tuple(out)
+
+
 def _segment(polygon, stratum):
     """The ends of a stratum of polygon's x-ray as points on its grid."""
     return frozenset(form_point(q, polygon.scale) for q in stratum.xy)
@@ -488,19 +504,14 @@ class TestBuildXray:
         an invariant sphere between T-fixpoints: both its ends are images of
         oracle_fixpoints, and its primitive direction from each end is one
         of that end's tangent weights (3,271 strata: 2,757 of dimension 2
-        and 514 of dimension 4).  Whether every such sphere is a stratum is
-        not checked."""
-        one_wall = [convex_hull(vertices) for vertices, item in _census_items(3, "all")
-                    if item.valid and sum(p.x == p.y for p in vertices) == 1]
+        and 514 of dimension 4).  The converse, which spheres are strata,
+        is test_spheres_off_alpha_are_strata."""
+        one_wall = _one_wall_census_polytopes()
         assert len(one_wall) == 376
         dimensions = Counter()
-        for polygon in one_wall:
+        for polygon, weights in one_wall:
             xray = build_xray(polygon)
             assert xray
-            scale = polygon.scale
-            weights = {}
-            for (x, y), triple in oracle_fixpoints([(p.x, p.y) for p in polygon.vertices]):
-                weights.setdefault((int(x * scale), int(y * scale)), set()).update(triple)
             for stratum in xray:
                 (ax, ay), (bx, by) = ends = stratum.xy
                 assert all(end in weights for end in ends), (polygon, stratum)
@@ -510,6 +521,66 @@ class TestBuildXray:
                 assert (-direction[0], -direction[1]) in weights[ends[1]], (polygon, stratum)
                 dimensions[stratum.dimension] += 1
         assert dimensions == {2: 2757, 4: 514}
+
+    def test_spheres_off_alpha_are_strata(self):
+        """The converse of test_every_one_wall_census_polytope, on its 376
+        polytopes.  Take a tangent weight w at an image p of
+        oracle_fixpoints and the nearest image q on the ray p + t*w, t > 0
+        (there is one for every weight).
+
+        (a) For w != +-alpha, q has -w among its weights and {p, q} is a
+            stratum: 4,132 pairs (p, w).
+        (b) An off-wall image p with +-alpha among its weights is joined to
+            its reflection s p by a stratum, its chord: 2,754 pairs.
+        (c) Along +-alpha the nearest image is not always s p, and then
+            {p, q} is not a stratum: build_xray keeps each chord (v, s v)
+            as one segment, also where its line x + y = c passes through
+            other images, the wall vertex or a second vertex and its
+            reflection.  Of the 3,094 pairs along +-alpha, 1,722 have
+            q = s p and are strata; the other 1,372 are not, 1,368 of them
+            with -w among q's weights, and each lies on a chord.  At each
+            of the 170 wall images both alpha and -alpha are weights: the
+            nearest image along each is an end of the chord through the
+            wall vertex, with -w among its weights, and no stratum leaves a
+            wall image along +-alpha.  Those are 340 of the 1,372 pairs."""
+        alpha = {(1, -1), (-1, 1)}
+        counts, broken = Counter(), []
+        for polygon, weights in _one_wall_census_polytopes():
+            segments = [stratum.xy for stratum in build_xray(polygon)]
+            strata = {frozenset(ends) for ends in segments}
+            chords = [a for a, b in segments if b == a[::-1]]
+            counts["wall images"] += sum(x == y for x, y in weights)
+            for p, at_p in weights.items():
+                for w in at_p:
+                    ahead = [(dx * w[0] + dy * w[1], q) for q in weights
+                             for dx, dy in [(q[0] - p[0], q[1] - p[1])]
+                             if q != p and dx * w[1] == dy * w[0] and dx * w[0] + dy * w[1] > 0]
+                    assert ahead, (polygon, p, w)
+                    _, q = min(ahead)
+                    pair, back = frozenset((p, q)), (-w[0], -w[1]) in weights[q]
+                    if w not in alpha:
+                        counts["a"] += 1
+                        if not (back and pair in strata):
+                            broken.append((polygon, p, w, q))
+                        continue
+                    if p[0] != p[1]:
+                        counts["b"] += 1
+                        assert frozenset((p, p[::-1])) in strata, (polygon, p)
+                    else:
+                        counts["wall"] += 1
+                        assert back and not any(p in (a, b) and sum(a) == sum(b)
+                                                for a, b in segments), (polygon, p)
+                    if q == p[::-1]:
+                        counts["q = s p"] += 1
+                        continue
+                    counts["not strata"] += 1
+                    counts["not strata, -w at q"] += back
+                    assert pair not in strata, (polygon, p, w)
+                    assert any(sum(a) == sum(p) and all(min(a) <= x <= max(a) for x, _ in pair)
+                               for a in chords), (polygon, p, w)
+        assert not broken, (len(broken), broken[:3])
+        assert counts == {"a": 4132, "b": 2754, "wall images": 170, "wall": 340,
+                          "q = s p": 1722, "not strata": 1372, "not strata, -w at q": 1368}
 
     def test_holds_only_its_strata(self):
         xray = build_xray(FIG_REFL_LEFT)
