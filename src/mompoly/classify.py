@@ -523,13 +523,15 @@ def analyze(polygon: PolygonLike) -> Analysis:
 
 
 def require_valid(polygon: PolygonLike) -> Analysis:
-    """The Analysis of a polygon that must be a valid momentum polytope."""
+    """The Analysis of a polygon that must be a valid momentum polytope;
+    the error names the first failure and counts the others."""
     analysis = analyze(polygon)
     if not analysis.report.valid:
-        raise InvalidPolytopeError(
-            "not a momentum polytope: "
-            + "; ".join(msg for _, msg in analysis.report.failures)
-        )
+        (_, first), *others = analysis.report.failures
+        message = f"not a momentum polytope: {first}"
+        if others:
+            message += f" (and {len(others)} more failure{'s' if len(others) > 1 else ''})"
+        raise InvalidPolytopeError(message)
     return analysis
 
 

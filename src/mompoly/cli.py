@@ -34,8 +34,10 @@ from .selftest import run_selftest
 from .svgplot import OVERLAYS, render_svg
 
 
-# The most bytes of a document that classify and plot read.  Memory grows by
-# up to about 35 bytes per input byte, so this bounds the growth near 35 MiB.
+# The most bytes of a document that classify and plot read.  The worst
+# documents measured, points in convex position such as (i, -i^2), grow
+# memory by about 240 bytes per input byte near the cap (209 MiB for
+# 922,654 bytes), so this bounds the growth near 250 MiB.
 MAX_DOCUMENT_BYTES = 1 << 20
 
 
@@ -222,7 +224,7 @@ def main(argv=None) -> int:
         # GeometryError covers the chamber, empty hulls and overlay preconditions.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ValueError) as exc:
-        # Any other ValueError is a fault of the engine, not of its input.
+    except Exception as exc:
+        # Any other exception is a fault of the engine, not of its input.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

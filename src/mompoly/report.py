@@ -5,14 +5,14 @@ pairs; coordinates are integers or exact fraction strings "p/q".  Only
 strings longer than MAX_DIGITS characters and JSON integers have their
 value compared with the digit cap: a shorter string is under it.
 Reports mirror the full analysis with a fixed key order so output is
-byte-identical across runs.  The module renders them with its own
-renderer, whose text is byte-identical to json.dumps(indent=2): it
-writes each str or int item of a list or dict, and each bool or None
-value of a dict, with one append and recurses only into the other
-values.  It walks a document by depth levels that hold the text each
-depth fixes, built once and kept for later containers and documents:
-levels to depth 16, each with the heads of at most 1,024 keys of at most
-64 characters.  Reports list the fixpoint images in the order that their
+byte-identical across runs.  render_document writes them with the
+module's own renderer: the text of json.dumps(indent=2) on the exact
+types a report holds, and TypeError on any other type, subclasses too.
+It writes each str, int, bool or None with one append and recurses only
+into lists and dicts, by depth levels that hold the text each depth
+fixes, built once and kept for later containers and documents: levels to
+depth 16, each with the heads of at most 1,024 keys of at most 64
+characters.  Reports list the fixpoint images in the order that their
 integer form gives.
 A report prints its points from the integer form of its input: each int
 coordinate is formatted once, and every point list is read from that
@@ -157,12 +157,11 @@ class _Level:
 
     def head(self, key, heads: dict[str, str]) -> str:
         """The head of a key that heads, first or later, does not hold;
-        memoised there within the caps."""
-        if not isinstance(key, str):
+        memoised there within the caps.  A key must be an exact str."""
+        if type(key) is not str:
             raise TypeError(f"report keys must be str, not {type(key).__name__}")
         head = (self.open_dict if heads is self.first else self.sep) + _encode_str(key) + ": "
-        if (type(key) is str and len(key) <= _MAX_KEY
-                and len(self.first) + len(self.later) < _MAX_HEADS):
+        if len(key) <= _MAX_KEY and len(self.first) + len(self.later) < _MAX_HEADS:
             heads[key] = head
         return head
 
@@ -173,9 +172,11 @@ _ROOT = _Level(0)
 def render_document(doc: dict) -> str:
     """The document as json.dumps(doc, indent=2) writes it, byte for byte,
     and a newline.  (Given an indent, json.dumps runs the json module's
-    pure-Python encoder.)  Only the report's value types are rendered:
-    dicts with str keys, lists, str, int, bool and None; any other value
-    raises TypeError."""
+    pure-Python encoder.)  Only what a report holds is rendered: dicts with
+    exact str keys whose values are exact str, int, bool, None, list or
+    dict, and lists whose items are exact str, int, list or dict.  Any
+    other value, item or key, a subclass of one of these types too, raises
+    TypeError."""
     out: list[str] = []
     _render(doc, _ROOT, out)
     out.append("\n")
@@ -183,22 +184,15 @@ def render_document(doc: dict) -> str:
 
 
 def _render(value, level: _Level, out: list[str]) -> None:
-    """Append the text of value, which lies at the depth of level.
-
-    Lists and dicts are told by their exact type first.  In their loops an
-    item of exact type str or int, and in a dict's loop also True, False
-    and None, is written with one append; only other items recurse.  A
-    subclass of a value type takes the isinstance chain, as json.dumps
-    does; a key head is looked up for exact str keys only."""
+    """Append the text of value, an exact list or dict at the depth of
+    level; any other value raises TypeError.  An exact str or int item,
+    and a True, False or None value of a dict, takes one append; other
+    items recurse.  Only an exact str key is looked up in the heads, so
+    that a str subclass equal to a memoised key reaches _Level.head, which
+    refuses it."""
     kind = type(value)
     if kind is not list and kind is not dict:
-        if isinstance(value, list):
-            kind = list
-        elif isinstance(value, dict):
-            kind = dict
-        else:
-            out.append(_leaf(value))
-            return
+        raise TypeError(f"a report holds no {kind.__name__} here")
     if not value:
         out.append("[]" if kind is list else "{}")
         return
@@ -237,21 +231,6 @@ def _render(value, level: _Level, out: list[str]) -> None:
             _render(item, level.child or level.descend(), out)
         heads = later
     out.append(level.close_dict)
-
-
-def _leaf(value) -> str:
-    """The text of a value that is no list or dict."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} is not a report value")
 
 
 # The sections that do not apply for each reason, in report order.

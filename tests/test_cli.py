@@ -168,38 +168,40 @@ class _Dict(dict):
     pass
 
 
-# Report-shaped trees: the leaves are every value type a report holds, with
-# strings of any code point (quotes, backslashes, control characters, lone
-# surrogates) and ints of up to several hundred digits.  Subclasses of str,
-# int, list and dict, which json.dumps renders as their base types, appear
-# as leaves, keys and containers.
+# Report-shaped trees of exact types: strings of any code point (quotes,
+# backslashes, control characters, lone surrogates) and ints of up to
+# several hundred digits in lists and dicts, and also True, False and None
+# as dict values.
 _text = st.text(st.characters(blacklist_categories=()))
-_leaves = (st.none() | st.booleans() | st.integers()
-           | st.integers(min_value=-10**700, max_value=10**700)
-           | _text
-           | st.text('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\U0001d11e')
-           | st.builds(_Str, _text) | st.builds(_Int, st.integers()))
+_items = (st.integers() | st.integers(min_value=-10**700, max_value=10**700)
+          | _text | st.text('"\\/\x00\x1f\x7f\n\t \u00e9\u2028\U0001d11e'))
+_values = st.none() | st.booleans()
 _trees = st.recursive(
-    _leaves,
+    _items,
     lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(_text | st.builds(_Str, _text), children, max_size=4)
-                      | st.lists(children, max_size=4).map(_List)
-                      | st.dictionaries(_text, children, max_size=4).map(_Dict)),
+                      | st.dictionaries(_text, _values | children, max_size=4)),
     max_leaves=40,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.text(), _trees, max_size=5))
+@given(st.dictionaries(st.text(), _values | _trees, max_size=5))
 def test_render_document_is_json_dumps_indent_2(doc):
     assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 # Weights and points are tuples, which json.dumps writes as lists; the
-# renderer refuses them like any other tuple.
+# renderer refuses them like any other tuple.  It refuses subclasses of the
+# report's types, which json.dumps renders as their base types, and bool
+# and None as list items, which no report holds.
+_SUBCLASSED = [_Str("a"), _Int(1), _List([1]), _Dict({"a": 1}), _List(), _Dict()]
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1, 2}, object(), {1: "a"},
                                    (1, 2), [[{"a": 1.0}]], Weight(1, 2), [Weight(1, 2)],
-                                   RationalPoint.of(1, "1/2")])
+                                   RationalPoint.of(1, "1/2"), *_SUBCLASSED,
+                                   *([item] for item in _SUBCLASSED), {_Str("k"): 1},
+                                   [True], [False], [None], [0.5]])
 def test_render_document_refuses_other_types(value):
     with pytest.raises(TypeError):
         render_document({"value": value})
@@ -224,7 +226,7 @@ def test_render_document_on_report_shapes():
 def test_render_document_key_heads_by_place():
     """A key that is a later key at some depth and then a first one at the
     same depth, or the reverse, gets the head of its place; a str subclass
-    key, equal to a memoised key or hashing like one, gets its own text."""
+    key is refused, also one equal to a memoised key and hashing like it."""
 
     class _Alias(str):
         def __eq__(self, other):
@@ -236,12 +238,21 @@ def test_render_document_key_heads_by_place():
     docs = [
         {"d": {"head-a": 1, "head-b": 2}, "e": {"head-b": 3, "head-a": [4]}},
         {"d": [{"head-b": {"head-a": None}}], "e": {"head-b": True}},
-        {"head-a": 1, _Str("head-a"): 2},
-        {"x": {_Str("head-b"): 1, _Alias("head-c"): 2}},
+    ]
+    # The depth-1 first heads hold "head-a" and "head-b" once docs render.
+    refused = [
+        {"x": {_Str("head-b"): 1}},
+        {"x": {_Alias("head-c"): 2}},
         {_Alias("head-d"): {_Alias("head-e"): 1}},
     ]
-    for doc in docs * 2:
-        assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+    for _ in range(2):
+        for doc in docs:
+            assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+        for doc in refused:
+            with pytest.raises(TypeError):
+                render_document(doc)
+    assert all(type(key) is str for level in _kept_levels()
+               for key in {**level.first, **level.later})
 
 
 def _kept_levels():
@@ -390,6 +401,15 @@ class TestClassifyCommand:
         path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1]])
         assert main(["classify", path]) == 1
         assert "internal error" in capsys.readouterr().err
+
+    def test_internal_type_error_exit_one(self, tmp_path, capsys, monkeypatch):
+        # A report that holds a float: the renderer's TypeError is an
+        # engine fault, returned as exit 1 like any other.
+        monkeypatch.setattr(cli, "full_report", lambda points: {"valid": 0.5})
+        path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1]])
+        assert main(["classify", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: TypeError") and err.count("\n") == 1
 
     def test_output_file_and_determinism(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0, 0], [1, 0], [0, -1], [3, -1]])
@@ -543,6 +563,16 @@ class TestPlotCommand:
     def test_xray_overlay_refused_for_two_wall_vertices(self, tmp_path, capsys):
         path = write_doc(tmp_path, [[0, 0], [1, 1], [3, 2]])
         assert main(["plot", path, "--overlay", "xray"]) == 2
+
+    def test_invalid_polygon_error_names_one_failure(self, tmp_path, capsys):
+        # Every point (i, -i^2) is a hull vertex, and each one fails: the
+        # error line names the first failure and counts the others.
+        path = write_doc(tmp_path, [[i, -i * i] for i in range(20_000)])
+        assert main(["plot", path, "--overlay", "fixpoints"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a momentum polytope: ")
+        assert err.endswith(" (and 19999 more failures)\n")
+        assert err.count("\n") == 1 and len(err) < 1000
 
 
 _WOODWARD = b'{"vertices": [[0, 0], [1, 0], [0, -1], [3, -1]]}'
